@@ -111,7 +111,12 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
                 stats=stats,
             )
 
-        for move in legal_moves(rec.config, dmat, depth_correction):
+        for n, move in enumerate(legal_moves(rec.config, dmat, depth_correction), 1):
+            # One expansion of a large instance can take seconds: look at the
+            # clock inside it too, cheaply.
+            if not n & 1023 and time.perf_counter() - started >= timeout_s:
+                stats.wall_time = time.perf_counter() - started
+                return TimedOut(stats)
             child = apply_move(rec.config, move)
             child_key = state_key(child)
             if child_key in closed and not reopen:

@@ -11,6 +11,15 @@ Deepening starts at the lower bound of the initial state and stops at the
 A* move count, which is already minimal; the first feasible k-bar therefore
 equals the optimal move count, and the complete search at that depth
 returns the minimum total loaded distance among all optimal-length plans.
+
+Children are cut as early as possible, cheapest test first.  At generation,
+``legal_moves`` skips the lane the last move filled (the relay rule) and
+every move past the distance budget, min(c_ub, incumbent - 1) minus the
+distance so far, before its ``Move`` is built.  Before a child is built, its
+BX comes from the parent's profiles of the two touched lanes in O(1); since
+h = BX + GX with GX >= 0, a BX above the stages left cuts only what the full
+bound would cut.  After the child is built, the full h from
+``lb_incremental`` decides.
 """
 
 from __future__ import annotations
@@ -135,19 +144,23 @@ def complete_search(
             if known is not None and known <= dist:
                 return
             memo[key] = dist
-        for move in legal_moves(config, dmat, depth_correction):
-            if move.from_lane == last_target:
-                continue  # a load never moves in two consecutive stages
+        remaining = k_bar - (stage + 1)
+        budget = None
+        if prune_distance:
+            budget = model.c_ub if incumbent[0] is None else min(model.c_ub, incumbent[0] - 1)
+            budget -= dist
+        for move in legal_moves(config, dmat, depth_correction, last_target, budget):
             c_dist = dist + move.distance
-            if prune_distance:
-                if c_dist > model.c_ub:
-                    continue
-                if incumbent[0] is not None and c_dist >= incumbent[0]:
-                    continue
+            # The incumbent can fall while this node's children are searched,
+            # so the budget may be stale by now.
+            if prune_distance and incumbent[0] is not None and c_dist >= incumbent[0]:
+                continue
+            if prune_bound and bounds.child_bx(config, profiles, move) > remaining:
+                continue  # h = BX + GX with GX >= 0: the full bound cuts it too
             child = apply_move(config, move)
             if prune_bound:
                 c_aux, c_profiles, c_h = bounds.lb_incremental(aux, profiles, move, child)
-                if c_h > k_bar - (stage + 1):
+                if c_h > remaining:
                     continue
             else:
                 c_aux = c_profiles = None

@@ -164,26 +164,46 @@ def move_distance(src: VirtualLane, dst: VirtualLane, dmat, depth_correction: bo
     return d
 
 
-def legal_moves(config: LaneConfiguration, dmat, depth_correction: bool = False) -> list[Move]:
+def legal_moves(
+    config: LaneConfiguration,
+    dmat,
+    depth_correction: bool = False,
+    skip_from: int | None = None,
+    max_distance: int | None = None,
+) -> list[Move]:
     """All moves available in ``config``: every (non-empty source, non-full
     target) ordered pair, taking the source's front load to the target's
-    first empty position.  Ordered by (source lane id, target lane id)."""
+    first empty position.  Ordered by (source lane id, target lane id).
+
+    ``skip_from`` drops that lane as a source (the exact search's no-relay
+    rule).  ``max_distance`` drops every move whose distance, as
+    ``move_distance`` computes it, exceeds it, before its ``Move`` is built.
+    """
+    lanes = config.lanes
+    fills = [len(lane.contents) for lane in lanes]
+    # (lane id, access point, fill, empty slots left once the load lands)
+    targets = [
+        (lane.lane_id, lane.access_point, fill, lane.capacity - fill - 1)
+        for lane, fill in zip(lanes, fills)
+        if fill < lane.capacity
+    ]
+    between = dmat.between
     moves = []
-    for src in config.lanes:
-        if src.is_empty:
+    for src, fill in zip(lanes, fills):
+        src_id = src.lane_id
+        if not fill or src_id == skip_from:
             continue
-        for dst in config.lanes:
-            if dst.lane_id == src.lane_id or dst.is_full:
+        src_point = src.access_point
+        src_empty = src.capacity - fill
+        for dst_id, dst_point, dst_fill, dst_empty in targets:
+            if dst_id == src_id:
                 continue
-            moves.append(
-                Move(
-                    from_lane=src.lane_id,
-                    to_lane=dst.lane_id,
-                    from_pos=src.fill,
-                    to_pos=dst.fill + 1,
-                    distance=move_distance(src, dst, dmat, depth_correction),
-                )
-            )
+            d = between(src_point, dst_point)
+            if depth_correction:
+                d += src_empty + dst_empty
+            if max_distance is not None and d > max_distance:
+                continue
+            moves.append(Move(src_id, dst_id, fill, dst_fill + 1, d))
     return moves
 
 

@@ -70,10 +70,16 @@ def solve_instance(
             depth_correction,
         )
     elif algo == "exact":
+        # One deadline for both phases: the A* bootstrap may use all of
+        # ``timeout_s``, and the exact search gets what is left of it.
+        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         ub = ub_solution
         if ub is None:
             ub = astar.solve_astar(
-                prepared.config, prepared.dmat, astar.DEFAULT_TIMEOUT_S, depth_correction
+                prepared.config,
+                prepared.dmat,
+                astar.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s,
+                depth_correction,
             )
             if not isinstance(ub, Solution):
                 _attach(ub, prepared)
@@ -82,7 +88,9 @@ def solve_instance(
             prepared.config,
             prepared.dmat,
             ub,
-            timeout_s if timeout_s is not None else exact.DEFAULT_TIMEOUT_S,
+            exact.DEFAULT_TIMEOUT_S
+            if deadline is None
+            else max(0.0, deadline - time.perf_counter()),
             depth_correction,
         )
     else:

@@ -10,7 +10,15 @@ from dataclasses import dataclass, field
 
 from .fixing import AccessAssignment, to_virtual_lanes
 from .layout import all_pairs_distances, build_layout
-from .model import Solution, WarehouseInstance, apply_move, legal_moves, state_key
+from .model import (
+    Move,
+    Solution,
+    WarehouseInstance,
+    apply_move,
+    legal_moves,
+    move_distance,
+    state_key,
+)
 
 
 class NoSolutionWithin(Exception):
@@ -83,20 +91,25 @@ def replay(
 
     claimed_k, claimed_total, claimed_moves = _solution_fields(solution)
     total = 0
+    lane_ids = range(1, len(config.lanes) + 1)
     for idx, entry in enumerate(claimed_moves):
-        legal = {
-            (m.from_lane, m.to_lane): m
-            for m in legal_moves(config, dmat, depth_correction)
-        }
         pair = (entry["from_lane"], entry["to_lane"])
-        move = legal.get(pair)
-        if move is None:
+        src = config.lane(int(pair[0])) if pair[0] in lane_ids else None
+        dst = config.lane(int(pair[1])) if pair[1] in lane_ids else None
+        if src is None or dst is None or src.lane_id == dst.lane_id or src.is_empty or dst.is_full:
             report.flag(
                 "illegal-move",
                 f"no legal move from lane {pair[0]} to lane {pair[1]}",
                 idx,
             )
             return report  # the rest of the plan is not replayable
+        move = Move(
+            src.lane_id,
+            dst.lane_id,
+            src.fill,
+            dst.fill + 1,
+            move_distance(src, dst, dmat, depth_correction),
+        )
         if entry.get("distance") != move.distance:
             report.flag(
                 "distance-mismatch",

@@ -1,9 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds
-from premarshal.model import Infeasible, Solution, TimedOut
+from premarshal.model import Infeasible, Solution, TimedOut, apply_move
 
 DMAT = FakeDmat()
 
@@ -109,8 +110,6 @@ def test_restart_with_reopen_still_optimal(monkeypatch):
 
 
 def test_moves_replay_to_sorted():
-    from premarshal.model import apply_move
-
     rng = random.Random(5)
     for _ in range(20):
         lanes = []
@@ -126,3 +125,25 @@ def test_moves_replay_to_sorted():
             state = apply_move(state, move)
         assert state.is_sorted
         assert sum(m.distance for m in result.moves) == result.total_distance
+
+
+def test_deadline_holds_inside_one_expansion(monkeypatch):
+    """The clock is read every 1,024 children, not only between pops."""
+    ticks = iter(range(1_000_000))
+    monkeypatch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    built = []
+
+    def counting_apply(config, move):
+        built.append(move)
+        return apply_move(config, move)
+
+    monkeypatch.setattr(astar, "apply_move", counting_apply)
+    # One blocker and 40 sorted lanes with room: 1,640 children at the root.
+    lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
+    config = make_config(lanes, groups=2)
+    # start reads 0 and the first pop 1, both inside the budget; the read at
+    # child 1,024 gives 2, past it.
+    result = astar.solve_astar(config, DMAT, timeout_s=1.5)
+    assert isinstance(result, TimedOut)
+    assert result.stats.nodes_evaluated == 1
+    assert len(built) == 1023

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, exact
+from premarshal.generate import GenConfig, generate
+from premarshal.pipeline import prepare
 from premarshal.model import Solution, SolveStats, TimedOut, apply_move
 
 DMAT = FakeDmat()
@@ -195,3 +198,54 @@ def test_timeout_reports_the_stage_reached():
     assert isinstance(result, TimedOut)
     assert result.k_bar_reached == 1
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
+
+
+# Recorded before the exact search cut children ahead of building them:
+# (bay, warehouse, fill, G, seed) -> (k, distance, nodes, move pairs).
+PINNED_SEARCHES = {
+    ((4, 4), (2, 2), 0.9, 10, 8): (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
+    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 230, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
+def test_pinned_node_counts_and_plans(spec):
+    """Cutting children before they are built visits the very same nodes."""
+    bay, warehouse, fill, groups, seed = spec
+    prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
+                                      groups=groups, seed=seed)))
+    warm = astar.solve_astar(prep.config, prep.dmat)
+    result = exact.solve_exact(prep.config, prep.dmat, warm)
+    assert isinstance(result, Solution)
+    got = (result.k, result.total_distance, result.stats.nodes_evaluated,
+           [(m.from_lane, m.to_lane) for m in result.moves])
+    assert got == PINNED_SEARCHES[spec]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3),
+            st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=30),
+)
+def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub):
+    """The BX pre-check and the full bound cut only dead subtrees, so the
+    plan found is the one the unbounded search finds first."""
+    lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
+    model = exact.build_model(make_config(lanes, groups=4), k_bar, DMAT, c_ub)
+    bounded = exact.complete_search(model)
+    unbounded = exact.complete_search(model, prune_bound=False)
+    if unbounded is None:
+        assert bounded is None
+        return
+    assert bounded is not None
+    assert (bounded.moves, bounded.distance) == (unbounded.moves, unbounded.distance)
+    assert bounded.nodes <= unbounded.nodes

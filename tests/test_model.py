@@ -15,6 +15,7 @@ from premarshal.model import (
     blocking_of,
     census_of,
     legal_moves,
+    move_distance,
     non_increasing_prefix_len,
     state_blocking,
     state_key,
@@ -159,3 +160,39 @@ def test_solution_consistency_checks():
         Solution(algo="astar", moves=(move,), k=2, total_distance=4, stats=stats)
     with pytest.raises(ValueError):
         Solution(algo="astar", moves=(move,), k=1, total_distance=5, stats=stats)
+
+
+_CONFIGS = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+@given(
+    _CONFIGS,
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=16)),
+)
+def test_legal_moves_filters_equal_filtering_by_hand(lane_specs, depth, skip_from, max_distance):
+    lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
+    config = make_config(lanes, groups=4)
+    everything = [
+        Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
+             move_distance(src, dst, DMAT, depth))
+        for src in config.lanes
+        for dst in config.lanes
+        if src is not dst and not src.is_empty and not dst.is_full
+    ]
+    assert legal_moves(config, DMAT, depth) == everything
+    by_hand = [
+        m
+        for m in everything
+        if m.from_lane != skip_from and (max_distance is None or m.distance <= max_distance)
+    ]
+    assert legal_moves(config, DMAT, depth, skip_from, max_distance) == by_hand

@@ -149,3 +149,25 @@ def test_brute_force_raises_past_its_budget():
     with pytest.raises(verify.NoSolutionWithin) as err:
         verify.brute_force_optimum(config, DMAT, max_k=1)
     assert err.value.max_k == 1
+
+
+def test_replay_rejects_each_kind_of_illegal_pair():
+    instance, prepared, _result, data = _solved_witness()
+    lanes = prepared.config.lanes
+    src = data["moves"][0]["from_lane"]
+    empty = next(lane.lane_id for lane in lanes if lane.is_empty)
+    # lanes 1 and 3 hold two loads in three slots: one move fills lane 3
+    fill_3 = {"from_lane": 1, "to_lane": 3, "distance": prepared.dmat.between(0, 2)}
+    plans = [[{"from_lane": a, "to_lane": b}] for a, b in
+             [(src, src), (0, src), (src, len(lanes) + 1), ("1", 2), (empty, src)]]
+    plans.append([fill_3, {"from_lane": 1, "to_lane": 3}])
+    for moves in plans:
+        bad = copy.deepcopy(data)
+        bad["moves"] = moves
+        report = verify.replay(instance, prepared.assignments, bad)
+        last = moves[-1]
+        assert report.violations == [{
+            "code": "illegal-move",
+            "detail": f"no legal move from lane {last['from_lane']} to lane {last['to_lane']}",
+            "move_index": len(moves) - 1,
+        }], moves
