@@ -11,12 +11,19 @@ share a tile (distance 0).
 
 Access-point ids are 0-based and enumerated bay by bay, sides in N, E, S, W
 order, stacks by ascending index within a side.
+
+Distances are computed on the aisle graph with tiles numbered in sorted
+order: one breadth-first search per distinct access tile fills a flat list
+of hop counts, the tile's row is read out of it for all access points at
+once, and every point on that tile shares the row.  That is
+O(aisle tiles x distinct access tiles) time, with one search's list alive
+at a time next to the matrix itself.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 from .model import WarehouseInstance
@@ -111,65 +118,73 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
     return layout
 
 
+def _aisle_graph(aisles) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+    """Number the aisle tiles in sorted order; list each tile's neighbours."""
+    index = {tile: a for a, tile in enumerate(sorted(aisles))}
+    adjacency = [
+        [index[nxt] for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if nxt in index]
+        for (x, y) in index
+    ]
+    return index, adjacency
+
+
+def _bfs(adjacency: list[list[int]], source: int) -> list[int]:
+    """Hop counts from ``source`` by tile index; -1 marks an unreachable tile."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for a in frontier:
+            for b in adjacency[a]:
+                if dist[b] < 0:
+                    dist[b] = level
+                    reached.append(b)
+        frontier = reached
+    return dist
+
+
 def _check_connected(layout: GridLayout) -> None:
     if not layout.aisles:
         raise LayoutError("layout has no aisle tiles")
-    start = next(iter(layout.aisles))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, y = queue.popleft()
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in layout.aisles and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(layout.aisles):
+    _, adjacency = _aisle_graph(layout.aisles)
+    if -1 in _bfs(adjacency, 0):
         raise LayoutError("aisle tiles do not form a single connected component")
-
-
-def _bfs(layout: GridLayout, source: tuple[int, int]) -> dict[tuple[int, int], int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        tile = queue.popleft()
-        base = dist[tile]
-        x, y = tile
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in layout.aisles and nxt not in dist:
-                dist[nxt] = base + 1
-                queue.append(nxt)
-    return dist
 
 
 def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     """Shortest 4-connected paths over aisle tiles between all access points.
 
     Storage tiles are never traversed; shortcuts through storage space are
-    deliberately not considered.
+    deliberately not considered.  One BFS runs per distinct access tile, and
+    every point on that tile shares the resulting row.
     """
     points = layout.access_points
-    n = len(points)
-    tiles = sorted({p.tile for p in points})
-    by_tile = {}
-    for tile in tiles:
-        by_tile[tile] = _bfs(layout, tile)
+    index, adjacency = _aisle_graph(layout.aisles)
+    off_aisle = [p.point_id for p in points if p.tile not in index]
+    if off_aisle:
+        raise LayoutError(f"access points {off_aisle} are not on aisle tiles")
+    columns = [index[p.tile] for p in points]
+    if len(columns) > 1:
+        pick = operator.itemgetter(*columns)
+    else:  # itemgetter of one key returns a bare value, not a tuple
+        pick = lambda dist: tuple(dist[c] for c in columns)  # noqa: E731
 
-    unreachable = []
-    rows = []
-    for p in points:
-        dist = by_tile[p.tile]
-        row = []
-        for q in points:
-            if q.tile in dist:
-                row.append(dist[q.tile])
-            else:
-                row.append(-1)
-                if p.point_id < q.point_id:
-                    unreachable.append((p.point_id, q.point_id))
-        rows.append(tuple(row))
-    if unreachable:
-        raise DisconnectedError(unreachable)
-    return DistanceMatrix(n=n, d=tuple(rows))
+    rows_by_tile = {a: pick(_bfs(adjacency, a)) for a in set(columns)}
+    rows = tuple(rows_by_tile[c] for c in columns)
+
+    if any(-1 in row for row in rows_by_tile.values()):
+        unreachable = [
+            (p.point_id, q.point_id)
+            for p, row in zip(points, rows)
+            for q, d in zip(points, row)
+            if d < 0 and p.point_id < q.point_id
+        ]
+        if unreachable:
+            raise DisconnectedError(unreachable)
+    return DistanceMatrix(n=len(points), d=rows)
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:

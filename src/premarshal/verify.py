@@ -50,7 +50,10 @@ class ValidationReport:
 
 
 def _solution_fields(solution) -> tuple[int, int, list[dict]]:
-    """Accept a Solution or its JSON dict; return claimed k, distance, moves."""
+    """Accept a Solution or its JSON dict; return claimed k, distance, moves.
+
+    Raises KeyError, TypeError or ValueError when the dict is malformed.
+    """
     if isinstance(solution, Solution):
         moves = [
             {
@@ -61,11 +64,14 @@ def _solution_fields(solution) -> tuple[int, int, list[dict]]:
             for m in solution.moves
         ]
         return solution.k, solution.total_distance, moves
-    return (
-        int(solution["k"]),
-        int(solution["total_distance"]),
-        list(solution["moves"]),
-    )
+    claims = solution["k"], solution["total_distance"]
+    if any(type(value) is not int for value in claims):
+        raise ValueError(f"k and total_distance must be integers, got {claims!r}")
+    moves = list(solution["moves"])
+    for idx, entry in enumerate(moves):
+        if not isinstance(entry, dict) or not {"from_lane", "to_lane"} <= entry.keys():
+            raise ValueError(f"move {idx} is not an object with from_lane and to_lane")
+    return *claims, moves
 
 
 def replay(
@@ -81,6 +87,11 @@ def replay(
     """
     report = ValidationReport()
     try:
+        claimed_k, claimed_total, claimed_moves = _solution_fields(solution)
+    except (KeyError, TypeError, ValueError) as exc:
+        report.flag("malformed", f"cannot read the solution: {exc!r}")
+        return report
+    try:
         layout = build_layout(instance)
         dmat = all_pairs_distances(layout)
         config, bindings = to_virtual_lanes(instance, assignments, layout)
@@ -89,7 +100,6 @@ def replay(
         return report
     points = {b.lane_id: b.access_point for b in bindings}
 
-    claimed_k, claimed_total, claimed_moves = _solution_fields(solution)
     total = 0
     lane_ids = range(1, len(config.lanes) + 1)
     for idx, entry in enumerate(claimed_moves):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,66 @@ def test_ub_from_must_match_the_instance(instance_path, tmp_path, capsys):
     code, _ = _solve(instance_path, tmp_path, "exact", "--ub-from", ghost)
     assert code == cli.EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def probe_plan(tmp_path_factory):
+    """4x4/2x2/0.9/G10/s8 with its A* plan, written by the CLI."""
+    root = tmp_path_factory.mktemp("probe")
+    inst, plan = root / "instance.json", root / "astar.json"
+    assert cli.main([
+        "generate", "--bay", "4x4", "--warehouse", "2x2", "--fill", "0.9",
+        "--classes", "10", "--seed", "8", "-o", str(inst),
+    ]) == cli.EXIT_OK
+    assert cli.main(["solve", "--algo", "astar", "--in", str(inst), "-o", str(plan)]) \
+        == cli.EXIT_OK
+    return inst, plan
+
+
+def _unquoted_k(data):
+    data["k"] = "abc"
+
+
+def _fractional_k(data):
+    data["k"] += 0.5
+
+
+def _move_without_source(data):
+    del data["moves"][0]["from_lane"]
+
+
+def _move_not_an_object(data):
+    data["moves"][0] = [1, 2]
+
+
+def _null_moves(data):
+    data["moves"] = None
+
+
+@pytest.mark.parametrize("tamper", [
+    _unquoted_k, _fractional_k, _move_without_source, _move_not_an_object, _null_moves,
+])
+def test_malformed_solutions_exit_3_without_a_traceback(probe_plan, tmp_path, tamper):
+    inst, plan = probe_plan
+    data = json.loads(plan.read_text())
+    tamper(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for command in (
+        ["verify", "--in", str(inst), "--sol", str(bad)],
+        ["solve", "--algo", "exact", "--in", str(inst), "--ub-from", str(bad),
+         "-o", str(tmp_path / "exact.json")],
+    ):
+        run = subprocess.run([sys.executable, "-m", "premarshal.cli", *command],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == cli.EXIT_INVALID, run.stderr
+        assert "Traceback" not in run.stderr
+        if command[0] == "verify":
+            report = json.loads(run.stdout)
+            assert [v["code"] for v in report["violations"]] == ["malformed"]
 
 
 def test_bench_writes_csv_and_aggregate(tmp_path, capsys, monkeypatch):

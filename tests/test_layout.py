@@ -1,9 +1,13 @@
+import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from premarshal.generate import GenConfig, generate
 from premarshal.layout import (
+    AccessPoint,
     DisconnectedError,
     DistanceMatrix,
     GridLayout,
@@ -16,10 +20,12 @@ from premarshal.model import BaySpec, WarehouseInstance
 
 
 def _instance(bay_shape, wh_rows, wh_cols, sides="NESW"):
+    """``sides`` is one set for every bay, or a list with one set per bay."""
     I, J = bay_shape
+    per_bay = [sides] * (wh_rows * wh_cols) if isinstance(sides, str) else sides
     bays = tuple(
-        BaySpec(I=I, J=J, T=1, G=1, occupancy={}, access_sides=frozenset(sides))
-        for _ in range(wh_rows * wh_cols)
+        BaySpec(I=I, J=J, T=1, G=1, occupancy={}, access_sides=frozenset(s))
+        for s in per_bay
     )
     return WarehouseInstance(bays=bays, warehouse_rows=wh_rows, warehouse_cols=wh_cols, meta={})
 
@@ -108,6 +114,45 @@ def test_bfs_matches_floyd_warshall(shape, wh):
             assert matrix.between(p.point_id, q.point_id) == oracle[index[p.tile]][index[q.tile]]
 
 
+@st.composite
+def _layouts(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sides = draw(st.lists(
+        st.sets(st.sampled_from("NESW"), min_size=1).map("".join),
+        min_size=rows * cols, max_size=rows * cols,
+    ))
+    return build_layout(_instance(shape, rows, cols, sides))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layouts())
+def test_distances_equal_floyd_warshall_on_random_layouts(layout):
+    matrix = all_pairs_distances(layout)
+    tiles, index, edges = _aisle_graph(layout)
+    oracle = oracles.floyd_warshall(len(tiles), edges)
+    points = layout.access_points
+    assert matrix.n == len(points)
+    for p in points:
+        row = [oracle[index[p.tile]][index[q.tile]] for q in points]
+        assert list(matrix.d[p.point_id]) == row
+        for q in points:
+            if q.tile == p.tile:
+                assert matrix.d[q.point_id] == matrix.d[p.point_id]
+
+
+def test_csv_of_a_large_instance_is_pinned():
+    """4x4 bays, 8x8 warehouse, 1,024 points: a changed value or row order fails."""
+    instance = generate(GenConfig(bay=(4, 4), warehouse=(8, 8), fill=0.4, groups=5, seed=2))
+    matrix = all_pairs_distances(build_layout(instance))
+    buf = io.StringIO()
+    write_distances_csv(matrix, buf)
+    assert matrix.n == 1024
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "74f023f918e43f45a96daddd25efa731c9fea2bdc699568d059168999f41a230"
+    )
+
+
 def test_triangle_inequality():
     layout = build_layout(_instance((3, 3), 2, 2))
     m = all_pairs_distances(layout)
@@ -120,8 +165,6 @@ def test_triangle_inequality():
 
 def test_disconnected_pairs_reported():
     # hand-built layout: two isolated aisle tiles, each carrying one point
-    from premarshal.layout import AccessPoint
-
     layout = GridLayout(
         width=3,
         length=1,
@@ -134,7 +177,22 @@ def test_disconnected_pairs_reported():
     )
     with pytest.raises(DisconnectedError) as err:
         all_pairs_distances(layout)
-    assert (0, 1) in err.value.pairs
+    assert err.value.pairs == [(0, 1)]
+
+
+def test_access_point_off_the_aisles_rejected():
+    layout = GridLayout(
+        width=2,
+        length=1,
+        aisles=frozenset({(0, 0)}),
+        storage={(1, 0): (0, 1, 1)},
+        access_points=[
+            AccessPoint(0, (0, 0), 0, (1, 1), "W"),
+            AccessPoint(1, (1, 0), 0, (1, 1), "E"),
+        ],
+    )
+    with pytest.raises(LayoutError, match=r"\[1\] are not on aisle tiles"):
+        all_pairs_distances(layout)
 
 
 def test_csv_export():
