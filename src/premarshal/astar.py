@@ -4,9 +4,17 @@ Nodes are popped from the open queue by lexicographic (f, h, dist) with
 insertion order as the final tie-breaker, where f = g + h, g is the move
 count so far, h the admissible lower bound and dist the total loaded move
 distance from the root.  The goal test happens at pop time; a popped node
-joins the closed set and is never re-expanded.  A successor is admitted when
-its key is not closed and it is new, improves the stored f, or matches the
-stored f with a strictly smaller dist.
+is closed and never re-expanded.  A successor is admitted when its key is
+not closed and it is new, improves the stored f, or matches the stored f
+with a strictly smaller dist.
+
+Children are not built when they are generated.  A record keeps the parent,
+the move, g, dist and f; its configuration, bound aux and lane profiles are
+built only when it is popped, from the parent's through ``apply_move`` and
+``bounds.lb_incremental``.  A child's key is patched from its parent's key
+(``child_key``), and its h comes from ``bounds.Siblings``, which works from
+the parent's profiles, the two touched lanes and results shared between
+the children of one expansion.
 
 The returned move count is provably minimal; the distance is only the
 tie-broken heuristic value.  h may be non-monotone even though admissible:
@@ -18,7 +26,6 @@ improvement), which restores optimality unconditionally.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import bounds
@@ -30,6 +37,7 @@ from .model import (
     SolveStats,
     TimedOut,
     apply_move,
+    child_key,
     legal_moves,
     state_key,
 )
@@ -39,19 +47,27 @@ DEFAULT_TIMEOUT_S = 600.0
 _RESTART = object()
 
 
-@dataclass
 class _Record:
-    config: LaneConfiguration
-    g: int
-    dist: int
-    f: float
-    aux: object
-    profiles: tuple
-    # Parent is the record object, not its key: a key's record may be
-    # replaced by a later, cheaper admission, but an already-linked chain
-    # must keep the g/dist values it was built with.
-    parent: "_Record | None"
-    move: Move | None
+    """One admitted state: how it was reached and its f.
+
+    The parent is the record object, not its key: a key's record may be
+    replaced by a later, cheaper admission, but an already-linked chain must
+    keep the g/dist values it was built with.  ``config``, ``aux`` and
+    ``profiles`` stay None until the record is popped.
+    """
+
+    __slots__ = ("parent", "move", "g", "dist", "f", "closed", "config", "aux", "profiles")
+
+    def __init__(self, parent: "_Record | None", move: Move | None, g: int, dist: int, f):
+        self.parent = parent
+        self.move = move
+        self.g = g
+        self.dist = dist
+        self.f = f
+        self.closed = False
+        self.config: LaneConfiguration | None = None
+        self.aux = None
+        self.profiles = None
 
 
 def solve_astar(
@@ -76,12 +92,11 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
         return Infeasible(stats)
 
     root_key = state_key(root)
-    records: dict[tuple, _Record] = {
-        root_key: _Record(root, 0, 0, h0, aux, profiles, None, None)
-    }
+    root_rec = _Record(None, None, 0, 0, h0)
+    root_rec.config, root_rec.aux, root_rec.profiles = root, aux, profiles
+    records: dict[tuple, _Record] = {root_key: root_rec}
     open_heap = [(h0, h0, 0, 0, root_key)]
     pushes = 1
-    closed: set[tuple] = set()
     last_f = 0.0
 
     while open_heap:
@@ -89,7 +104,8 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
             stats.wall_time = time.perf_counter() - started
             return TimedOut(stats)
         f, h, dist, _, key = heappop(open_heap)
-        if key in closed:
+        rec = records[key]
+        if rec.closed:
             continue
         if not reopen and f < last_f:
             # The heuristic proved non-monotone along this run; redo the
@@ -97,9 +113,14 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
             # shorter plan.
             return _RESTART
         last_f = f
-        closed.add(key)
-        rec = records[key]
+        rec.closed = True
         stats.nodes_evaluated += 1
+        if rec.config is None:
+            parent = rec.parent
+            rec.config = apply_move(parent.config, rec.move)
+            rec.aux, rec.profiles, _h = bounds.lb_incremental(
+                parent.aux, parent.profiles, rec.move, rec.config
+            )
 
         if rec.config.blocking_total == 0:
             stats.wall_time = time.perf_counter() - started
@@ -111,32 +132,31 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
                 stats=stats,
             )
 
+        child_h = bounds.Siblings(rec.config, rec.aux, rec.profiles).h
+        c_g = rec.g + 1
         for n, move in enumerate(legal_moves(rec.config, dmat, depth_correction), 1):
             # One expansion of a large instance can take seconds: look at the
             # clock inside it too, cheaply.
             if not n & 1023 and time.perf_counter() - started >= timeout_s:
                 stats.wall_time = time.perf_counter() - started
                 return TimedOut(stats)
-            child = apply_move(rec.config, move)
-            child_key = state_key(child)
-            if child_key in closed and not reopen:
-                continue
-            c_aux, c_profiles, c_h = bounds.lb_incremental(rec.aux, rec.profiles, move, child)
+            c_h = child_h(move)
             if c_h is bounds.INFEASIBLE:
                 continue
-            c_g = rec.g + 1
+            c_key = child_key(key, move)
             c_dist = rec.dist + move.distance
             c_f = c_g + c_h
-            known = records.get(child_key)
-            if known is not None and not (
-                known.f > c_f or (known.f == c_f and known.dist > c_dist)
-            ):
-                continue
-            if reopen:
-                closed.discard(child_key)
-            records[child_key] = _Record(child, c_g, c_dist, c_f, c_aux, c_profiles, rec, move)
+            child = _Record(rec, move, c_g, c_dist, c_f)
+            # One hash of the key for a new state, the common case.
+            known = records.setdefault(c_key, child)
+            if known is not child:
+                if known.closed and not reopen:
+                    continue
+                if not (known.f > c_f or (known.f == c_f and known.dist > c_dist)):
+                    continue
+                records[c_key] = child
             pushes += 1
-            heappush(open_heap, (c_f, c_h, c_dist, pushes, child_key))
+            heappush(open_heap, (c_f, c_h, c_dist, pushes, c_key))
 
     stats.wall_time = time.perf_counter() - started
     return Infeasible(stats)

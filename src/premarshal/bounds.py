@@ -10,15 +10,32 @@ free slots, and every such removal is one extra move.  The covering problem
 is solved exactly per call, so the bound is as tight as this relaxation
 permits while remaining admissible.
 
+The covering problem is a dynamic program over the lanes, memoised on (lane
+index, residual demand clipped at 0).  Clipping is exact because no gain is
+negative: removing front prefix loads never lowers a lane's threshold, and a
+removed load of group >= g leaves a threshold >= g behind it, so the slot it
+freed pays for the demand it adds.  A level once covered stays covered.
+
 An incremental updater recomputes the profiles of the two lanes touched by
 a move and patches the aggregate supply/demand data by differences; its
 result is identical to the from-scratch computation.
+
+``Siblings`` gives the h of every child of one parent without building the
+child.  The source lane's state after losing its front load, and a target
+lane's after receiving a load of group p, are profiled once per parent; a
+child's demand and supply then differ from the parent's by two cached O(G)
+vectors.  When some level has a deficit, the child's lanes offer the
+parent's removal options with those of the two touched lanes swapped.  The
+minimum is shared between siblings: given the parent, it is fixed by the
+levels, their needs and the options swapped out and in once equal ones
+cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, gt, sub
 from typing import Sequence
 
 from .model import (
@@ -140,35 +157,82 @@ def child_bx(config: LaneConfiguration, profiles: Sequence[LaneProfile], move: M
     return bx
 
 
-def _removal_options(prof: LaneProfile, levels: tuple[int, ...], groups: int):
-    """Gain vectors for removing r front prefix loads of one lane.
+def _removal_options(
+    prefix_groups: tuple[int, ...], free: int, levels: tuple[int, ...], groups: int
+):
+    """Gain vectors for removing r front loads of a lane's sorted prefix.
 
-    Removing r loads raises the threshold to the group of the new front
-    prefix load (or G when emptied), frees r more slots, and adds each
-    removed load of group p back to the demand at p.  The gain at level g is
-    the resulting slack change; it is componentwise non-decreasing in r, so
-    only the r values where the vector actually grows are kept.
+    ``prefix_groups`` is the prefix deepest first and ``free`` the lane's
+    free_after_clear.  Removing r loads raises the threshold to the group of
+    the new front prefix load (or G when emptied), frees r more slots, and
+    adds each removed load of group p back to the demand at p.  The gain at
+    level g is the resulting slack change; it is componentwise non-decreasing
+    in r, so only the r values where the vector actually grows are kept.
     """
-    base_free = prof.free_after_clear
-    base_thr = prof.threshold
-    options = [(0, tuple(0 for _ in levels))]
+    n = len(prefix_groups)
+    base_thr = prefix_groups[-1] if n else groups
+    options = [(0, (0,) * len(levels))]
     removed_ge = [0] * len(levels)
-    # prefix groups front-most first: contents[prefix-1], contents[prefix-2], ...
-    for r in range(1, prof.prefix_len + 1):
-        thr = prof.prefix_groups[prof.prefix_len - r - 1] if r < prof.prefix_len else groups
-        removed = prof.prefix_groups[prof.prefix_len - r]
+    # prefix groups front-most first: prefix_groups[n-1], prefix_groups[n-2], ...
+    for r in range(1, n + 1):
+        thr = prefix_groups[n - r - 1] if r < n else groups
+        removed = prefix_groups[n - r]
         for idx, g in enumerate(levels):
             if removed >= g:
                 removed_ge[idx] += 1
         gain = tuple(
-            (base_free + r if thr >= g else 0)
-            - (base_free if base_thr >= g else 0)
+            (free + r if thr >= g else 0)
+            - (free if base_thr >= g else 0)
             - removed_ge[idx]
             for idx, g in enumerate(levels)
         )
         if gain != options[-1][1]:
             options.append((r, gain))
-    return options
+    return tuple(options)
+
+
+def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
+    """Fewest removals whose gains reach ``needs`` at every level.
+
+    ``lane_options`` holds one ``_removal_options`` result per lane, each in
+    ascending r; one option is taken per lane.  The program runs lane by lane:
+    ``frontier`` maps each residual need, clipped at 0, to the fewest
+    removals that leave it after the lanes so far.  A residual that the
+    remaining lanes cannot cover at full clearing is dropped, and so is a
+    cost that cannot beat the best cover found (full clearing to start).
+    Returns INFEASIBLE when even full clearing of every lane falls short.
+    """
+    zero = (0,) * len(needs)
+    # reach[idx]: the gain of clearing every lane from idx on.
+    reach = [zero]
+    for options in reversed(lane_options):
+        reach.append(tuple(map(add, reach[-1], options[-1][1])))
+    reach.reverse()
+    if any(map(gt, needs, reach[0])):
+        return INFEASIBLE
+
+    best = sum(options[-1][0] for options in lane_options)
+    frontier = {needs: 0}
+    for idx, options in enumerate(lane_options):
+        later = reach[idx + 1]
+        nxt: dict[tuple[int, ...], int] = {}
+        for residual, spent in frontier.items():
+            for r, gain in options:
+                cost = spent + r
+                if cost >= best:
+                    break  # options come in ascending r
+                left = tuple(x - y if x > y else 0 for x, y in zip(residual, gain))
+                if left == zero:
+                    best = cost  # the lanes after this one remove nothing
+                    break
+                if any(map(gt, left, later)):
+                    continue
+                if nxt.get(left, best) > cost:
+                    nxt[left] = cost
+        frontier = nxt
+        if not frontier:
+            break
+    return best
 
 
 def gx_bound(aux: SupplyDemandAux, profiles: Sequence[LaneProfile]):
@@ -189,40 +253,10 @@ def gx_bound(aux: SupplyDemandAux, profiles: Sequence[LaneProfile]):
     for prof in profiles:
         if prof.prefix_len == 0:
             continue
-        options = _removal_options(prof, levels, groups)
+        options = _removal_options(prof.prefix_groups, prof.free_after_clear, levels, groups)
         if len(options) > 1:
             lane_options.append(options)
-
-    # Suffix maxima of attainable gain, for infeasibility pruning.
-    m = len(levels)
-    suffix_gain = [[0] * m for _ in range(len(lane_options) + 1)]
-    for idx in range(len(lane_options) - 1, -1, -1):
-        best = lane_options[idx][-1][1]
-        for lv in range(m):
-            suffix_gain[idx][lv] = suffix_gain[idx + 1][lv] + best[lv]
-
-    if any(needs[lv] > suffix_gain[0][lv] for lv in range(m)):
-        return INFEASIBLE
-
-    best_total = sum(opts[-1][0] for opts in lane_options)  # full clearing covers
-
-    def dfs(idx: int, spent: int, residual: tuple[int, ...]) -> None:
-        nonlocal best_total
-        if spent >= best_total:
-            return
-        if all(r <= 0 for r in residual):
-            best_total = spent
-            return
-        if idx == len(lane_options):
-            return
-        gains = suffix_gain[idx]
-        if any(residual[lv] > gains[lv] for lv in range(m)):
-            return
-        for r, gain in lane_options[idx]:
-            dfs(idx + 1, spent + r, tuple(residual[lv] - gain[lv] for lv in range(m)))
-
-    dfs(0, 0, needs)
-    return best_total
+    return _cover(lane_options, needs)
 
 
 def lb_state(config: LaneConfiguration):
@@ -272,3 +306,112 @@ def lb_incremental(
     gx = gx_bound(aux, profiles)
     h = INFEASIBLE if gx is INFEASIBLE else child.blocking_total + gx
     return aux, profiles, h
+
+
+class Siblings:
+    """h of each child of one parent, from the parent's profiles and aux and
+    the move, without building the child; equal to lb(apply_move(...)).
+
+    Build one per expanded parent: the caches below are shared by all of its
+    children and die with it.
+    """
+
+    def __init__(self, config: LaneConfiguration, aux: SupplyDemandAux, profiles):
+        self.config = config
+        self.profiles = profiles
+        self.surplus = tuple(map(sub, aux.cum_demand, aux.cum_supply))
+        #: source lane id -> (BX, load, surplus, profile) once its front load is gone
+        self._taken: dict[int, tuple] = {}
+        #: (target lane id, load) -> (BX change, surplus change, profile)
+        self._given: dict[tuple[int, int], tuple] = {}
+        #: levels -> removal options of each parent lane, None where trivial
+        self._options: dict[tuple[int, ...], list] = {}
+        #: (prefix groups, free slots, levels) -> removal options, None if trivial
+        self._shapes: dict[tuple, tuple] = {}
+        #: (levels, needs, options out, options in) -> GX
+        self._minima: dict[tuple, float] = {}
+
+    def h(self, move: Move):
+        """h of ``apply_move(config, move)`` for a legal ``move``."""
+        taken = self._taken.get(move.from_lane)
+        if taken is None:
+            taken = self._take(move.from_lane)
+        bx, load, surplus, src = taken
+        given = self._given.get((move.to_lane, load))
+        if given is None:
+            given = self._give(move.to_lane, load)
+        bx_change, change, dst = given
+        surplus = list(map(add, surplus, change))
+        if max(surplus) <= 0:
+            return bx + bx_change
+        gx = self._gx(surplus, move.from_lane, src, move.to_lane, dst)
+        return INFEASIBLE if gx is INFEASIBLE else bx + bx_change + gx
+
+    def _take(self, lane_id: int) -> tuple:
+        """The source lane after it loses its front load."""
+        contents = self.config.lanes[lane_id - 1].contents
+        bx_change, change, new = self._touch(lane_id, contents[:-1])
+        bx = self.config.blocking_total + bx_change
+        surplus = tuple(map(add, self.surplus, change))
+        taken = self._taken[lane_id] = (bx, contents[-1], surplus, new)
+        return taken
+
+    def _give(self, lane_id: int, load: int) -> tuple:
+        """The target lane after it receives a load of group ``load``."""
+        contents = self.config.lanes[lane_id - 1].contents + (load,)
+        given = self._given[lane_id, load] = self._touch(lane_id, contents)
+        return given
+
+    def _touch(self, lane_id: int, contents: tuple[int, ...]) -> tuple:
+        """BX change, change of cum_demand - cum_supply, and the new profile
+        when one lane comes to hold ``contents``."""
+        lane = self.config.lanes[lane_id - 1]
+        old = self.profiles[lane_id - 1]
+        new = lane_profile(
+            VirtualLane(lane_id, lane.access_point, lane.capacity, contents), self.config.groups
+        )
+        per_group = [0] * self.config.groups
+        for g in new.blocking_suffix:
+            per_group[g - 1] += 1
+        for g in old.blocking_suffix:
+            per_group[g - 1] -= 1
+        per_group[old.threshold - 1] += old.free_after_clear
+        per_group[new.threshold - 1] -= new.free_after_clear
+        bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
+        return bx_change, _cumulate(per_group), new
+
+    def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
+        """Removal options of one lane at ``levels``, None when trivial."""
+        if not prof.prefix_len:
+            return None
+        key = (prof.prefix_groups, prof.free_after_clear, levels)
+        if key not in self._shapes:
+            options = _removal_options(*key, self.config.groups)
+            self._shapes[key] = options if len(options) > 1 else None
+        return self._shapes[key]
+
+    def _gx(self, surplus: list[int], src_id: int, src: LaneProfile,
+            dst_id: int, dst: LaneProfile):
+        levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
+        needs = tuple(x for x in surplus if x > 0)
+        options = self._options.get(levels)
+        if options is None:
+            options = self._options[levels] = [
+                self._lane_options(prof, levels) for prof in self.profiles
+            ]
+        added = [o for o in (self._lane_options(src, levels), self._lane_options(dst, levels))
+                 if o is not None]
+        out = [o for o in (options[src_id - 1], options[dst_id - 1]) if o is not None]
+        into = []
+        for o in added:
+            if o in out:
+                out.remove(o)
+            else:
+                into.append(o)
+        key = (levels, needs, tuple(sorted(out)), tuple(sorted(into)))
+        gx = self._minima.get(key)
+        if gx is None:
+            kept = [o for lane_id, o in enumerate(options, 1)
+                    if o is not None and lane_id != src_id and lane_id != dst_id]
+            gx = self._minima[key] = _cover(kept + added, needs)
+        return gx

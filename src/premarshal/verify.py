@@ -104,8 +104,12 @@ def replay(
     lane_ids = range(1, len(config.lanes) + 1)
     for idx, entry in enumerate(claimed_moves):
         pair = (entry["from_lane"], entry["to_lane"])
-        src = config.lane(int(pair[0])) if pair[0] in lane_ids else None
-        dst = config.lane(int(pair[1])) if pair[1] in lane_ids else None
+        # Only a plain int names a lane: 12.0 and True compare equal to 12
+        # and 1, but they are not lane ids.
+        src, dst = (
+            config.lane(lane_id) if type(lane_id) is int and lane_id in lane_ids else None
+            for lane_id in pair
+        )
         if src is None or dst is None or src.lane_id == dst.lane_id or src.is_empty or dst.is_full:
             report.flag(
                 "illegal-move",

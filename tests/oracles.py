@@ -294,3 +294,41 @@ def staged_optimum(lanes, distance, k_bar, c_ub):
 
     state = tuple((cap, tuple(contents)) for cap, contents in lanes)
     return walk(state, 0, 0, None)
+
+
+# --- covering oracle ----------------------------------------------------------
+
+def covering_optimum(lanes, groups, extra=()):
+    """Fewest sorted-prefix removals after which every load to place fits.
+
+    ``lanes``: list of (capacity, contents tuple deep-to-front).  A lane's
+    sorted prefix is the run of loads that are not blocking.  Every removal
+    vector (r_1, ..., r_n), 0 <= r_i <= prefix length, is tried: lane i keeps
+    its first prefix_i - r_i loads, its threshold is the group of the last
+    kept one (``groups`` when none is kept) and its free slots are capacity
+    minus the kept count.  The loads to place are the blocking loads, the
+    removed ones and the groups in ``extra``.  The vector covers when, for
+    every g, the loads to place of group >= g are no more than the free slots
+    of lanes with threshold >= g.  Returns math.inf when no vector covers.
+    Exponential in the lane count; meant for at most six lanes.
+    """
+    prefixes = [len(c) - blocking_by_rules(list(c)) for _cap, c in lanes]
+    best = math.inf
+    for removal in itertools.product(*(range(p + 1) for p in prefixes)):
+        if sum(removal) >= best:
+            continue
+        to_place = list(extra)
+        thresholds = []
+        free = []
+        for (cap, contents), p, r in zip(lanes, prefixes, removal):
+            kept = contents[:p - r]
+            to_place.extend(contents[p - r:])
+            thresholds.append(kept[-1] if kept else groups)
+            free.append(cap - len(kept))
+        if all(
+            sum(1 for q in to_place if q >= g)
+            <= sum(f for t, f in zip(thresholds, free) if t >= g)
+            for g in range(1, groups + 1)
+        ):
+            best = sum(removal)
+    return best

@@ -1,10 +1,14 @@
 import random
 from types import SimpleNamespace
 
+import pytest
+
 import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds
+from premarshal.generate import GenConfig, generate
 from premarshal.model import Infeasible, Solution, TimedOut, apply_move
+from premarshal.pipeline import prepare
 
 DMAT = FakeDmat()
 
@@ -95,13 +99,7 @@ def test_k_matches_plain_search_on_random_states():
 
 def test_restart_with_reopen_still_optimal(monkeypatch):
     """Force a non-monotone heuristic; the monitor must restart and reopen."""
-    real_incremental = bounds.lb_incremental
-
-    def flat_incremental(aux, profiles, move, child):
-        new_aux, new_profiles, _h = real_incremental(aux, profiles, move, child)
-        return new_aux, new_profiles, 0
-
-    monkeypatch.setattr(astar.bounds, "lb_incremental", flat_incremental)
+    monkeypatch.setattr(astar.bounds.Siblings, "h", lambda self, move: 0)
     config = make_config([(2, (1, 3), 0), (2, (2, 4), 1), (2, (), 2)], groups=4)
     assert bounds.lb(config) == 2  # root keeps its real (higher) h
     result = astar.solve_astar(config, DMAT)
@@ -128,16 +126,20 @@ def test_moves_replay_to_sorted():
 
 
 def test_deadline_holds_inside_one_expansion(monkeypatch):
-    """The clock is read every 1,024 children, not only between pops."""
+    """The clock is read every 1,024 children, not only between pops.
+
+    Children are counted where their h is computed, since A* builds none of
+    them before they are popped."""
     ticks = iter(range(1_000_000))
     monkeypatch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    built = []
+    children = []
+    real_h = bounds.Siblings.h
 
-    def counting_apply(config, move):
-        built.append(move)
-        return apply_move(config, move)
+    def counting_h(self, move):
+        children.append(move)
+        return real_h(self, move)
 
-    monkeypatch.setattr(astar, "apply_move", counting_apply)
+    monkeypatch.setattr(astar.bounds.Siblings, "h", counting_h)
     # One blocker and 40 sorted lanes with room: 1,640 children at the root.
     lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
     config = make_config(lanes, groups=2)
@@ -146,4 +148,30 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     result = astar.solve_astar(config, DMAT, timeout_s=1.5)
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
-    assert len(built) == 1023
+    assert len(children) == 1023
+
+
+#: (bay, warehouse, fill, G, seed), depth correction -> k, distance,
+#: nodes_evaluated and the (from, to) pairs, recorded before A* stopped
+#: building children at generation.  Ties in (f, h, dist) fall to the push
+#: order, so these pin the heap's tie-breaking too.
+PINNED_PLANS = {
+    (((4, 4), (3, 3), 0.9, 10, 1), False):
+        (5, 15, 6, [(27, 54), (89, 90), (56, 60), (10, 40), (74, 66)]),
+    (((4, 4), (3, 3), 0.9, 10, 1), True):
+        (5, 16, 6, [(27, 54), (89, 90), (56, 60), (74, 66), (10, 40)]),
+    (((5, 5), (2, 2), 0.8, 5, 3), False): (4, 13, 5, [(54, 32), (4, 3), (22, 8), (41, 11)]),
+    (((5, 5), (2, 2), 0.8, 5, 3), True): (4, 16, 5, [(4, 3), (54, 32), (22, 32), (41, 11)]),
+}
+
+
+@pytest.mark.parametrize("spec, depth_correction", sorted(PINNED_PLANS))
+def test_pinned_plans(spec, depth_correction):
+    bay, warehouse, fill, groups, seed = spec
+    prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
+                                      groups=groups, seed=seed)))
+    result = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
+    assert isinstance(result, Solution)
+    got = (result.k, result.total_distance, result.stats.nodes_evaluated,
+           [(m.from_lane, m.to_lane) for m in result.moves])
+    assert got == PINNED_PLANS[spec, depth_correction]

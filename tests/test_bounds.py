@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import FakeDmat, make_config
 from premarshal import bounds
-from premarshal.model import VirtualLane, apply_move, legal_moves
+from premarshal.model import VirtualLane, apply_move, child_key, legal_moves, state_key
 
 DMAT = FakeDmat()
 
@@ -171,3 +174,90 @@ def test_child_bx_equals_the_built_child(lane_specs):
     _aux, profiles, _h = bounds.lb_state(config)
     for move in legal_moves(config, DMAT):
         assert bounds.child_bx(config, profiles, move) == apply_move(config, move).blocking_total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+)
+def test_gx_equals_the_brute_force_cover(groups, lane_specs, extra):
+    """The covering program against every removal vector.  ``extra`` adds
+    loads that sit in no lane, so that full clearing can fall short and
+    INFEASIBLE is reached too."""
+    lanes = [(max(cap, len(c)), tuple(min(g, groups) for g in c))
+             for cap, c in lane_specs]
+    extra = [min(g, groups) for g in extra]
+    config = make_config([(cap, c, idx) for idx, (cap, c) in enumerate(lanes)], groups)
+    aux, profiles, _h = bounds.lb_state(config)
+    aux = _with_extra_demand(aux, extra)
+    expected = oracles.covering_optimum(lanes, groups, extra)
+    got = bounds.gx_bound(aux, profiles)
+    assert got == expected
+    if math.isinf(expected):
+        assert got is bounds.INFEASIBLE
+
+
+@pytest.mark.parametrize("n, gx", [(16, 6), (20, 7), (40, 14)])
+def test_gx_of_many_equal_lanes(n, gx):
+    """n lanes holding (1, 2) in 3 slots, G = 2: removing a 1 raises its
+    lane's threshold to 2 and frees three slots there, so ceil(n / 3)
+    removals.  A search that branches on every lane never finishes n = 40."""
+    config = make_config([(3, (1, 2), idx) for idx in range(n)], groups=2)
+    aux, profiles, h = bounds.lb_state(config)
+    assert bounds.gx_bound(aux, profiles) == gx
+    assert h == bounds.lb(config) == n + gx
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    st.lists(st.integers(min_value=1, max_value=5), max_size=3),
+)
+def test_sibling_h_and_key_equal_the_built_child(lane_specs, extra):
+    """A*'s children are never built at generation: their h and their key,
+    from the parent and the move, must equal those of the built child.
+    ``extra`` adds demand that no move touches, so that INFEASIBLE is
+    reached too; without it the h is lb(child)."""
+    lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
+    config = make_config(lanes, groups=5)
+    aux, profiles, _h = bounds.lb_state(config)
+    siblings = bounds.Siblings(config, _with_extra_demand(aux, extra), profiles)
+    key = state_key(config)
+    for move in legal_moves(config, DMAT):
+        child = apply_move(config, move)
+        if extra:
+            c_aux, c_profiles, _h = bounds.lb_state(child)
+            gx = bounds.gx_bound(_with_extra_demand(c_aux, extra), c_profiles)
+            expected = gx if math.isinf(gx) else child.blocking_total + gx
+        else:
+            expected = bounds.lb(child)
+        assert siblings.h(move) == expected
+        assert child_key(key, move) == state_key(child)
+
+
+def _with_extra_demand(aux, extra):
+    """``aux`` with one more blocking load of each group in ``extra``."""
+    demand = list(aux.demand)
+    for g in extra:
+        demand[g - 1] += 1
+    return dataclasses.replace(
+        aux,
+        demand=tuple(demand),
+        cum_demand=tuple(sum(demand[g - 1:]) for g in range(1, aux.groups + 1)),
+    )

@@ -159,7 +159,8 @@ def test_replay_rejects_each_kind_of_illegal_pair():
     # lanes 1 and 3 hold two loads in three slots: one move fills lane 3
     fill_3 = {"from_lane": 1, "to_lane": 3, "distance": prepared.dmat.between(0, 2)}
     plans = [[{"from_lane": a, "to_lane": b}] for a, b in
-             [(src, src), (0, src), (src, len(lanes) + 1), ("1", 2), (empty, src)]]
+             [(src, src), (0, src), (src, len(lanes) + 1), ("1", 2), (empty, src),
+              (float(src), 2), (src, 2.0), (True, 2)]]
     plans.append([fill_3, {"from_lane": 1, "to_lane": 3}])
     for moves in plans:
         bad = copy.deepcopy(data)
@@ -171,3 +172,19 @@ def test_replay_rejects_each_kind_of_illegal_pair():
             "detail": f"no legal move from lane {last['from_lane']} to lane {last['to_lane']}",
             "move_index": len(moves) - 1,
         }], moves
+
+
+def test_replay_rejects_a_float_lane_id():
+    """12.0 == 12, but a plan naming lane 12.0 is not a plan over lane ids."""
+    instance = generate(GenConfig(bay=(4, 4), warehouse=(2, 2), fill=0.9, groups=10, seed=8))
+    result, prepared = solve_instance(instance, "astar")
+    data = files.solution_to_json(result, prepared.config)
+    assert verify.replay(instance, prepared.assignments, data).ok
+    first = data["moves"][0]
+    first["from_lane"] = float(first["from_lane"])
+    report = verify.replay(instance, prepared.assignments, data)
+    assert report.violations == [{
+        "code": "illegal-move",
+        "detail": f"no legal move from lane {first['from_lane']} to lane {first['to_lane']}",
+        "move_index": 0,
+    }]
