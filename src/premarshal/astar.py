@@ -25,6 +25,7 @@ improvement), which restores optimality unconditionally.
 
 from __future__ import annotations
 
+import gc
 import time
 from heapq import heappop, heappush
 
@@ -76,11 +77,22 @@ def solve_astar(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     depth_correction: bool = False,
 ):
-    """Solve for the minimal move count; Solution, TimedOut or Infeasible."""
+    """Solve for the minimal move count; Solution, TimedOut or Infeasible.
+
+    The cyclic garbage collector is paused for the search and put back as
+    the caller had it: records link only to their parents, so the search
+    makes no cycles, and every full collection would walk all it keeps.
+    """
     started = time.perf_counter()
-    result = _search(config, dmat, started, timeout_s, depth_correction, reopen=False)
-    if result is _RESTART:
-        result = _search(config, dmat, started, timeout_s, depth_correction, reopen=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = _search(config, dmat, started, timeout_s, depth_correction, reopen=False)
+        if result is _RESTART:
+            result = _search(config, dmat, started, timeout_s, depth_correction, reopen=True)
+    finally:
+        if enabled:
+            gc.enable()
     return result
 
 

@@ -136,27 +136,6 @@ def bx_bound(config: LaneConfiguration) -> int:
     return config.blocking_total
 
 
-def child_bx(config: LaneConfiguration, profiles: Sequence[LaneProfile], move: Move) -> int:
-    """BX of ``apply_move(config, move)`` from the parent's profiles of the
-    two touched lanes, without building the child.
-
-    Taking the front load of a lane with blockers removes a blocker; taking
-    it from a sorted lane shortens the sorted prefix and removes none.  The
-    load blocks in its target when the target already has blockers, or when
-    the target's front group is below the load; an empty target takes it
-    unblocked.
-    """
-    bx = config.blocking_total
-    if profiles[move.from_lane - 1].blocking_suffix:
-        bx -= 1
-    dst = profiles[move.to_lane - 1]
-    if dst.blocking_suffix or (
-        dst.prefix_len and dst.threshold < config.lanes[move.from_lane - 1].contents[-1]
-    ):
-        bx += 1
-    return bx
-
-
 def _removal_options(
     prefix_groups: tuple[int, ...], free: int, levels: tuple[int, ...], groups: int
 ):

@@ -12,19 +12,27 @@ A* move count, which is already minimal; the first feasible k-bar therefore
 equals the optimal move count, and the complete search at that depth
 returns the minimum total loaded distance among all optimal-length plans.
 
-Children are cut as early as possible, cheapest test first.  At generation,
-``legal_moves`` skips the lane the last move filled (the relay rule) and
-every move past the distance budget, min(c_ub, incumbent - 1) minus the
-distance so far, before its ``Move`` is built.  Before a child is built, its
-BX comes from the parent's profiles of the two touched lanes in O(1); since
-h = BX + GX with GX >= 0, a BX above the stages left cuts only what the full
-bound would cut.  After the child is built, the full h from
-``lb_incremental`` decides.
+Children are taken from bitmasks over the lanes (bit i is lane i + 1), so
+no (source, target) pair that a cut would drop is looked at.  Access points
+and capacities never change during a search, so ``Targets``, built once per
+search from the initial lanes, holds each source lane's dmat row and, for
+each distinct distance in it, the mask of the lanes at that distance or
+less; one bisection gives the targets within a distance budget.  Each node
+carries the mask of lanes with room and, per threshold, the mask of lanes
+without blockers, patched from its parent's at the two lanes a move
+touches.  A source's targets are then one mask expression: the lanes with
+room other than itself, within the budget, min(c_ub, incumbent - 1) minus
+the distance so far, and, when the child's blocking count (BX) would
+otherwise exceed the stages left, only the lanes that take its front load
+unblocked.  Since h = BX + GX with GX >= 0, that cuts only what the full
+bound would cut.  The lane the last move filled is no source (the relay
+rule).  After a child is built, the full h from ``lb_incremental`` decides.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import bounds
@@ -36,7 +44,6 @@ from .model import (
     SolveStats,
     TimedOut,
     apply_move,
-    legal_moves,
     state_key,
 )
 
@@ -102,6 +109,128 @@ class SearchResult:
     nodes: int = 0
 
 
+class Targets:
+    """The moves of a search's states, taken from bitmasks over its lanes.
+
+    Built from the initial configuration: access points and capacities never
+    change, so for each source lane its dmat row over the lanes and the
+    ascending distinct distances of that row, each with the mask of the lanes
+    at that distance or less, hold in every state of the search.
+    """
+
+    def __init__(self, initial: LaneConfiguration, dmat, depth_correction: bool):
+        points = [lane.access_point for lane in initial.lanes]
+        self.groups = initial.groups
+        self.depth_correction = depth_correction
+        self.capacity = [lane.capacity for lane in initial.lanes]
+        #: per source lane: (row, distances, masks)
+        self.reach = []
+        for p in points:
+            row = [dmat.between(p, q) for q in points]
+            dists: list[int] = []
+            masks: list[int] = []
+            mask = 0
+            for idx in sorted(range(len(row)), key=row.__getitem__):
+                mask |= 1 << idx
+                if dists and dists[-1] == row[idx]:
+                    masks[-1] = mask
+                else:
+                    dists.append(row[idx])
+                    masks.append(mask)
+            self.reach.append((row, dists, masks))
+
+    def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int] | None]:
+        """The mask of lanes with room and, from ``profiles`` unless None,
+        the per-threshold masks of lanes without blockers (empty lanes sit at
+        threshold G)."""
+        open_mask = 0
+        for idx, lane in enumerate(config.lanes):
+            if len(lane.contents) < lane.capacity:
+                open_mask |= 1 << idx
+        if profiles is None:
+            return open_mask, None
+        clean = [0] * self.groups
+        for idx, prof in enumerate(profiles):
+            if not prof.blocking_suffix:
+                clean[prof.threshold - 1] |= 1 << idx
+        return open_mask, clean
+
+    def child_masks(self, open_mask: int, clean, move: Move, profiles, c_profiles):
+        """``masks`` of the child ``move`` makes, patched at its two lanes."""
+        src, dst = move.from_lane - 1, move.to_lane - 1
+        open_mask |= 1 << src
+        if move.to_pos == self.capacity[dst]:
+            open_mask &= ~(1 << dst)
+        if clean is None:
+            return open_mask, None
+        clean = list(clean)
+        for idx in (src, dst):
+            old, new = profiles[idx], c_profiles[idx]
+            if not old.blocking_suffix:
+                clean[old.threshold - 1] &= ~(1 << idx)
+            if not new.blocking_suffix:
+                clean[new.threshold - 1] |= 1 << idx
+        return open_mask, clean
+
+    def moves(self, config: LaneConfiguration, open_mask: int, clean, last: int | None,
+              budget: int | None, remaining: int | None):
+        """The legal moves of ``config`` in (source, target) order, less those
+        from lane index ``last``, those longer than ``budget`` and, unless
+        ``remaining`` is None, those whose child has more than ``remaining``
+        blocking loads; ``open_mask`` and ``clean`` are ``masks(config, ...)``.
+        """
+        lanes = config.lanes
+        capacity = self.capacity
+        reach = self.reach
+        depth = self.depth_correction
+        sources = (1 << len(lanes)) - 1
+        if last is not None:
+            sources &= ~(1 << last)
+        # A move takes a blocker away only from a lane that has one, and adds
+        # one unless its target has no blockers and a threshold >= the load.
+        narrowed = 0
+        if remaining is not None and config.blocking_total >= remaining:
+            if config.blocking_total > remaining + 1:
+                return
+            accept = [0] * (self.groups + 1)
+            for g in range(self.groups, 0, -1):
+                accept[g - 1] = accept[g] | clean[g - 1]
+            without = accept[0]
+            if config.blocking_total > remaining:
+                sources &= ~without
+                narrowed = sources
+            else:
+                narrowed = without
+        while sources:
+            low = sources & -sources
+            sources ^= low
+            src = low.bit_length() - 1
+            contents = lanes[src].contents
+            if not contents:
+                continue
+            targets = open_mask & ~low
+            if narrowed & low:
+                targets &= accept[contents[-1] - 1]
+            fill = len(contents)
+            src_empty = capacity[src] - fill if depth else 0
+            row, dists, masks = reach[src]
+            if budget is not None:
+                # dst_empty >= 0, so this is a superset when depth counts
+                within = bisect_right(dists, budget - src_empty)
+                targets &= masks[within - 1] if within else 0
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                dst = low.bit_length() - 1
+                dst_fill = len(lanes[dst].contents)
+                d = row[dst]
+                if depth:
+                    d += src_empty + capacity[dst] - dst_fill - 1
+                    if budget is not None and d > budget:
+                        continue
+                yield Move(src + 1, dst + 1, fill, dst_fill + 1, d)
+
+
 def complete_search(
     model: StageModel,
     deadline: float | None = None,
@@ -117,16 +246,15 @@ def complete_search(
     (source lane id, target lane id), so results are deterministic.
     """
     k_bar = model.k_bar
-    dmat = model.dmat
-    depth_correction = model.depth_correction
     incumbent: list[int | None] = [None]
     best_moves: list[Move] = []
     nodes = [0]
     memo: dict[tuple, int] = {}
     root_aux, root_profiles, root_h = bounds.lb_state(model.initial)
+    targets = Targets(model.initial, model.dmat, model.depth_correction)
     trail: list[Move] = []
 
-    def dfs(config, stage, dist, last_target, aux, profiles) -> None:
+    def dfs(config, stage, dist, last, aux, profiles, open_mask, clean) -> None:
         nodes[0] += 1
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineReached
@@ -139,7 +267,7 @@ def complete_search(
                     best_moves[:] = trail
             return
         if use_memo:
-            key = (state_key(config), stage, last_target)
+            key = (state_key(config), stage, last)
             known = memo.get(key)
             if known is not None and known <= dist:
                 return
@@ -149,14 +277,14 @@ def complete_search(
         if prune_distance:
             budget = model.c_ub if incumbent[0] is None else min(model.c_ub, incumbent[0] - 1)
             budget -= dist
-        for move in legal_moves(config, dmat, depth_correction, last_target, budget):
+        moves = targets.moves(config, open_mask, clean, last, budget,
+                              remaining if prune_bound else None)
+        for move in moves:
             c_dist = dist + move.distance
             # The incumbent can fall while this node's children are searched,
             # so the budget may be stale by now.
             if prune_distance and incumbent[0] is not None and c_dist >= incumbent[0]:
                 continue
-            if prune_bound and bounds.child_bx(config, profiles, move) > remaining:
-                continue  # h = BX + GX with GX >= 0: the full bound cuts it too
             child = apply_move(config, move)
             if prune_bound:
                 c_aux, c_profiles, c_h = bounds.lb_incremental(aux, profiles, move, child)
@@ -164,16 +292,21 @@ def complete_search(
                     continue
             else:
                 c_aux = c_profiles = None
+            c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
-            dfs(child, stage + 1, c_dist, move.to_lane, c_aux, c_profiles)
+            dfs(child, stage + 1, c_dist, move.to_lane - 1, c_aux, c_profiles, c_open, c_clean)
             trail.pop()
 
     try:
         if not (prune_bound and root_h > k_bar):
-            dfs(model.initial, 0, 0, None, root_aux, root_profiles)
+            root_masks = targets.masks(model.initial, root_profiles if prune_bound else None)
+            dfs(model.initial, 0, 0, None, root_aux, root_profiles, *root_masks)
     finally:
         if counters is not None:
             counters.nodes_evaluated += nodes[0]
+        # dfs reaches itself through its closure: without this the memo
+        # would wait for the cyclic collector instead of dying here.
+        del dfs
     if incumbent[0] is None:
         return None
     return SearchResult(moves=list(best_moves), distance=incumbent[0], nodes=nodes[0])

@@ -42,17 +42,28 @@ def instance_to_json(instance: WarehouseInstance) -> dict:
     return {"meta": dict(instance.meta), "bays": bays}
 
 
+def _checked(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (dict: a JSON object, list: an array)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
 def instance_from_json(data: dict) -> WarehouseInstance:
-    meta = data.get("meta", {})
+    data = _checked(data, dict, "an instance")
+    meta = _checked(data.get("meta", {}), dict, "meta")
     layout_label = meta.get("warehouse_layout")
     if not layout_label:
         raise ValueError("instance meta must carry warehouse_layout (e.g. '2x2')")
     rows, cols = parse_layout_label(layout_label)
     bays = []
-    for entry in data["bays"]:
-        occupancy = {
-            (load["i"], load["j"], load["t"]): load["g"] for load in entry["loads"]
-        }
+    for entry in _checked(data["bays"], list, "bays"):
+        entry = _checked(entry, dict, "a bay")
+        occupancy = {}
+        for load in _checked(entry["loads"], list, "loads"):
+            load = _checked(load, dict, "a load")
+            occupancy[load["i"], load["j"], load["t"]] = load["g"]
         bays.append(
             BaySpec(
                 I=entry["I"],

@@ -363,6 +363,9 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]
                     return
 
     walk(0, start, 0)
+    # Both closures reach themselves: without this the tables would wait for
+    # the cyclic collector, which A* pauses, instead of dying here.
+    del walk, emit_splits
     return out
 
 

@@ -178,16 +178,10 @@ def legal_moves(
     config: LaneConfiguration,
     dmat,
     depth_correction: bool = False,
-    skip_from: int | None = None,
-    max_distance: int | None = None,
 ) -> list[Move]:
     """All moves available in ``config``: every (non-empty source, non-full
     target) ordered pair, taking the source's front load to the target's
     first empty position.  Ordered by (source lane id, target lane id).
-
-    ``skip_from`` drops that lane as a source (the exact search's no-relay
-    rule).  ``max_distance`` drops every move whose distance, as
-    ``move_distance`` computes it, exceeds it, before its ``Move`` is built.
     """
     lanes = config.lanes
     fills = [len(lane.contents) for lane in lanes]
@@ -201,7 +195,7 @@ def legal_moves(
     moves = []
     for src, fill in zip(lanes, fills):
         src_id = src.lane_id
-        if not fill or src_id == skip_from:
+        if not fill:
             continue
         src_point = src.access_point
         src_empty = src.capacity - fill
@@ -211,8 +205,6 @@ def legal_moves(
             d = between(src_point, dst_point)
             if depth_correction:
                 d += src_empty + dst_empty
-            if max_distance is not None and d > max_distance:
-                continue
             moves.append(Move(src_id, dst_id, fill, dst_fill + 1, d))
     return moves
 

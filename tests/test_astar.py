@@ -1,3 +1,4 @@
+import gc
 import random
 from types import SimpleNamespace
 
@@ -149,6 +150,48 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
     assert len(children) == 1023
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_paused_and_given_back(monkeypatch, enabled):
+    """The cyclic collector is off during the search and as the caller had
+    it afterwards, whether the search solves, times out or raises."""
+    seen = []
+    real_h = bounds.Siblings.h
+
+    def watching_h(self, move):
+        seen.append(gc.isenabled())
+        return real_h(self, move)
+
+    def failing_h(self, move):
+        raise RuntimeError("h failed")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(astar.bounds.Siblings, "h", watching_h)
+            config = make_config([(3, (1, 2), 0), (3, (2,), 1), (3, (), 2)], groups=2)
+            assert isinstance(astar.solve_astar(config, DMAT), Solution)
+        assert seen and not any(seen)
+        assert gc.isenabled() == enabled
+
+        with monkeypatch.context() as patch:
+            # The clock of test_deadline_holds_inside_one_expansion.
+            ticks = iter(range(1_000_000))
+            patch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+            lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
+            result = astar.solve_astar(make_config(lanes, groups=2), DMAT, timeout_s=1.5)
+            assert isinstance(result, TimedOut)
+        assert gc.isenabled() == enabled
+
+        with monkeypatch.context() as patch:
+            patch.setattr(astar.bounds.Siblings, "h", failing_h)
+            with pytest.raises(RuntimeError, match="h failed"):
+                astar.solve_astar(config, DMAT)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 #: (bay, warehouse, fill, G, seed), depth correction -> k, distance,

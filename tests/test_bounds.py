@@ -157,25 +157,6 @@ def test_h_zero_iff_sorted_and_covered():
     assert bounds.lb(config) == 0
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=4),
-            st.lists(st.integers(min_value=1, max_value=5), max_size=4),
-        ),
-        min_size=2,
-        max_size=5,
-    ),
-)
-def test_child_bx_equals_the_built_child(lane_specs):
-    """The exact search's O(1) pre-check: BX of every child, unbuilt."""
-    lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
-    config = make_config(lanes, groups=5)
-    _aux, profiles, _h = bounds.lb_state(config)
-    for move in legal_moves(config, DMAT):
-        assert bounds.child_bx(config, profiles, move) == apply_move(config, move).blocking_total
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),

@@ -163,6 +163,28 @@ def test_ub_from_must_match_the_instance(instance_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _run_cli(command):
+    """``premarshal`` in a fresh interpreter, so that a traceback shows."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "premarshal.cli", *command],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", "null", '"hello"', '{"meta": "x", "bays": []}',
+])
+def test_non_object_instances_exit_3_without_a_traceback(tmp_path, content):
+    path = tmp_path / "instance.json"
+    path.write_text(content)
+    run = _run_cli(["solve", "--algo", "astar", "--in", str(path),
+                    "-o", str(tmp_path / "plan.json")])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "cannot read instance" in run.stderr
+
+
 @pytest.fixture(scope="module")
 def probe_plan(tmp_path_factory):
     """4x4/2x2/0.9/G10/s8 with its A* plan, written by the CLI."""
@@ -206,16 +228,12 @@ def test_malformed_solutions_exit_3_without_a_traceback(probe_plan, tmp_path, ta
     tamper(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for command in (
         ["verify", "--in", str(inst), "--sol", str(bad)],
         ["solve", "--algo", "exact", "--in", str(inst), "--ub-from", str(bad),
          "-o", str(tmp_path / "exact.json")],
     ):
-        run = subprocess.run([sys.executable, "-m", "premarshal.cli", *command],
-                             capture_output=True, text=True, env=env)
+        run = _run_cli(command)
         assert run.returncode == cli.EXIT_INVALID, run.stderr
         assert "Traceback" not in run.stderr
         if command[0] == "verify":

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import FakeDmat, make_config
-from premarshal import astar, exact
+from premarshal import astar, bounds, exact
 from premarshal.generate import GenConfig, generate
 from premarshal.pipeline import prepare
-from premarshal.model import Solution, SolveStats, TimedOut, apply_move
+from premarshal.model import Solution, SolveStats, TimedOut, apply_move, legal_moves
 
 DMAT = FakeDmat()
 
@@ -200,11 +200,19 @@ def test_timeout_reports_the_stage_reached():
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
 
 
-# Recorded before the exact search cut children ahead of building them:
-# (bay, warehouse, fill, G, seed) -> (k, distance, nodes, move pairs).
+# Recorded before the exact search cut children ahead of building them
+# (depth correction off) and before it took them from lane bitmasks (on):
+# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes,
+# move pairs), with A* and exact both run at that depth setting.
 PINNED_SEARCHES = {
-    ((4, 4), (2, 2), 0.9, 10, 8): (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
-    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 230, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+    ((4, 4), (2, 2), 0.9, 10, 8): {
+        False: (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
+        True: (3, 11, 15, [(12, 11), (39, 3), (24, 39)]),
+    },
+    ((5, 5), (2, 2), 0.8, 5, 3): {
+        False: (4, 13, 230, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+        True: (4, 16, 222, [(4, 3), (41, 11), (54, 32), (22, 32)]),
+    },
 }
 
 
@@ -214,12 +222,64 @@ def test_pinned_node_counts_and_plans(spec):
     bay, warehouse, fill, groups, seed = spec
     prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
                                       groups=groups, seed=seed)))
-    warm = astar.solve_astar(prep.config, prep.dmat)
-    result = exact.solve_exact(prep.config, prep.dmat, warm)
-    assert isinstance(result, Solution)
-    got = (result.k, result.total_distance, result.stats.nodes_evaluated,
-           [(m.from_lane, m.to_lane) for m in result.moves])
-    assert got == PINNED_SEARCHES[spec]
+    for depth_correction, pinned in PINNED_SEARCHES[spec].items():
+        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
+        result = exact.solve_exact(prep.config, prep.dmat, warm,
+                                   depth_correction=depth_correction)
+        assert isinstance(result, Solution)
+        got = (result.k, result.total_distance, result.stats.nodes_evaluated,
+               [(m.from_lane, m.to_lane) for m in result.moves])
+        assert got == pinned
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=14)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    st.randoms(use_true_random=False),
+)
+def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, rng):
+    """The mask generator yields the legal moves that the relay rule, the
+    distance budget and the child's blocking count leave, in legal-move
+    order, at every state of a walk whose masks are patched move by move.
+    ``budget`` None is prune_distance off, ``remaining`` None prune_bound off."""
+    lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
+    config = make_config(lanes, groups=4)
+    targets = exact.Targets(config, DMAT, depth)
+    aux, profiles, _h = bounds.lb_state(config)
+    if remaining is None:
+        profiles = None  # the search keeps no profiles without the bound
+    open_mask, clean = targets.masks(config, profiles)
+    last = None
+    for _ in range(6):
+        moves = legal_moves(config, DMAT, depth)
+        by_hand = [
+            m for m in moves
+            if m.from_lane - 1 != last
+            and (budget is None or m.distance <= budget)
+            and (remaining is None or apply_move(config, m).blocking_total <= remaining)
+        ]
+        assert list(targets.moves(config, open_mask, clean, last, budget, remaining)) == by_hand
+        if not moves:
+            return
+        move = rng.choice(moves)
+        child = apply_move(config, move)
+        c_profiles = None
+        if profiles is not None:
+            aux, c_profiles, _h = bounds.lb_incremental(aux, profiles, move, child)
+        open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
+        assert (open_mask, clean) == targets.masks(child, c_profiles)
+        config, profiles, last = child, c_profiles, move.to_lane - 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from premarshal import files
 from premarshal.fixing import AccessAssignment
@@ -60,6 +61,61 @@ def test_instance_from_json_needs_a_layout_label():
     del data["meta"]["warehouse_layout"]
     with pytest.raises(ValueError):
         files.instance_from_json(data)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _corrupt(draw, value):
+    """``value`` with one part, or all of it, replaced by a small JSON value."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        part = draw(st.sampled_from(list(value) if isinstance(value, dict)
+                                    else range(len(value))))
+        value = value.copy()
+        value[part] = _corrupt(draw, value[part])
+        return value
+    return draw(_JSON)
+
+
+@st.composite
+def _instances(draw):
+    """A valid instance of at most 3 bays, sides <= 4 and <= 6 loads a bay,
+    corrupted in up to two places."""
+    side = st.integers(1, 4)
+    groups = draw(st.integers(1, 5))
+    bays = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(side), draw(side)
+        cells = draw(st.lists(st.tuples(st.integers(1, rows), st.integers(1, cols)),
+                              max_size=6, unique=True))
+        bays.append({
+            "I": rows, "J": cols, "T": draw(side), "G": groups,
+            "access_sides": draw(st.lists(st.sampled_from("NESW"), min_size=1,
+                                          max_size=4, unique=True)),
+            "loads": [{"i": i, "j": j, "t": 1, "g": draw(st.integers(1, groups))}
+                      for i, j in cells],
+        })
+    data = {"meta": {"warehouse_layout": f"1x{len(bays)}"}, "bays": bays}
+    for _ in range(draw(st.integers(0, 2))):
+        data = _corrupt(draw, data)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_instance_from_json_returns_or_raises_a_read_error(data):
+    """Any small JSON value gives an instance or an error the CLI turns into
+    exit code 3, never an unexpected exception."""
+    try:
+        instance = files.instance_from_json(data)
+    except (ValueError, KeyError, TypeError):
+        return
+    assert isinstance(instance, WarehouseInstance)
 
 
 def test_parse_layout_label():
