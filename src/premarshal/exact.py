@@ -15,18 +15,20 @@ returns the minimum total loaded distance among all optimal-length plans.
 Children are taken from bitmasks over the lanes (bit i is lane i + 1), so
 no (source, target) pair that a cut would drop is looked at.  Access points
 and capacities never change during a search, so ``Targets``, built once per
-search from the initial lanes, holds each source lane's dmat row and, for
-each distinct distance in it, the mask of the lanes at that distance or
-less; one bisection gives the targets within a distance budget.  Each node
-carries the mask of lanes with room and, per threshold, the mask of lanes
-without blockers, patched from its parent's at the two lanes a move
-touches.  A source's targets are then one mask expression: the lanes with
+search from the initial lanes, holds for each source lane the distinct
+distances of its dmat row, each with the mask of the lanes at that
+distance or less; one bisection gives the targets within a distance
+budget.  Each node carries the mask of lanes with room and, per threshold,
+the mask of lanes without blockers, patched from its parent's at the two
+lanes a move touches.  A source's targets are then one mask expression: the lanes with
 room other than itself, within the budget, min(c_ub, incumbent - 1) minus
 the distance so far, and, when the child's blocking count (BX) would
 otherwise exceed the stages left, only the lanes that take its front load
 unblocked.  Since h = BX + GX with GX >= 0, that cuts only what the full
 bound would cut.  The lane the last move filled is no source (the relay
-rule).  After a child is built, the full h from ``lb_incremental`` decides.
+rule).  ``legal_moves`` then builds the moves of those (source, targets)
+pairs only.  After a child is built, the full h from ``lb_incremental``
+decides.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .model import (
     SolveStats,
     TimedOut,
     apply_move,
+    legal_moves,
     state_key,
 )
 
@@ -113,17 +116,18 @@ class Targets:
     """The moves of a search's states, taken from bitmasks over its lanes.
 
     Built from the initial configuration: access points and capacities never
-    change, so for each source lane its dmat row over the lanes and the
-    ascending distinct distances of that row, each with the mask of the lanes
-    at that distance or less, hold in every state of the search.
+    change, so for each source lane the ascending distinct distances of its
+    dmat row over the lanes, each with the mask of the lanes at that
+    distance or less, hold in every state of the search.
     """
 
     def __init__(self, initial: LaneConfiguration, dmat, depth_correction: bool):
         points = [lane.access_point for lane in initial.lanes]
+        self.dmat = dmat
         self.groups = initial.groups
         self.depth_correction = depth_correction
         self.capacity = [lane.capacity for lane in initial.lanes]
-        #: per source lane: (row, distances, masks)
+        #: per source lane: (distances, masks)
         self.reach = []
         for p in points:
             row = [dmat.between(p, q) for q in points]
@@ -137,7 +141,7 @@ class Targets:
                 else:
                     dists.append(row[idx])
                     masks.append(mask)
-            self.reach.append((row, dists, masks))
+            self.reach.append((dists, masks))
 
     def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int] | None]:
         """The mask of lanes with room and, from ``profiles`` unless None,
@@ -173,16 +177,13 @@ class Targets:
         return open_mask, clean
 
     def moves(self, config: LaneConfiguration, open_mask: int, clean, last: int | None,
-              budget: int | None, remaining: int | None):
+              budget: int | None, remaining: int | None) -> list[Move]:
         """The legal moves of ``config`` in (source, target) order, less those
         from lane index ``last``, those longer than ``budget`` and, unless
         ``remaining`` is None, those whose child has more than ``remaining``
         blocking loads; ``open_mask`` and ``clean`` are ``masks(config, ...)``.
         """
         lanes = config.lanes
-        capacity = self.capacity
-        reach = self.reach
-        depth = self.depth_correction
         sources = (1 << len(lanes)) - 1
         if last is not None:
             sources &= ~(1 << last)
@@ -191,7 +192,7 @@ class Targets:
         narrowed = 0
         if remaining is not None and config.blocking_total >= remaining:
             if config.blocking_total > remaining + 1:
-                return
+                return []
             accept = [0] * (self.groups + 1)
             for g in range(self.groups, 0, -1):
                 accept[g - 1] = accept[g] | clean[g - 1]
@@ -201,6 +202,7 @@ class Targets:
                 narrowed = sources
             else:
                 narrowed = without
+        pairs = []
         while sources:
             low = sources & -sources
             sources ^= low
@@ -211,24 +213,18 @@ class Targets:
             targets = open_mask & ~low
             if narrowed & low:
                 targets &= accept[contents[-1] - 1]
-            fill = len(contents)
-            src_empty = capacity[src] - fill if depth else 0
-            row, dists, masks = reach[src]
             if budget is not None:
                 # dst_empty >= 0, so this is a superset when depth counts
+                src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
+                dists, masks = self.reach[src]
                 within = bisect_right(dists, budget - src_empty)
                 targets &= masks[within - 1] if within else 0
-            while targets:
-                low = targets & -targets
-                targets ^= low
-                dst = low.bit_length() - 1
-                dst_fill = len(lanes[dst].contents)
-                d = row[dst]
-                if depth:
-                    d += src_empty + capacity[dst] - dst_fill - 1
-                    if budget is not None and d > budget:
-                        continue
-                yield Move(src + 1, dst + 1, fill, dst_fill + 1, d)
+            if targets:
+                pairs.append((src, targets))
+        moves = legal_moves(config, self.dmat, self.depth_correction, pairs)
+        if self.depth_correction and budget is not None:
+            moves = [move for move in moves if move.distance <= budget]
+        return moves
 
 
 def complete_search(

@@ -166,7 +166,8 @@ def move_distance(src: VirtualLane, dst: VirtualLane, dmat, depth_correction: bo
     """Loaded distance of moving the front load of ``src`` onto ``dst``.
 
     With ``depth_correction`` the empty tiles travelled inside both lanes are
-    added (off by default: travel within a lane is neglected).
+    added (off by default: travel within a lane is neglected).  The all-pairs
+    loop of ``legal_moves`` adds the same two terms inline, for speed.
     """
     d = dmat.between(src.access_point, dst.access_point)
     if depth_correction:
@@ -178,15 +179,32 @@ def legal_moves(
     config: LaneConfiguration,
     dmat,
     depth_correction: bool = False,
+    targets: Iterable[tuple[int, int]] | None = None,
 ) -> list[Move]:
     """All moves available in ``config``: every (non-empty source, non-full
     target) ordered pair, taking the source's front load to the target's
     first empty position.  Ordered by (source lane id, target lane id).
+
+    ``targets``, if given, narrows the moves to those it names: pairs of a
+    source lane index and the mask of its target lane indices (bit i is
+    lane index i, i.e. lane id i + 1), which must be legal; the moves come
+    in the pairs' order, each pair's by target.
     """
     lanes = config.lanes
+    if targets is not None:
+        moves = []
+        for src_idx, mask in targets:
+            src = lanes[src_idx]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                dst = lanes[low.bit_length() - 1]
+                moves.append(Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
+                                  move_distance(src, dst, dmat, depth_correction)))
+        return moves
     fills = [len(lane.contents) for lane in lanes]
     # (lane id, access point, fill, empty slots left once the load lands)
-    targets = [
+    open_lanes = [
         (lane.lane_id, lane.access_point, fill, lane.capacity - fill - 1)
         for lane, fill in zip(lanes, fills)
         if fill < lane.capacity
@@ -199,7 +217,7 @@ def legal_moves(
             continue
         src_point = src.access_point
         src_empty = src.capacity - fill
-        for dst_id, dst_point, dst_fill, dst_empty in targets:
+        for dst_id, dst_point, dst_fill, dst_empty in open_lanes:
             if dst_id == src_id:
                 continue
             d = between(src_point, dst_point)

@@ -185,3 +185,23 @@ def test_legal_moves_equal_every_pair_by_hand(lane_specs, depth):
         if src is not dst and not src.is_empty and not dst.is_full
     ]
     assert legal_moves(config, DMAT, depth) == everything
+
+
+@given(_CONFIGS, st.booleans(), st.randoms(use_true_random=False))
+def test_legal_moves_narrowed_to_targets(lane_specs, depth, rng):
+    """With ``targets`` the moves are those of the named (source, target)
+    pairs, equal to the all-pairs moves and in the pairs' order."""
+    lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
+    config = make_config(lanes, groups=4)
+    everything = legal_moves(config, DMAT, depth)
+    sources = sorted({m.from_lane - 1 for m in everything}, key=lambda _: rng.random())
+    targets = []
+    for src in sources:
+        mask = 0
+        for m in everything:
+            if m.from_lane - 1 == src and rng.random() < 0.7:
+                mask |= 1 << (m.to_lane - 1)
+        targets.append((src, mask))
+    want = [m for src, mask in targets for m in everything
+            if m.from_lane - 1 == src and mask >> (m.to_lane - 1) & 1]
+    assert legal_moves(config, DMAT, depth, targets) == want
