@@ -20,7 +20,6 @@ from .model import (
     apply_move,
     blocking_count,
     legal_moves,
-    state_blocking,
     state_key,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "apply_move",
     "blocking_count",
     "legal_moves",
-    "state_blocking",
     "state_key",
     "__version__",
 ]

@@ -1,26 +1,47 @@
-"""Move-count-optimal A* over lane configurations.
+"""Move-count-optimal A* over lane configurations, with partial expansion.
 
-Nodes are popped from the open queue by lexicographic (f, h, dist) with
-insertion order as the final tie-breaker, where f = g + h, g is the move
-count so far, h the admissible lower bound and dist the total loaded move
-distance from the root.  The goal test happens at pop time; a popped node
-is closed and never re-expanded.  A successor is admitted when its key is
-not closed and it is new, improves the stored f, or matches the stored f
-with a strictly smaller dist.
+Nodes are popped from the open queue by lexicographic (f, h, dist, tie),
+where f = g + h, g is the move count so far, h the admissible lower bound,
+dist the total loaded move distance from the root and tie the pair
+(expansion number, child index) of the expansion that offered the node.
+The goal test happens at pop time; a popped node is closed and never
+re-expanded.
 
-Children are not built when they are generated.  A record keeps the parent,
-the move, g, dist and f; its configuration, bound aux and lane profiles are
-built only when it is popped, from the parent's through ``apply_move`` and
-``bounds.lb_incremental``.  A child's key is patched from its parent's key
-(``child_key``), and its h comes from ``bounds.Siblings``, which works from
-the parent's profiles, the two touched lanes and results shared between
-the children of one expansion.
+Expansion is partial (Yoshizumi, Miura & Ishida, AAAI 2000).  Expanding a
+node at value F computes every child's h with ``bounds.Siblings``, which
+works from the parent's profiles, the two touched lanes and results shared
+between the children of one expansion, but offers only the children with
+f <= F; the others are neither keyed nor stored.  If some child has f > F,
+the parent goes back on the queue as a re-entry with key
+(F', -1, 0, (expansion number, 0)), F' the least such f.  h >= 0 for every
+node, so the re-entry pops before any node of f = F'; popping it generates
+the children again from the parent's configuration, aux and profiles and
+offers those with f <= F'.  A re-entry is not counted in
+``nodes_evaluated``, closes nothing and is not goal-tested.  A child
+offered again has the same (f, dist, tie) as before, so its second offer
+is never admitted.
+
+A child is admitted when its key is not closed and it is new or its
+(f, dist, tie) is lexicographically below the stored record's.  Children
+offered in generation order, as a store-every-child A* offers them, give
+that search's rule (new, better f, or the same f with a smaller dist); the
+tie term makes the winning record independent of the order in which
+deferred children are offered.  So the plan, k, distance and node count are
+those of the store-every-child search.
+
+Children are not built when they are offered either.  A record keeps the
+parent, the move, its key, g, dist, f and tie; its configuration, bound aux
+and lane profiles are built only when it is popped, from the parent's
+through ``apply_move`` and ``bounds.lb_incremental``.  A child's key is
+patched from its parent's key (``child_key``).
 
 The returned move count is provably minimal; the distance is only the
 tie-broken heuristic value.  h may be non-monotone even though admissible:
 popped f values are monitored, and if one ever decreases the whole search is
 restarted with re-expansion semantics (closed nodes are reopened on
-improvement), which restores optimality unconditionally.
+improvement), which restores optimality unconditionally.  Offering every
+child with f <= F, not only f = F, keeps a child whose f fell below its
+parent's in view of that monitor.
 """
 
 from __future__ import annotations
@@ -49,22 +70,27 @@ _RESTART = object()
 
 
 class _Record:
-    """One admitted state: how it was reached and its f.
+    """One admitted state: how it was reached, its key, f and tie.
 
     The parent is the record object, not its key: a key's record may be
     replaced by a later, cheaper admission, but an already-linked chain must
-    keep the g/dist values it was built with.  ``config``, ``aux`` and
+    keep the g/dist values it was built with.  A replaced record is marked
+    closed so that its queue entry is skipped.  ``config``, ``aux`` and
     ``profiles`` stay None until the record is popped.
     """
 
-    __slots__ = ("parent", "move", "g", "dist", "f", "closed", "config", "aux", "profiles")
+    __slots__ = ("parent", "move", "key", "g", "dist", "f", "tie", "closed",
+                 "config", "aux", "profiles")
 
-    def __init__(self, parent: "_Record | None", move: Move | None, g: int, dist: int, f):
+    def __init__(self, parent: "_Record | None", move: Move | None, key: tuple,
+                 g: int, dist: int, f, tie: tuple[int, int]):
         self.parent = parent
         self.move = move
+        self.key = key
         self.g = g
         self.dist = dist
         self.f = f
+        self.tie = tie
         self.closed = False
         self.config: LaneConfiguration | None = None
         self.aux = None
@@ -80,8 +106,10 @@ def solve_astar(
     """Solve for the minimal move count; Solution, TimedOut or Infeasible.
 
     The cyclic garbage collector is paused for the search and put back as
-    the caller had it: records link only to their parents, so the search
-    makes no cycles, and every full collection would walk all it keeps.
+    the caller had it.  Records link only to their parents, so the search
+    makes no cycles for it to find; left running, it would still be started
+    by the L² moves each expansion allocates, some 300 collections and
+    about 5% of A*'s CPU time over the four ``astar-wide`` instances.
     """
     started = time.perf_counter()
     enabled = gc.isenabled()
@@ -103,49 +131,52 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
         stats.wall_time = time.perf_counter() - started
         return Infeasible(stats)
 
-    root_key = state_key(root)
-    root_rec = _Record(None, None, 0, 0, h0)
+    root_rec = _Record(None, None, state_key(root), 0, 0, h0, (0, 0))
     root_rec.config, root_rec.aux, root_rec.profiles = root, aux, profiles
-    records: dict[tuple, _Record] = {root_key: root_rec}
-    open_heap = [(h0, h0, 0, 0, root_key)]
-    pushes = 1
+    records: dict[tuple, _Record] = {root_rec.key: root_rec}
+    # (f, h, dist, tie, record); h = -1 marks a re-entry of an expanded record.
+    open_heap = [(h0, h0, 0, root_rec.tie, root_rec)]
     last_f = 0.0
 
     while open_heap:
         if time.perf_counter() - started >= timeout_s:
             stats.wall_time = time.perf_counter() - started
             return TimedOut(stats)
-        f, h, dist, _, key = heappop(open_heap)
-        rec = records[key]
-        if rec.closed:
-            continue
-        if not reopen and f < last_f:
-            # The heuristic proved non-monotone along this run; redo the
-            # search with re-expansion so no closed node can hide a
-            # shorter plan.
-            return _RESTART
-        last_f = f
-        rec.closed = True
-        stats.nodes_evaluated += 1
-        if rec.config is None:
-            parent = rec.parent
-            rec.config = apply_move(parent.config, rec.move)
-            rec.aux, rec.profiles, _h = bounds.lb_incremental(
-                parent.aux, parent.profiles, rec.move, rec.config
-            )
+        f, h, _dist, tie, rec = heappop(open_heap)
+        if h < 0:
+            expansion = tie[0]
+        else:
+            if rec.closed:
+                continue
+            if not reopen and f < last_f:
+                # The heuristic proved non-monotone along this run; redo the
+                # search with re-expansion so no closed node can hide a
+                # shorter plan.
+                return _RESTART
+            last_f = f
+            rec.closed = True
+            stats.nodes_evaluated += 1
+            expansion = stats.nodes_evaluated
+            if rec.config is None:
+                parent = rec.parent
+                rec.config = apply_move(parent.config, rec.move)
+                rec.aux, rec.profiles, _h = bounds.lb_incremental(
+                    parent.aux, parent.profiles, rec.move, rec.config
+                )
 
-        if rec.config.blocking_total == 0:
-            stats.wall_time = time.perf_counter() - started
-            return Solution(
-                algo="astar",
-                moves=tuple(_path(rec)),
-                k=rec.g,
-                total_distance=rec.dist,
-                stats=stats,
-            )
+            if rec.config.blocking_total == 0:
+                stats.wall_time = time.perf_counter() - started
+                return Solution(
+                    algo="astar",
+                    moves=tuple(_path(rec)),
+                    k=rec.g,
+                    total_distance=rec.dist,
+                    stats=stats,
+                )
 
         child_h = bounds.Siblings(rec.config, rec.aux, rec.profiles).h
         c_g = rec.g + 1
+        f_next = None
         for n, move in enumerate(legal_moves(rec.config, dmat, depth_correction), 1):
             # One expansion of a large instance can take seconds: look at the
             # clock inside it too, cheaply.
@@ -155,20 +186,25 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
             c_h = child_h(move)
             if c_h is bounds.INFEASIBLE:
                 continue
-            c_key = child_key(key, move)
-            c_dist = rec.dist + move.distance
             c_f = c_g + c_h
-            child = _Record(rec, move, c_g, c_dist, c_f)
-            # One hash of the key for a new state, the common case.
-            known = records.setdefault(c_key, child)
-            if known is not child:
+            if c_f > f:
+                if f_next is None or c_f < f_next:
+                    f_next = c_f
+                continue
+            c_key = child_key(rec.key, move)
+            c_dist = rec.dist + move.distance
+            c_tie = (expansion, n)
+            known = records.get(c_key)
+            if known is not None:
                 if known.closed and not reopen:
                     continue
-                if not (known.f > c_f or (known.f == c_f and known.dist > c_dist)):
+                if (c_f, c_dist, c_tie) >= (known.f, known.dist, known.tie):
                     continue
-                records[c_key] = child
-            pushes += 1
-            heappush(open_heap, (c_f, c_h, c_dist, pushes, c_key))
+                known.closed = True
+            child = records[c_key] = _Record(rec, move, c_key, c_g, c_dist, c_f, c_tie)
+            heappush(open_heap, (c_f, c_h, c_dist, c_tie, child))
+        if f_next is not None:
+            heappush(open_heap, (f_next, -1, 0, (expansion, 0), rec))
 
     stats.wall_time = time.perf_counter() - started
     return Infeasible(stats)

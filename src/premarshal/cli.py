@@ -1,7 +1,7 @@
 """Command line front end: generate, solve, verify, bench, distances.
 
-Exit codes: 0 success, 1 usage error, 2 solver timeout, 3 validation or
-input failure.
+Exit codes: 0 success, 1 usage error, 2 solver timeout or out of memory,
+3 validation or input failure.
 """
 
 from __future__ import annotations
@@ -122,9 +122,14 @@ def _cmd_solve(args) -> int:
             raise _Failure(EXIT_USAGE, "--ub-from only applies to --algo exact")
         ub = _load_upper_bound(args.ub_from, instance, prepared)
 
-    result, prepared = pipeline.solve_instance(
-        instance, args.algo, timeout_s=args.timeout_s, prepared=prepared, ub_solution=ub
-    )
+    try:
+        result, prepared = pipeline.solve_instance(
+            instance, args.algo, timeout_s=args.timeout_s, prepared=prepared, ub_solution=ub
+        )
+    except MemoryError:
+        # Out of memory is a spent budget, like running out of time.
+        print("solver ran out of memory", file=sys.stderr)
+        return EXIT_TIMEOUT
     if isinstance(result, TimedOut):
         print("solver timed out", file=sys.stderr)
         return EXIT_TIMEOUT

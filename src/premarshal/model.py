@@ -11,7 +11,6 @@ the position sequence (no holes).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -111,7 +110,6 @@ class LaneConfiguration:
 
     lanes: tuple[VirtualLane, ...]
     groups: int
-    group_census: tuple[int, ...]
     blocking_total: int
 
     @classmethod
@@ -123,12 +121,8 @@ class LaneConfiguration:
             for g in lane.contents:
                 if not 1 <= g <= groups:
                     raise ValueError(f"lane {lane.lane_id}: group {g} outside 1..{groups}")
-        census = [0] * groups
-        for lane in lanes:
-            for g in lane.contents:
-                census[g - 1] += 1
         total = sum(blocking_count(lane) for lane in lanes)
-        return cls(lanes=lanes, groups=groups, group_census=tuple(census), blocking_total=total)
+        return cls(lanes=lanes, groups=groups, blocking_total=total)
 
     def lane(self, lane_id: int) -> VirtualLane:
         return self.lanes[lane_id - 1]
@@ -136,11 +130,6 @@ class LaneConfiguration:
     @property
     def is_sorted(self) -> bool:
         return self.blocking_total == 0
-
-
-def state_blocking(config: LaneConfiguration) -> int:
-    """Total blocking loads, recomputed from scratch; 0 iff sorted."""
-    return sum(blocking_count(lane) for lane in config.lanes)
 
 
 def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
@@ -228,8 +217,8 @@ def legal_moves(
 
 
 def apply_move(config: LaneConfiguration, move: Move) -> LaneConfiguration:
-    """Successor state after one move; census is conserved, the cached
-    blocking total is updated from the two touched lanes only."""
+    """Successor state after one move; the cached blocking total is updated
+    from the two touched lanes only."""
     if move.from_lane == move.to_lane:
         raise IllegalMove("source and target lane are identical")
     try:
@@ -259,7 +248,6 @@ def apply_move(config: LaneConfiguration, move: Move) -> LaneConfiguration:
     return LaneConfiguration(
         lanes=tuple(lanes),
         groups=config.groups,
-        group_census=config.group_census,
         blocking_total=config.blocking_total + delta,
     )
 
@@ -364,8 +352,3 @@ class Infeasible:
     """The search space was exhausted without reaching a sorted state."""
 
     stats: SolveStats | None = None
-
-
-def census_of(lanes: Iterable[VirtualLane], groups: int) -> tuple[int, ...]:
-    counts = Counter(g for lane in lanes for g in lane.contents)
-    return tuple(counts.get(g, 0) for g in range(1, groups + 1))

@@ -1,7 +1,7 @@
-"""Independent validation: a move-plan replayer and a brute-force oracle.
+"""Independent validation: a move-plan replayer.
 
-Neither function shares code with the solvers beyond the core move
-semantics, so they can serve as differential-test references.
+It shares no code with the solvers beyond the core move semantics, so it
+can serve as a differential-test reference.
 """
 
 from __future__ import annotations
@@ -15,18 +15,8 @@ from .model import (
     Solution,
     WarehouseInstance,
     apply_move,
-    legal_moves,
     move_distance,
-    state_key,
 )
-
-
-class NoSolutionWithin(Exception):
-    """The brute-force oracle exhausted its depth budget."""
-
-    def __init__(self, max_k: int):
-        super().__init__(f"no solution within {max_k} moves")
-        self.max_k = max_k
 
 
 @dataclass
@@ -149,43 +139,3 @@ def replay(
     if claimed_total != total:
         report.flag("total-mismatch", f"claimed {claimed_total}, recomputed {total}")
     return report
-
-
-def brute_force_optimum(
-    config,
-    dmat,
-    max_k: int,
-    depth_correction: bool = False,
-) -> tuple[int, int]:
-    """Least move count k* and cheapest distance among k*-move plans.
-
-    Iterative-deepening DFS over all legal move sequences.  The only pruning
-    is the depth budget and skipping states already seen in this iteration
-    at equal-or-worse (moves, distance) — revisiting such a state cannot
-    produce anything new.  Raises NoSolutionWithin past the budget.
-    """
-    for depth in range(max_k + 1):
-        best: list[int | None] = [None]
-        memo: dict[tuple, list[tuple[int, int]]] = {}
-
-        def dfs(cfg, g: int, dist: int) -> None:
-            if cfg.blocking_total == 0:
-                if best[0] is None or dist < best[0]:
-                    best[0] = dist
-                return
-            if g == depth:
-                return
-            key = state_key(cfg)
-            seen = memo.setdefault(key, [])
-            for sg, sd in seen:
-                if sg <= g and sd <= dist:
-                    return
-            seen[:] = [(sg, sd) for sg, sd in seen if not (g <= sg and dist <= sd)]
-            seen.append((g, dist))
-            for move in legal_moves(cfg, dmat, depth_correction):
-                dfs(apply_move(cfg, move), g + 1, dist + move.distance)
-
-        dfs(config, 0, 0)
-        if best[0] is not None:
-            return depth, best[0]
-    raise NoSolutionWithin(max_k)

@@ -1,8 +1,10 @@
 """Independent reference implementations used to freeze expected test values.
 
-Everything here is deliberately naive: straight simulations and exhaustive
-enumerations with no shared code or data structures from the package under
-test (only plain tuples/dicts in, numbers out).
+Everything above the "reference searches" section is deliberately naive:
+straight simulations and exhaustive enumerations with no shared code or data
+structures from the package under test (only plain tuples/dicts in, numbers
+out).  The reference searches below run on the package's move semantics and
+bounds; they check a search's order and bookkeeping, not those primitives.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from heapq import heappop, heappush
+
+from premarshal import bounds
+from premarshal.model import apply_move, child_key, legal_moves, state_key
 
 
 def blocking_by_rules(contents):
@@ -332,3 +338,110 @@ def covering_optimum(lanes, groups, extra=()):
         ):
             best = sum(removal)
     return best
+
+
+# --- reference searches -------------------------------------------------------
+
+class NoSolutionWithin(Exception):
+    """``brute_force_optimum`` exhausted its depth budget."""
+
+    def __init__(self, max_k: int):
+        super().__init__(f"no solution within {max_k} moves")
+        self.max_k = max_k
+
+
+def brute_force_optimum(config, dmat, max_k, depth_correction=False):
+    """Least move count k* and cheapest distance among k*-move plans.
+
+    Iterative-deepening DFS over all legal move sequences.  The only pruning
+    is the depth budget and skipping states already seen in this iteration
+    at equal-or-worse (moves, distance) -- revisiting such a state cannot
+    produce anything new.  Raises NoSolutionWithin past the budget.
+    """
+    for depth in range(max_k + 1):
+        best = [None]
+        memo = {}
+
+        def dfs(cfg, g, dist):
+            if cfg.blocking_total == 0:
+                if best[0] is None or dist < best[0]:
+                    best[0] = dist
+                return
+            if g == depth:
+                return
+            seen = memo.setdefault(state_key(cfg), [])
+            for sg, sd in seen:
+                if sg <= g and sd <= dist:
+                    return
+            seen[:] = [(sg, sd) for sg, sd in seen if not (g <= sg and dist <= sd)]
+            seen.append((g, dist))
+            for move in legal_moves(cfg, dmat, depth_correction):
+                dfs(apply_move(cfg, move), g + 1, dist + move.distance)
+
+        dfs(config, 0, 0)
+        if best[0] is not None:
+            return depth, best[0]
+    raise NoSolutionWithin(max_k)
+
+
+def store_every_child_astar(config, dmat, depth_correction=False):
+    """A* that stores every child it generates; no deadline.
+
+    Returns ("Solution", k, distance, moves, nodes_evaluated), or
+    ("Infeasible", None, None, None, nodes_evaluated).  It pops by
+    (f, h, dist, push order) and admits a child when its key is new, or is
+    not closed and the child's f is smaller, or equal with a smaller dist.
+    If a popped f ever falls it starts again, reopening closed keys on the
+    same rule.  Children get their h from ``bounds.Siblings`` and are built
+    when popped, so a patched ``Siblings.h`` acts here as in ``astar``.
+    """
+    for reopen in (False, True):
+        got = _store_every_child(config, dmat, depth_correction, reopen)
+        if got is not None:
+            return got
+
+
+def _store_every_child(root, dmat, depth_correction, reopen):
+    # A record is [parent, move, g, dist, f, closed, config, aux, profiles].
+    aux, profiles, h0 = bounds.lb_state(root)
+    if h0 is bounds.INFEASIBLE:
+        return ("Infeasible", None, None, None, 0)
+    records = {state_key(root): [None, None, 0, 0, h0, False, root, aux, profiles]}
+    heap = [(h0, h0, 0, 0, state_key(root))]
+    pushes, last_f, nodes = 0, 0, 0
+    while heap:
+        f, _h, _dist, _push, key = heappop(heap)
+        rec = records[key]
+        if rec[5]:
+            continue
+        if not reopen and f < last_f:
+            return None
+        last_f = f
+        rec[5] = True
+        nodes += 1
+        parent, move, g, dist = rec[:4]
+        if rec[6] is None:
+            rec[6] = apply_move(parent[6], move)
+            rec[7], rec[8], _ = bounds.lb_incremental(parent[7], parent[8], move, rec[6])
+        if rec[6].blocking_total == 0:
+            moves = []
+            while rec[1] is not None:
+                moves.append(rec[1])
+                rec = rec[0]
+            return ("Solution", g, dist, tuple(reversed(moves)), nodes)
+        child_h = bounds.Siblings(rec[6], rec[7], rec[8]).h
+        for move in legal_moves(rec[6], dmat, depth_correction):
+            c_h = child_h(move)
+            if c_h is bounds.INFEASIBLE:
+                continue
+            c_key = child_key(key, move)
+            c_f, c_dist = g + 1 + c_h, dist + move.distance
+            known = records.get(c_key)
+            if known is not None and (
+                (known[5] and not reopen) or (known[4], known[3]) <= (c_f, c_dist)
+            ):
+                continue
+            records[c_key] = [rec, move, g + 1, c_dist, c_f, False, None, None, None]
+            pushes += 1
+            heappush(heap, (c_f, c_h, c_dist, pushes, c_key))
+    return ("Infeasible", None, None, None, nodes)

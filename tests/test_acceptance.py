@@ -81,7 +81,7 @@ def small_suite():
             )
             row = _solve_row(generate(config))
             assert isinstance(row.astar, Solution)
-            row.brute = verify.brute_force_optimum(
+            row.brute = oracles.brute_force_optimum(
                 row.prep.config, row.prep.dmat, max_k=row.astar.k
             )
             rows.append(row)
@@ -255,7 +255,7 @@ def test_c06_lower_bound_admissibility(small_suite):
             seen.add(key)
             plan = astar.solve_astar(state, row.prep.dmat)
             assert isinstance(plan, Solution)
-            optimal, _d = verify.brute_force_optimum(
+            optimal, _d = oracles.brute_force_optimum(
                 state, row.prep.dmat, max_k=plan.k
             )
             assert bounds.lb(state) <= optimal

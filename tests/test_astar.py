@@ -8,7 +8,7 @@ import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds
 from premarshal.generate import GenConfig, generate
-from premarshal.model import Infeasible, Solution, TimedOut, apply_move
+from premarshal.model import Infeasible, Solution, TimedOut, apply_move, state_key
 from premarshal.pipeline import prepare
 
 DMAT = FakeDmat()
@@ -108,6 +108,73 @@ def test_restart_with_reopen_still_optimal(monkeypatch):
     assert result.k == 2
 
 
+def _outcome(result):
+    """(kind, k, distance, moves, nodes_evaluated), as the oracle gives it."""
+    if isinstance(result, Solution):
+        return ("Solution", result.k, result.total_distance, tuple(result.moves),
+                result.stats.nodes_evaluated)
+    return (type(result).__name__, None, None, None, result.stats.nodes_evaluated)
+
+
+def _random_lanes(rng):
+    """3-5 lanes of one capacity in 2..4, filled at random, groups 1..4."""
+    capacity = rng.randint(2, 4)
+    return [
+        (capacity, tuple(rng.randint(1, 4) for _ in range(rng.randint(0, capacity))),
+         rng.randint(0, 9))
+        for _ in range(rng.randint(3, 5))
+    ]
+
+
+@pytest.mark.parametrize("depth_correction", [False, True])
+def test_partial_expansion_equals_the_store_every_child_search(depth_correction):
+    """Kind, k, distance, moves and node count are those of the A* that
+    stores every child, on random small states; some have h0 < k, so
+    re-entries run."""
+    rng = random.Random(61)
+    below = 0
+    for _ in range(150):
+        config = make_config(_random_lanes(rng), groups=4)
+        result = astar.solve_astar(config, DMAT, depth_correction=depth_correction)
+        assert _outcome(result) == oracles.store_every_child_astar(config, DMAT, depth_correction)
+        below += isinstance(result, Solution) and bounds.lb(config) < result.k
+    assert below >= 5
+
+
+def test_partial_expansion_equals_the_store_every_child_search_when_h_is_inconsistent(
+    monkeypatch,
+):
+    """The same, with an admissible h that is 0 on about a third of the
+    states: children with f below their parent's, restarts and reopened
+    keys all occur."""
+    real_h = bounds.Siblings.h
+
+    def bumpy_h(self, move):
+        h = real_h(self, move)
+        key = state_key(apply_move(self.config, move))
+        if h is bounds.INFEASIBLE or sum(i * len(c) for i, c in enumerate(key)) % 3:
+            return h
+        return 0
+
+    monkeypatch.setattr(astar.bounds.Siblings, "h", bumpy_h)
+    searches = []
+    search = astar._search
+
+    def counted_search(*args, reopen):
+        searches.append(reopen)
+        return search(*args, reopen=reopen)
+
+    monkeypatch.setattr(astar, "_search", counted_search)
+    rng = random.Random(67)
+    for depth_correction in (False, True):
+        for _ in range(40):
+            config = make_config(_random_lanes(rng), groups=4)
+            result = astar.solve_astar(config, DMAT, depth_correction=depth_correction)
+            assert _outcome(result) == oracles.store_every_child_astar(config, DMAT,
+                                                                       depth_correction)
+    assert searches.count(True) >= 5
+
+
 def test_moves_replay_to_sorted():
     rng = random.Random(5)
     for _ in range(20):
@@ -127,7 +194,8 @@ def test_moves_replay_to_sorted():
 
 
 def test_deadline_holds_inside_one_expansion(monkeypatch):
-    """The clock is read every 1,024 children, not only between pops.
+    """The clock is read every 1,024 children, not only between pops, and
+    in a re-entry as in a first expansion.
 
     Children are counted where their h is computed, since A* builds none of
     them before they are popped."""
@@ -150,6 +218,19 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
     assert len(children) == 1023
+
+    # h one too high puts every child of the root above the root's f, so
+    # the root keeps none of its 1,640 children and comes back as a
+    # re-entry at f + 1.  Reads: start 0, first pop 1, child 1,024 of the
+    # expansion 2, the re-entry's pop 3, all inside the budget; child 1,024
+    # of the re-entry reads 4, past it.
+    ticks = iter(range(1_000_000))
+    children.clear()
+    monkeypatch.setattr(astar.bounds.Siblings, "h", lambda self, move: counting_h(self, move) + 1)
+    result = astar.solve_astar(config, DMAT, timeout_s=3.5)
+    assert isinstance(result, TimedOut)
+    assert result.stats.nodes_evaluated == 1
+    assert len(children) == 1640 + 1023
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -194,10 +275,17 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-#: (bay, warehouse, fill, G, seed), depth correction -> k, distance,
-#: nodes_evaluated and the (from, to) pairs, recorded before A* stopped
-#: building children at generation.  Ties in (f, h, dist) fall to the push
-#: order, so these pin the heap's tie-breaking too.
+#: Four lanes of capacity 4 whose root bound, 5, is two below the fewest
+#: moves.
+REENTERING_LANES = ((4, (3, 3, 1), 0), (4, (3, 2, 3, 1), 1), (4, (2, 1, 2, 3), 2),
+                    (4, (3, 3, 1), 3))
+
+#: (bay, warehouse, fill, G, seed) or (make_config lanes, G), depth
+#: correction -> k, distance, nodes_evaluated and the (from, to) pairs.  The
+#: generated cases were recorded before A* stopped building children at
+#: generation, the make_config case (h0 = 5 < k = 7) before A* expanded
+#: partially.  Ties in (f, h, dist) fall to the expansion order, so these
+#: pin the heap's tie-breaking too.
 PINNED_PLANS = {
     (((4, 4), (3, 3), 0.9, 10, 1), False):
         (5, 15, 6, [(27, 54), (89, 90), (56, 60), (10, 40), (74, 66)]),
@@ -205,15 +293,23 @@ PINNED_PLANS = {
         (5, 16, 6, [(27, 54), (89, 90), (56, 60), (74, 66), (10, 40)]),
     (((5, 5), (2, 2), 0.8, 5, 3), False): (4, 13, 5, [(54, 32), (4, 3), (22, 8), (41, 11)]),
     (((5, 5), (2, 2), 0.8, 5, 3), True): (4, 16, 5, [(4, 3), (54, 32), (22, 32), (41, 11)]),
+    ((REENTERING_LANES, 3), False):
+        (7, 10, 28, [(4, 1), (3, 4), (3, 4), (2, 3), (2, 3), (4, 2), (3, 4)]),
+    ((REENTERING_LANES, 3), True):
+        (7, 16, 28, [(4, 1), (3, 4), (3, 4), (2, 3), (4, 3), (2, 4), (3, 2)]),
 }
 
 
-@pytest.mark.parametrize("spec, depth_correction", sorted(PINNED_PLANS))
+@pytest.mark.parametrize("spec, depth_correction", list(PINNED_PLANS))
 def test_pinned_plans(spec, depth_correction):
-    bay, warehouse, fill, groups, seed = spec
-    prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
-                                      groups=groups, seed=seed)))
-    result = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
+    if len(spec) == 2:
+        config, dmat = make_config(*spec), DMAT
+    else:
+        bay, warehouse, fill, groups, seed = spec
+        prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
+                                          groups=groups, seed=seed)))
+        config, dmat = prep.config, prep.dmat
+    result = astar.solve_astar(config, dmat, depth_correction=depth_correction)
     assert isinstance(result, Solution)
     got = (result.k, result.total_distance, result.stats.nodes_evaluated,
            [(m.from_lane, m.to_lane) for m in result.moves])

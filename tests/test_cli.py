@@ -102,6 +102,20 @@ def test_timeout_exits_2(instance_path, tmp_path, capsys):
     assert "solver timed out" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2_without_a_traceback(instance_path, tmp_path, capsys,
+                                                   monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.pipeline, "solve_instance", exhausted)
+    code, out = _solve(instance_path, tmp_path, "astar")
+    assert code == cli.EXIT_TIMEOUT
+    err = capsys.readouterr().err
+    assert "solver ran out of memory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_flags_a_tampered_solution(instance_path, tmp_path, capsys):
     code, astar_out = _solve(instance_path, tmp_path, "astar")
     assert code == cli.EXIT_OK

@@ -130,8 +130,8 @@ def test_brute_force_matches_the_unpruned_oracle():
             max_k=4,
         )
         try:
-            got = verify.brute_force_optimum(config, DMAT, max_k=4)
-        except verify.NoSolutionWithin:
+            got = oracles.brute_force_optimum(config, DMAT, max_k=4)
+        except oracles.NoSolutionWithin:
             got = None
         assert got == expected
 
@@ -141,13 +141,13 @@ def test_brute_force_resolves_the_dependency_instance():
                      (1, 5): 6, (2, 3): 8, (0, 3): 8, (1, 3): 8, (3, 5): 1})
     lanes = [(3, (1, 5), 0), (3, (), 1), (3, (2, 9), 2), (3, (), 3), (3, (), 5)]
     config = make_config(lanes, groups=9)
-    assert verify.brute_force_optimum(config, dmat, max_k=3) == (2, 2)
+    assert oracles.brute_force_optimum(config, dmat, max_k=3) == (2, 2)
 
 
 def test_brute_force_raises_past_its_budget():
     config = make_config([(2, (1, 3), 0), (2, (2, 4), 1), (2, (), 2)], groups=4)
-    with pytest.raises(verify.NoSolutionWithin) as err:
-        verify.brute_force_optimum(config, DMAT, max_k=1)
+    with pytest.raises(oracles.NoSolutionWithin) as err:
+        oracles.brute_force_optimum(config, DMAT, max_k=1)
     assert err.value.max_k == 1
 
 
