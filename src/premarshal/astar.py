@@ -3,27 +3,34 @@
 Nodes are popped from the open queue by lexicographic (f, h, dist, tie),
 where f = g + h, g is the move count so far, h the admissible lower bound,
 dist the total loaded move distance from the root and tie the pair
-(expansion number, child index) of the expansion that offered the node.
+(expansion number, n) of the expansion that offered the node, n the rank
+of the node's move among its parent's moves.
 The goal test happens at pop time; a popped node is closed and never
 re-expanded.
 
-Expansion is partial (Yoshizumi, Miura & Ishida, AAAI 2000).  Expanding a
-node at value F computes every child's h with ``bounds.Siblings``, which
-works from the parent's profiles, the two touched lanes and results shared
-between the children of one expansion, but offers only the children with
-f <= F; the others are neither keyed nor stored.  If some child has f > F,
-the parent goes back on the queue as a re-entry with key
-(F', -1, 0, (expansion number, 0)), F' the least such f.  h >= 0 for every
-node, so the re-entry pops before any node of f = F'; popping it generates
-the children again from the parent's configuration, aux and profiles and
-offers those with f <= F'.  A re-entry is not counted in
+Expansion is partial (Yoshizumi, Miura & Ishida, AAAI 2000), and its
+children are listed, not generated and filtered (enhanced partial
+expansion: Felner et al., AAAI 2012; Goldenberg et al., JAIR 2014).
+Expanding a node at value F asks ``bounds.Siblings.select`` for the
+children with h <= F - g - 1, that is f <= F, and for the least h above
+that.  The listing works on classes of target lanes that give every child
+of one source the same h, so it computes an h per child only where GX may
+be positive; the other children are neither keyed nor stored, and most
+never get an h.  The kept children's moves are built by ``legal_moves``
+for the listed (source, target mask) pairs, and each child's tie is the
+rank n of its move among all of the parent's moves in ``legal_moves``
+order.  If some child has f > F, the parent goes back on the queue as a
+re-entry with key (F', -1, 0, (expansion number, 0)), F' the least such f.
+h >= 0 for every node, so the re-entry pops before any node of f = F';
+popping it lists the children again from the parent's configuration, aux
+and profiles and offers those with f <= F'.  A re-entry is not counted in
 ``nodes_evaluated``, closes nothing and is not goal-tested.  A child
 offered again has the same (f, dist, tie) as before, so its second offer
 is never admitted.
 
 A child is admitted when its key is not closed and it is new or its
 (f, dist, tie) is lexicographically below the stored record's.  Children
-offered in generation order, as a store-every-child A* offers them, give
+offered in ``legal_moves`` order, as a store-every-child A* offers them, give
 that search's rule (new, better f, or the same f with a smaller dist); the
 tie term makes the winning record independent of the order in which
 deferred children are offered.  So the plan, k, distance and node count are
@@ -108,8 +115,10 @@ def solve_astar(
     The cyclic garbage collector is paused for the search and put back as
     the caller had it.  Records link only to their parents, so the search
     makes no cycles for it to find; left running, it would still be started
-    by the L² moves each expansion allocates, some 300 collections and
-    about 5% of A*'s CPU time over the four ``astar-wide`` instances.
+    by the records, keys and lane profiles the search allocates: about 14
+    collections and 8% of A*'s CPU time over the four ``astar-wide``
+    instances, some 15 ms of the benchmark's ``plan_s`` there, measured on a
+    2-vCPU host.  The pause costs about 0.25 MB of peak RSS.
     """
     started = time.perf_counter()
     enabled = gc.isenabled()
@@ -137,9 +146,14 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
     # (f, h, dist, tie, record); h = -1 marks a re-entry of an expanded record.
     open_heap = [(h0, h0, 0, root_rec.tie, root_rec)]
     last_f = 0.0
+    # Lane changes seen by this search's listings, shared between parents.
+    touched: dict[tuple, tuple] = {}
+
+    def expired():
+        return time.perf_counter() - started >= timeout_s
 
     while open_heap:
-        if time.perf_counter() - started >= timeout_s:
+        if expired():
             stats.wall_time = time.perf_counter() - started
             return TimedOut(stats)
         f, h, _dist, tie, rec = heappop(open_heap)
@@ -174,37 +188,34 @@ def _search(root, dmat, started, timeout_s, depth_correction, reopen):
                     stats=stats,
                 )
 
-        child_h = bounds.Siblings(rec.config, rec.aux, rec.profiles).h
+        siblings = bounds.Siblings(rec.config, rec.aux, rec.profiles, touched)
         c_g = rec.g + 1
-        f_next = None
-        for n, move in enumerate(legal_moves(rec.config, dmat, depth_correction), 1):
-            # One expansion of a large instance can take seconds: look at the
-            # clock inside it too, cheaply.
-            if not n & 1023 and time.perf_counter() - started >= timeout_s:
-                stats.wall_time = time.perf_counter() - started
-                return TimedOut(stats)
-            c_h = child_h(move)
-            if c_h is bounds.INFEASIBLE:
-                continue
-            c_f = c_g + c_h
-            if c_f > f:
-                if f_next is None or c_f < f_next:
-                    f_next = c_f
-                continue
-            c_key = child_key(rec.key, move)
-            c_dist = rec.dist + move.distance
-            c_tie = (expansion, n)
-            known = records.get(c_key)
-            if known is not None:
-                if known.closed and not reopen:
-                    continue
-                if (c_f, c_dist, c_tie) >= (known.f, known.dist, known.tie):
-                    continue
-                known.closed = True
-            child = records[c_key] = _Record(rec, move, c_key, c_g, c_dist, c_f, c_tie)
-            heappush(open_heap, (c_f, c_h, c_dist, c_tie, child))
-        if f_next is not None:
-            heappush(open_heap, (f_next, -1, 0, (expansion, 0), rec))
+        # One expansion of a large instance can take a while: the listing
+        # looks at the clock inside it too.
+        listed = siblings.select(f - c_g, expired)
+        if listed is None:
+            stats.wall_time = time.perf_counter() - started
+            return TimedOut(stats)
+        groups, above = listed
+        if groups:
+            moves = legal_moves(rec.config, dmat, depth_correction, [g[:2] for g in groups])
+            hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
+            for move, c_h in zip(moves, hs):
+                c_key = child_key(rec.key, move)
+                c_f = c_g + c_h
+                c_dist = rec.dist + move.distance
+                c_tie = (expansion, siblings.rank(move.from_lane - 1, move.to_lane - 1))
+                known = records.get(c_key)
+                if known is not None:
+                    if known.closed and not reopen:
+                        continue
+                    if (c_f, c_dist, c_tie) >= (known.f, known.dist, known.tie):
+                        continue
+                    known.closed = True
+                child = records[c_key] = _Record(rec, move, c_key, c_g, c_dist, c_f, c_tie)
+                heappush(open_heap, (c_f, c_h, c_dist, c_tie, child))
+        if above is not None:
+            heappush(open_heap, (c_g + above, -1, 0, (expansion, 0), rec))
 
     stats.wall_time = time.perf_counter() - started
     return Infeasible(stats)

@@ -29,13 +29,25 @@ parent's removal options with those of the two touched lanes swapped.  The
 minimum is shared between siblings: given the parent, it is fixed by the
 levels, their needs and the options swapped out and in once equal ones
 cancel.
+
+``Siblings.select`` lists the children whose h is at most a limit, and the
+least h above it, the way A* asks for them.  A child's h is its source's
+part (BX after the take, the front load p, the surplus) changed by its
+target's part for p (BX change, surplus change).  Targets with equal parts
+form one class, and there are few: every blocked lane with room is one
+class per p, and a clean lane's part depends only on its threshold and
+free slots.  Where no level of the resulting surplus is positive, GX is 0
+and one sum gives the h of the whole (source, class) pair.  Only the other
+pairs get an h per target, and none where GX >= 1 already puts them at or
+above the least h above the limit found so far.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, gt, sub
+from itertools import groupby
+from operator import add, gt, itemgetter, sub
 from typing import Sequence
 
 from .model import (
@@ -59,7 +71,6 @@ class LaneProfile:
     removal model needs it to know which thresholds a lane can reach.
     """
 
-    lane_id: int
     prefix_len: int
     threshold: int
     blocking_suffix: tuple[int, ...]
@@ -97,7 +108,6 @@ def lane_profile(lane: VirtualLane, groups: int) -> LaneProfile:
     prefix = non_increasing_prefix_len(lane.contents)
     threshold = lane.contents[prefix - 1] if prefix else groups
     return LaneProfile(
-        lane_id=lane.lane_id,
         prefix_len=prefix,
         threshold=threshold,
         blocking_suffix=tuple(sorted(lane.contents[prefix:])),
@@ -288,76 +298,181 @@ def lb_incremental(
 
 
 class Siblings:
-    """h of each child of one parent, from the parent's profiles and aux and
-    the move, without building the child; equal to lb(apply_move(...)).
+    """h of the children of one parent, from the parent's profiles and aux
+    and the move, without building the children; equal to lb(apply_move(...)).
 
-    Build one per expanded parent: the caches below are shared by all of its
-    children and die with it.
+    ``h`` gives one child's h.  ``select`` lists the children whose h is at
+    most a limit, and the least h above it, without an h per child where a
+    whole class of children shares one.  Build one per expanded parent: the
+    caches below are shared by all of its children and die with it, but
+    for ``touched``, which the parents of one search can share.
     """
 
-    def __init__(self, config: LaneConfiguration, aux: SupplyDemandAux, profiles):
+    def __init__(self, config: LaneConfiguration, aux: SupplyDemandAux, profiles,
+                 touched: dict | None = None):
         self.config = config
         self.profiles = profiles
         self.surplus = tuple(map(sub, aux.cum_demand, aux.cum_supply))
+        #: (capacity, contents, new contents) -> ``_touch`` result; it depends
+        #: on nothing else, so one search may share it between its parents
+        self._touched = {} if touched is None else touched
         #: source lane id -> (BX, load, surplus, profile) once its front load is gone
         self._taken: dict[int, tuple] = {}
-        #: (target lane id, load) -> (BX change, surplus change, profile)
-        self._given: dict[tuple[int, int], tuple] = {}
+        #: load -> [(BX change, surplus change, mask of the lanes with room giving them)]
+        self._classes: dict[int, list] = {}
+        #: (BX, load, surplus) of a source -> [(child BX, child surplus or None
+        #: when no level is positive, target mask)], one per class of its load
+        self._pairs: dict[tuple, list] = {}
         #: levels -> removal options of each parent lane, None where trivial
         self._options: dict[tuple[int, ...], list] = {}
         #: (prefix groups, free slots, levels) -> removal options, None if trivial
         self._shapes: dict[tuple, tuple] = {}
         #: (levels, needs, options out, options in) -> GX
         self._minima: dict[tuple, float] = {}
+        #: lane index -> pairs of the sources before it, and its rank among
+        #: the lanes with room (0 if full); set by ``select``
+        self._first: list[int] = []
+        self._room_rank: list[int] = []
 
     def h(self, move: Move):
         """h of ``apply_move(config, move)`` for a legal ``move``."""
-        taken = self._taken.get(move.from_lane)
-        if taken is None:
-            taken = self._take(move.from_lane)
-        bx, load, surplus, src = taken
-        given = self._given.get((move.to_lane, load))
-        if given is None:
-            given = self._give(move.to_lane, load)
-        bx_change, change, dst = given
-        surplus = list(map(add, surplus, change))
+        bx, load, surplus, src = self._taken_of(move.from_lane)
+        bx_change, change, dst = self._give(move.to_lane, load)
+        surplus = tuple(map(add, surplus, change))
         if max(surplus) <= 0:
             return bx + bx_change
         gx = self._gx(surplus, move.from_lane, src, move.to_lane, dst)
         return INFEASIBLE if gx is INFEASIBLE else bx + bx_change + gx
+
+    def select(self, limit, expired=None):
+        """The children whose h is at most ``limit``, and the least h above it.
+
+        Returns ``(groups, above)``.  ``groups`` holds the kept children as
+        (source lane index, target mask, h), bit i of a mask standing for
+        lane index i, in the order ``legal_moves`` gives their moves;
+        ``above`` is the least finite h above ``limit``, or None.  Returns
+        None once ``expired()`` is true; it is read before each source lane
+        and before each (source, class) pair that needs GX.  The module
+        docstring says how the children are listed; the pairs that need GX
+        come last, by ascending BX, so that the skip cuts the most.
+        """
+        lanes = self.config.lanes
+        room = [idx for idx, lane in enumerate(lanes) if len(lane.contents) < lane.capacity]
+        self._room_rank = rank = [0] * len(lanes)
+        for r, idx in enumerate(room, 1):
+            rank[idx] = r
+        self._first = first = [0] * len(lanes)
+        listed = 0
+        kept = []  # (source index, target mask, h)
+        slow = []  # (child BX, source index, target mask, child surplus)
+        above = None
+        for s, lane in enumerate(lanes):
+            if not lane.contents:
+                continue
+            if expired is not None and expired():
+                return None
+            first[s] = listed
+            listed += len(room) - (rank[s] > 0)
+            bit = 1 << s
+            for bx, surplus, mask in self._pairs_of(s + 1, room):
+                if mask & bit:
+                    mask ^= bit
+                    if not mask:
+                        continue
+                if surplus is not None:
+                    slow.append((bx, s, mask, surplus))
+                elif bx <= limit:
+                    kept.append((s, mask, bx))
+                elif above is None or bx < above:
+                    above = bx
+
+        slow.sort(key=itemgetter(0))
+        for bx, s, mask, surplus in slow:
+            if above is not None and bx + 1 >= above:
+                break  # every pair left has h >= bx + 1 >= above > limit
+            if expired is not None and expired():
+                return None
+            _bx, load, _surplus, src = self._taken_of(s + 1)
+            for low in _bits(mask):
+                t = low.bit_length()
+                gx = self._gx(surplus, s + 1, src, t, self._give(t, load)[2])
+                if gx is INFEASIBLE:
+                    continue
+                h = bx + gx
+                if h <= limit:
+                    kept.append((s, low, h))
+                elif above is None or h < above:
+                    above = h
+        return _in_move_order(kept), above
+
+    def rank(self, src_idx: int, dst_idx: int) -> int:
+        """1-based place of the move from lane index ``src_idx`` to
+        ``dst_idx`` among all of the parent's moves in ``legal_moves``
+        order; valid after ``select``.  The sources before it give their
+        pairs, then come the lanes with room up to the target, less the
+        source itself when it has room and comes first."""
+        rank = self._room_rank
+        return self._first[src_idx] + rank[dst_idx] - (0 < rank[src_idx] < rank[dst_idx])
+
+    def _taken_of(self, lane_id: int) -> tuple:
+        taken = self._taken.get(lane_id)
+        if taken is None:
+            taken = self._taken[lane_id] = self._take(lane_id)
+        return taken
 
     def _take(self, lane_id: int) -> tuple:
         """The source lane after it loses its front load."""
         contents = self.config.lanes[lane_id - 1].contents
         bx_change, change, new = self._touch(lane_id, contents[:-1])
         bx = self.config.blocking_total + bx_change
-        surplus = tuple(map(add, self.surplus, change))
-        taken = self._taken[lane_id] = (bx, contents[-1], surplus, new)
-        return taken
+        return bx, contents[-1], tuple(map(add, self.surplus, change)), new
 
     def _give(self, lane_id: int, load: int) -> tuple:
-        """The target lane after it receives a load of group ``load``."""
-        contents = self.config.lanes[lane_id - 1].contents + (load,)
-        given = self._given[lane_id, load] = self._touch(lane_id, contents)
-        return given
+        """The target lane after it receives a load of group ``load``: BX
+        change, surplus change and profile."""
+        return self._touch(lane_id, self.config.lanes[lane_id - 1].contents + (load,))
+
+    def _pairs_of(self, lane_id: int, room: list[int]) -> list:
+        """(child BX, child surplus or None, target mask) per target class,
+        shared by the sources with the same ``_take`` part."""
+        bx, load, surplus, _src = self._taken_of(lane_id)
+        pairs = self._pairs.get((bx, load, surplus))
+        if pairs is None:
+            classes = self._classes.get(load)
+            if classes is None:
+                masks: dict[tuple, int] = {}
+                for idx in room:
+                    part = self._give(idx + 1, load)[:2]
+                    masks[part] = masks.get(part, 0) | 1 << idx
+                classes = self._classes[load] = [(*part, mask) for part, mask in masks.items()]
+            pairs = self._pairs[bx, load, surplus] = []
+            for bx_change, change, mask in classes:
+                level = tuple(map(add, surplus, change))
+                pairs.append((bx + bx_change, level if max(level) > 0 else None, mask))
+        return pairs
 
     def _touch(self, lane_id: int, contents: tuple[int, ...]) -> tuple:
         """BX change, change of cum_demand - cum_supply, and the new profile
         when one lane comes to hold ``contents``."""
         lane = self.config.lanes[lane_id - 1]
-        old = self.profiles[lane_id - 1]
-        new = lane_profile(
-            VirtualLane(lane_id, lane.access_point, lane.capacity, contents), self.config.groups
-        )
-        per_group = [0] * self.config.groups
-        for g in new.blocking_suffix:
-            per_group[g - 1] += 1
-        for g in old.blocking_suffix:
-            per_group[g - 1] -= 1
-        per_group[old.threshold - 1] += old.free_after_clear
-        per_group[new.threshold - 1] -= new.free_after_clear
-        bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
-        return bx_change, _cumulate(per_group), new
+        key = (lane.capacity, lane.contents, contents)
+        touched = self._touched.get(key)
+        if touched is None:
+            old = self.profiles[lane_id - 1]
+            new = lane_profile(
+                VirtualLane(lane_id, lane.access_point, lane.capacity, contents),
+                self.config.groups,
+            )
+            per_group = [0] * self.config.groups
+            for g in new.blocking_suffix:
+                per_group[g - 1] += 1
+            for g in old.blocking_suffix:
+                per_group[g - 1] -= 1
+            per_group[old.threshold - 1] += old.free_after_clear
+            per_group[new.threshold - 1] -= new.free_after_clear
+            bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
+            touched = self._touched[key] = (bx_change, _cumulate(per_group), new)
+        return touched
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
         """Removal options of one lane at ``levels``, None when trivial."""
@@ -369,7 +484,7 @@ class Siblings:
             self._shapes[key] = options if len(options) > 1 else None
         return self._shapes[key]
 
-    def _gx(self, surplus: list[int], src_id: int, src: LaneProfile,
+    def _gx(self, surplus: Sequence[int], src_id: int, src: LaneProfile,
             dst_id: int, dst: LaneProfile):
         levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
         needs = tuple(x for x in surplus if x > 0)
@@ -394,3 +509,26 @@ class Siblings:
                     if o is not None and lane_id != src_id and lane_id != dst_id]
             gx = self._minima[key] = _cover(kept + added, needs)
         return gx
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _in_move_order(kept: list) -> list:
+    """``kept`` (source, target mask, h) groups, put in (source, target)
+    order: a source's groups of different h are split per target."""
+    kept.sort(key=itemgetter(0))
+    groups = []
+    for s, run in groupby(kept, itemgetter(0)):
+        run = list(run)
+        if len(run) == 1:
+            groups += run
+        else:
+            groups += sorted(((s, low, h) for _s, mask, h in run for low in _bits(mask)),
+                             key=itemgetter(1))
+    return groups

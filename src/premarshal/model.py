@@ -155,8 +155,7 @@ def move_distance(src: VirtualLane, dst: VirtualLane, dmat, depth_correction: bo
     """Loaded distance of moving the front load of ``src`` onto ``dst``.
 
     With ``depth_correction`` the empty tiles travelled inside both lanes are
-    added (off by default: travel within a lane is neglected).  The all-pairs
-    loop of ``legal_moves`` adds the same two terms inline, for speed.
+    added (off by default: travel within a lane is neglected).
     """
     d = dmat.between(src.access_point, dst.access_point)
     if depth_correction:
@@ -180,39 +179,21 @@ def legal_moves(
     in the pairs' order, each pair's by target.
     """
     lanes = config.lanes
-    if targets is not None:
-        moves = []
-        for src_idx, mask in targets:
-            src = lanes[src_idx]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                dst = lanes[low.bit_length() - 1]
-                moves.append(Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
-                                  move_distance(src, dst, dmat, depth_correction)))
-        return moves
-    fills = [len(lane.contents) for lane in lanes]
-    # (lane id, access point, fill, empty slots left once the load lands)
-    open_lanes = [
-        (lane.lane_id, lane.access_point, fill, lane.capacity - fill - 1)
-        for lane, fill in zip(lanes, fills)
-        if fill < lane.capacity
-    ]
-    between = dmat.between
+    if targets is None:
+        room = 0
+        for idx, lane in enumerate(lanes):
+            if len(lane.contents) < lane.capacity:
+                room |= 1 << idx
+        targets = [(idx, room & ~(1 << idx)) for idx, lane in enumerate(lanes) if lane.contents]
     moves = []
-    for src, fill in zip(lanes, fills):
-        src_id = src.lane_id
-        if not fill:
-            continue
-        src_point = src.access_point
-        src_empty = src.capacity - fill
-        for dst_id, dst_point, dst_fill, dst_empty in open_lanes:
-            if dst_id == src_id:
-                continue
-            d = between(src_point, dst_point)
-            if depth_correction:
-                d += src_empty + dst_empty
-            moves.append(Move(src_id, dst_id, fill, dst_fill + 1, d))
+    for src_idx, mask in targets:
+        src = lanes[src_idx]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            dst = lanes[low.bit_length() - 1]
+            moves.append(Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
+                              move_distance(src, dst, dmat, depth_correction)))
     return moves
 
 

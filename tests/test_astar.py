@@ -98,14 +98,47 @@ def test_k_matches_plain_search_on_random_states():
     assert solved == 40
 
 
+def _lowered_give(lowered):
+    """A ``Siblings._give`` that, for the (parent, target lane, load) where
+    ``lowered`` holds, sets the BX change to 1 - the parent's BX.  A take
+    removes at most one blocker, so the child's BX part falls to 0 or 1:
+    its h drops to its GX, plus 1 unless the move takes a blocker.  That h
+    is still admissible and >= 0, but no longer consistent.  Both the
+    listing of A* and ``Siblings.h`` of the oracle go through ``_give``."""
+    real_give = bounds.Siblings._give
+
+    def give(self, lane_id, load):
+        bx_change, change, dst = real_give(self, lane_id, load)
+        if lowered(self, lane_id, load):
+            bx_change = 1 - self.config.blocking_total
+        return bx_change, change, dst
+
+    return give
+
+
+def _counted_searches(monkeypatch):
+    """The reopen flag of every ``astar._search`` call, in call order."""
+    searches = []
+    search = astar._search
+
+    def counted_search(*args, reopen):
+        searches.append(reopen)
+        return search(*args, reopen=reopen)
+
+    monkeypatch.setattr(astar, "_search", counted_search)
+    return searches
+
+
 def test_restart_with_reopen_still_optimal(monkeypatch):
     """Force a non-monotone heuristic; the monitor must restart and reopen."""
-    monkeypatch.setattr(astar.bounds.Siblings, "h", lambda self, move: 0)
+    monkeypatch.setattr(bounds.Siblings, "_give", _lowered_give(lambda *_: True))
+    searches = _counted_searches(monkeypatch)
     config = make_config([(2, (1, 3), 0), (2, (2, 4), 1), (2, (), 2)], groups=4)
     assert bounds.lb(config) == 2  # root keeps its real (higher) h
     result = astar.solve_astar(config, DMAT)
     assert isinstance(result, Solution)
     assert result.k == 2
+    assert searches == [False, True]
 
 
 def _outcome(result):
@@ -144,27 +177,16 @@ def test_partial_expansion_equals_the_store_every_child_search(depth_correction)
 def test_partial_expansion_equals_the_store_every_child_search_when_h_is_inconsistent(
     monkeypatch,
 ):
-    """The same, with an admissible h that is 0 on about a third of the
-    states: children with f below their parent's, restarts and reopened
-    keys all occur."""
-    real_h = bounds.Siblings.h
+    """The same, with an admissible h lowered on about a third of the
+    (parent, target lane, load) triples: children with f below their
+    parent's, restarts and reopened keys all occur."""
 
-    def bumpy_h(self, move):
-        h = real_h(self, move)
-        key = state_key(apply_move(self.config, move))
-        if h is bounds.INFEASIBLE or sum(i * len(c) for i, c in enumerate(key)) % 3:
-            return h
-        return 0
+    def lowered(siblings, lane_id, load):
+        key = state_key(siblings.config)
+        return not (sum(i * len(c) for i, c in enumerate(key)) + lane_id + load) % 3
 
-    monkeypatch.setattr(astar.bounds.Siblings, "h", bumpy_h)
-    searches = []
-    search = astar._search
-
-    def counted_search(*args, reopen):
-        searches.append(reopen)
-        return search(*args, reopen=reopen)
-
-    monkeypatch.setattr(astar, "_search", counted_search)
+    monkeypatch.setattr(bounds.Siblings, "_give", _lowered_give(lowered))
+    searches = _counted_searches(monkeypatch)
     rng = random.Random(67)
     for depth_correction in (False, True):
         for _ in range(40):
@@ -194,43 +216,51 @@ def test_moves_replay_to_sorted():
 
 
 def test_deadline_holds_inside_one_expansion(monkeypatch):
-    """The clock is read every 1,024 children, not only between pops, and
-    in a re-entry as in a first expansion.
+    """The clock is read before each source lane of the listing, not only
+    between pops, and in a re-entry as in a first expansion.
 
-    Children are counted where their h is computed, since A* builds none of
-    them before they are popped."""
+    Sources are counted where their part of h is computed (``_take``),
+    since A* builds no child before it is popped."""
     ticks = iter(range(1_000_000))
     monkeypatch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    children = []
-    real_h = bounds.Siblings.h
+    sources = []
+    real_take = bounds.Siblings._take
 
-    def counting_h(self, move):
-        children.append(move)
-        return real_h(self, move)
+    def counting_take(self, lane_id):
+        sources.append(lane_id)
+        return real_take(self, lane_id)
 
-    monkeypatch.setattr(astar.bounds.Siblings, "h", counting_h)
-    # One blocker and 40 sorted lanes with room: 1,640 children at the root.
+    monkeypatch.setattr(bounds.Siblings, "_take", counting_take)
+    # One blocker and 40 sorted lanes with room: 41 sources and 1,640
+    # children at the root, none of whose h needs GX.
     lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
     config = make_config(lanes, groups=2)
-    # start reads 0 and the first pop 1, both inside the budget; the read at
-    # child 1,024 gives 2, past it.
-    result = astar.solve_astar(config, DMAT, timeout_s=1.5)
+    # start reads 0 and the first pop 1; sources 1-9 read 2-10, inside the
+    # budget, and source 10 reads 11, past it.
+    result = astar.solve_astar(config, DMAT, timeout_s=10.5)
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
-    assert len(children) == 1023
+    assert sources == list(range(1, 10))
 
-    # h one too high puts every child of the root above the root's f, so
-    # the root keeps none of its 1,640 children and comes back as a
-    # re-entry at f + 1.  Reads: start 0, first pop 1, child 1,024 of the
-    # expansion 2, the re-entry's pop 3, all inside the budget; child 1,024
-    # of the re-entry reads 4, past it.
+    # A BX change one too high puts every child of the root above the
+    # root's f, so the root keeps none of its 1,640 children and comes back
+    # as a re-entry at f + 1.  Reads: start 0, first pop 1, the 41 sources
+    # of the expansion 2-42, the re-entry's pop 43 and its sources 1-9
+    # 44-52, all inside the budget; source 10 of the re-entry reads 53,
+    # past it.
+    real_give = bounds.Siblings._give
+
+    def higher_give(self, lane_id, load):
+        bx_change, change, dst = real_give(self, lane_id, load)
+        return bx_change + 1, change, dst
+
+    monkeypatch.setattr(bounds.Siblings, "_give", higher_give)
     ticks = iter(range(1_000_000))
-    children.clear()
-    monkeypatch.setattr(astar.bounds.Siblings, "h", lambda self, move: counting_h(self, move) + 1)
-    result = astar.solve_astar(config, DMAT, timeout_s=3.5)
+    sources.clear()
+    result = astar.solve_astar(config, DMAT, timeout_s=52.5)
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
-    assert len(children) == 1640 + 1023
+    assert sources == list(range(1, 42)) + list(range(1, 10))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -238,20 +268,20 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
     """The cyclic collector is off during the search and as the caller had
     it afterwards, whether the search solves, times out or raises."""
     seen = []
-    real_h = bounds.Siblings.h
+    real_give = bounds.Siblings._give
 
-    def watching_h(self, move):
+    def watching_give(self, lane_id, load):
         seen.append(gc.isenabled())
-        return real_h(self, move)
+        return real_give(self, lane_id, load)
 
-    def failing_h(self, move):
+    def failing_give(self, lane_id, load):
         raise RuntimeError("h failed")
 
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(astar.bounds.Siblings, "h", watching_h)
+            patch.setattr(bounds.Siblings, "_give", watching_give)
             config = make_config([(3, (1, 2), 0), (3, (2,), 1), (3, (), 2)], groups=2)
             assert isinstance(astar.solve_astar(config, DMAT), Solution)
         assert seen and not any(seen)
@@ -267,7 +297,7 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
         assert gc.isenabled() == enabled
 
         with monkeypatch.context() as patch:
-            patch.setattr(astar.bounds.Siblings, "h", failing_h)
+            patch.setattr(bounds.Siblings, "_give", failing_give)
             with pytest.raises(RuntimeError, match="h failed"):
                 astar.solve_astar(config, DMAT)
         assert gc.isenabled() == enabled

@@ -232,6 +232,57 @@ def test_sibling_h_and_key_equal_the_built_child(lane_specs, extra):
         assert child_key(key, move) == state_key(child)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+        ),
+        min_size=2,
+        max_size=7,
+    ),
+    st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+)
+def test_select_lists_what_a_loop_over_every_move_keeps(lane_specs, extra):
+    """At every limit, ``Siblings.select`` gives the (move, h) of the
+    children with h <= limit, in ``legal_moves`` order, with the moves'
+    ranks in it and the least h above the limit, as a loop over every move
+    and ``Siblings.h`` does.  ``extra`` adds demand, so that GX > 0 and
+    INFEASIBLE occur."""
+    lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
+    config = make_config(lanes, groups=5)
+    aux, profiles, _h = bounds.lb_state(config)
+    aux = _with_extra_demand(aux, extra)
+    loop = bounds.Siblings(config, aux, profiles)
+    every = [(move, loop.h(move), n) for n, move in enumerate(legal_moves(config, DMAT), 1)]
+    finite = [h for _m, h, _n in every if h is not bounds.INFEASIBLE]
+    siblings = bounds.Siblings(config, aux, profiles)
+    for limit in range(-1, max(finite, default=0) + 2):
+        want = [(m, h, n) for m, h, n in every if h <= limit]
+        above = min((h for h in finite if h > limit), default=None)
+        groups, got_above = siblings.select(limit)
+        moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
+        hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
+        got = [(m, h, siblings.rank(m.from_lane - 1, m.to_lane - 1)) for m, h in zip(moves, hs)]
+        assert got == want
+        assert got_above == above
+
+
+def test_select_reads_the_clock_before_pairs_that_need_gx():
+    """``expired`` is read before each source lane and again before each
+    (source, class) pair that needs GX, so that an expansion whose time goes
+    to GX stops too.  Every child of these 16 lanes needs GX (6 at the
+    root), and with no limit no pair is skipped."""
+    config = make_config([(3, (1, 2), idx) for idx in range(16)], groups=2)
+    aux, profiles, _h = bounds.lb_state(config)
+    reads = iter(range(100))
+    # False for the 16 source lanes, True at the first pair that needs GX.
+    listed = bounds.Siblings(config, aux, profiles).select(100, lambda: next(reads) >= 16)
+    assert listed is None
+    assert next(reads) == 17
+
+
 def _with_extra_demand(aux, extra):
     """``aux`` with one more blocking load of each group in ``extra``."""
     demand = list(aux.demand)
