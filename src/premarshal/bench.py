@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from typing import IO
 
 from .generate import GenConfig, generate
 from .model import Solution, TimedOut
-from .pipeline import solve_instance
+from .pipeline import prepare, solve_instance
 
 CSV_COLUMNS = [
     "bay_layout",
@@ -86,10 +87,10 @@ def suite_runs(suite: dict) -> list[SuiteRun]:
     return runs
 
 
-def run_one(run: SuiteRun) -> dict:
-    """Execute one suite cell; failures become an unsolved row, not an abort."""
+def _row(run: SuiteRun) -> dict:
+    """The row of one suite cell before anything has run."""
     config = run.config
-    row = {
+    return {
         "bay_layout": config.bay_label,
         "warehouse_layout": config.warehouse_label,
         "fill": config.fill,
@@ -104,39 +105,69 @@ def run_one(run: SuiteRun) -> dict:
         "preprocessing_s": "",
         "solve_s": "",
     }
+
+
+def _report(row: dict, exc: Exception) -> None:
+    print(f"[bench] {row['bay_layout']} seed {row['seed']} {row['algo']}: {exc}",
+          file=sys.stderr)
+
+
+def run_group(runs: list[SuiteRun]) -> list[dict]:
+    """Execute suite cells of one (config, seed): generate and prepare once.
+
+    Every algorithm solves from the same prepared instance, so each row's
+    ``preprocessing_s`` is that one preparation.  Failures become unsolved
+    rows, not an abort: a failed preparation fails every cell of the group.
+    """
+    rows = [_row(run) for run in runs]
     try:
-        instance = generate(config)
-        result, prepared = solve_instance(instance, run.algo, timeout_s=run.timeout_s)
+        instance = generate(runs[0].config)
+        prepared = prepare(instance)
     except Exception as exc:  # noqa: BLE001 - recorded per the suite contract
-        print(f"[bench] {row['bay_layout']} seed {config.seed} {run.algo}: {exc}",
-              file=sys.stderr)
-        return row
-    row["preprocessing_s"] = f"{prepared.preprocessing_time:.6f}"
-    if isinstance(result, Solution):
-        row.update(
-            solved=True,
-            k=result.k,
-            total_distance=result.total_distance,
-            nodes_evaluated=result.stats.nodes_evaluated,
-            solve_s=f"{result.stats.wall_time:.6f}",
-        )
-    elif isinstance(result, TimedOut):
-        row["timed_out"] = True
-        if result.stats is not None:
-            row["nodes_evaluated"] = result.stats.nodes_evaluated
-            row["solve_s"] = f"{result.stats.wall_time:.6f}"
-    return row
+        for row in rows:
+            _report(row, exc)
+        return rows
+    for run, row in zip(runs, rows):
+        try:
+            result, _ = solve_instance(
+                instance, run.algo, timeout_s=run.timeout_s, prepared=prepared
+            )
+        except Exception as exc:  # noqa: BLE001 - recorded per the suite contract
+            _report(row, exc)
+            continue
+        row["preprocessing_s"] = f"{prepared.preprocessing_time:.6f}"
+        if isinstance(result, Solution):
+            row.update(
+                solved=True,
+                k=result.k,
+                total_distance=result.total_distance,
+                nodes_evaluated=result.stats.nodes_evaluated,
+                solve_s=f"{result.stats.wall_time:.6f}",
+            )
+        elif isinstance(result, TimedOut):
+            row["timed_out"] = True
+            if result.stats is not None:
+                row["nodes_evaluated"] = result.stats.nodes_evaluated
+                row["solve_s"] = f"{result.stats.wall_time:.6f}"
+    return rows
+
+
+def run_one(run: SuiteRun) -> dict:
+    """Execute one suite cell; failures become an unsolved row, not an abort."""
+    return run_group([run])[0]
 
 
 def run_suite(suite: dict, jobs: int = 1) -> list[dict]:
     """All rows of a suite, ordered by (config, seed, algo) come what may."""
-    runs = suite_runs(suite)
+    groups = [
+        list(runs) for _, runs in itertools.groupby(suite_runs(suite), lambda r: r.config)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, runs))
+            done = list(pool.map(run_group, groups))
     else:
-        rows = [run_one(run) for run in runs]
-    return rows
+        done = [run_group(runs) for runs in groups]
+    return [row for rows in done for row in rows]
 
 
 def write_results_csv(rows: list[dict], fileobj: IO[str]) -> None:

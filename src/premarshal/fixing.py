@@ -379,15 +379,29 @@ def _bay_config(bay: BaySpec, assignment: AccessAssignment) -> LaneConfiguration
 
 
 def select_assignment(candidates: list[AccessAssignment], bay: BaySpec) -> AccessAssignment:
-    """Pick the candidate with the smallest lower bound h; first found wins ties."""
+    """Pick the candidate with the smallest lower bound h; first found wins ties.
+
+    The scan stops at the first candidate whose h equals the least
+    ``misplaced`` of the list.  A candidate's ``misplaced`` is the blocking
+    count BX of its lanes, and h = BX + GX with GX >= 0, so no candidate's h
+    is below its own ``misplaced``, let alone below the least one.  A
+    candidate that reaches that floor cannot be beaten, and as the first
+    one found it also wins every tie.  The candidates of
+    ``optimal_assignments`` all share one ``misplaced``, so on a bay whose
+    first candidate has no covering term (GX = 0) one bound is evaluated
+    instead of one per candidate.
+    """
     if not candidates:
         raise ValueError("no candidate assignments")
+    floor = min(cand.misplaced for cand in candidates)
     best = None
     best_h = math.inf
     for cand in candidates:
         h = bounds.lb(_bay_config(bay, cand))
         if h < best_h:
             best, best_h = cand, h
+            if h == floor:
+                break
     return best if best is not None else candidates[0]
 
 

@@ -13,11 +13,14 @@ Access-point ids are 0-based and enumerated bay by bay, sides in N, E, S, W
 order, stacks by ascending index within a side.
 
 Distances are computed on the aisle graph with tiles numbered in sorted
-order: one breadth-first search per distinct access tile fills a flat list
-of hop counts, the tile's row is read out of it for all access points at
-once, and every point on that tile shares the row.  That is
-O(aisle tiles x distinct access tiles) time, with one search's list alive
-at a time next to the matrix itself.
+order: one breadth-first search from an access tile fills a flat list of hop
+counts, the tile's row is read out of it for all access points at once, and
+every point on that tile shares the row.  Rows are computed per access tile
+on first use, so a plan that reads the distances of a few lanes runs a few
+searches; forcing every row (the ``d`` attribute, as the ``distances``
+command does) costs O(aisle tiles x distinct access tiles) time.
+Reachability is settled up front from one labelling of the aisle graph's
+components, so an unreachable pair fails at construction, not on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import WarehouseInstance
 
@@ -60,15 +64,48 @@ class GridLayout:
     access_points: list[AccessPoint]
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric matrix of shortest aisle distances between access points."""
+    """Symmetric matrix of shortest aisle distances between access points.
 
-    n: int
-    d: tuple[tuple[int, ...], ...]
+    ``between`` indexes ``rows``, a mapping from point id to the point's
+    row.  Built from ``d``, the matrix holds every row from the start;
+    ``all_pairs_distances`` passes a mapping that computes a row the first
+    time it is asked for.  ``d`` is every row in point order.
+    """
+
+    def __init__(self, n: int, d=None, rows=None):
+        self.n = n
+        self.rows = dict(enumerate(d)) if rows is None else rows
+
+    @cached_property
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.rows[p] for p in range(self.n))
 
     def between(self, p: int, q: int) -> int:
-        return self.d[p][q]
+        return self.rows[p][q]
+
+
+class _RowsOnFirstUse(dict):
+    """Point id -> distance row; a missing row costs one BFS from its tile."""
+
+    def __init__(self, adjacency: list[list[int]], columns: list[int]):
+        super().__init__()
+        self.adjacency = adjacency
+        self.columns = columns
+        self.points_on: dict[int, list[int]] = {}
+        for p, c in enumerate(columns):
+            self.points_on.setdefault(c, []).append(p)
+        if len(columns) > 1:
+            self.pick = operator.itemgetter(*columns)
+        else:  # itemgetter of one key returns a bare value, not a tuple
+            self.pick = lambda dist: tuple(dist[c] for c in columns)  # noqa: E731
+
+    def __missing__(self, p: int) -> tuple[int, ...]:
+        tile = self.columns[p]
+        row = self.pick(_bfs(self.adjacency, tile))
+        for q in self.points_on[tile]:
+            self[q] = row
+        return row
 
 
 def build_layout(instance: WarehouseInstance) -> GridLayout:
@@ -158,8 +195,8 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     """Shortest 4-connected paths over aisle tiles between all access points.
 
     Storage tiles are never traversed; shortcuts through storage space are
-    deliberately not considered.  One BFS runs per distinct access tile, and
-    every point on that tile shares the resulting row.
+    deliberately not considered.  Rows are computed on first use, one BFS
+    per distinct access tile, and every point on that tile shares the row.
     """
     points = layout.access_points
     index, adjacency = _aisle_graph(layout.aisles)
@@ -167,29 +204,28 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     if off_aisle:
         raise LayoutError(f"access points {off_aisle} are not on aisle tiles")
     columns = [index[p.tile] for p in points]
-    if len(columns) > 1:
-        pick = operator.itemgetter(*columns)
-    else:  # itemgetter of one key returns a bare value, not a tuple
-        pick = lambda dist: tuple(dist[c] for c in columns)  # noqa: E731
 
-    rows_by_tile = {a: pick(_bfs(adjacency, a)) for a in set(columns)}
-    rows = tuple(rows_by_tile[c] for c in columns)
-
-    if any(-1 in row for row in rows_by_tile.values()):
+    component: dict[int, int] = {}  # access tile -> first access tile reaching it
+    for source in columns:
+        if source not in component:
+            hops = _bfs(adjacency, source)
+            for c in columns:
+                if hops[c] >= 0:
+                    component.setdefault(c, source)
+    if len(set(component.values())) > 1:
         unreachable = [
             (p.point_id, q.point_id)
-            for p, row in zip(points, rows)
-            for q, d in zip(points, row)
-            if d < 0 and p.point_id < q.point_id
+            for p, cp in zip(points, columns)
+            for q, cq in zip(points, columns)
+            if component[cp] != component[cq] and p.point_id < q.point_id
         ]
-        if unreachable:
-            raise DisconnectedError(unreachable)
-    return DistanceMatrix(n=len(points), d=rows)
+        raise DisconnectedError(unreachable)
+    return DistanceMatrix(n=len(points), rows=_RowsOnFirstUse(adjacency, columns))
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:
     """Dump the matrix with access-point ids as row/column headers."""
     writer = csv.writer(fileobj)
     writer.writerow(["ap"] + list(range(matrix.n)))
-    for p in range(matrix.n):
-        writer.writerow([p] + list(matrix.d[p]))
+    for p, row in enumerate(matrix.d):
+        writer.writerow([p] + list(row))

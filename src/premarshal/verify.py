@@ -1,7 +1,12 @@
 """Independent validation: a move-plan replayer.
 
-It shares no code with the solvers beyond the core move semantics, so it
-can serve as a differential-test reference.
+It rebuilds the layout, the distance matrix and the virtual lanes from the
+instance and the assignments with the same code as preprocessing
+(``build_layout``, ``all_pairs_distances``, ``to_virtual_lanes``) and applies
+moves with the core move semantics of ``model``; it shares no search or
+bound code with the solvers, so it can serve as a differential-test
+reference for them, not for those shared layers.  Distance rows are
+computed only for the access points the claimed moves touch.
 """
 
 from __future__ import annotations

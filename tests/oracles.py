@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from premarshal import bounds
+from premarshal import bounds, fixing
 from premarshal.model import apply_move, child_key, legal_moves, state_key
 
 
@@ -445,3 +445,16 @@ def _store_every_child(root, dmat, depth_correction, reopen):
             pushes += 1
             heappush(heap, (c_f, c_h, c_dist, pushes, c_key))
     return ("Infeasible", None, None, None, nodes)
+
+
+def full_scan_select(candidates, bay):
+    """The candidate with the least ``bounds.lb``, scanning every candidate.
+
+    Ties fall to the first one found; with no finite bound, the first.
+    """
+    best, best_h = None, math.inf
+    for cand in candidates:
+        h = bounds.lb(fixing._bay_config(bay, cand))
+        if h < best_h:
+            best, best_h = cand, h
+    return best if best is not None else candidates[0]

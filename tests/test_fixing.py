@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from premarshal import bounds, fixing
+from premarshal import bounds, fixing, generate
 from premarshal.layout import all_pairs_distances, build_layout
 from premarshal.model import BaySpec, WarehouseInstance
 
@@ -132,6 +134,49 @@ def test_select_assignment_minimizes_h():
         scores = [bounds.lb(fixing._bay_config(bay, c)) for c in cands]
         assert bounds.lb(fixing._bay_config(bay, chosen)) == min(scores)
         assert chosen is cands[scores.index(min(scores))]
+
+
+@st.composite
+def _bays_and_candidates(draw):
+    """A random bay from the generator and its optimal candidates, in a drawn order."""
+    I, J = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sides = frozenset(draw(st.sets(st.sampled_from("NESW"), min_size=1)))
+    try:
+        bay = generate._generate_bay(
+            draw(st.integers(0, 2**32)), I, J, sides,
+            draw(st.integers(2, 6)), I * J - draw(st.integers(0, I * J)),
+        )
+    except generate.GenerationFailed:
+        assume(False)
+    cands = draw(st.permutations(fixing.optimal_assignments(bay, limit=10)))
+    return bay, cands
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bays_and_candidates())
+def test_select_stops_at_the_first_candidate_on_the_floor(drawn):
+    bay, cands = drawn
+    hs = [bounds.lb(fixing._bay_config(bay, c)) for c in cands]
+    floor = cands[0].misplaced
+    assert all(c.misplaced == floor for c in cands)
+    assert all(h >= floor for h in hs)
+    first = next((n for n, h in enumerate(hs) if h == floor), None)
+
+    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
+        chosen = fixing.select_assignment(cands, bay)
+    assert chosen is oracles.full_scan_select(cands, bay)
+    assert lb.call_count == (len(cands) if first is None else first + 1)
+
+
+def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
+    """The first candidate has GX > 0; the second reaches h = misplaced = 1."""
+    bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
+    cands = fixing.optimal_assignments(bay, limit=10)
+    assert [bounds.lb(fixing._bay_config(bay, c)) for c in cands] == [2, 1] * 4
+    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
+        chosen = fixing.select_assignment(cands, bay)
+    assert chosen is cands[1] is oracles.full_scan_select(cands, bay)
+    assert lb.call_count == 2
 
 
 def test_to_virtual_lanes_and_round_trip():

@@ -1,10 +1,13 @@
 import hashlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from premarshal import layout as layout_module
+from premarshal import pipeline, verify
 from premarshal.generate import GenConfig, generate
 from premarshal.layout import (
     AccessPoint,
@@ -139,6 +142,41 @@ def test_distances_equal_floyd_warshall_on_random_layouts(layout):
         for q in points:
             if q.tile == p.tile:
                 assert matrix.d[q.point_id] == matrix.d[p.point_id]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layouts(), st.randoms(use_true_random=False))
+def test_rows_on_first_use_equal_the_eager_rows(layout, rng):
+    """Asked in any order, every distance is the oracle's, each tile's BFS runs once."""
+    tiles, index, edges = _aisle_graph(layout)
+    oracle = oracles.floyd_warshall(len(tiles), edges)
+    points = layout.access_points
+    pairs = [(p, q) for p in points for q in points]
+    rng.shuffle(pairs)
+    with mock.patch.object(layout_module, "_bfs", wraps=layout_module._bfs) as bfs:
+        matrix = all_pairs_distances(layout)
+        assert bfs.call_count == 1  # the labelling of a connected layout
+        for p, q in pairs:
+            assert matrix.between(p.point_id, q.point_id) == oracle[index[p.tile]][index[q.tile]]
+    sources = [args[1] for args, _ in bfs.call_args_list[1:]]
+    assert sorted(sources) == sorted({index[p.tile] for p in points})
+
+    _, adjacency = layout_module._aisle_graph(layout.aisles)
+    columns = [index[p.tile] for p in points]
+    eager = tuple(
+        tuple(layout_module._bfs(adjacency, index[p.tile])[c] for c in columns)
+        for p in points
+    )
+    assert matrix.d == eager
+
+
+def test_replaying_a_sorted_plan_runs_only_the_connectivity_searches():
+    instance = generate(GenConfig(bay=(3, 3), warehouse=(12, 12), fill=0.6, groups=10, seed=1))
+    result, prepared = pipeline.solve_instance(instance, "astar")
+    assert result.k == 0
+    with mock.patch.object(layout_module, "_bfs", wraps=layout_module._bfs) as bfs:
+        assert verify.replay(instance, prepared.assignments, result).ok
+    assert bfs.call_count == 2  # build_layout's check and the labelling
 
 
 def test_csv_of_a_large_instance_is_pinned():
