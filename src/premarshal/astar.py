@@ -43,12 +43,8 @@ through ``apply_move`` and ``bounds.lb_incremental``.  A child's key is
 patched from its parent's key (``child_key``).
 
 The returned move count is provably minimal; the distance is only the
-tie-broken heuristic value.  h may be non-monotone even though admissible:
-popped f values are monitored, and if one ever decreases the whole search is
-restarted with re-expansion semantics (closed nodes are reopened on
-improvement), which restores optimality unconditionally.  Offering every
-child with f <= F, not only f = F, keeps a child whose f fell below its
-parent's in view of that monitor.
+tie-broken heuristic value.  h is consistent (proved in the ``bounds``
+docstring), so popped f never falls and a closed node stays closed.
 """
 
 from __future__ import annotations
@@ -72,8 +68,6 @@ from .model import (
 )
 
 DEFAULT_TIMEOUT_S = 600.0
-
-_RESTART = object()
 
 
 class _Record:
@@ -121,104 +115,84 @@ def solve_astar(
     2-vCPU host.  The pause costs about 0.25 MB of peak RSS.
     """
     started = time.perf_counter()
+    stats = SolveStats(optimal_moves=True)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        result = _search(config, dmat, started, timeout_s, depth_correction, reopen=False)
-        if result is _RESTART:
-            result = _search(config, dmat, started, timeout_s, depth_correction, reopen=True)
+        aux, profiles, h0 = bounds.lb_state(config)
+        if h0 is bounds.INFEASIBLE:
+            return Infeasible(stats)
+
+        root_rec = _Record(None, None, state_key(config), 0, 0, h0, (0, 0))
+        root_rec.config, root_rec.aux, root_rec.profiles = config, aux, profiles
+        records: dict[tuple, _Record] = {root_rec.key: root_rec}
+        # (f, h, dist, tie, record); h = -1 marks a re-entry of an expanded record.
+        open_heap = [(h0, h0, 0, root_rec.tie, root_rec)]
+        # Lane changes seen by this search's listings, shared between parents.
+        touched: dict[tuple, tuple] = {}
+
+        def expired():
+            return time.perf_counter() - started >= timeout_s
+
+        while open_heap:
+            if expired():
+                return TimedOut(stats)
+            f, h, _dist, tie, rec = heappop(open_heap)
+            if h < 0:
+                expansion = tie[0]
+            else:
+                if rec.closed:
+                    continue
+                rec.closed = True
+                stats.nodes_evaluated += 1
+                expansion = stats.nodes_evaluated
+                if rec.config is None:
+                    parent = rec.parent
+                    rec.config = apply_move(parent.config, rec.move)
+                    rec.aux, rec.profiles, _h = bounds.lb_incremental(
+                        parent.aux, parent.profiles, rec.move, rec.config
+                    )
+
+                if rec.config.blocking_total == 0:
+                    return Solution(
+                        algo="astar",
+                        moves=tuple(_path(rec)),
+                        k=rec.g,
+                        total_distance=rec.dist,
+                        stats=stats,
+                    )
+
+            siblings = bounds.Siblings(rec.config, rec.aux, rec.profiles, touched)
+            c_g = rec.g + 1
+            # One expansion of a large instance can take a while: the listing
+            # looks at the clock inside it too.
+            listed = siblings.select(f - c_g, expired)
+            if listed is None:
+                return TimedOut(stats)
+            groups, above = listed
+            if groups:
+                moves = legal_moves(rec.config, dmat, depth_correction, [g[:2] for g in groups])
+                hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
+                for move, c_h in zip(moves, hs):
+                    c_key = child_key(rec.key, move)
+                    c_f = c_g + c_h
+                    c_dist = rec.dist + move.distance
+                    c_tie = (expansion, siblings.rank(move.from_lane - 1, move.to_lane - 1))
+                    old = records.get(c_key)
+                    if old is not None:
+                        if old.closed or (c_f, c_dist, c_tie) >= (old.f, old.dist, old.tie):
+                            continue
+                        old.closed = True
+                    child = records[c_key] = _Record(rec, move, c_key, c_g, c_dist, c_f, c_tie)
+                    heappush(open_heap, (c_f, c_h, c_dist, c_tie, child))
+            if above is not None:
+                heappush(open_heap, (c_g + above, -1, 0, (expansion, 0), rec))
+
+        return Infeasible(stats)
     finally:
+        stats.wall_time = time.perf_counter() - started
         if enabled:
             gc.enable()
-    return result
-
-
-def _search(root, dmat, started, timeout_s, depth_correction, reopen):
-    aux, profiles, h0 = bounds.lb_state(root)
-    stats = SolveStats(optimal_moves=True)
-    if h0 is bounds.INFEASIBLE:
-        stats.wall_time = time.perf_counter() - started
-        return Infeasible(stats)
-
-    root_rec = _Record(None, None, state_key(root), 0, 0, h0, (0, 0))
-    root_rec.config, root_rec.aux, root_rec.profiles = root, aux, profiles
-    records: dict[tuple, _Record] = {root_rec.key: root_rec}
-    # (f, h, dist, tie, record); h = -1 marks a re-entry of an expanded record.
-    open_heap = [(h0, h0, 0, root_rec.tie, root_rec)]
-    last_f = 0.0
-    # Lane changes seen by this search's listings, shared between parents.
-    touched: dict[tuple, tuple] = {}
-
-    def expired():
-        return time.perf_counter() - started >= timeout_s
-
-    while open_heap:
-        if expired():
-            stats.wall_time = time.perf_counter() - started
-            return TimedOut(stats)
-        f, h, _dist, tie, rec = heappop(open_heap)
-        if h < 0:
-            expansion = tie[0]
-        else:
-            if rec.closed:
-                continue
-            if not reopen and f < last_f:
-                # The heuristic proved non-monotone along this run; redo the
-                # search with re-expansion so no closed node can hide a
-                # shorter plan.
-                return _RESTART
-            last_f = f
-            rec.closed = True
-            stats.nodes_evaluated += 1
-            expansion = stats.nodes_evaluated
-            if rec.config is None:
-                parent = rec.parent
-                rec.config = apply_move(parent.config, rec.move)
-                rec.aux, rec.profiles, _h = bounds.lb_incremental(
-                    parent.aux, parent.profiles, rec.move, rec.config
-                )
-
-            if rec.config.blocking_total == 0:
-                stats.wall_time = time.perf_counter() - started
-                return Solution(
-                    algo="astar",
-                    moves=tuple(_path(rec)),
-                    k=rec.g,
-                    total_distance=rec.dist,
-                    stats=stats,
-                )
-
-        siblings = bounds.Siblings(rec.config, rec.aux, rec.profiles, touched)
-        c_g = rec.g + 1
-        # One expansion of a large instance can take a while: the listing
-        # looks at the clock inside it too.
-        listed = siblings.select(f - c_g, expired)
-        if listed is None:
-            stats.wall_time = time.perf_counter() - started
-            return TimedOut(stats)
-        groups, above = listed
-        if groups:
-            moves = legal_moves(rec.config, dmat, depth_correction, [g[:2] for g in groups])
-            hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
-            for move, c_h in zip(moves, hs):
-                c_key = child_key(rec.key, move)
-                c_f = c_g + c_h
-                c_dist = rec.dist + move.distance
-                c_tie = (expansion, siblings.rank(move.from_lane - 1, move.to_lane - 1))
-                known = records.get(c_key)
-                if known is not None:
-                    if known.closed and not reopen:
-                        continue
-                    if (c_f, c_dist, c_tie) >= (known.f, known.dist, known.tie):
-                        continue
-                    known.closed = True
-                child = records[c_key] = _Record(rec, move, c_key, c_g, c_dist, c_f, c_tie)
-                heappush(open_heap, (c_f, c_h, c_dist, c_tie, child))
-        if above is not None:
-            heappush(open_heap, (c_g + above, -1, 0, (expansion, 0), rec))
-
-    stats.wall_time = time.perf_counter() - started
-    return Infeasible(stats)
 
 
 def _path(rec) -> list[Move]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +49,15 @@ def blockage_likelihood(p_bar: int) -> Fraction:
     return Fraction(p_bar - 1, 2 * p_bar)
 
 
+def budget_seconds(value) -> float:
+    """``value`` as a time budget: a finite number of seconds >= 0."""
+    seconds = float(value)
+    if not 0 <= seconds < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"a time budget must be a finite number of seconds >= 0, "
+                         f"not {value!r}")
+    return seconds
+
+
 @dataclass(frozen=True)
 class SuiteRun:
     """One (config, seed, algo) cell of a suite."""
@@ -63,12 +73,14 @@ def suite_runs(suite: dict) -> list[SuiteRun]:
     Suite schema: {"configs": [{"bay": "3x3", "warehouse": "2x2",
     "fill": 0.6, "classes": 5}], "seeds": [1, 2], "algos": ["astar",
     "exact"], "timeout_s": {"astar": 600, "exact": 3600},
-    "unrestricted": false}.  Runs are ordered (config, seed, algo).
+    "unrestricted": false}.  Runs are ordered (config, seed, algo).  A
+    ``timeout_s`` value that ``budget_seconds`` rejects raises ValueError.
     """
     from .files import parse_layout_label
 
     unrestricted = bool(suite.get("unrestricted", False))
-    timeouts = suite.get("timeout_s", {})
+    timeouts = {algo: budget_seconds(value)
+                for algo, value in suite.get("timeout_s", {}).items()}
     runs = []
     for entry in suite["configs"]:
         for seed in suite["seeds"]:
@@ -150,11 +162,6 @@ def run_group(runs: list[SuiteRun]) -> list[dict]:
                 row["nodes_evaluated"] = result.stats.nodes_evaluated
                 row["solve_s"] = f"{result.stats.wall_time:.6f}"
     return rows
-
-
-def run_one(run: SuiteRun) -> dict:
-    """Execute one suite cell; failures become an unsolved row, not an abort."""
-    return run_group([run])[0]
 
 
 def run_suite(suite: dict, jobs: int = 1) -> list[dict]:

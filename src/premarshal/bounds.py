@@ -16,6 +16,40 @@ negative: removing front prefix loads never lowers a lane's threshold, and a
 removed load of group >= g leaves a threshold >= g behind it, so the slot it
 freed pays for the demand it adds.  A level once covered stays covered.
 
+h is consistent: h(parent) <= h(child) + 1 for every legal move, so a
+node A* closes already has its least g (Pearl, *Heuristics*, 1984,
+section 3.2; Felner et al., "Inconsistent heuristics in theory and
+practice", AIJ 2011).  A cover is a choice of r_l removals per lane after
+which supply meets demand at every level: the removed prefix loads join
+the demand and each lane keeps the rest of its prefix.  GX is the fewest removals of any
+cover.  Let p be the moved load, s its source lane and t its target, and
+mark the child's values with '.  p is a blocker when s has blocking loads
+and a prefix load otherwise.  t is clean when p joins its sorted prefix (t
+has no blocker and a threshold >= p) and blocked otherwise.  Each case
+maps a cover of the child to a cover of the parent that costs at most
+1 + BX' - BX more:
+
+* Blocker to blocked target.  Demand, supply and every prefix are
+  unchanged, so h' = h.
+* Blocker to clean target.  BX' = BX - 1.  The surplus is unchanged at
+  the levels up to p and rises by t's free slots above p up to t's old
+  threshold, so the child's surplus is >= the parent's at every level.  A
+  child cover with r_t >= 1 is a parent cover with r_t - 1: t ends in the
+  same state, and p counts once as demand either way.  One with r_t = 0
+  covers the parent as it stands.  So GX <= GX'.
+* Prefix load to clean target.  BX' = BX.  Raise r_s by 1, which removes
+  p at s, and lower r_t by 1 when it is >= 1.  With r_t >= 1 both sides
+  remove the same loads and end every lane alike.  With r_t = 0 the
+  parent's t has one more free slot at a threshold >= p, which meets p's
+  demand up to level p and adds supply above it.  The residuals are equal
+  or smaller, so GX <= GX' + 1.
+* Prefix load to blocked target.  BX' = BX + 1.  The same raise of r_s
+  removes p at s where the child holds it as a blocker at t; all else is
+  equal, so GX <= GX' + 1.
+
+In every case h = BX + GX <= BX' + GX' + 1 = h' + 1; a child with no
+cover (INFEASIBLE) satisfies it trivially.
+
 An incremental updater recomputes the profiles of the two lanes touched by
 a move and patches the aggregate supply/demand data by differences; its
 result is identical to the from-scratch computation.
@@ -141,11 +175,6 @@ def _cumulate(per_group: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bx_bound(config: LaneConfiguration) -> int:
-    """Every blocking load must move at least once."""
-    return config.blocking_total
-
-
 def _removal_options(
     prefix_groups: tuple[int, ...], free: int, levels: tuple[int, ...], groups: int
 ):
@@ -253,12 +282,12 @@ def lb_state(config: LaneConfiguration):
     profiles = tuple(lane_profile(lane, config.groups) for lane in config.lanes)
     aux = build_aux(profiles, config.groups)
     gx = gx_bound(aux, profiles)
-    h = INFEASIBLE if gx is INFEASIBLE else bx_bound(config) + gx
+    h = INFEASIBLE if gx is INFEASIBLE else config.blocking_total + gx
     return aux, profiles, h
 
 
 def lb(config: LaneConfiguration):
-    """h = bx_bound + gx_bound; admissible for the remaining move count."""
+    """h = BX + gx_bound; admissible for the remaining move count."""
     return lb_state(config)[2]
 
 

@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--algo", required=True, choices=("astar", "exact"))
-    solve.add_argument("--timeout-s", type=float, default=None)
+    solve.add_argument("--timeout-s", type=bench.budget_seconds, default=None,
+                       help="time budget in seconds, a finite number >= 0")
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--ub-from", dest="ub_from", default=None,
                        help="A* solution JSON supplying the exact solver's bounds")

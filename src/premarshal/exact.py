@@ -1,11 +1,11 @@
-"""Exact distance optimizer: iterative deepening over an exact-stage model.
+"""Exact distance optimizer: iterative deepening over the move count.
 
-The model fixes a number of stages k-bar; every stage performs exactly one
-removal and one placement (the front-most load of the source lane goes to
-the first empty slot of the target lane), the final state must have zero
-blocking loads, the total loaded distance may not exceed the upper bound
-c_ub, and a load may not move in two consecutive stages (the relay would
-collapse into a single cheaper move, so the rule never cuts all optima).
+``complete_search`` looks for plans of exactly k-bar moves.  Each move
+takes the front-most load of its source lane to the first empty slot of its
+target lane, the final state must have zero blocking loads, the total
+loaded distance may not exceed the upper bound c_ub, and a load may not
+move twice in a row (the relay would collapse into a single cheaper move,
+so the rule never cuts all optima).
 
 Deepening starts at the lower bound of the initial state and stops at the
 A* move count, which is already minimal; the first feasible k-bar therefore
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from . import bounds
 from .model import (
@@ -57,59 +56,13 @@ class DeadlineReached(Exception):
     """Internal signal: the search hit its wall-clock deadline."""
 
 
-@dataclass(frozen=True)
-class StageModel:
-    """An exactly-k-bar-stage move model over a lane configuration."""
-
-    initial: LaneConfiguration
-    k_bar: int
-    dmat: object
-    c_ub: int
-    depth_correction: bool = False
-
-    def __post_init__(self) -> None:
-        if self.k_bar < 0:
-            raise ValueError("k_bar must be nonnegative")
-        if self.c_ub < 0:
-            raise ValueError("c_ub must be nonnegative")
-
-    @property
-    def slot_count(self) -> int:
-        return sum(lane.capacity for lane in self.initial.lanes)
-
-    @property
-    def num_state_vars(self) -> int:
-        """Slot-group and slot-occupied variables: one per slot per stage 0..k_bar."""
-        return self.slot_count * (self.k_bar + 1)
-
-    @property
-    def num_move_vars(self) -> int:
-        """Removal, placement and blocking variables: one per slot per stage 1..k_bar."""
-        return self.slot_count * self.k_bar
-
-
-def build_model(
-    initial: LaneConfiguration,
-    k_bar: int,
-    dmat,
-    c_ub: int,
-    depth_correction: bool = False,
-) -> StageModel:
-    """Stage-0 state is the initial configuration; construction is total."""
-    return StageModel(
-        initial=initial,
-        k_bar=k_bar,
-        dmat=dmat,
-        c_ub=c_ub,
-        depth_correction=depth_correction,
-    )
-
-
-@dataclass
-class SearchResult:
-    moves: list[Move]
-    distance: int
-    nodes: int = 0
+def model_size(initial: LaneConfiguration, k_bar: int) -> tuple[int, int]:
+    """(state variables, move variables) of the paper's k-bar-stage model:
+    a slot-group and a slot-occupied variable per slot per stage 0..k_bar,
+    and removal, placement and blocking variables per slot per stage
+    1..k_bar."""
+    slots = sum(lane.capacity for lane in initial.lanes)
+    return slots * (k_bar + 1), slots * k_bar
 
 
 class Targets:
@@ -228,26 +181,36 @@ class Targets:
 
 
 def complete_search(
-    model: StageModel,
+    initial: LaneConfiguration,
+    k_bar: int,
+    dmat,
+    c_ub: int,
+    depth_correction: bool = False,
+    *,
     deadline: float | None = None,
     use_memo: bool = True,
     prune_distance: bool = True,
     prune_bound: bool = True,
     counters: SolveStats | None = None,
-) -> SearchResult | None:
-    """Exhaustive DFS over the model's stages; None when infeasible.
+) -> tuple[list[Move], int, int] | None:
+    """(moves, distance, nodes) of the least-distance plan of exactly
+    ``k_bar`` moves within ``c_ub``, by exhaustive DFS; None when there is
+    none.
 
     The prune toggles only change the number of visited nodes, never the
     returned optimum; they exist for differential testing.  Child order is
     (source lane id, target lane id), so results are deterministic.
     """
-    k_bar = model.k_bar
+    if k_bar < 0:
+        raise ValueError("k_bar must be nonnegative")
+    if c_ub < 0:
+        raise ValueError("c_ub must be nonnegative")
     incumbent: list[int | None] = [None]
     best_moves: list[Move] = []
     nodes = [0]
     memo: dict[tuple, int] = {}
-    root_aux, root_profiles, root_h = bounds.lb_state(model.initial)
-    targets = Targets(model.initial, model.dmat, model.depth_correction)
+    root_aux, root_profiles, root_h = bounds.lb_state(initial)
+    targets = Targets(initial, dmat, depth_correction)
     trail: list[Move] = []
 
     def dfs(config, stage, dist, last, aux, profiles, open_mask, clean) -> None:
@@ -255,9 +218,9 @@ def complete_search(
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineReached
         if stage == k_bar:
-            # The distance cap is model semantics, not a prune: it must hold
+            # The distance cap is part of the goal, not a prune: it must hold
             # even with prune_distance switched off.
-            if config.blocking_total == 0 and dist <= model.c_ub:
+            if config.blocking_total == 0 and dist <= c_ub:
                 if incumbent[0] is None or dist < incumbent[0]:
                     incumbent[0] = dist
                     best_moves[:] = trail
@@ -271,7 +234,7 @@ def complete_search(
         remaining = k_bar - (stage + 1)
         budget = None
         if prune_distance:
-            budget = model.c_ub if incumbent[0] is None else min(model.c_ub, incumbent[0] - 1)
+            budget = c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)
             budget -= dist
         moves = targets.moves(config, open_mask, clean, last, budget,
                               remaining if prune_bound else None)
@@ -295,8 +258,8 @@ def complete_search(
 
     try:
         if not (prune_bound and root_h > k_bar):
-            root_masks = targets.masks(model.initial, root_profiles if prune_bound else None)
-            dfs(model.initial, 0, 0, None, root_aux, root_profiles, *root_masks)
+            root_masks = targets.masks(initial, root_profiles if prune_bound else None)
+            dfs(initial, 0, 0, None, root_aux, root_profiles, *root_masks)
     finally:
         if counters is not None:
             counters.nodes_evaluated += nodes[0]
@@ -305,7 +268,7 @@ def complete_search(
         del dfs
     if incumbent[0] is None:
         return None
-    return SearchResult(moves=list(best_moves), distance=incumbent[0], nodes=nodes[0])
+    return list(best_moves), incumbent[0], nodes[0]
 
 
 def solve_exact(
@@ -322,30 +285,24 @@ def solve_exact(
     minimal, so the loop always terminates at or before it).
     """
     started = time.perf_counter()
-    deadline = started + timeout_s
     stats = SolveStats(optimal_moves=True, optimal_distance=True)
-    h0 = bounds.lb(config)
-    if h0 == bounds.INFEASIBLE:
-        stats.wall_time = time.perf_counter() - started
+    try:
+        h0 = bounds.lb(config)
+        if h0 == bounds.INFEASIBLE:
+            return Infeasible(stats)
+        c_ub = astar_solution.total_distance
+        for k_bar in range(int(h0), astar_solution.k + 1):
+            try:
+                result = complete_search(config, k_bar, dmat, c_ub, depth_correction,
+                                         deadline=started + timeout_s, counters=stats)
+            except DeadlineReached:
+                return TimedOut(stats, k_bar_reached=k_bar)
+            if result is not None:
+                moves, distance, _nodes = result
+                return Solution(algo="exact", moves=tuple(moves), k=k_bar,
+                                total_distance=distance, stats=stats)
+        # Unreachable when the A* answer is sound: its own plan is relay-free
+        # and within c_ub, so k_bar = astar.k is always feasible.
         return Infeasible(stats)
-    c_ub = astar_solution.total_distance
-    for k_bar in range(int(h0), astar_solution.k + 1):
-        model = build_model(config, k_bar, dmat, c_ub, depth_correction)
-        try:
-            result = complete_search(model, deadline=deadline, counters=stats)
-        except DeadlineReached:
-            stats.wall_time = time.perf_counter() - started
-            return TimedOut(stats, k_bar_reached=k_bar)
-        if result is not None:
-            stats.wall_time = time.perf_counter() - started
-            return Solution(
-                algo="exact",
-                moves=tuple(result.moves),
-                k=k_bar,
-                total_distance=result.distance,
-                stats=stats,
-            )
-    # Unreachable when the A* answer is sound: its own plan is relay-free
-    # and within c_ub, so k_bar = astar.k is always feasible.
-    stats.wall_time = time.perf_counter() - started
-    return Infeasible(stats)
+    finally:
+        stats.wall_time = time.perf_counter() - started

@@ -384,24 +384,18 @@ def brute_force_optimum(config, dmat, max_k, depth_correction=False):
     raise NoSolutionWithin(max_k)
 
 
-def store_every_child_astar(config, dmat, depth_correction=False):
+def store_every_child_astar(root, dmat, depth_correction=False):
     """A* that stores every child it generates; no deadline.
 
     Returns ("Solution", k, distance, moves, nodes_evaluated), or
     ("Infeasible", None, None, None, nodes_evaluated).  It pops by
     (f, h, dist, push order) and admits a child when its key is new, or is
     not closed and the child's f is smaller, or equal with a smaller dist.
-    If a popped f ever falls it starts again, reopening closed keys on the
-    same rule.  Children get their h from ``bounds.Siblings`` and are built
-    when popped, so a patched ``Siblings.h`` acts here as in ``astar``.
+    It asserts that no popped f falls below the one before, which holds
+    when h is consistent, so a closed key never needs reopening.  Children
+    get their h from ``bounds.Siblings`` and are built when popped, so a
+    patched ``Siblings.h`` acts here as in ``astar``.
     """
-    for reopen in (False, True):
-        got = _store_every_child(config, dmat, depth_correction, reopen)
-        if got is not None:
-            return got
-
-
-def _store_every_child(root, dmat, depth_correction, reopen):
     # A record is [parent, move, g, dist, f, closed, config, aux, profiles].
     aux, profiles, h0 = bounds.lb_state(root)
     if h0 is bounds.INFEASIBLE:
@@ -414,8 +408,7 @@ def _store_every_child(root, dmat, depth_correction, reopen):
         rec = records[key]
         if rec[5]:
             continue
-        if not reopen and f < last_f:
-            return None
+        assert f >= last_f, f"popped f fell from {last_f} to {f}: h is inconsistent"
         last_f = f
         rec[5] = True
         nodes += 1
@@ -437,9 +430,7 @@ def _store_every_child(root, dmat, depth_correction, reopen):
             c_key = child_key(key, move)
             c_f, c_dist = g + 1 + c_h, dist + move.distance
             known = records.get(c_key)
-            if known is not None and (
-                (known[5] and not reopen) or (known[4], known[3]) <= (c_f, c_dist)
-            ):
+            if known is not None and (known[5] or (known[4], known[3]) <= (c_f, c_dist)):
                 continue
             records[c_key] = [rec, move, g + 1, c_dist, c_f, False, None, None, None]
             pushes += 1

@@ -8,7 +8,7 @@ import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds
 from premarshal.generate import GenConfig, generate
-from premarshal.model import Infeasible, Solution, TimedOut, apply_move, state_key
+from premarshal.model import Infeasible, Solution, TimedOut, apply_move
 from premarshal.pipeline import prepare
 
 DMAT = FakeDmat()
@@ -98,49 +98,6 @@ def test_k_matches_plain_search_on_random_states():
     assert solved == 40
 
 
-def _lowered_give(lowered):
-    """A ``Siblings._give`` that, for the (parent, target lane, load) where
-    ``lowered`` holds, sets the BX change to 1 - the parent's BX.  A take
-    removes at most one blocker, so the child's BX part falls to 0 or 1:
-    its h drops to its GX, plus 1 unless the move takes a blocker.  That h
-    is still admissible and >= 0, but no longer consistent.  Both the
-    listing of A* and ``Siblings.h`` of the oracle go through ``_give``."""
-    real_give = bounds.Siblings._give
-
-    def give(self, lane_id, load):
-        bx_change, change, dst = real_give(self, lane_id, load)
-        if lowered(self, lane_id, load):
-            bx_change = 1 - self.config.blocking_total
-        return bx_change, change, dst
-
-    return give
-
-
-def _counted_searches(monkeypatch):
-    """The reopen flag of every ``astar._search`` call, in call order."""
-    searches = []
-    search = astar._search
-
-    def counted_search(*args, reopen):
-        searches.append(reopen)
-        return search(*args, reopen=reopen)
-
-    monkeypatch.setattr(astar, "_search", counted_search)
-    return searches
-
-
-def test_restart_with_reopen_still_optimal(monkeypatch):
-    """Force a non-monotone heuristic; the monitor must restart and reopen."""
-    monkeypatch.setattr(bounds.Siblings, "_give", _lowered_give(lambda *_: True))
-    searches = _counted_searches(monkeypatch)
-    config = make_config([(2, (1, 3), 0), (2, (2, 4), 1), (2, (), 2)], groups=4)
-    assert bounds.lb(config) == 2  # root keeps its real (higher) h
-    result = astar.solve_astar(config, DMAT)
-    assert isinstance(result, Solution)
-    assert result.k == 2
-    assert searches == [False, True]
-
-
 def _outcome(result):
     """(kind, k, distance, moves, nodes_evaluated), as the oracle gives it."""
     if isinstance(result, Solution):
@@ -172,29 +129,6 @@ def test_partial_expansion_equals_the_store_every_child_search(depth_correction)
         assert _outcome(result) == oracles.store_every_child_astar(config, DMAT, depth_correction)
         below += isinstance(result, Solution) and bounds.lb(config) < result.k
     assert below >= 5
-
-
-def test_partial_expansion_equals_the_store_every_child_search_when_h_is_inconsistent(
-    monkeypatch,
-):
-    """The same, with an admissible h lowered on about a third of the
-    (parent, target lane, load) triples: children with f below their
-    parent's, restarts and reopened keys all occur."""
-
-    def lowered(siblings, lane_id, load):
-        key = state_key(siblings.config)
-        return not (sum(i * len(c) for i, c in enumerate(key)) + lane_id + load) % 3
-
-    monkeypatch.setattr(bounds.Siblings, "_give", _lowered_give(lowered))
-    searches = _counted_searches(monkeypatch)
-    rng = random.Random(67)
-    for depth_correction in (False, True):
-        for _ in range(40):
-            config = make_config(_random_lanes(rng), groups=4)
-            result = astar.solve_astar(config, DMAT, depth_correction=depth_correction)
-            assert _outcome(result) == oracles.store_every_child_astar(config, DMAT,
-                                                                       depth_correction)
-    assert searches.count(True) >= 5
 
 
 def test_moves_replay_to_sorted():

@@ -51,6 +51,12 @@ def test_suite_runs_expand_in_config_seed_algo_order():
     assert runs[0].config.fill == 0.6 and runs[4].config.groups == 10
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1, float("inf"), "soon"])
+def test_suite_runs_reject_budgets_that_are_no_finite_number_of_seconds(budget):
+    with pytest.raises(ValueError):
+        bench.suite_runs({**SUITE, "timeout_s": {"exact": 120, "astar": budget}})
+
+
 def test_suite_runs_respect_the_benchmark_grid():
     off_grid = {
         "configs": [{"bay": "2x2", "warehouse": "1x1", "fill": 0.3, "classes": 3}],
@@ -105,7 +111,7 @@ def test_run_one_timeout_row():
         algo="exact",
         timeout_s=0.0,
     )
-    row = bench.run_one(run)
+    row = bench.run_group([run])[0]
     assert row["timed_out"] is True and row["solved"] is False
     assert row["k"] == "" and row["nodes_evaluated"] != ""
 
@@ -116,7 +122,7 @@ def test_run_one_records_failures_instead_of_raising(monkeypatch, capsys):
 
     monkeypatch.setattr(bench, "generate", boom)
     run = bench.suite_runs(SUITE)[0]
-    row = bench.run_one(run)
+    row = bench.run_group([run])[0]
     assert row["solved"] is False and row["timed_out"] is False
     assert row["k"] == "" and row["total_distance"] == ""
     assert "forced failure" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import FakeDmat, make_config
@@ -39,9 +39,9 @@ def test_profile_counts_blocking():
 
 def test_bx_bound_frozen():
     sorted_config = make_config([(3, (5, 2, 1), 0), (2, (), 1)], groups=5)
-    assert bounds.bx_bound(sorted_config) == 0
+    assert sorted_config.blocking_total == 0
     config = make_config([(3, (2, 5, 1), 0), (2, (3,), 1)], groups=5)
-    assert bounds.bx_bound(config) == 2
+    assert config.blocking_total == 2
 
 
 def test_aux_monotonicity():
@@ -149,6 +149,61 @@ def test_incremental_property(lane_specs, rng):
         config = apply_move(config, move)
         aux, profiles, h = bounds.lb_incremental(aux, profiles, move, config)
         assert (aux, profiles, h) == bounds.lb_state(config)
+
+
+@st.composite
+def _mostly_full_states(draw):
+    """(G, lanes): 2-6 lanes of capacity 1-5, at least half of them full on
+    average, so that GX > 0 is common; G is 1-6."""
+    groups = draw(st.integers(min_value=1, max_value=6))
+    lanes = []
+    for idx in range(draw(st.integers(min_value=2, max_value=6))):
+        capacity = draw(st.integers(min_value=1, max_value=5))
+        fill = draw(st.one_of(st.just(capacity), st.integers(min_value=0, max_value=capacity)))
+        contents = draw(st.lists(st.integers(min_value=1, max_value=groups),
+                                 min_size=fill, max_size=fill))
+        lanes.append((capacity, tuple(contents), idx))
+    return groups, lanes
+
+
+def test_h_is_consistent():
+    """h(parent) <= h(child) + 1 for every legal move, and each of the four
+    cases of the proof in the ``bounds`` docstring occurs: the moved load is
+    a blocker or a prefix load of its source, and becomes a blocker at its
+    target or joins the target's sorted prefix.  The proof's sharper claims
+    are checked too: h' = h when a blocker stays a blocker, and h <= h' when
+    a prefix load becomes one.  The child's h is the one A* uses,
+    ``Siblings.h``."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mostly_full_states())
+    # One state with every case: lane 1 offers a blocker, lane 4 a prefix
+    # load, lane 2 is clean and lane 3 blocked for them.
+    @example((2, [(2, (1, 2), 0), (2, (), 1), (2, (1,), 2), (2, (2,), 3)]))
+    def check(state):
+        groups, lanes = state
+        config = make_config(lanes, groups)
+        aux, profiles, h = bounds.lb_state(config)
+        siblings = bounds.Siblings(config, aux, profiles)
+        for move in legal_moves(config, DMAT):
+            c_h = siblings.h(move)
+            assert h <= c_h + 1
+            target = apply_move(config, move).lane(move.to_lane)
+            case = (
+                "blocker" if profiles[move.from_lane - 1].blocking_suffix else "prefix",
+                "blocked" if len(bounds.lane_profile(target, groups).blocking_suffix)
+                > len(profiles[move.to_lane - 1].blocking_suffix) else "clean",
+            )
+            if case == ("blocker", "blocked"):
+                assert c_h == h
+            if case == ("prefix", "blocked"):
+                assert h <= c_h
+            seen.add(case)
+
+    check()
+    assert seen == {("blocker", "blocked"), ("blocker", "clean"),
+                    ("prefix", "blocked"), ("prefix", "clean")}
 
 
 def test_h_zero_iff_sorted_and_covered():

@@ -102,6 +102,17 @@ def test_timeout_exits_2(instance_path, tmp_path, capsys):
     assert "solver timed out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-5", "inf", "soon"])
+def test_budgets_that_are_no_finite_number_of_seconds_exit_1(instance_path, tmp_path,
+                                                              capsys, budget):
+    """NaN would disable the budget (time >= nan is never true) and a
+    negative one would time out at once."""
+    code, out = _solve(instance_path, tmp_path, "astar", "--timeout-s", budget)
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+    assert "--timeout-s" in capsys.readouterr().err
+
+
 def test_out_of_memory_exits_2_without_a_traceback(instance_path, tmp_path, capsys,
                                                    monkeypatch):
     def exhausted(*args, **kwargs):
@@ -280,7 +291,12 @@ def test_bench_rejects_broken_suites(tmp_path, capsys):
     assert cli.main(["bench", "--suite", str(suite), "-o", out]) == cli.EXIT_INVALID
     suite.write_text(json.dumps({"seeds": [1], "algos": ["astar"]}))
     assert cli.main(["bench", "--suite", str(suite), "-o", out]) == cli.EXIT_INVALID
-    capsys.readouterr()
+    suite.write_text(json.dumps({
+        "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.4, "classes": 5}],
+        "seeds": [1], "algos": ["astar"], "timeout_s": {"astar": float("nan")},
+    }))
+    assert cli.main(["bench", "--suite", str(suite), "-o", out]) == cli.EXIT_INVALID
+    assert "bad suite: a time budget" in capsys.readouterr().err
 
 
 def test_distances_command(instance_path, tmp_path, capsys):

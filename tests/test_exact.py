@@ -21,31 +21,27 @@ def _dist_fn(lanes):
 def test_model_variable_counts():
     """8 slots and k-bar 2 give 8*3 state variables and 8*2 move variables."""
     config = make_config([(3, (1,), 0), (3, (), 1), (2, (), 2)], groups=3)
-    model = exact.build_model(config, 2, DMAT, c_ub=10)
-    assert model.slot_count == 8
-    assert model.num_state_vars == 24
-    assert model.num_move_vars == 16
-    flat = exact.build_model(config, 0, DMAT, c_ub=0)
-    assert flat.num_state_vars == 8 and flat.num_move_vars == 0
+    assert exact.model_size(config, 2) == (24, 16)
+    assert exact.model_size(config, 0) == (8, 0)
 
 
 def test_model_rejects_negative_parameters():
     config = make_config([(2, (1,), 0)], groups=1)
     with pytest.raises(ValueError):
-        exact.build_model(config, -1, DMAT, c_ub=5)
+        exact.complete_search(config, -1, DMAT, c_ub=5)
     with pytest.raises(ValueError):
-        exact.build_model(config, 1, DMAT, c_ub=-1)
+        exact.complete_search(config, 1, DMAT, c_ub=-1)
 
 
 def test_relay_rule_forbids_immediate_bounce():
     """A single load cannot fill two stages: moving it twice in a row is banned."""
     lanes = [(1, (1,), 0), (1, (), 1)]
     config = make_config(lanes, groups=1)
-    zero = exact.complete_search(exact.build_model(config, 0, DMAT, c_ub=0))
-    assert zero is not None and zero.distance == 0 and zero.moves == []
-    one = exact.complete_search(exact.build_model(config, 1, DMAT, c_ub=10))
-    assert one is not None and one.distance == 1
-    assert exact.complete_search(exact.build_model(config, 2, DMAT, c_ub=10)) is None
+    zero = exact.complete_search(config, 0, DMAT, c_ub=0)
+    assert zero is not None and zero[:2] == ([], 0)
+    one = exact.complete_search(config, 1, DMAT, c_ub=10)
+    assert one is not None and one[1] == 1
+    assert exact.complete_search(config, 2, DMAT, c_ub=10) is None
     assert oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), 2, 10) is None
 
 
@@ -54,9 +50,11 @@ def test_two_loads_relay_through_each_other():
     # lane 1's load can land in the freed slot.
     lanes = [(1, (1,), 0), (1, (2,), 1), (2, (), 2)]
     config = make_config(lanes, groups=2)
-    result = exact.complete_search(exact.build_model(config, 2, DMAT, c_ub=100))
-    assert result is not None and result.distance == 2
-    assert [(m.from_lane, m.to_lane) for m in result.moves] == [(2, 3), (1, 2)]
+    result = exact.complete_search(config, 2, DMAT, c_ub=100)
+    assert result is not None
+    moves, distance, _nodes = result
+    assert distance == 2
+    assert [(m.from_lane, m.to_lane) for m in moves] == [(2, 3), (1, 2)]
     assert oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), 2, 100) == 2
 
 
@@ -64,16 +62,12 @@ def test_distance_cap_is_part_of_the_goal():
     """c_ub must hold even with distance pruning switched off."""
     lanes = [(2, (1, 3), 0), (1, (), 5)]
     config = make_config(lanes, groups=3)
-    assert exact.complete_search(exact.build_model(config, 0, DMAT, c_ub=100)) is None
+    assert exact.complete_search(config, 0, DMAT, c_ub=100) is None
     for prune in (False, True):
-        capped = exact.complete_search(
-            exact.build_model(config, 1, DMAT, c_ub=4), prune_distance=prune
-        )
+        capped = exact.complete_search(config, 1, DMAT, c_ub=4, prune_distance=prune)
         assert capped is None
-        exactly = exact.complete_search(
-            exact.build_model(config, 1, DMAT, c_ub=5), prune_distance=prune
-        )
-        assert exactly is not None and exactly.distance == 5
+        exactly = exact.complete_search(config, 1, DMAT, c_ub=5, prune_distance=prune)
+        assert exactly is not None and exactly[1] == 5
 
 
 def test_toggles_never_change_the_answer():
@@ -93,10 +87,9 @@ def test_toggles_never_change_the_answer():
             expected = oracles.staged_optimum(
                 [l[:2] for l in lanes], _dist_fn(lanes), k_bar, 10_000
             )
-            model = exact.build_model(config, k_bar, DMAT, c_ub=10_000)
             for use_memo, prune_distance, prune_bound in toggles:
                 result = exact.complete_search(
-                    model,
+                    config, k_bar, DMAT, c_ub=10_000,
                     use_memo=use_memo,
                     prune_distance=prune_distance,
                     prune_bound=prune_bound,
@@ -104,39 +97,39 @@ def test_toggles_never_change_the_answer():
                 if expected is None:
                     assert result is None
                     continue
-                assert result is not None and result.distance == expected
+                assert result is not None and result[1] == expected
             if expected is None:
                 continue
             # boundary: the cap is attainable at equality and not below it
-            tight = exact.complete_search(exact.build_model(config, k_bar, DMAT, expected))
-            assert tight is not None and tight.distance == expected
-            assert len(tight.moves) == k_bar
-            assert sum(m.distance for m in tight.moves) == expected
-            for prev, nxt in zip(tight.moves, tight.moves[1:]):
+            tight = exact.complete_search(config, k_bar, DMAT, expected)
+            assert tight is not None
+            moves, distance, _nodes = tight
+            assert distance == expected
+            assert len(moves) == k_bar
+            assert sum(m.distance for m in moves) == expected
+            for prev, nxt in zip(moves, moves[1:]):
                 assert nxt.from_lane != prev.to_lane
             state = config
-            for move in tight.moves:
+            for move in moves:
                 state = apply_move(state, move)
             assert state.is_sorted
             if expected > 0:
-                below = exact.complete_search(
-                    exact.build_model(config, k_bar, DMAT, expected - 1)
-                )
-                assert below is None
+                assert exact.complete_search(config, k_bar, DMAT, expected - 1) is None
 
 
 def test_counters_and_prunes_only_save_work():
     config = make_config([(3, (1, 3), 0), (3, (2, 4), 1), (3, (), 2)], groups=4)
-    model = exact.build_model(config, 2, DMAT, c_ub=1_000)
     counters = SolveStats()
-    fast = exact.complete_search(model, counters=counters)
+    fast = exact.complete_search(config, 2, DMAT, c_ub=1_000, counters=counters)
     bare = exact.complete_search(
-        model, use_memo=False, prune_distance=False, prune_bound=False
+        config, 2, DMAT, c_ub=1_000, use_memo=False, prune_distance=False, prune_bound=False
     )
     assert fast is not None and bare is not None
-    assert fast.distance == bare.distance
-    assert fast.nodes <= bare.nodes
-    assert counters.nodes_evaluated == fast.nodes
+    _moves, fast_distance, fast_nodes = fast
+    _moves, bare_distance, bare_nodes = bare
+    assert fast_distance == bare_distance
+    assert fast_nodes <= bare_nodes
+    assert counters.nodes_evaluated == fast_nodes
 
 
 def test_solve_exact_matches_lexicographic_oracle():
@@ -300,12 +293,12 @@ def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub):
     """The BX pre-check and the full bound cut only dead subtrees, so the
     plan found is the one the unbounded search finds first."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
-    model = exact.build_model(make_config(lanes, groups=4), k_bar, DMAT, c_ub)
-    bounded = exact.complete_search(model)
-    unbounded = exact.complete_search(model, prune_bound=False)
+    config = make_config(lanes, groups=4)
+    bounded = exact.complete_search(config, k_bar, DMAT, c_ub)
+    unbounded = exact.complete_search(config, k_bar, DMAT, c_ub, prune_bound=False)
     if unbounded is None:
         assert bounded is None
         return
     assert bounded is not None
-    assert (bounded.moves, bounded.distance) == (unbounded.moves, unbounded.distance)
-    assert bounded.nodes <= unbounded.nodes
+    assert bounded[:2] == unbounded[:2]
+    assert bounded[2] <= unbounded[2]
