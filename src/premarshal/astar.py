@@ -22,11 +22,11 @@ rank n of its move among all of the parent's moves in ``legal_moves``
 order.  If some child has f > F, the parent goes back on the queue as a
 re-entry with key (F', -1, 0, (expansion number, 0)), F' the least such f.
 h >= 0 for every node, so the re-entry pops before any node of f = F';
-popping it lists the children again from the parent's configuration, aux
-and profiles and offers those with f <= F'.  A re-entry is not counted in
-``nodes_evaluated``, closes nothing and is not goal-tested.  A child
-offered again has the same (f, dist, tie) as before, so its second offer
-is never admitted.
+popping it lists the children again from the parent's configuration,
+surplus and profiles and offers those with f <= F'.  A re-entry is not
+counted in ``nodes_evaluated``, closes nothing and is not goal-tested.  A
+child offered again has the same (f, dist, tie) as before, so its second
+offer is never admitted.
 
 A child is admitted when its key is not closed and it is new or its
 (f, dist, tie) is lexicographically below the stored record's.  Children
@@ -37,9 +37,9 @@ deferred children are offered.  So the plan, k, distance and node count are
 those of the store-every-child search.
 
 Children are not built when they are offered either.  A record keeps the
-parent, the move, its key, g, dist, f and tie; its configuration, bound aux
-and lane profiles are built only when it is popped, from the parent's
-through ``apply_move`` and ``bounds.lb_incremental``.  A child's key is
+parent, the move, its key, g, dist, f and tie; its configuration, bound
+surplus and lane profiles are built only when it is popped, from the
+parent's through ``apply_move`` and ``bounds.lb_incremental``.  A child's key is
 patched from its parent's key (``child_key``).
 
 The returned move count is provably minimal; the distance is only the
@@ -76,12 +76,12 @@ class _Record:
     The parent is the record object, not its key: a key's record may be
     replaced by a later, cheaper admission, but an already-linked chain must
     keep the g/dist values it was built with.  A replaced record is marked
-    closed so that its queue entry is skipped.  ``config``, ``aux`` and
+    closed so that its queue entry is skipped.  ``config``, ``surplus`` and
     ``profiles`` stay None until the record is popped.
     """
 
     __slots__ = ("parent", "move", "key", "g", "dist", "f", "tie", "closed",
-                 "config", "aux", "profiles")
+                 "config", "surplus", "profiles")
 
     def __init__(self, parent: "_Record | None", move: Move | None, key: tuple,
                  g: int, dist: int, f, tie: tuple[int, int]):
@@ -94,7 +94,7 @@ class _Record:
         self.tie = tie
         self.closed = False
         self.config: LaneConfiguration | None = None
-        self.aux = None
+        self.surplus = None
         self.profiles = None
 
 
@@ -119,12 +119,9 @@ def solve_astar(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        aux, profiles, h0 = bounds.lb_state(config)
-        if h0 is bounds.INFEASIBLE:
-            return Infeasible(stats)
-
+        surplus, profiles, h0 = bounds.lb_state(config)
         root_rec = _Record(None, None, state_key(config), 0, 0, h0, (0, 0))
-        root_rec.config, root_rec.aux, root_rec.profiles = config, aux, profiles
+        root_rec.config, root_rec.surplus, root_rec.profiles = config, surplus, profiles
         records: dict[tuple, _Record] = {root_rec.key: root_rec}
         # (f, h, dist, tie, record); h = -1 marks a re-entry of an expanded record.
         open_heap = [(h0, h0, 0, root_rec.tie, root_rec)]
@@ -149,8 +146,8 @@ def solve_astar(
                 if rec.config is None:
                     parent = rec.parent
                     rec.config = apply_move(parent.config, rec.move)
-                    rec.aux, rec.profiles, _h = bounds.lb_incremental(
-                        parent.aux, parent.profiles, rec.move, rec.config
+                    rec.surplus, rec.profiles, _h = bounds.lb_incremental(
+                        parent.surplus, parent.profiles, rec.move, rec.config
                     )
 
                 if rec.config.blocking_total == 0:
@@ -162,7 +159,7 @@ def solve_astar(
                         stats=stats,
                     )
 
-            siblings = bounds.Siblings(rec.config, rec.aux, rec.profiles, touched)
+            siblings = bounds.Siblings(rec.config, rec.surplus, rec.profiles, touched)
             c_g = rec.g + 1
             # One expansion of a large instance can take a while: the listing
             # looks at the clock inside it too.

@@ -128,8 +128,11 @@ def run_group(runs: list[SuiteRun]) -> list[dict]:
     """Execute suite cells of one (config, seed): generate and prepare once.
 
     Every algorithm solves from the same prepared instance, so each row's
-    ``preprocessing_s`` is that one preparation.  Failures become unsolved
-    rows, not an abort: a failed preparation fails every cell of the group.
+    ``preprocessing_s`` is that one preparation.  An exact cell after a
+    solved A* cell takes that A* solution for its bounds instead of running
+    A* again, so its ``timeout_s`` covers the exact search only.  Failures
+    become unsolved rows, not an abort: a failed preparation fails every
+    cell of the group.
     """
     rows = [_row(run) for run in runs]
     try:
@@ -139,16 +142,20 @@ def run_group(runs: list[SuiteRun]) -> list[dict]:
         for row in rows:
             _report(row, exc)
         return rows
+    astar_solution = None
     for run, row in zip(runs, rows):
         try:
             result, _ = solve_instance(
-                instance, run.algo, timeout_s=run.timeout_s, prepared=prepared
+                instance, run.algo, timeout_s=run.timeout_s, prepared=prepared,
+                ub_solution=astar_solution,
             )
         except Exception as exc:  # noqa: BLE001 - recorded per the suite contract
             _report(row, exc)
             continue
         row["preprocessing_s"] = f"{prepared.preprocessing_time:.6f}"
         if isinstance(result, Solution):
+            if run.algo == "astar":
+                astar_solution = result
             row.update(
                 solved=True,
                 k=result.k,

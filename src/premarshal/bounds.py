@@ -10,6 +10,16 @@ free slots, and every such removal is one extra move.  The covering problem
 is solved exactly per call, so the bound is as tight as this relaxation
 permits while remaining admissible.
 
+The bound passes one vector from node to node, the surplus: ``surplus[g-1]``
+is the demand at groups >= g less the supply at thresholds >= g, and the
+levels where it is positive are the ones a cover must raise.
+
+A cover always exists, so GX is finite.  Clearing every sorted prefix puts
+every load in the demand and frees every slot at threshold G.  At every
+level g the demand is then at most the number of loads, which is at most
+the total capacity, and that capacity is the supply at every level.  So GX
+is at most the total prefix length, the cost of full clearing.
+
 The covering problem is a dynamic program over the lanes, memoised on (lane
 index, residual demand clipped at 0).  Clipping is exact because no gain is
 negative: removing front prefix loads never lowers a lane's threshold, and a
@@ -47,22 +57,22 @@ maps a cover of the child to a cover of the parent that costs at most
   removes p at s where the child holds it as a blocker at t; all else is
   equal, so GX <= GX' + 1.
 
-In every case h = BX + GX <= BX' + GX' + 1 = h' + 1; a child with no
-cover (INFEASIBLE) satisfies it trivially.
+In every case h = BX + GX <= BX' + GX' + 1 = h' + 1.
 
-An incremental updater recomputes the profiles of the two lanes touched by
-a move and patches the aggregate supply/demand data by differences; its
-result is identical to the from-scratch computation.
+``lane_change`` re-profiles one lane that comes to hold new contents and
+gives its BX change and surplus change.  ``lb_incremental`` applies it to
+the two lanes a move touches and adds both surplus changes to the parent's
+surplus; its result is identical to the from-scratch computation.
 
 ``Siblings`` gives the h of every child of one parent without building the
 child.  The source lane's state after losing its front load, and a target
-lane's after receiving a load of group p, are profiled once per parent; a
-child's demand and supply then differ from the parent's by two cached O(G)
-vectors.  When some level has a deficit, the child's lanes offer the
-parent's removal options with those of the two touched lanes swapped.  The
-minimum is shared between siblings: given the parent, it is fixed by the
-levels, their needs and the options swapped out and in once equal ones
-cancel.
+lane's after receiving a load of group p, go through ``lane_change`` once
+per parent; a child's surplus then differs from the parent's by those two
+cached O(G) surplus changes.  When some level has a deficit, the child's
+lanes offer the parent's removal options with those of the two touched
+lanes swapped.  The minimum is shared between siblings: given the parent,
+it is fixed by the levels, their needs and the options swapped out and in
+once equal ones cancel.
 
 ``Siblings.select`` lists the children whose h is at most a limit, and the
 least h above it, the way A* asks for them.  A child's h is its source's
@@ -78,10 +88,9 @@ above the least h above the limit found so far.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import add, gt, itemgetter, sub
+from itertools import accumulate, groupby
+from operator import add, gt, itemgetter
 from typing import Sequence
 
 from .model import (
@@ -90,11 +99,6 @@ from .model import (
     VirtualLane,
     non_increasing_prefix_len,
 )
-
-#: Sentinel returned by gx_bound when even clearing every prefix cannot
-#: cover the demand.  Structurally unreachable (full clearing always
-#: supplies the whole capacity at threshold G), kept as a guard.
-INFEASIBLE = math.inf
 
 
 @dataclass(frozen=True)
@@ -111,30 +115,6 @@ class LaneProfile:
     free_after_clear: int
     prefix_groups: tuple[int, ...] = ()
 
-    @property
-    def occupied(self) -> int:
-        return self.prefix_len + len(self.blocking_suffix)
-
-
-@dataclass(frozen=True)
-class SupplyDemandAux:
-    """Aggregate demand/supply counts, cumulative from group G downward.
-
-    ``demand[g-1]`` counts blocking loads of group g over all lanes;
-    ``supply_at[g-1]`` sums free_after_clear over lanes with threshold g.
-    ``cum_demand[g-1]`` is the demand at groups >= g, ``cum_supply[g-1]``
-    the supply at thresholds >= g; both are non-increasing in g.
-    """
-
-    groups: int
-    demand: tuple[int, ...]
-    supply_at: tuple[int, ...]
-    cum_demand: tuple[int, ...]
-    cum_supply: tuple[int, ...]
-
-    def surplus(self, g: int) -> int:
-        return self.cum_demand[g - 1] - self.cum_supply[g - 1]
-
 
 def lane_profile(lane: VirtualLane, groups: int) -> LaneProfile:
     """Profile a lane: sorted-prefix length, its front group, the blocking
@@ -150,29 +130,24 @@ def lane_profile(lane: VirtualLane, groups: int) -> LaneProfile:
     )
 
 
-def build_aux(profiles: Sequence[LaneProfile], groups: int) -> SupplyDemandAux:
-    demand = [0] * groups
-    supply_at = [0] * groups
-    for prof in profiles:
-        for g in prof.blocking_suffix:
-            demand[g - 1] += 1
-        supply_at[prof.threshold - 1] += prof.free_after_clear
-    return SupplyDemandAux(
-        groups=groups,
-        demand=tuple(demand),
-        supply_at=tuple(supply_at),
-        cum_demand=_cumulate(demand),
-        cum_supply=_cumulate(supply_at),
-    )
+def lane_change(old: LaneProfile, lane: VirtualLane, groups: int) -> tuple:
+    """BX change, surplus change and new profile when the lane profiled by
+    ``old`` comes to be ``lane``."""
+    new = lane_profile(lane, groups)
+    per_group = [0] * groups
+    for g in new.blocking_suffix:
+        per_group[g - 1] += 1
+    for g in old.blocking_suffix:
+        per_group[g - 1] -= 1
+    per_group[old.threshold - 1] += old.free_after_clear
+    per_group[new.threshold - 1] -= new.free_after_clear
+    bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
+    return bx_change, _cumulate(per_group), new
 
 
 def _cumulate(per_group: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(per_group)
-    running = 0
-    for idx in range(len(per_group) - 1, -1, -1):
-        running += per_group[idx]
-        out[idx] = running
-    return tuple(out)
+    """Entry g-1 is the sum of ``per_group`` over the groups >= g."""
+    return tuple(accumulate(reversed(per_group)))[::-1]
 
 
 def _removal_options(
@@ -217,8 +192,8 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
     ``frontier`` maps each residual need, clipped at 0, to the fewest
     removals that leave it after the lanes so far.  A residual that the
     remaining lanes cannot cover at full clearing is dropped, and so is a
-    cost that cannot beat the best cover found (full clearing to start).
-    Returns INFEASIBLE when even full clearing of every lane falls short.
+    cost that cannot beat the best cover found (full clearing to start,
+    which always covers: see the module docstring).
     """
     zero = (0,) * len(needs)
     # reach[idx]: the gain of clearing every lane from idx on.
@@ -226,8 +201,6 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
     for options in reversed(lane_options):
         reach.append(tuple(map(add, reach[-1], options[-1][1])))
     reach.reverse()
-    if any(map(gt, needs, reach[0])):
-        return INFEASIBLE
 
     best = sum(options[-1][0] for options in lane_options)
     frontier = {needs: 0}
@@ -253,37 +226,34 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
     return best
 
 
-def gx_bound(aux: SupplyDemandAux, profiles: Sequence[LaneProfile]):
-    """Exact minimum of the covering problem; 0 when supply already covers.
-
-    Returns INFEASIBLE (math.inf) when even full clearing cannot cover the
-    demand, signalling an unsolvable configuration.
-    """
-    groups = aux.groups
-    levels = tuple(
-        g for g in range(1, groups + 1) if aux.cum_demand[g - 1] > aux.cum_supply[g - 1]
-    )
+def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile]) -> int:
+    """Exact minimum of the covering problem; 0 when supply already covers."""
+    levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
     if not levels:
         return 0
 
-    needs = tuple(aux.cum_demand[g - 1] - aux.cum_supply[g - 1] for g in levels)
+    needs = tuple(x for x in surplus if x > 0)
     lane_options = []
     for prof in profiles:
         if prof.prefix_len == 0:
             continue
-        options = _removal_options(prof.prefix_groups, prof.free_after_clear, levels, groups)
+        options = _removal_options(prof.prefix_groups, prof.free_after_clear, levels,
+                                   len(surplus))
         if len(options) > 1:
             lane_options.append(options)
     return _cover(lane_options, needs)
 
 
 def lb_state(config: LaneConfiguration):
-    """Full evaluation: (aux, profiles, h) for incremental updates later."""
+    """Full evaluation: (surplus, profiles, h) for incremental updates later."""
     profiles = tuple(lane_profile(lane, config.groups) for lane in config.lanes)
-    aux = build_aux(profiles, config.groups)
-    gx = gx_bound(aux, profiles)
-    h = INFEASIBLE if gx is INFEASIBLE else config.blocking_total + gx
-    return aux, profiles, h
+    per_group = [0] * config.groups
+    for prof in profiles:
+        for g in prof.blocking_suffix:
+            per_group[g - 1] += 1
+        per_group[prof.threshold - 1] -= prof.free_after_clear
+    surplus = _cumulate(per_group)
+    return surplus, profiles, config.blocking_total + gx_bound(surplus, profiles)
 
 
 def lb(config: LaneConfiguration):
@@ -292,43 +262,27 @@ def lb(config: LaneConfiguration):
 
 
 def lb_incremental(
-    parent_aux: SupplyDemandAux,
+    parent_surplus: tuple[int, ...],
     parent_profiles: Sequence[LaneProfile],
     move: Move,
     child: LaneConfiguration,
 ):
-    """Re-profile only the two lanes touched by ``move`` and patch the
-    aggregates by differences; h is identical to lb(child) from scratch."""
-    groups = child.groups
-    demand = list(parent_aux.demand)
-    supply_at = list(parent_aux.supply_at)
+    """Re-profile only the two lanes touched by ``move`` and add their
+    surplus changes; equal to lb_state(child) from scratch."""
     profiles = list(parent_profiles)
-    for lane_id in (move.from_lane, move.to_lane):
-        old = profiles[lane_id - 1]
-        new = lane_profile(child.lane(lane_id), groups)
-        for g in old.blocking_suffix:
-            demand[g - 1] -= 1
-        for g in new.blocking_suffix:
-            demand[g - 1] += 1
-        supply_at[old.threshold - 1] -= old.free_after_clear
-        supply_at[new.threshold - 1] += new.free_after_clear
-        profiles[lane_id - 1] = new
-    aux = SupplyDemandAux(
-        groups=groups,
-        demand=tuple(demand),
-        supply_at=tuple(supply_at),
-        cum_demand=_cumulate(demand),
-        cum_supply=_cumulate(supply_at),
-    )
+    src, dst = move.from_lane - 1, move.to_lane - 1
+    _bx, src_change, profiles[src] = lane_change(profiles[src], child.lanes[src], child.groups)
+    _bx, dst_change, profiles[dst] = lane_change(profiles[dst], child.lanes[dst], child.groups)
+    surplus = tuple(map(add, parent_surplus, src_change))
+    surplus = tuple(map(add, surplus, dst_change))
     profiles = tuple(profiles)
-    gx = gx_bound(aux, profiles)
-    h = INFEASIBLE if gx is INFEASIBLE else child.blocking_total + gx
-    return aux, profiles, h
+    return surplus, profiles, child.blocking_total + gx_bound(surplus, profiles)
 
 
 class Siblings:
-    """h of the children of one parent, from the parent's profiles and aux
-    and the move, without building the children; equal to lb(apply_move(...)).
+    """h of the children of one parent, from the parent's surplus and
+    profiles and the move, without building the children; equal to
+    lb(apply_move(...)).
 
     ``h`` gives one child's h.  ``select`` lists the children whose h is at
     most a limit, and the least h above it, without an h per child where a
@@ -337,12 +291,12 @@ class Siblings:
     for ``touched``, which the parents of one search can share.
     """
 
-    def __init__(self, config: LaneConfiguration, aux: SupplyDemandAux, profiles,
+    def __init__(self, config: LaneConfiguration, surplus: tuple[int, ...], profiles,
                  touched: dict | None = None):
         self.config = config
+        self.surplus = surplus
         self.profiles = profiles
-        self.surplus = tuple(map(sub, aux.cum_demand, aux.cum_supply))
-        #: (capacity, contents, new contents) -> ``_touch`` result; it depends
+        #: (capacity, contents, new contents) -> ``lane_change`` result; it depends
         #: on nothing else, so one search may share it between its parents
         self._touched = {} if touched is None else touched
         #: source lane id -> (BX, load, surplus, profile) once its front load is gone
@@ -357,7 +311,7 @@ class Siblings:
         #: (prefix groups, free slots, levels) -> removal options, None if trivial
         self._shapes: dict[tuple, tuple] = {}
         #: (levels, needs, options out, options in) -> GX
-        self._minima: dict[tuple, float] = {}
+        self._minima: dict[tuple, int] = {}
         #: lane index -> pairs of the sources before it, and its rank among
         #: the lanes with room (0 if full); set by ``select``
         self._first: list[int] = []
@@ -370,8 +324,7 @@ class Siblings:
         surplus = tuple(map(add, surplus, change))
         if max(surplus) <= 0:
             return bx + bx_change
-        gx = self._gx(surplus, move.from_lane, src, move.to_lane, dst)
-        return INFEASIBLE if gx is INFEASIBLE else bx + bx_change + gx
+        return bx + bx_change + self._gx(surplus, move.from_lane, src, move.to_lane, dst)
 
     def select(self, limit, expired=None):
         """The children whose h is at most ``limit``, and the least h above it.
@@ -379,7 +332,7 @@ class Siblings:
         Returns ``(groups, above)``.  ``groups`` holds the kept children as
         (source lane index, target mask, h), bit i of a mask standing for
         lane index i, in the order ``legal_moves`` gives their moves;
-        ``above`` is the least finite h above ``limit``, or None.  Returns
+        ``above`` is the least h above ``limit``, or None.  Returns
         None once ``expired()`` is true; it is read before each source lane
         and before each (source, class) pair that needs GX.  The module
         docstring says how the children are listed; the pairs that need GX
@@ -424,10 +377,7 @@ class Siblings:
             _bx, load, _surplus, src = self._taken_of(s + 1)
             for low in _bits(mask):
                 t = low.bit_length()
-                gx = self._gx(surplus, s + 1, src, t, self._give(t, load)[2])
-                if gx is INFEASIBLE:
-                    continue
-                h = bx + gx
+                h = bx + self._gx(surplus, s + 1, src, t, self._give(t, load)[2])
                 if h <= limit:
                     kept.append((s, low, h))
                 elif above is None or h < above:
@@ -481,26 +431,16 @@ class Siblings:
         return pairs
 
     def _touch(self, lane_id: int, contents: tuple[int, ...]) -> tuple:
-        """BX change, change of cum_demand - cum_supply, and the new profile
-        when one lane comes to hold ``contents``."""
+        """``lane_change`` of one lane coming to hold ``contents``, memoised."""
         lane = self.config.lanes[lane_id - 1]
         key = (lane.capacity, lane.contents, contents)
         touched = self._touched.get(key)
         if touched is None:
-            old = self.profiles[lane_id - 1]
-            new = lane_profile(
+            touched = self._touched[key] = lane_change(
+                self.profiles[lane_id - 1],
                 VirtualLane(lane_id, lane.access_point, lane.capacity, contents),
                 self.config.groups,
             )
-            per_group = [0] * self.config.groups
-            for g in new.blocking_suffix:
-                per_group[g - 1] += 1
-            for g in old.blocking_suffix:
-                per_group[g - 1] -= 1
-            per_group[old.threshold - 1] += old.free_after_clear
-            per_group[new.threshold - 1] -= new.free_after_clear
-            bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
-            touched = self._touched[key] = (bx_change, _cumulate(per_group), new)
         return touched
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):

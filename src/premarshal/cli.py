@@ -184,14 +184,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    jobs = args.jobs
+    if jobs is None:
+        value = os.environ.get("MARSHAL_JOBS", "1")
+        try:
+            jobs = int(value)
+        except ValueError:
+            raise _Failure(EXIT_USAGE, f"MARSHAL_JOBS must be an integer, not {value!r}") from None
     try:
         with open(args.suite, encoding="utf-8") as f:
             suite = json.load(f)
     except (OSError, ValueError) as exc:
         raise _Failure(EXIT_INVALID, f"cannot read suite {args.suite}: {exc}") from exc
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("MARSHAL_JOBS", "1"))
     try:
         rows = bench.run_suite(suite, jobs=max(1, jobs))
     except (KeyError, TypeError, ValueError) as exc:

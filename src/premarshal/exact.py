@@ -209,11 +209,11 @@ def complete_search(
     best_moves: list[Move] = []
     nodes = [0]
     memo: dict[tuple, int] = {}
-    root_aux, root_profiles, root_h = bounds.lb_state(initial)
+    root_surplus, root_profiles, root_h = bounds.lb_state(initial)
     targets = Targets(initial, dmat, depth_correction)
     trail: list[Move] = []
 
-    def dfs(config, stage, dist, last, aux, profiles, open_mask, clean) -> None:
+    def dfs(config, stage, dist, last, surplus, profiles, open_mask, clean) -> None:
         nodes[0] += 1
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineReached
@@ -246,20 +246,20 @@ def complete_search(
                 continue
             child = apply_move(config, move)
             if prune_bound:
-                c_aux, c_profiles, c_h = bounds.lb_incremental(aux, profiles, move, child)
+                c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child)
                 if c_h > remaining:
                     continue
             else:
-                c_aux = c_profiles = None
+                c_surplus = c_profiles = None
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
-            dfs(child, stage + 1, c_dist, move.to_lane - 1, c_aux, c_profiles, c_open, c_clean)
+            dfs(child, stage + 1, c_dist, move.to_lane - 1, c_surplus, c_profiles, c_open, c_clean)
             trail.pop()
 
     try:
         if not (prune_bound and root_h > k_bar):
             root_masks = targets.masks(initial, root_profiles if prune_bound else None)
-            dfs(initial, 0, 0, None, root_aux, root_profiles, *root_masks)
+            dfs(initial, 0, 0, None, root_surplus, root_profiles, *root_masks)
     finally:
         if counters is not None:
             counters.nodes_evaluated += nodes[0]
@@ -287,11 +287,8 @@ def solve_exact(
     started = time.perf_counter()
     stats = SolveStats(optimal_moves=True, optimal_distance=True)
     try:
-        h0 = bounds.lb(config)
-        if h0 == bounds.INFEASIBLE:
-            return Infeasible(stats)
         c_ub = astar_solution.total_distance
-        for k_bar in range(int(h0), astar_solution.k + 1):
+        for k_bar in range(bounds.lb(config), astar_solution.k + 1):
             try:
                 result = complete_search(config, k_bar, dmat, c_ub, depth_correction,
                                          deadline=started + timeout_s, counters=stats)

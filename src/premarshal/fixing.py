@@ -395,14 +395,13 @@ def select_assignment(candidates: list[AccessAssignment], bay: BaySpec) -> Acces
         raise ValueError("no candidate assignments")
     floor = min(cand.misplaced for cand in candidates)
     best = None
-    best_h = math.inf
     for cand in candidates:
         h = bounds.lb(_bay_config(bay, cand))
-        if h < best_h:
+        if best is None or h < best_h:
             best, best_h = cand, h
             if h == floor:
                 break
-    return best if best is not None else candidates[0]
+    return best
 
 
 def has_hole_free_assignment(bay: BaySpec) -> bool:

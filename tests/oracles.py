@@ -396,11 +396,9 @@ def store_every_child_astar(root, dmat, depth_correction=False):
     get their h from ``bounds.Siblings`` and are built when popped, so a
     patched ``Siblings.h`` acts here as in ``astar``.
     """
-    # A record is [parent, move, g, dist, f, closed, config, aux, profiles].
-    aux, profiles, h0 = bounds.lb_state(root)
-    if h0 is bounds.INFEASIBLE:
-        return ("Infeasible", None, None, None, 0)
-    records = {state_key(root): [None, None, 0, 0, h0, False, root, aux, profiles]}
+    # A record is [parent, move, g, dist, f, closed, config, surplus, profiles].
+    surplus, profiles, h0 = bounds.lb_state(root)
+    records = {state_key(root): [None, None, 0, 0, h0, False, root, surplus, profiles]}
     heap = [(h0, h0, 0, 0, state_key(root))]
     pushes, last_f, nodes = 0, 0, 0
     while heap:
@@ -425,8 +423,6 @@ def store_every_child_astar(root, dmat, depth_correction=False):
         child_h = bounds.Siblings(rec[6], rec[7], rec[8]).h
         for move in legal_moves(rec[6], dmat, depth_correction):
             c_h = child_h(move)
-            if c_h is bounds.INFEASIBLE:
-                continue
             c_key = child_key(key, move)
             c_f, c_dist = g + 1 + c_h, dist + move.distance
             known = records.get(c_key)

@@ -275,15 +275,15 @@ def test_c07_incremental_lower_bound_equivalence():
             ))
             prep = prepare(instance)
             state = prep.config
-            aux, profiles, h = bounds.lb_state(state)
+            surplus, profiles, h = bounds.lb_state(state)
             for _ in range(1000):
                 moves = list(legal_moves(state, prep.dmat))
                 if not moves:
                     break
                 move = rng.choice(moves)
                 child = apply_move(state, move)
-                aux, profiles, h = bounds.lb_incremental(aux, profiles, move, child)
-                assert (aux, profiles, h) == bounds.lb_state(child)
+                surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child)
+                assert (surplus, profiles, h) == bounds.lb_state(child)
                 assert h == bounds.lb(child)
                 state = child
                 steps_done += 1

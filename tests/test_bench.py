@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from premarshal import bench
+from premarshal import astar, bench
 
 
 def test_blockage_likelihood_known_values():
@@ -96,11 +96,34 @@ def test_run_suite_parallel_matches_serial():
     suite = {
         "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.4, "classes": 5}],
         "seeds": [1, 2],
-        "algos": ["astar"],
+        "algos": ["astar", "exact"],
     }
     serial = bench.run_suite(suite, jobs=1)
     parallel = bench.run_suite(suite, jobs=2)
     assert _strip_timing(serial) == _strip_timing(parallel)
+
+
+def test_run_group_runs_astar_once_for_both_algorithms(monkeypatch):
+    """The exact cell takes its bounds from the A* cell before it, and finds
+    the same rows as with its own A* bootstrap."""
+    runs = bench.suite_runs({
+        "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.6, "classes": 5}],
+        "seeds": [2],
+        "algos": ["astar", "exact"],
+    })
+    alone = bench.run_group(runs[1:])
+    calls = []
+    real = astar.solve_astar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(astar, "solve_astar", counting)
+    rows = bench.run_group(runs)
+    assert len(calls) == 1
+    assert [row["solved"] for row in rows] == [True, True]
+    assert _strip_timing(rows[1:]) == _strip_timing(alone)
 
 
 def test_run_one_timeout_row():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -27,7 +26,7 @@ def test_lane_profile_frozen():
     assert mixed.threshold == 2
     assert mixed.blocking_suffix == (1, 5)
     assert mixed.free_after_clear == 3
-    assert mixed.occupied == 3
+    assert mixed.prefix_len + len(mixed.blocking_suffix) == 3
 
 
 def test_profile_counts_blocking():
@@ -44,18 +43,21 @@ def test_bx_bound_frozen():
     assert config.blocking_total == 2
 
 
-def test_aux_monotonicity():
+def test_surplus_by_hand():
+    """Lane 1 holds the prefix (2) with blockers 5 and 1 and two free slots
+    at threshold 2; lane 2 the prefix (3) with one free slot at threshold 3;
+    lane 3 is empty, two free slots at threshold G = 5."""
     config = make_config([(3, (2, 5, 1), 0), (2, (3,), 1), (2, (), 2)], groups=5)
-    aux, _profiles, _h = bounds.lb_state(config)
-    for g in range(1, 5):
-        assert aux.cum_demand[g - 1] >= aux.cum_demand[g]
-        assert aux.cum_supply[g - 1] >= aux.cum_supply[g]
+    surplus, _profiles, _h = bounds.lb_state(config)
+    demand = (2, 1, 1, 1, 1)  # blockers of group >= g: {1, 5}, then {5}
+    supply = (5, 5, 3, 2, 2)  # free slots at thresholds >= g: 2 + 1 + 2, then 1 + 2, then 2
+    assert surplus == tuple(d - s for d, s in zip(demand, supply)) == (-3, -4, -2, -1, -1)
 
 
 def test_gx_zero_when_supply_covers():
     config = make_config([(3, (2, 5, 1), 0), (3, (), 1)], groups=5)
-    aux, profiles, h = bounds.lb_state(config)
-    assert bounds.gx_bound(aux, profiles) == 0
+    surplus, profiles, h = bounds.lb_state(config)
+    assert bounds.gx_bound(surplus, profiles) == 0
     assert h == 2  # bx only
 
 
@@ -63,26 +65,17 @@ def test_gx_forced_removal_frozen():
     """[1] cap 1 and [3,5] cap 2: the blocking 5 fits nowhere until the 1
     moves (its lane's threshold then rises to G), so gx = 1."""
     config = make_config([(1, (1,), 0), (2, (3, 5), 1)], groups=5)
-    aux, profiles, h = bounds.lb_state(config)
-    assert bounds.gx_bound(aux, profiles) == 1
+    surplus, profiles, h = bounds.lb_state(config)
+    assert bounds.gx_bound(surplus, profiles) == 1
     assert h == 2
 
 
 def test_gx_removal_when_no_threshold_high_enough():
     # the only free slot sits behind threshold 1; the prefix load must go
     config = make_config([(1, (5,), 0), (2, (1, 3), 1)], groups=5)
-    aux, profiles, h = bounds.lb_state(config)
-    assert bounds.gx_bound(aux, profiles) == 1
+    surplus, profiles, h = bounds.lb_state(config)
+    assert bounds.gx_bound(surplus, profiles) == 1
     assert h == 2
-
-
-def test_gx_infeasible_sentinel():
-    """No valid configuration can trigger the sentinel (full clearing always
-    covers), so feed gx_bound an inconsistent aux directly."""
-    aux = bounds.SupplyDemandAux(
-        groups=2, demand=(0, 3), supply_at=(0, 0), cum_demand=(3, 3), cum_supply=(0, 0)
-    )
-    assert math.isinf(bounds.gx_bound(aux, ()))
 
 
 def test_lb_sorted_is_zero():
@@ -108,7 +101,7 @@ def test_incremental_equals_scratch_on_random_walks():
     rng = random.Random(42)
     for _ in range(25):
         config = _random_config(rng)
-        aux, profiles, h = bounds.lb_state(config)
+        surplus, profiles, h = bounds.lb_state(config)
         assert h == bounds.lb(config)
         for _step in range(40):
             moves = legal_moves(config, DMAT)
@@ -116,10 +109,10 @@ def test_incremental_equals_scratch_on_random_walks():
                 break
             move = rng.choice(moves)
             config = apply_move(config, move)
-            aux, profiles, h = bounds.lb_incremental(aux, profiles, move, config)
-            s_aux, s_profiles, s_h = bounds.lb_state(config)
+            surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config)
+            s_surplus, s_profiles, s_h = bounds.lb_state(config)
             assert h == s_h
-            assert aux == s_aux
+            assert surplus == s_surplus
             assert profiles == s_profiles
 
 
@@ -140,15 +133,15 @@ def test_incremental_property(lane_specs, rng):
     for idx, (cap, contents) in enumerate(lane_specs):
         lanes.append((max(cap, len(contents)), tuple(contents), idx))
     config = make_config(lanes, groups=5)
-    aux, profiles, h = bounds.lb_state(config)
+    surplus, profiles, h = bounds.lb_state(config)
     for _ in range(6):
         moves = legal_moves(config, DMAT)
         if not moves:
             return
         move = rng.choice(moves)
         config = apply_move(config, move)
-        aux, profiles, h = bounds.lb_incremental(aux, profiles, move, config)
-        assert (aux, profiles, h) == bounds.lb_state(config)
+        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config)
+        assert (surplus, profiles, h) == bounds.lb_state(config)
 
 
 @st.composite
@@ -184,8 +177,8 @@ def test_h_is_consistent():
     def check(state):
         groups, lanes = state
         config = make_config(lanes, groups)
-        aux, profiles, h = bounds.lb_state(config)
-        siblings = bounds.Siblings(config, aux, profiles)
+        surplus, profiles, h = bounds.lb_state(config)
+        siblings = bounds.Siblings(config, surplus, profiles)
         for move in legal_moves(config, DMAT):
             c_h = siblings.h(move)
             assert h <= c_h + 1
@@ -227,19 +220,26 @@ def test_h_zero_iff_sorted_and_covered():
 )
 def test_gx_equals_the_brute_force_cover(groups, lane_specs, extra):
     """The covering program against every removal vector.  ``extra`` adds
-    loads that sit in no lane, so that full clearing can fall short and
-    INFEASIBLE is reached too."""
+    loads that sit in no lane, at most one per free slot, so that a cover
+    still exists."""
     lanes = [(max(cap, len(c)), tuple(min(g, groups) for g in c))
              for cap, c in lane_specs]
-    extra = [min(g, groups) for g in extra]
     config = make_config([(cap, c, idx) for idx, (cap, c) in enumerate(lanes)], groups)
-    aux, profiles, _h = bounds.lb_state(config)
-    aux = _with_extra_demand(aux, extra)
+    extra = [min(g, groups) for g in _coverable(config, extra)]
+    surplus, profiles, _h = bounds.lb_state(config)
     expected = oracles.covering_optimum(lanes, groups, extra)
-    got = bounds.gx_bound(aux, profiles)
-    assert got == expected
-    if math.isinf(expected):
-        assert got is bounds.INFEASIBLE
+    assert math.isfinite(expected)
+    assert bounds.gx_bound(_with_extra_demand(surplus, extra), profiles) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mostly_full_states())
+def test_gx_never_exceeds_full_clearing(state):
+    """Clearing every sorted prefix always covers (the ``bounds``
+    docstring), so GX is at most the total prefix length."""
+    groups, lanes = state
+    surplus, profiles, _h = bounds.lb_state(make_config(lanes, groups))
+    assert bounds.gx_bound(surplus, profiles) <= sum(p.prefix_len for p in profiles)
 
 
 @pytest.mark.parametrize("n, gx", [(16, 6), (20, 7), (40, 14)])
@@ -248,8 +248,8 @@ def test_gx_of_many_equal_lanes(n, gx):
     lane's threshold to 2 and frees three slots there, so ceil(n / 3)
     removals.  A search that branches on every lane never finishes n = 40."""
     config = make_config([(3, (1, 2), idx) for idx in range(n)], groups=2)
-    aux, profiles, h = bounds.lb_state(config)
-    assert bounds.gx_bound(aux, profiles) == gx
+    surplus, profiles, h = bounds.lb_state(config)
+    assert bounds.gx_bound(surplus, profiles) == gx
     assert h == bounds.lb(config) == n + gx
 
 
@@ -268,19 +268,21 @@ def test_gx_of_many_equal_lanes(n, gx):
 def test_sibling_h_and_key_equal_the_built_child(lane_specs, extra):
     """A*'s children are never built at generation: their h and their key,
     from the parent and the move, must equal those of the built child.
-    ``extra`` adds demand that no move touches, so that INFEASIBLE is
-    reached too; without it the h is lb(child)."""
+    ``extra`` adds demand that no move touches, at most one load per free
+    slot, so that GX > 0 is reached more often; without it the h is
+    lb(child)."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
-    aux, profiles, _h = bounds.lb_state(config)
-    siblings = bounds.Siblings(config, _with_extra_demand(aux, extra), profiles)
+    extra = _coverable(config, extra)
+    surplus, profiles, _h = bounds.lb_state(config)
+    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
     key = state_key(config)
     for move in legal_moves(config, DMAT):
         child = apply_move(config, move)
         if extra:
-            c_aux, c_profiles, _h = bounds.lb_state(child)
-            gx = bounds.gx_bound(_with_extra_demand(c_aux, extra), c_profiles)
-            expected = gx if math.isinf(gx) else child.blocking_total + gx
+            c_surplus, c_profiles, _h = bounds.lb_state(child)
+            gx = bounds.gx_bound(_with_extra_demand(c_surplus, extra), c_profiles)
+            expected = child.blocking_total + gx
         else:
             expected = bounds.lb(child)
         assert siblings.h(move) == expected
@@ -303,19 +305,18 @@ def test_select_lists_what_a_loop_over_every_move_keeps(lane_specs, extra):
     """At every limit, ``Siblings.select`` gives the (move, h) of the
     children with h <= limit, in ``legal_moves`` order, with the moves'
     ranks in it and the least h above the limit, as a loop over every move
-    and ``Siblings.h`` does.  ``extra`` adds demand, so that GX > 0 and
-    INFEASIBLE occur."""
+    and ``Siblings.h`` does.  ``extra`` adds demand, at most one load per
+    free slot, so that GX > 0 occurs."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
-    aux, profiles, _h = bounds.lb_state(config)
-    aux = _with_extra_demand(aux, extra)
-    loop = bounds.Siblings(config, aux, profiles)
+    surplus, profiles, _h = bounds.lb_state(config)
+    surplus = _with_extra_demand(surplus, _coverable(config, extra))
+    loop = bounds.Siblings(config, surplus, profiles)
     every = [(move, loop.h(move), n) for n, move in enumerate(legal_moves(config, DMAT), 1)]
-    finite = [h for _m, h, _n in every if h is not bounds.INFEASIBLE]
-    siblings = bounds.Siblings(config, aux, profiles)
-    for limit in range(-1, max(finite, default=0) + 2):
+    siblings = bounds.Siblings(config, surplus, profiles)
+    for limit in range(-1, max((h for _m, h, _n in every), default=0) + 2):
         want = [(m, h, n) for m, h, n in every if h <= limit]
-        above = min((h for h in finite if h > limit), default=None)
+        above = min((h for _m, h, _n in every if h > limit), default=None)
         groups, got_above = siblings.select(limit)
         moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
         hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
@@ -330,21 +331,20 @@ def test_select_reads_the_clock_before_pairs_that_need_gx():
     to GX stops too.  Every child of these 16 lanes needs GX (6 at the
     root), and with no limit no pair is skipped."""
     config = make_config([(3, (1, 2), idx) for idx in range(16)], groups=2)
-    aux, profiles, _h = bounds.lb_state(config)
+    surplus, profiles, _h = bounds.lb_state(config)
     reads = iter(range(100))
     # False for the 16 source lanes, True at the first pair that needs GX.
-    listed = bounds.Siblings(config, aux, profiles).select(100, lambda: next(reads) >= 16)
+    listed = bounds.Siblings(config, surplus, profiles).select(100, lambda: next(reads) >= 16)
     assert listed is None
     assert next(reads) == 17
 
 
-def _with_extra_demand(aux, extra):
-    """``aux`` with one more blocking load of each group in ``extra``."""
-    demand = list(aux.demand)
-    for g in extra:
-        demand[g - 1] += 1
-    return dataclasses.replace(
-        aux,
-        demand=tuple(demand),
-        cum_demand=tuple(sum(demand[g - 1:]) for g in range(1, aux.groups + 1)),
-    )
+def _coverable(config, extra):
+    """The first loads of ``extra``, one per free slot of ``config``: the
+    loads then fit in the capacity, so clearing every prefix covers them."""
+    return extra[:sum(lane.capacity - len(lane.contents) for lane in config.lanes)]
+
+
+def _with_extra_demand(surplus, extra):
+    """``surplus`` with one more blocking load of each group in ``extra``."""
+    return tuple(x + sum(1 for q in extra if q >= g) for g, x in enumerate(surplus, 1))

@@ -284,6 +284,19 @@ def test_bench_writes_csv_and_aggregate(tmp_path, capsys, monkeypatch):
     assert summary["solved"]["3x3/2x2/0.4/5/astar"] == "2/2"
 
 
+def test_bench_rejects_a_job_count_that_is_no_integer(tmp_path, monkeypatch):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.4, "classes": 5}],
+        "seeds": [1],
+        "algos": ["astar"],
+    }))
+    monkeypatch.setenv("MARSHAL_JOBS", "abc")
+    run = _run_cli(["bench", "--suite", str(suite), "-o", str(tmp_path / "results.csv")])
+    assert run.returncode == cli.EXIT_USAGE
+    assert run.stderr == "premarshal: MARSHAL_JOBS must be an integer, not 'abc'\n"
+
+
 def test_bench_rejects_broken_suites(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text("{not json")

@@ -249,7 +249,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, r
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
     targets = exact.Targets(config, DMAT, depth)
-    aux, profiles, _h = bounds.lb_state(config)
+    surplus, profiles, _h = bounds.lb_state(config)
     if remaining is None:
         profiles = None  # the search keeps no profiles without the bound
     open_mask, clean = targets.masks(config, profiles)
@@ -269,7 +269,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, r
         child = apply_move(config, move)
         c_profiles = None
         if profiles is not None:
-            aux, c_profiles, _h = bounds.lb_incremental(aux, profiles, move, child)
+            surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child)
         open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
         assert (open_mask, clean) == targets.masks(child, c_profiles)
         config, profiles, last = child, c_profiles, move.to_lane - 1
