@@ -29,6 +29,36 @@ bound would cut.  The lane the last move filled is no source (the relay
 rule).  ``legal_moves`` then builds the moves of those (source, targets)
 pairs only.  After a child is built, the full h from ``lb_incremental``
 decides.
+
+The tight stage, k-bar = h0 with the bound on, allows two more cuts.  The
+bound is consistent (proved in the ``bounds`` docstring), so h falls by at
+most 1 per move, and the search cuts every child with h > k-bar - s at
+stage s.  Every node at stage s therefore has h = k-bar - s exactly, and
+every move lowers h by exactly 1:
+
+* The stage is a function of the state, and no plan of the stage has a
+  relay: a relay child at stage s equals a one-move child of its
+  grandparent (or the grandparent itself), so its h is at least
+  k-bar - s + 1 and the bound cuts it.  So the children of a node do not
+  depend on how it was reached, and the memo is keyed by ``state_key``
+  alone, not by (state, stage, last).
+* Two moves on four distinct lanes commute: either order is legal, has no
+  relay and reaches the same state at the same distance.  After the last
+  move (a, b), a child (c, d) with {a, b} and {c, d} disjoint and
+  (c, d) < (a, b) is skipped (partial-order reduction: Godefroid, LNCS
+  1032, 1996).  For a source c < a other than b, that leaves only the
+  targets a and b.
+
+Neither cut changes the plan.  The search returns P*, the least-distance
+plan of k-bar moves that comes first in the order of its (source, target)
+sequence, the order in which the DFS meets plans.  P* has no adjacent commuting pair out
+of order: swapping it would give a smaller plan that is legal, has no
+relay and has the same distance.  Nor does the memo cut P* at the state S
+it reaches after s moves: an earlier visit of S came by a prefix Q that
+precedes P*'s in DFS order, has the same length s (the stage is a function
+of the state) and no higher distance, so Q followed by the rest of P*
+would be a smaller optimal plan.  Outside the tight stage a swap can make a
+relay and a state is met at several stages, so neither cut applies there.
 """
 
 from __future__ import annotations
@@ -54,15 +84,6 @@ DEFAULT_TIMEOUT_S = 3600.0
 
 class DeadlineReached(Exception):
     """Internal signal: the search hit its wall-clock deadline."""
-
-
-def model_size(initial: LaneConfiguration, k_bar: int) -> tuple[int, int]:
-    """(state variables, move variables) of the paper's k-bar-stage model:
-    a slot-group and a slot-occupied variable per slot per stage 0..k_bar,
-    and removal, placement and blocking variables per slot per stage
-    1..k_bar."""
-    slots = sum(lane.capacity for lane in initial.lanes)
-    return slots * (k_bar + 1), slots * k_bar
 
 
 class Targets:
@@ -130,16 +151,26 @@ class Targets:
         return open_mask, clean
 
     def moves(self, config: LaneConfiguration, open_mask: int, clean, last: int | None,
-              budget: int | None, remaining: int | None) -> list[Move]:
+              budget: int | None, remaining: int | None,
+              commute: tuple[int, int] | None) -> list[Move]:
         """The legal moves of ``config`` in (source, target) order, less those
-        from lane index ``last``, those longer than ``budget`` and, unless
-        ``remaining`` is None, those whose child has more than ``remaining``
-        blocking loads; ``open_mask`` and ``clean`` are ``masks(config, ...)``.
+        from lane index ``last``, those longer than ``budget``, unless
+        ``remaining`` is None those whose child has more than ``remaining``
+        blocking loads and, unless ``commute`` is None, those on two lanes
+        other than its (source, target) lane indices that precede it;
+        ``open_mask`` and ``clean`` are ``masks(config, ...)``.
         """
         lanes = config.lanes
         sources = (1 << len(lanes)) - 1
         if last is not None:
             sources &= ~(1 << last)
+        # A source below the commuting move's, other than its target, may
+        # only move to one of its two lanes.
+        below = paired = 0
+        if commute is not None:
+            a, b = commute
+            paired = (1 << a) | (1 << b)
+            below = ((1 << a) - 1) & ~(1 << b)
         # A move takes a blocker away only from a lane that has one, and adds
         # one unless its target has no blockers and a threshold >= the load.
         narrowed = 0
@@ -166,6 +197,8 @@ class Targets:
             targets = open_mask & ~low
             if narrowed & low:
                 targets &= accept[contents[-1] - 1]
+            if below & low:
+                targets &= paired
             if budget is not None:
                 # dst_empty >= 0, so this is a superset when depth counts
                 src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
@@ -191,6 +224,7 @@ def complete_search(
     use_memo: bool = True,
     prune_distance: bool = True,
     prune_bound: bool = True,
+    prune_tight: bool = True,
     counters: SolveStats | None = None,
 ) -> tuple[list[Move], int, int] | None:
     """(moves, distance, nodes) of the least-distance plan of exactly
@@ -198,8 +232,11 @@ def complete_search(
     none.
 
     The prune toggles only change the number of visited nodes, never the
-    returned optimum; they exist for differential testing.  Child order is
-    (source lane id, target lane id), so results are deterministic.
+    returned optimum; they exist for differential testing.  ``prune_tight``
+    switches the tight-stage cuts (module docstring), which apply only with
+    ``prune_bound`` and when the root's h equals ``k_bar``; with it on or
+    off the plan is the same.  Child order is (source lane id, target lane
+    id), so results are deterministic.
     """
     if k_bar < 0:
         raise ValueError("k_bar must be nonnegative")
@@ -210,10 +247,11 @@ def complete_search(
     nodes = [0]
     memo: dict[tuple, int] = {}
     root_surplus, root_profiles, root_h = bounds.lb_state(initial)
+    tight = prune_tight and prune_bound and root_h == k_bar
     targets = Targets(initial, dmat, depth_correction)
     trail: list[Move] = []
 
-    def dfs(config, stage, dist, last, surplus, profiles, open_mask, clean) -> None:
+    def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean) -> None:
         nodes[0] += 1
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineReached
@@ -226,7 +264,7 @@ def complete_search(
                     best_moves[:] = trail
             return
         if use_memo:
-            key = (state_key(config), stage, last)
+            key = state_key(config) if tight else (state_key(config), stage, last)
             known = memo.get(key)
             if known is not None and known <= dist:
                 return
@@ -237,7 +275,7 @@ def complete_search(
             budget = c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)
             budget -= dist
         moves = targets.moves(config, open_mask, clean, last, budget,
-                              remaining if prune_bound else None)
+                              remaining if prune_bound else None, commute)
         for move in moves:
             c_dist = dist + move.distance
             # The incumbent can fall while this node's children are searched,
@@ -253,13 +291,16 @@ def complete_search(
                 c_surplus = c_profiles = None
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
-            dfs(child, stage + 1, c_dist, move.to_lane - 1, c_surplus, c_profiles, c_open, c_clean)
+            c_last = move.to_lane - 1
+            c_commute = (move.from_lane - 1, c_last) if tight else None
+            dfs(child, stage + 1, c_dist, c_last, c_commute, c_surplus, c_profiles,
+                c_open, c_clean)
             trail.pop()
 
     try:
         if not (prune_bound and root_h > k_bar):
             root_masks = targets.masks(initial, root_profiles if prune_bound else None)
-            dfs(initial, 0, 0, None, root_surplus, root_profiles, *root_masks)
+            dfs(initial, 0, 0, None, None, root_surplus, root_profiles, *root_masks)
     finally:
         if counters is not None:
             counters.nodes_evaluated += nodes[0]

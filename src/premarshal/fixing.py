@@ -458,15 +458,3 @@ def to_virtual_lanes(
         )
     return LaneConfiguration.build(lanes, instance.groups), bindings
 
-
-def reconstruct_occupancy(
-    config: LaneConfiguration, bindings: list[LaneBinding]
-) -> dict[tuple[int, int, int], int]:
-    """Map (bay, i, j) -> group implied by the lanes; inverse of the transform."""
-    occ: dict[tuple[int, int, int], int] = {}
-    for binding in bindings:
-        lane = config.lane(binding.lane_id)
-        for pos, (i, j) in enumerate(binding.cells):
-            if pos < len(lane.contents):
-                occ[(binding.bay, i, j)] = lane.contents[pos]
-    return occ

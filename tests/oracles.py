@@ -445,3 +445,15 @@ def full_scan_select(candidates, bay):
         if h < best_h:
             best, best_h = cand, h
     return best if best is not None else candidates[0]
+
+
+def reconstruct_occupancy(config, bindings):
+    """Map (bay, i, j) -> group implied by the lanes; the inverse of
+    ``fixing.to_virtual_lanes``."""
+    occ = {}
+    for binding in bindings:
+        lane = config.lane(binding.lane_id)
+        for pos, (i, j) in enumerate(binding.cells):
+            if pos < len(lane.contents):
+                occ[(binding.bay, i, j)] = lane.contents[pos]
+    return occ

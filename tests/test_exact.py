@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +18,6 @@ DMAT = FakeDmat()
 
 def _dist_fn(lanes):
     return lambda s, t: DMAT.between(lanes[s][2], lanes[t][2])
-
-
-def test_model_variable_counts():
-    """8 slots and k-bar 2 give 8*3 state variables and 8*2 move variables."""
-    config = make_config([(3, (1,), 0), (3, (), 1), (2, (), 2)], groups=3)
-    assert exact.model_size(config, 2) == (24, 16)
-    assert exact.model_size(config, 0) == (8, 0)
 
 
 def test_model_rejects_negative_parameters():
@@ -193,36 +188,96 @@ def test_timeout_reports_the_stage_reached():
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
 
 
-# Recorded before the exact search cut children ahead of building them
-# (depth correction off) and before it took them from lane bitmasks (on):
-# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes,
-# move pairs), with A* and exact both run at that depth setting.
+# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes
+# without the tight-stage cuts, nodes with them, move pairs), with A* and
+# exact both run at that depth setting.  The counts without the cuts were
+# recorded before the exact search cut children ahead of building them
+# (depth correction off) and before it took them from lane bitmasks (on).
 PINNED_SEARCHES = {
     ((4, 4), (2, 2), 0.9, 10, 8): {
-        False: (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
-        True: (3, 11, 15, [(12, 11), (39, 3), (24, 39)]),
+        False: (3, 11, 18, 18, [(12, 11), (39, 3), (24, 39)]),
+        True: (3, 11, 15, 15, [(12, 11), (39, 3), (24, 39)]),
     },
     ((5, 5), (2, 2), 0.8, 5, 3): {
-        False: (4, 13, 230, [(4, 3), (22, 8), (41, 11), (54, 32)]),
-        True: (4, 16, 222, [(4, 3), (41, 11), (54, 32), (22, 32)]),
+        False: (4, 13, 230, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+        True: (4, 16, 222, 97, [(4, 3), (41, 11), (54, 32), (22, 32)]),
     },
 }
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
-def test_pinned_node_counts_and_plans(spec):
-    """Cutting children before they are built visits the very same nodes."""
+def _pinned_solves(spec, prune_tight):
+    """(pinned, got) per depth setting of ``spec``, with ``solve_exact`` run
+    with the tight-stage cuts on or off."""
     bay, warehouse, fill, groups, seed = spec
     prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
                                       groups=groups, seed=seed)))
+    search = functools.partial(exact.complete_search, prune_tight=prune_tight)
     for depth_correction, pinned in PINNED_SEARCHES[spec].items():
         warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
-        result = exact.solve_exact(prep.config, prep.dmat, warm,
-                                   depth_correction=depth_correction)
+        with mock.patch.object(exact, "complete_search", search):
+            result = exact.solve_exact(prep.config, prep.dmat, warm,
+                                       depth_correction=depth_correction)
         assert isinstance(result, Solution)
         got = (result.k, result.total_distance, result.stats.nodes_evaluated,
                [(m.from_lane, m.to_lane) for m in result.moves])
-        assert got == pinned
+        yield pinned, got
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
+def test_pinned_node_counts_and_plans(spec):
+    """Without the tight-stage cuts, cutting children before they are built
+    visits the very same nodes."""
+    for (k, distance, nodes, _tight_nodes, pairs), got in _pinned_solves(spec, False):
+        assert got == (k, distance, nodes, pairs)
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
+def test_pinned_node_counts_with_tight_cuts(spec):
+    """The tight-stage cuts keep the plan and visit the pinned nodes."""
+    for (k, distance, _nodes, tight_nodes, pairs), got in _pinned_solves(spec, True):
+        assert got == (k, distance, tight_nodes, pairs)
+
+
+def test_tight_cuts_keep_the_plan_and_only_save_nodes():
+    """On random states whose root bound is A*'s k, the tight-stage cuts give
+    the plan the search gives without them, with either depth setting, the
+    staged oracle's distance, and no more nodes; one stage more, where they
+    do not apply, nothing changes.  k-bar stays small enough for the
+    oracle's unpruned walk."""
+    rng = random.Random(5)
+    tight = saved = 0
+    for _ in range(300):
+        lanes = []
+        for _lane in range(rng.randint(4, 6)):
+            cap = rng.randint(2, 3)
+            contents = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, cap)))
+            lanes.append((cap, contents, rng.randrange(8)))
+        config = make_config(lanes, groups=4)
+        h0 = bounds.lb(config)
+        warm = astar.solve_astar(config, DMAT)
+        if not isinstance(warm, Solution) or warm.k != h0 or not 0 < h0 <= 9 - len(lanes):
+            continue
+        tight += 1
+        for k_bar in (h0, h0 + 1)[:10 - len(lanes) - h0]:
+            c_ub = warm.total_distance + 4
+            expected = oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes),
+                                              k_bar, c_ub)
+            for depth, cap in ((False, c_ub), (True, 10_000)):
+                on = exact.complete_search(config, k_bar, DMAT, cap, depth)
+                off = exact.complete_search(config, k_bar, DMAT, cap, depth,
+                                            prune_tight=False)
+                if off is None:
+                    assert on is None and (depth or expected is None)
+                    continue
+                assert on is not None and on[:2] == off[:2]
+                assert depth or on[1] == expected
+                if k_bar > h0:
+                    assert on[2] == off[2]
+                    continue
+                assert on[2] <= off[2]
+                saved += on[2] < off[2]
+    assert tight >= 100
+    assert saved >= 10
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,11 +294,13 @@ def test_pinned_node_counts_and_plans(spec):
     st.booleans(),
     st.one_of(st.none(), st.integers(min_value=-1, max_value=14)),
     st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, rng):
+def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, commuting, rng):
     """The mask generator yields the legal moves that the relay rule, the
-    distance budget and the child's blocking count leave, in legal-move
+    distance budget, the child's blocking count and, with ``commuting``, the
+    commuting-move cut after the walk's last move leave, in legal-move
     order, at every state of a walk whose masks are patched move by move.
     ``budget`` None is prune_distance off, ``remaining`` None prune_bound off."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
@@ -253,7 +310,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, r
     if remaining is None:
         profiles = None  # the search keeps no profiles without the bound
     open_mask, clean = targets.masks(config, profiles)
-    last = None
+    last = commute = None
     for _ in range(6):
         moves = legal_moves(config, DMAT, depth)
         by_hand = [
@@ -261,8 +318,11 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, r
             if m.from_lane - 1 != last
             and (budget is None or m.distance <= budget)
             and (remaining is None or apply_move(config, m).blocking_total <= remaining)
+            and (commute is None or not {m.from_lane - 1, m.to_lane - 1}.isdisjoint(commute)
+                 or (m.from_lane - 1, m.to_lane - 1) > commute)
         ]
-        assert list(targets.moves(config, open_mask, clean, last, budget, remaining)) == by_hand
+        got = targets.moves(config, open_mask, clean, last, budget, remaining, commute)
+        assert list(got) == by_hand
         if not moves:
             return
         move = rng.choice(moves)
@@ -273,6 +333,8 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, r
         open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
         assert (open_mask, clean) == targets.masks(child, c_profiles)
         config, profiles, last = child, c_profiles, move.to_lane - 1
+        if commuting:
+            commute = (move.from_lane - 1, last)
 
 
 @settings(max_examples=60, deadline=None)

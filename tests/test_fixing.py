@@ -190,7 +190,7 @@ def test_to_virtual_lanes_and_round_trip():
     assert [l.lane_id for l in config.lanes] == list(range(1, len(config.lanes) + 1))
     aps = [l.access_point for l in config.lanes]
     assert aps == sorted(aps)
-    rebuilt = fixing.reconstruct_occupancy(config, bindings)
+    rebuilt = oracles.reconstruct_occupancy(config, bindings)
     assert rebuilt == {(0, i, j): g for (i, j), g in occ.items()}
 
 
