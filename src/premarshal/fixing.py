@@ -364,7 +364,8 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]
 
     walk(0, start, 0)
     # Both closures reach themselves: without this the tables would wait for
-    # the cyclic collector, which A* pauses, instead of dying here.
+    # the cyclic collector instead of dying here, and so live through the A*
+    # search, which pauses it.
     del walk, emit_splits
     return out
 

@@ -141,16 +141,6 @@ def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
     return tuple(lane.contents for lane in config.lanes)
 
 
-def child_key(key: tuple[tuple[int, ...], ...], move: Move) -> tuple[tuple[int, ...], ...]:
-    """``state_key`` of the child that ``move`` makes of the state whose key
-    is ``key``, patched from it without building the child."""
-    lanes = list(key)
-    src = key[move.from_lane - 1]
-    lanes[move.from_lane - 1] = src[:-1]
-    lanes[move.to_lane - 1] = key[move.to_lane - 1] + src[-1:]
-    return tuple(lanes)
-
-
 def move_distance(src: VirtualLane, dst: VirtualLane, dmat, depth_correction: bool = False) -> int:
     """Loaded distance of moving the front load of ``src`` onto ``dst``.
 

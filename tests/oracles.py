@@ -15,7 +15,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from premarshal import bounds, fixing
-from premarshal.model import apply_move, child_key, legal_moves, state_key
+from premarshal.model import apply_move, legal_moves, state_key
 
 
 def blocking_by_rules(contents):
@@ -393,8 +393,9 @@ def store_every_child_astar(root, dmat, depth_correction=False):
     not closed and the child's f is smaller, or equal with a smaller dist.
     It asserts that no popped f falls below the one before, which holds
     when h is consistent, so a closed key never needs reopening.  Children
-    get their h from ``bounds.Siblings`` and are built when popped, so a
-    patched ``Siblings.h`` acts here as in ``astar``.
+    are built and keyed when generated, get their h from ``bounds.Siblings``
+    and their surplus and profiles when popped, so a patched ``Siblings.h``
+    acts here as in ``astar``.
     """
     # A record is [parent, move, g, dist, f, closed, config, surplus, profiles].
     surplus, profiles, h0 = bounds.lb_state(root)
@@ -411,8 +412,7 @@ def store_every_child_astar(root, dmat, depth_correction=False):
         rec[5] = True
         nodes += 1
         parent, move, g, dist = rec[:4]
-        if rec[6] is None:
-            rec[6] = apply_move(parent[6], move)
+        if rec[7] is None:
             rec[7], rec[8], _ = bounds.lb_incremental(parent[7], parent[8], move, rec[6])
         if rec[6].blocking_total == 0:
             moves = []
@@ -423,12 +423,13 @@ def store_every_child_astar(root, dmat, depth_correction=False):
         child_h = bounds.Siblings(rec[6], rec[7], rec[8]).h
         for move in legal_moves(rec[6], dmat, depth_correction):
             c_h = child_h(move)
-            c_key = child_key(key, move)
+            child = apply_move(rec[6], move)
+            c_key = state_key(child)
             c_f, c_dist = g + 1 + c_h, dist + move.distance
             known = records.get(c_key)
             if known is not None and (known[5] or (known[4], known[3]) <= (c_f, c_dist)):
                 continue
-            records[c_key] = [rec, move, g + 1, c_dist, c_f, False, None, None, None]
+            records[c_key] = [rec, move, g + 1, c_dist, c_f, False, child, None, None]
             pushes += 1
             heappush(heap, (c_f, c_h, c_dist, pushes, c_key))
     return ("Infeasible", None, None, None, nodes)

@@ -197,6 +197,22 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     assert sources == list(range(1, 42)) + list(range(1, 10))
 
 
+def test_only_popped_offers_are_keyed(monkeypatch):
+    """A child is keyed when its offer pops, not when it is offered: on
+    3x3/7x7/0.9/G10/s1 (291 lanes) the expansions offer 397 children and
+    only the k + 1 = 6 nodes of the plan pop, the root included."""
+    prep = prepare(generate(GenConfig(bay=(3, 3), warehouse=(7, 7), fill=0.9,
+                                      groups=10, seed=1)))
+    keyed, offered = [], []
+    real_key, real_push = astar.state_key, astar.heappush
+    monkeypatch.setattr(astar, "state_key", lambda c: keyed.append(c) or real_key(c))
+    monkeypatch.setattr(astar, "heappush", lambda q, e: offered.append(e) or real_push(q, e))
+    result = astar.solve_astar(prep.config, prep.dmat)
+    assert isinstance(result, Solution) and result.k == 5
+    assert len(offered) == 397
+    assert len(keyed) == result.stats.nodes_evaluated == 6
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_collector_is_paused_and_given_back(monkeypatch, enabled):
     """The cyclic collector is off during the search and as the caller had
