@@ -9,11 +9,30 @@ horizontal cells of a column as one contiguous middle band.
 
 The assignment minimizing the number of misplaced (blocking) loads over all
 hole-free partitions is found exactly by a depth-first search over rows with
-memoization: the per-column state is a three-valued phase (still in the
-north band / inside the horizontal band / in the south band), so the cost to
-finish rows j..J depends only on j and the phase vector.  Lane costs are
-precomputed per row split and per column split and are None when the lane
-would contain a hole or sit on a side without access points.
+memoization.  Going down the rows, a column is in its north band (no
+horizontal cell yet), its horizontal band, or its south band (the band has
+ended).  The state is two column masks (M, S): M holds the columns in the
+horizontal band, S those in the south band, and the rest are still in the
+north band.  A row's choice (alpha, eps) of W and E counts gives the mask H
+of its horizontal cells and is valid when
+
+* ``H & S == 0``.  A column enters its south band at the first vertical
+  cell below a horizontal one; that cell cannot be N, since N cells are a
+  prefix from the top, so it is S, and S cells are a suffix to the bottom.
+  Every cell below it is S, none horizontal.
+* No column of ``H & P`` (P the north-band columns) has a north lane over
+  the rows above with a hole or without access, and no column of
+  ``M & ~H``, whose band ends here, has such a south lane from this row
+  down.  Per row these are two masks, ``nbad`` and ``sbad``.
+
+The next state is ``(H, S | (M & ~H))``: the columns of H are in the band,
+and the band columns without a horizontal cell here pass to the south band.
+So the cost to finish rows j..J depends only on j and (M, S).  A column
+still in its north band after the last row has no horizontal cell and takes
+its cheapest full-column N/S split.  Lane costs are precomputed per row
+split and per column split and are None when the lane would contain a hole
+or sit on a side without access points; the band costs of a row and the
+split costs are summed per mask the first time that mask is met.
 """
 
 from __future__ import annotations
@@ -96,6 +115,24 @@ def _lane_of_cells(occ, side, cells_deep_to_front) -> InducedLane | None:
     )
 
 
+def _lane_costs(occ, cells_front_to_deep, open_side: bool) -> list[int | None]:
+    """Blocking count of the lane over the first a cells, for a = 0..len(cells).
+
+    An entry is None when that lane would hold a hole or its side has no
+    access; a hole in one lane is a hole in every longer lane of its line.
+    """
+    costs: list[int | None] = [0]
+    contents: list[int] = []  # deepest first
+    for cell in cells_front_to_deep:
+        g = occ.get(cell)
+        if not open_side or (g is None and contents):
+            break  # no access, or this empty cell would sit deeper than a load
+        if g is not None:
+            contents.insert(0, g)
+        costs.append(blocking_of(contents))
+    return costs + [None] * (len(cells_front_to_deep) + 1 - len(costs))
+
+
 def _row_lane(occ, side, j, count, I) -> InducedLane | None:
     if side == "W":  # cells 1..count, front at i = 1
         cells = [(i, j) for i in range(count, 0, -1)]
@@ -163,118 +200,106 @@ def misplaced_count(bay: BaySpec, assignment: AccessAssignment) -> int:
     return sum(blocking_of(lane.contents) for lane in induced_lanes(bay, assignment))
 
 
-_P, _M, _S = 0, 1, 2  # column phases: north band, horizontal band, south band
+class _MaskSums(dict):
+    """Sum of ``costs[i]`` over the set bits i of a column mask, per mask.
+
+    A sum is computed the first time its mask is looked up, from the sum of
+    the mask without its lowest bit.
+    """
+
+    def __init__(self, costs):
+        super().__init__({0: 0})
+        self.costs = costs
+
+    def __missing__(self, mask: int) -> float:
+        low = mask & -mask
+        total = self[mask] = self[mask ^ low] + self.costs[low.bit_length() - 1]
+        return total
 
 
 class _BayTables:
-    """Per-bay lane-cost tables plus the memoized row DP."""
+    """Per-bay lane-cost tables plus the memoized row DP over column masks.
+
+    Rows j and columns i are 0-based here (grid cells stay 1-based), and
+    column i is bit i of a mask.
+    """
 
     def __init__(self, bay: BaySpec):
-        self.bay = bay
-        self.I, self.J = bay.I, bay.J
         occ = _single_tier(bay)
-        sides = bay.access_sides
+        I, J = self.I, self.J = bay.I, bay.J
 
-        def row_cost(side: str, j: int, count: int):
-            if count == 0:
-                return 0
-            if side not in sides:
-                return None
-            lane = _row_lane(occ, side, j, count, self.I)
-            return None if lane is None else blocking_of(lane.contents)
+        def costs(side: str, cells: list[tuple[int, int]]) -> list[int | None]:
+            return _lane_costs(occ, cells, side in bay.access_sides)
 
-        def col_cost(side: str, i: int, count: int):
-            if count == 0:
-                return 0
-            if side not in sides:
-                return None
-            lane = _col_lane(occ, side, i, count, self.J)
-            return None if lane is None else blocking_of(lane.contents)
-
-        I, J = self.I, self.J
-        # wcost[j-1][a]: W lane over cells 1..a of row j; a = 0 means no lane.
-        self.wcost = [
-            [row_cost("W", j, a) for a in range(I + 1)] for j in range(1, J + 1)
-        ]
-        self.ecost = [
-            [row_cost("E", j, e) for e in range(I + 1)] for j in range(1, J + 1)
-        ]
-        # ncost[i-1][r-1], r in 1..J+1: N lane over rows 1..r-1 of column i,
-        # i.e. the cost charged when the horizontal band starts at row r.
-        self.ncost = [
-            [col_cost("N", i, r - 1) for r in range(1, J + 2)] for i in range(1, I + 1)
-        ]
-        # scost[i-1][r-1]: S lane over rows r..J of column i.
-        self.scost = [
-            [col_cost("S", i, J - r + 1) for r in range(1, J + 2)]
-            for i in range(1, I + 1)
-        ]
+        # wcost[j][a]: W lane over the first a cells of row j; a = 0 means no lane.
+        wcost = [costs("W", [(i, j) for i in range(1, I + 1)]) for j in range(1, J + 1)]
+        ecost = [costs("E", [(i, j) for i in range(I, 0, -1)]) for j in range(1, J + 1)]
+        # ncost[i][j]: N lane over rows 0..j-1 of column i, the cost charged
+        # when the column's horizontal band starts at row j; scost[i][j]: S
+        # lane over rows j..J-1, charged when the band ends above row j.
+        ncost = [costs("N", [(i, j) for j in range(1, J + 1)]) for i in range(1, I + 1)]
+        scost = [costs("S", [(i, j) for j in range(J, 0, -1)])[::-1] for i in range(1, I + 1)]
         # Full-column splits for columns with no horizontal cell: N over
-        # rows 1..c plus S over rows c+1..J, for c = 0..J.
-        self.split_cost: list[list[float]] = []
-        self.split_best: list[float] = []
-        for i in range(I):
-            per_c = []
-            for c in range(J + 1):
-                nc, sc = self.ncost[i][c], self.scost[i][c]
-                per_c.append(math.inf if nc is None or sc is None else nc + sc)
-            self.split_cost.append(per_c)
-            self.split_best.append(min(per_c))
-        self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
+        # rows 0..c-1 plus S over rows c..J-1, for c = 0..J.
+        self.split_cost = [
+            [math.inf if nc is None or sc is None else nc + sc for nc, sc in zip(ns, ss)]
+            for ns, ss in zip(ncost, scost)
+        ]
+        self.split_best = [min(per_c) for per_c in self.split_cost]
 
-    def row_choices(self, j: int, phases: tuple[int, ...]):
-        """Yield (alpha, eps, added_cost, new_phases) for row j, valid only."""
-        I = self.I
-        for alpha in range(I + 1):
-            wc = self.wcost[j][alpha]
-            if wc is None:
+        # choices[j]: (alpha, eps, W and E lane cost, mask of the horizontal
+        # cells) for every pair of row-j lanes without a hole, alpha
+        # ascending, then eps ascending.
+        self.full = (1 << I) - 1
+        self.choices = []
+        for j in range(J):
+            row = []
+            for alpha, wc in enumerate(wcost[j]):
+                for eps in range(I - alpha + 1):
+                    ec = ecost[j][eps]
+                    if wc is not None and ec is not None:
+                        east = self.full ^ ((1 << (I - eps)) - 1)
+                        row.append((alpha, eps, wc + ec, ((1 << alpha) - 1) | east))
+            self.choices.append(row)
+        # nbad[j]: columns whose north band cannot end above row j;
+        # sbad[j]: columns whose south band cannot start at row j.
+        self.nbad = [sum(1 << i for i in range(I) if ncost[i][j] is None) for j in range(J)]
+        self.sbad = [sum(1 << i for i in range(I) if scost[i][j] is None) for j in range(J)]
+        # Band costs per (row, column mask) and the terminal cost per mask of
+        # columns left in the north band, summed on first use: a table of
+        # 2^I entries would not pay on the wide bays ``--unrestricted`` admits.
+        self.north_sums = [_MaskSums(row) for row in zip(*ncost)]
+        self.south_sums = [_MaskSums(row) for row in zip(*scost)]
+        self.split_sums = _MaskSums(self.split_best)
+        self._memo: list[dict[tuple[int, int], float]] = [{} for _ in range(J)]
+
+    def row_choices(self, j: int, state: tuple[int, int]):
+        """Yield (alpha, eps, added_cost, new_state) for row j, valid only."""
+        band, south = state
+        north = self.full & ~(band | south)
+        nbad, sbad = self.nbad[j], self.sbad[j]
+        north_sums, south_sums = self.north_sums[j], self.south_sums[j]
+        for alpha, eps, cost, horizontal in self.choices[j]:
+            ended = band & ~horizontal
+            if horizontal & south or horizontal & north & nbad or ended & sbad:
                 continue
-            for eps in range(I - alpha + 1):
-                ec = self.ecost[j][eps]
-                if ec is None:
-                    continue
-                added = wc + ec
-                new_phases = list(phases)
-                ok = True
-                for i in range(I):
-                    horizontal = i < alpha or i >= I - eps
-                    ph = phases[i]
-                    if horizontal:
-                        if ph == _P:
-                            nc = self.ncost[i][j]  # north band = rows 1..j
-                            if nc is None:
-                                ok = False
-                                break
-                            added += nc
-                            new_phases[i] = _M
-                        elif ph == _S:
-                            ok = False  # horizontal cell below the south band
-                            break
-                    else:
-                        if ph == _M:
-                            sc = self.scost[i][j]  # south band = rows j+1..J
-                            if sc is None:
-                                ok = False
-                                break
-                            added += sc
-                            new_phases[i] = _S
-                if ok:
-                    yield alpha, eps, added, tuple(new_phases)
+            cost += north_sums[horizontal & north] + south_sums[ended]
+            yield alpha, eps, cost, (horizontal, south | ended)
 
-    def cost_to_go(self, j: int, phases: tuple[int, ...]) -> float:
+    def cost_to_go(self, j: int, state: tuple[int, int]) -> float:
         """Minimum cost of rows j.. plus terminal column costs (0-based j)."""
         if j == self.J:
-            return sum(
-                self.split_best[i] if ph == _P else 0.0 for i, ph in enumerate(phases)
-            )
-        key = (j, phases)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        best = math.inf
-        for _, _, added, new_phases in self.row_choices(j, phases):
-            best = min(best, added + self.cost_to_go(j + 1, new_phases))
-        self._memo[key] = best
+            band, south = state
+            return self.split_sums[self.full & ~(band | south)]
+        memo = self._memo[j]
+        best = memo.get(state)
+        if best is None:
+            best = math.inf
+            for _, _, added, new_state in self.row_choices(j, state):
+                total = added + self.cost_to_go(j + 1, new_state)
+                if total < best:
+                    best = total
+            memo[state] = best
         return best
 
 
@@ -315,7 +340,7 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]
     if limit < 1:
         raise ValueError("limit must be at least 1")
     tables = _BayTables(bay)
-    start = (_P,) * bay.I
+    start = (0, 0)
     best = tables.cost_to_go(0, start)
     if math.isinf(best):
         raise InfeasibleAssignment(
@@ -346,18 +371,19 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]
                     return
         del chosen[i]
 
-    def walk(j: int, phases: tuple[int, ...], spent: int) -> None:
+    def walk(j: int, state: tuple[int, int], spent: int) -> None:
         if len(out) >= limit:
             return
         if j == tables.J:
-            free_cols = [i for i, ph in enumerate(phases) if ph == _P]
+            band, south = state
+            free_cols = [i for i in range(tables.I) if not (band | south) >> i & 1]
             emit_splits(free_cols, {})
             return
-        for alpha, eps, added, new_phases in tables.row_choices(j, phases):
-            tail = tables.cost_to_go(j + 1, new_phases)
+        for alpha, eps, added, new_state in tables.row_choices(j, state):
+            tail = tables.cost_to_go(j + 1, new_state)
             if spent + added + tail == opt:
                 row_splits.append((alpha, eps))
-                walk(j + 1, new_phases, spent + added)
+                walk(j + 1, new_state, spent + added)
                 row_splits.pop()
                 if len(out) >= limit:
                     return
@@ -406,9 +432,14 @@ def select_assignment(candidates: list[AccessAssignment], bay: BaySpec) -> Acces
 
 
 def has_hole_free_assignment(bay: BaySpec) -> bool:
-    """Cheap feasibility probe used by the instance generator."""
+    """Whether any hole-free assignment exists: the DP's cost is finite.
+
+    The instance generator probes every bay it grows with this.  It runs the
+    same DP as ``optimal_assignments`` from the empty state (0, 0) and
+    enumerates no assignment.
+    """
     tables = _BayTables(bay)
-    return not math.isinf(tables.cost_to_go(0, (_P,) * bay.I))
+    return not math.isinf(tables.cost_to_go(0, (0, 0)))
 
 
 def to_virtual_lanes(

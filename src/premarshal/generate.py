@@ -98,46 +98,27 @@ def target_loads(fill: float, slots: int) -> int:
     return math.floor(fill * slots + 0.5)
 
 
-@dataclass
-class _Frontier:
-    side: str
-    line: int  # row for E/W, column for N/S
-    depth: int = 0
-
-    def limit(self, I: int, J: int) -> int:
-        return J if self.side in ("N", "S") else I
-
-    def next_cell(self, I: int, J: int) -> tuple[int, int]:
-        d = self.depth
-        if self.side == "N":
-            return (self.line, d + 1)
-        if self.side == "S":
-            return (self.line, J - d)
-        if self.side == "E":
-            return (I - d, self.line)
-        return (d + 1, self.line)
-
-
 def _grow(rng: random.Random, I, J, sides, target) -> set[tuple[int, int]] | None:
     """One growth run; None when it deadlocks before reaching the target."""
-    frontiers: list[_Frontier] = []
-    for side in SIDES:  # fixed N, E, S, W order keeps runs reproducible
-        if side not in sides:
-            continue
-        lines = range(1, I + 1) if side in ("N", "S") else range(1, J + 1)
-        frontiers.extend(_Frontier(side, line) for line in lines)
+    # A frontier lists its free cells from the far side inward, so that
+    # ``pop`` takes its next cell.
+    lines = {
+        "N": [[(i, j) for j in range(J, 0, -1)] for i in range(1, I + 1)],
+        "E": [[(i, j) for i in range(1, I + 1)] for j in range(1, J + 1)],
+        "S": [[(i, j) for j in range(1, J + 1)] for i in range(1, I + 1)],
+        "W": [[(i, j) for i in range(I, 0, -1)] for j in range(1, J + 1)],
+    }
+    # Fixed N, E, S, W order keeps runs reproducible.
+    extendable = [f for side in SIDES if side in sides for f in lines[side]]
     occupied: set[tuple[int, int]] = set()
     while len(occupied) < target:
-        extendable = [
-            f
-            for f in frontiers
-            if f.depth < f.limit(I, J) and f.next_cell(I, J) not in occupied
-        ]
         if not extendable:
             return None
         chosen = extendable[rng.randrange(len(extendable))]
-        occupied.add(chosen.next_cell(I, J))
-        chosen.depth += 1
+        occupied.add(chosen.pop())
+        # A frontier that is used up or whose next cell is taken stays so,
+        # so the list is pruned in order rather than rebuilt.
+        extendable = [f for f in extendable if f and f[-1] not in occupied]
     return occupied
 
 

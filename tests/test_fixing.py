@@ -96,20 +96,30 @@ def _random_occ(rng, I, J, n):
     return {c: rng.randint(1, 9) for c in cells}
 
 
+# (I, J, draws): non-square shapes and six columns catch swapped row and
+# column indices or an off-by-one in a column-mask shift, which a square bay
+# can hide.
+ORACLE_SHAPES = [
+    (3, 3, 12), (6, 1, 6), (6, 2, 6), (5, 2, 6), (4, 3, 6), (2, 4, 6), (1, 6, 6),
+]
+
+
 @pytest.mark.parametrize("sides", [ALL_SIDES, frozenset("NW"), frozenset("E")])
 def test_score_matches_exhaustive_oracle(sides):
-    rng = random.Random(hash(tuple(sorted(sides))) & 0xFFFF)
-    for _ in range(12):
-        occ = _random_occ(rng, 3, 3, rng.randint(0, 9))
-        oracle_best = oracles.best_fixing_score(3, 3, occ, sides)
-        bay = _bay(3, 3, occ, sides)
-        if oracle_best is None:
-            assert not fixing.has_hole_free_assignment(bay)
-            continue
-        cands = fixing.optimal_assignments(bay, limit=3)
-        assert cands[0].misplaced == oracle_best
-        for cand in cands:
-            assert fixing.misplaced_count(bay, cand) == oracle_best
+    rng = random.Random("".join(sorted(sides)))
+    for I, J, draws in ORACLE_SHAPES:
+        for _ in range(draws):
+            occ = _random_occ(rng, I, J, rng.randint(0, I * J))
+            oracle_best = oracles.best_fixing_score(I, J, occ, sides)
+            bay = _bay(I, J, occ, sides)
+            assert fixing.has_hole_free_assignment(bay) == (oracle_best is not None)
+            if oracle_best is None:
+                continue
+            cands = fixing.optimal_assignments(bay, limit=10)
+            assert cands[0].misplaced == oracle_best
+            assert len({cand.rows for cand in cands}) == len(cands)
+            for cand in cands:
+                assert fixing.misplaced_count(bay, cand) == oracle_best
 
 
 def test_oracle_formulation_against_direction_grid():

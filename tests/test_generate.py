@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import pytest
 
@@ -71,6 +72,27 @@ def test_generate_is_byte_deterministic(tmp_path):
     other = tmp_path / "c.json"
     files.write_instance(generate.generate(_cfg(seed=124)), other)
     assert a.read_bytes() != other.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bay,warehouse,fill,digest",
+    [
+        ((6, 6), (2, 2), 0.8, "83c461f6433e7da1461082b195c945e7c9c6bc84a9b6ee3fd1551b8924236975"),
+        ((5, 5), (3, 3), 0.9, "d93c09befc3946007f4dc951d2d388a4523f5ffd7a900fcfc6d2eca542f2fe2b"),
+        ((3, 3), (12, 12), 0.6, "ab666cc0765a464bf8283195896da0f5f269482c6ff3738e68209b744144e732"),
+    ],
+    ids=["6x6-2x2-0.8", "5x5-3x3-0.9", "3x3-12x12-0.6"],
+)
+def test_generated_bytes_are_pinned(tmp_path, bay, warehouse, fill, digest):
+    """Growth draws and every assignability probe answer as when pinned.
+
+    A probe that answers differently keeps or regrows another bay, and so
+    changes the bytes.
+    """
+    config = GenConfig(bay=bay, warehouse=warehouse, fill=fill, groups=10, seed=1)
+    path = tmp_path / "instance.json"
+    files.write_instance(generate.generate(config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_instance_shape_and_metadata():
