@@ -1,7 +1,7 @@
 """Command line front end: generate, solve, verify, bench, distances.
 
 Exit codes: 0 success, 1 usage error, 2 solver timeout or out of memory,
-3 validation or input failure.
+3 invalid input, failed validation or unwritable output.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 from . import bench, files, pipeline
@@ -28,6 +29,15 @@ class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` of a command's output write into exit 3."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(EXIT_INVALID, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +108,8 @@ def _cmd_generate(args) -> int:
         instance = generate(config)
     except GenerationFailed as exc:
         raise _Failure(EXIT_INVALID, str(exc)) from exc
-    files.write_instance(instance, args.out)
+    with _writing(args.out):
+        files.write_instance(instance, args.out)
     print(f"wrote {args.out} ({instance.load_count} loads)")
     return EXIT_OK
 
@@ -114,6 +125,9 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.infile)
     try:
         prepared = pipeline.prepare(instance)
+    except MemoryError:
+        print("preprocessing ran out of memory", file=sys.stderr)
+        return EXIT_TIMEOUT
     except Exception as exc:  # noqa: BLE001 - any preprocessing failure is fatal
         raise _Failure(EXIT_INVALID, f"preprocessing failed: {exc}") from exc
 
@@ -137,7 +151,8 @@ def _cmd_solve(args) -> int:
     if isinstance(result, Infeasible):
         raise _Failure(EXIT_INVALID, "instance admits no sorting plan")
     assert isinstance(result, Solution)
-    files.write_solution(result, prepared.config, args.out)
+    with _writing(args.out):
+        files.write_solution(result, prepared.config, args.out)
     print(f"{result.algo}: k={result.k} distance={result.total_distance} "
           f"nodes={result.stats.nodes_evaluated}")
     return EXIT_OK
@@ -200,7 +215,7 @@ def _cmd_bench(args) -> int:
         rows = bench.run_suite(suite, jobs=max(1, jobs))
     except (KeyError, TypeError, ValueError) as exc:
         raise _Failure(EXIT_INVALID, f"bad suite: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as f:
         bench.write_results_csv(rows, f)
     print(json.dumps(bench.aggregate(rows), indent=2))
     return EXIT_OK
@@ -213,7 +228,7 @@ def _cmd_distances(args) -> int:
         matrix = all_pairs_distances(layout)
     except LayoutError as exc:
         raise _Failure(EXIT_INVALID, str(exc)) from exc
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as f:
         write_distances_csv(matrix, f)
     print(f"wrote {args.out} ({matrix.n} access points)")
     return EXIT_OK

@@ -37,7 +37,9 @@ split costs are summed per mask the first time that mask is met.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import bounds
@@ -329,19 +331,21 @@ def _directions(tables: _BayTables, row_splits, col_splits) -> tuple[str, ...]:
     return tuple("".join(row) for row in grid)
 
 
-def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]:
-    """All minimum-misplaced hole-free assignments, up to ``limit``.
+def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignment]:
+    """The minimum-misplaced hole-free assignments, up to ``limit``, on demand.
 
-    Enumeration order is deterministic: rows top to bottom with the west
-    count ascending then the east count ascending, then full-column splits
-    by column and split point ascending.  An empty bay returns a single
-    canonical assignment (every choice scores zero).
+    The DP runs here, so an infeasible bay raises ``InfeasibleAssignment``
+    (and ``limit < 1`` a ``ValueError``) from the call itself; the returned
+    iterator only walks the filled memo and builds each assignment when it
+    is asked for the next one.  Order is deterministic: rows top to bottom
+    with the west count ascending then the east count ascending, then
+    full-column splits by column and split point ascending.  An empty bay
+    yields a single canonical assignment (every choice scores zero).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     tables = _BayTables(bay)
-    start = (0, 0)
-    best = tables.cost_to_go(0, start)
+    best = tables.cost_to_go(0, (0, 0))
     if math.isinf(best):
         raise InfeasibleAssignment(
             f"no hole-free assignment for a {bay.I}x{bay.J} bay with "
@@ -349,51 +353,36 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> list[AccessAssignment]
         )
     if bay.load_count == 0:
         limit = 1
-    opt = int(best)
+    return itertools.islice(_walk(tables, int(best), 0, (0, 0), 0, []), limit)
 
-    out: list[AccessAssignment] = []
-    row_splits: list[tuple[int, int]] = []
 
-    def emit_splits(free_cols: list[int], chosen: dict[int, int]) -> None:
-        if len(out) >= limit:
-            return
-        if not free_cols:
-            col_splits = {i: chosen.get(i, 0) for i in range(tables.I)}
-            rows = _directions(tables, row_splits, col_splits)
-            out.append(AccessAssignment(rows=rows, misplaced=opt))
-            return
-        i, rest = free_cols[0], free_cols[1:]
-        for c in range(tables.J + 1):
-            if tables.split_cost[i][c] == tables.split_best[i]:
-                chosen[i] = c
-                emit_splits(rest, chosen)
-                if len(out) >= limit:
-                    return
-        del chosen[i]
+# Not a closure: an abandoned walk must free its tables at once, not at a cyclic collection.
+def _walk(
+    tables: _BayTables, opt: int, j: int, state: tuple[int, int], spent: int,
+    row_splits: list[tuple[int, int]],
+) -> Iterator[AccessAssignment]:
+    """Yield the optimal assignments below row ``j`` in enumeration order.
 
-    def walk(j: int, state: tuple[int, int], spent: int) -> None:
-        if len(out) >= limit:
-            return
-        if j == tables.J:
-            band, south = state
-            free_cols = [i for i in range(tables.I) if not (band | south) >> i & 1]
-            emit_splits(free_cols, {})
-            return
-        for alpha, eps, added, new_state in tables.row_choices(j, state):
-            tail = tables.cost_to_go(j + 1, new_state)
-            if spent + added + tail == opt:
-                row_splits.append((alpha, eps))
-                walk(j + 1, new_state, spent + added)
-                row_splits.pop()
-                if len(out) >= limit:
-                    return
-
-    walk(0, start, 0)
-    # Both closures reach themselves: without this the tables would wait for
-    # the cyclic collector instead of dying here, and so live through the A*
-    # search, which pauses it.
-    del walk, emit_splits
-    return out
+    ``row_splits`` holds the (alpha, eps) of the rows above; every branch
+    taken completes to at least one assignment, since it stays on the
+    optimum.
+    """
+    if j == tables.J:
+        occupied = state[0] | state[1]
+        # A column still in its north band takes each of its optimal splits.
+        splits = [
+            [c for c, cost in enumerate(tables.split_cost[i]) if cost == tables.split_best[i]]
+            if not occupied >> i & 1 else [0]
+            for i in range(tables.I)
+        ]
+        for col_splits in itertools.product(*splits):
+            yield AccessAssignment(_directions(tables, row_splits, col_splits), opt)
+        return
+    for alpha, eps, added, new_state in tables.row_choices(j, state):
+        if spent + added + tables.cost_to_go(j + 1, new_state) == opt:
+            row_splits.append((alpha, eps))
+            yield from _walk(tables, opt, j + 1, new_state, spent + added, row_splits)
+            row_splits.pop()
 
 
 def _bay_config(bay: BaySpec, assignment: AccessAssignment) -> LaneConfiguration:
@@ -405,29 +394,34 @@ def _bay_config(bay: BaySpec, assignment: AccessAssignment) -> LaneConfiguration
     return LaneConfiguration.build(lanes, bay.G)
 
 
-def select_assignment(candidates: list[AccessAssignment], bay: BaySpec) -> AccessAssignment:
+def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> AccessAssignment:
     """Pick the candidate with the smallest lower bound h; first found wins ties.
 
-    The scan stops at the first candidate whose h equals the least
-    ``misplaced`` of the list.  A candidate's ``misplaced`` is the blocking
-    count BX of its lanes, and h = BX + GX with GX >= 0, so no candidate's h
-    is below its own ``misplaced``, let alone below the least one.  A
-    candidate that reaches that floor cannot be beaten, and as the first
-    one found it also wins every tie.  The candidates of
-    ``optimal_assignments`` all share one ``misplaced``, so on a bay whose
-    first candidate has no covering term (GX = 0) one bound is evaluated
-    instead of one per candidate.
+    The candidates must share one ``misplaced``, as those of one
+    ``optimal_assignments`` call do; the floor is the first one's, and a
+    candidate read with another raises ``ValueError``.  The scan stops at
+    the first candidate whose h equals that floor.  A candidate's
+    ``misplaced`` is the blocking count BX of its lanes, and h = BX + GX
+    with GX >= 0, so no candidate's h is below the floor.  A candidate that
+    reaches it cannot be beaten, and as the first one found it also wins
+    every tie.  Candidates are read one at a time, so when they come from
+    ``optimal_assignments`` the ones after the stop are never built: on a
+    bay whose first candidate has no covering term (GX = 0), one assignment
+    is built and one bound evaluated.
     """
-    if not candidates:
-        raise ValueError("no candidate assignments")
-    floor = min(cand.misplaced for cand in candidates)
     best = None
     for cand in candidates:
+        if best is None:
+            floor = cand.misplaced
+        elif cand.misplaced != floor:
+            raise ValueError("candidate assignments differ in their misplaced count")
         h = bounds.lb(_bay_config(bay, cand))
         if best is None or h < best_h:
             best, best_h = cand, h
             if h == floor:
                 break
+    if best is None:
+        raise ValueError("no candidate assignments")
     return best
 
 

@@ -395,7 +395,7 @@ def test_c09_access_fixing_optimality():
                 assert not fixing.has_hole_free_assignment(bay)
                 infeasible_agreements += 1
                 continue
-            candidates = fixing.optimal_assignments(bay, limit=5)
+            candidates = list(fixing.optimal_assignments(bay, limit=5))
             assert candidates
             for assignment in candidates:
                 assert assignment.misplaced == best

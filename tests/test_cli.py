@@ -127,6 +127,20 @@ def test_out_of_memory_exits_2_without_a_traceback(instance_path, tmp_path, caps
     assert not out.exists()
 
 
+def test_out_of_memory_in_preprocessing_exits_2(instance_path, tmp_path, capsys,
+                                                monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.pipeline, "prepare", exhausted)
+    code, out = _solve(instance_path, tmp_path, "astar")
+    assert code == cli.EXIT_TIMEOUT
+    err = capsys.readouterr().err
+    assert "preprocessing ran out of memory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_flags_a_tampered_solution(instance_path, tmp_path, capsys):
     code, astar_out = _solve(instance_path, tmp_path, "astar")
     assert code == cli.EXIT_OK
@@ -264,6 +278,27 @@ def test_malformed_solutions_exit_3_without_a_traceback(probe_plan, tmp_path, ta
         if command[0] == "verify":
             report = json.loads(run.stdout)
             assert [v["code"] for v in report["violations"]] == ["malformed"]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "distances", "bench"])
+def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, command):
+    out = str(tmp_path / "no_such_dir" / "out")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.4, "classes": 5}],
+        "seeds": [1],
+        "algos": ["astar"],
+    }))
+    args = {
+        "generate": ["--bay", "4x4", "--warehouse", "2x2", "--fill", "0.8",
+                     "--classes", "10", "--seed", "2"],
+        "solve": ["--algo", "astar", "--in", str(instance_path)],
+        "distances": ["--in", str(instance_path)],
+        "bench": ["--suite", str(suite), "--jobs", "1"],
+    }[command]
+    run = _run_cli([command, *args, "-o", out])
+    assert run.returncode == cli.EXIT_INVALID
+    assert run.stderr == f"premarshal: cannot write {out}: No such file or directory\n"
 
 
 def test_bench_writes_csv_and_aggregate(tmp_path, capsys, monkeypatch):

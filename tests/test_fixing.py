@@ -1,4 +1,8 @@
+import gc
+import hashlib
+import json
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -19,7 +23,7 @@ def _bay(I, J, occ, sides=ALL_SIDES, G=9):
 
 def test_empty_bay_single_canonical_optimum():
     bay = _bay(3, 3, {})
-    cands = fixing.optimal_assignments(bay, limit=10)
+    cands = list(fixing.optimal_assignments(bay, limit=10))
     assert len(cands) == 1
     assert cands[0].misplaced == 0
 
@@ -27,7 +31,7 @@ def test_empty_bay_single_canonical_optimum():
 def test_single_row_split_points():
     """1xK bay with east+west access: exactly K+1 splits, scored per split."""
     bay = _bay(3, 1, {(1, 1): 3, (2, 1): 1, (3, 1): 2}, sides=frozenset("EW"))
-    cands = fixing.optimal_assignments(bay, limit=10)
+    cands = list(fixing.optimal_assignments(bay, limit=10))
     # every split of [3,1,2] scores 1, so all four splits are optimal
     assert len(cands) == 4
     assert {c.rows[0] for c in cands} == {"EEE", "WEE", "WWE", "WWW"}
@@ -50,14 +54,14 @@ def test_sorted_per_row_bay_scores_zero():
         occ[(1, j)] = 1
         occ[(2, j)] = 5
         occ[(3, j)] = 2
-    cands = fixing.optimal_assignments(_bay(3, 3, occ), limit=10)
+    cands = list(fixing.optimal_assignments(_bay(3, 3, occ), limit=10))
     assert cands[0].misplaced == 0
 
 
 def test_enumeration_is_deterministic_and_capped():
     occ = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)}
-    first = fixing.optimal_assignments(_bay(3, 3, occ), limit=4)
-    second = fixing.optimal_assignments(_bay(3, 3, occ), limit=4)
+    first = list(fixing.optimal_assignments(_bay(3, 3, occ), limit=4))
+    second = list(fixing.optimal_assignments(_bay(3, 3, occ), limit=4))
     assert [c.rows for c in first] == [c.rows for c in second]
     assert len(first) == 4
     assert all(c.misplaced == 0 for c in first)
@@ -69,6 +73,15 @@ def test_infeasible_ring_occupancy():
     assert not fixing.has_hole_free_assignment(bay)
     with pytest.raises(fixing.InfeasibleAssignment):
         fixing.optimal_assignments(bay, limit=1)
+
+
+def test_optimal_assignments_raises_when_called():
+    """The DP runs in the call, not on the first ``next()`` of its iterator."""
+    ring = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (2, 2)}
+    with pytest.raises(fixing.InfeasibleAssignment):
+        fixing.optimal_assignments(_bay(3, 3, ring), limit=10)
+    with pytest.raises(ValueError, match="limit"):
+        fixing.optimal_assignments(_bay(3, 3, {}), limit=0)
 
 
 def test_multi_tier_rejected():
@@ -115,7 +128,7 @@ def test_score_matches_exhaustive_oracle(sides):
             assert fixing.has_hole_free_assignment(bay) == (oracle_best is not None)
             if oracle_best is None:
                 continue
-            cands = fixing.optimal_assignments(bay, limit=10)
+            cands = list(fixing.optimal_assignments(bay, limit=10))
             assert cands[0].misplaced == oracle_best
             assert len({cand.rows for cand in cands}) == len(cands)
             for cand in cands:
@@ -137,7 +150,7 @@ def test_select_assignment_minimizes_h():
         occ = _random_occ(rng, 3, 3, rng.randint(2, 8))
         bay = _bay(3, 3, occ)
         try:
-            cands = fixing.optimal_assignments(bay, limit=10)
+            cands = list(fixing.optimal_assignments(bay, limit=10))
         except fixing.InfeasibleAssignment:
             continue
         chosen = fixing.select_assignment(cands, bay)
@@ -158,7 +171,7 @@ def _bays_and_candidates(draw):
         )
     except generate.GenerationFailed:
         assume(False)
-    cands = draw(st.permutations(fixing.optimal_assignments(bay, limit=10)))
+    cands = draw(st.permutations(list(fixing.optimal_assignments(bay, limit=10))))
     return bay, cands
 
 
@@ -181,12 +194,80 @@ def test_select_stops_at_the_first_candidate_on_the_floor(drawn):
 def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
     """The first candidate has GX > 0; the second reaches h = misplaced = 1."""
     bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
-    cands = fixing.optimal_assignments(bay, limit=10)
+    cands = list(fixing.optimal_assignments(bay, limit=10))
     assert [bounds.lb(fixing._bay_config(bay, c)) for c in cands] == [2, 1] * 4
     with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
         chosen = fixing.select_assignment(cands, bay)
     assert chosen is cands[1] is oracles.full_scan_select(cands, bay)
     assert lb.call_count == 2
+
+
+def test_select_builds_only_the_candidates_it_reads():
+    """Selection stops the lazy enumeration at the first candidate on the floor."""
+    uniform = _bay(3, 3, {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)})
+    steps = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
+    for bay, built in ((uniform, 1), (steps, 2)):
+        assert len(list(fixing.optimal_assignments(bay, limit=10))) > built
+        with mock.patch.object(fixing, "_directions", wraps=fixing._directions) as directions:
+            fixing.select_assignment(fixing.optimal_assignments(bay, limit=10), bay)
+        assert directions.call_count == built
+
+
+def test_an_abandoned_enumeration_frees_its_tables():
+    """The walk forms no reference cycle: its tables die without the collector A* pauses."""
+    made = []
+
+    class Tables(fixing._BayTables):
+        def __init__(self, bay):
+            super().__init__(bay)
+            made.append(weakref.ref(self))
+
+    bay = _bay(3, 3, {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)})
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with mock.patch.object(fixing, "_BayTables", Tables):
+            fixing.select_assignment(fixing.optimal_assignments(bay, limit=10), bay)
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_select_rejects_candidates_off_one_floor():
+    """The early stop is sound only when every candidate has one ``misplaced``."""
+    bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
+    # Both read: the first one's h of 2 is above either misplaced count.
+    pair = [fixing.AccessAssignment(("EEE", "EEE"), 1), fixing.AccessAssignment(("EEE", "WEE"), 0)]
+    for cands in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match="misplaced"):
+            fixing.select_assignment(cands, bay)
+    with pytest.raises(ValueError, match="no candidate"):
+        fixing.select_assignment(iter(()), bay)
+
+
+# sha256 of the JSON of [c.rows for c in optimal_assignments(bay, 10)] per
+# bay, over every bay of a generated instance: order, count and content of
+# the candidate lists, recorded before enumeration became lazy.
+CANDIDATE_DIGESTS = {
+    ((3, 3), (12, 12), 0.6, 10, 1):
+        "98b2da0875393c98c923a809e488a1965a91e3a2163028a2677aec3d5e0b8fbb",
+    ((4, 4), (8, 8), 0.4, 5, 2):
+        "88e3b5b94a57dad50037a09e9552f4c887738b5524732fca14e64521c70dad25",
+    ((5, 5), (3, 3), 0.9, 10, 1):
+        "f44ade2f4f4af5e2f1c21e0ad34f09b320777b104f6f286fd20d248f98f167bb",
+}
+
+
+@pytest.mark.parametrize("spec", list(CANDIDATE_DIGESTS))
+def test_candidate_lists_pinned(spec):
+    bay_shape, warehouse, fill, groups, seed = spec
+    instance = generate.generate(generate.GenConfig(
+        bay=bay_shape, warehouse=warehouse, fill=fill, groups=groups, seed=seed,
+    ))
+    lists = [[c.rows for c in fixing.optimal_assignments(bay, 10)] for bay in instance.bays]
+    digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+    assert digest == CANDIDATE_DIGESTS[spec]
 
 
 def test_to_virtual_lanes_and_round_trip():
@@ -209,7 +290,7 @@ def test_all_west_lanes():
     bay = _bay(3, 3, occ, sides=frozenset("W"))
     inst = WarehouseInstance(bays=(bay,), warehouse_rows=1, warehouse_cols=1, meta={})
     layout = build_layout(inst)
-    cands = fixing.optimal_assignments(bay, 10)
+    cands = list(fixing.optimal_assignments(bay, 10))
     assert len(cands) == 1 and cands[0].rows == ("WWW", "WWW", "WWW")
     config, _bindings = fixing.to_virtual_lanes(inst, cands, layout)
     assert len(config.lanes) == 3
