@@ -211,12 +211,16 @@ def _cmd_bench(args) -> int:
             suite = json.load(f)
     except (OSError, ValueError) as exc:
         raise _Failure(EXIT_INVALID, f"cannot read suite {args.suite}: {exc}") from exc
-    try:
-        rows = bench.run_suite(suite, jobs=max(1, jobs))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _Failure(EXIT_INVALID, f"bad suite: {exc}") from exc
-    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as f:
-        bench.write_results_csv(rows, f)
+    # Opened before any row is solved, so that an unwritable path costs no solve.
+    with _writing(args.out):
+        out = open(args.out, "w", encoding="utf-8", newline="")
+    with out:
+        try:
+            rows = bench.run_suite(suite, jobs=max(1, jobs))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _Failure(EXIT_INVALID, f"bad suite: {exc}") from exc
+        with _writing(args.out):
+            bench.write_results_csv(rows, out)
     print(json.dumps(bench.aggregate(rows), indent=2))
     return EXIT_OK
 

@@ -33,6 +33,31 @@ its cheapest full-column N/S split.  Lane costs are precomputed per row
 split and per column split and are None when the lane would contain a hole
 or sit on a side without access points; the band costs of a row and the
 split costs are summed per mask the first time that mask is met.
+
+The instance generator asks only whether that cost is finite, and
+``has_hole_free_assignment`` answers without building a cost table:
+
+1. Hole-free lengths.  A line's lane over its first ``a`` cells, counted
+   from its side, is hole-free exactly when ``a <= amax``, where ``amax`` is
+   the length of the longest front run of empty cells then loads (0 on a
+   side without access): such a run holds no hole, and a hole in one lane
+   is a hole in every longer lane of the line.  So a lane cost is None
+   exactly when its length exceeds its line's ``amax``, and the row choices,
+   ``nbad``, ``sbad`` and the columns with a full-column split
+   (``nmax + smax >= J``) all follow from ``wmax``, ``emax``, ``nmax`` and
+   ``smax``.
+2. Cover.  Every cell lies in exactly one lane, and that lane reaches from
+   its side at least to the cell, so in a hole-free assignment each cell
+   (i, j) has ``i <= wmax[j]``, ``I-i+1 <= emax[j]``, ``j <= nmax[i]`` or
+   ``J-j+1 <= smax[i]``.  A bay with a cell that meets none of them is
+   infeasible.  The converse fails: the lanes that reach two cells may
+   cross.
+3. Path.  Every cost added along a valid row choice is finite, so the cost
+   is finite exactly when some sequence of valid choices ends with every
+   north-band column splittable.  A depth-first search looks for one such
+   path.  It tries each distinct mask H of a row once, since validity and
+   the next state depend on H alone, and it remembers only the states that
+   have no completion.
 """
 
 from __future__ import annotations
@@ -425,15 +450,78 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
     return best
 
 
-def has_hole_free_assignment(bay: BaySpec) -> bool:
-    """Whether any hole-free assignment exists: the DP's cost is finite.
+def _reach(loaded_front_to_deep, open_side: bool) -> int:
+    """Length of the longest hole-free lane over the first cells of a line."""
+    if not open_side:
+        return 0
+    seen_load = False
+    for a, loaded in enumerate(loaded_front_to_deep):
+        if loaded:
+            seen_load = True
+        elif seen_load:
+            return a  # this empty cell would sit deeper than a load
+    return len(loaded_front_to_deep)
 
-    The instance generator probes every bay it grows with this.  It runs the
-    same DP as ``optimal_assignments`` from the empty state (0, 0) and
-    enumerates no assignment.
+
+def has_hole_free_assignment(bay: BaySpec) -> bool:
+    """Whether any hole-free assignment exists, i.e. the DP's cost is finite.
+
+    The instance generator probes every bay it grows with this.  It sums no
+    cost: it reads the hole-free lane lengths of every line, rejects a bay
+    with a cell no side reaches, and otherwise searches the DP's column-mask
+    states for one complete path (see the module docstring).
     """
-    tables = _BayTables(bay)
-    return not math.isinf(tables.cost_to_go(0, (0, 0)))
+    occ = _single_tier(bay)
+    I, J, sides = bay.I, bay.J, bay.access_sides
+    grid = [[(i, j) in occ for i in range(1, I + 1)] for j in range(1, J + 1)]
+    columns = list(zip(*grid))
+    wmax = [_reach(row, "W" in sides) for row in grid]
+    emax = [_reach(row[::-1], "E" in sides) for row in grid]
+    nmax = [_reach(col, "N" in sides) for col in columns]
+    smax = [_reach(col[::-1], "S" in sides) for col in columns]
+    # Rows and columns are 0-based from here on, and column i is bit i.
+    for j in range(J):
+        for i in range(I):
+            if not (i < wmax[j] or I - i <= emax[j] or j < nmax[i] or J - j <= smax[i]):
+                return False
+    full = (1 << I) - 1
+    rows = []
+    for j in range(J):
+        # dict, not set: the masks are tried in row_choices order.
+        masks = dict.fromkeys(
+            ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1))
+            for alpha in range(wmax[j] + 1)
+            for eps in range(min(emax[j], I - alpha) + 1)
+        )
+        nbad = sum(1 << i for i in range(I) if j > nmax[i])
+        sbad = sum(1 << i for i in range(I) if J - j > smax[i])
+        rows.append((tuple(masks), nbad, sbad))
+    nosplit = sum(1 << i for i in range(I) if nmax[i] + smax[i] < J)
+    return _completes(rows, full, nosplit, 0, 0, 0, set())
+
+
+# Not a closure: each of the generator's many probes must free its state at once.
+def _completes(rows, full: int, nosplit: int, j: int, band: int, south: int, dead: set) -> bool:
+    """Whether rows ``j``.. have valid horizontal masks from state (band, south).
+
+    ``rows[j]`` holds row j's distinct horizontal masks, ``nbad`` and
+    ``sbad``, and a mask is valid by the tests of ``_BayTables.row_choices``.
+    ``dead`` collects the (j, band, south) states found to have no completion.
+    """
+    if j == len(rows):
+        return not full & ~(band | south) & nosplit
+    if (j, band, south) in dead:
+        return False
+    masks, nbad, sbad = rows[j]
+    north = full & ~(band | south)
+    for horizontal in masks:
+        ended = band & ~horizontal
+        if horizontal & south or horizontal & north & nbad or ended & sbad:
+            continue
+        if _completes(rows, full, nosplit, j + 1, horizontal, south | ended, dead):
+            return True
+    dead.add((j, band, south))
+    return False
 
 
 def to_virtual_lanes(

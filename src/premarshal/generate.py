@@ -4,9 +4,9 @@ Occupancy is built per bay by boundary-anchored lane growth: every allowed
 side contributes one frontier per row or column, and each step claims the
 next inward cell of a uniformly random still-extendable frontier.  Growth
 can finish in a shape no hole-free assignment covers (frontiers of different
-sides can interleave), so each bay is checked with the access-fixing search
-and regrown from a derived sub-seed when the check fails or growth
-deadlocks.
+sides can interleave), so each bay is checked with the access-fixing
+feasibility probe ``has_hole_free_assignment``, which sums no cost, and
+regrown from a derived sub-seed when the check fails or growth deadlocks.
 
 Priority groups are drawn only after a bay's shape is final, in canonical
 cell order, so two configs differing only in the group count produce

@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from premarshal import cli, files
+from premarshal import bench, cli, files
 
 
 @pytest.fixture()
@@ -46,6 +47,17 @@ def test_generate_rejects_off_grid_configs(tmp_path, capsys):
     ])
     assert code == cli.EXIT_USAGE
     assert "premarshal:" in capsys.readouterr().err
+
+
+def test_a_bay_that_cannot_be_grown_exits_3(tmp_path):
+    """6x6/6x6/0.9/s1 exhausts its retry budget, every probe real."""
+    out = tmp_path / "x.json"
+    run = _run_cli(["generate", "--bay", "6x6", "--warehouse", "6x6", "--fill", "0.9",
+                    "--classes", "10", "--seed", "1", "-o", str(out)])
+    assert run.returncode == cli.EXIT_INVALID
+    assert "no assignable 6x6 bay" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 def test_solve_verify_round_trip(instance_path, tmp_path, capsys):
@@ -281,7 +293,8 @@ def test_malformed_solutions_exit_3_without_a_traceback(probe_plan, tmp_path, ta
 
 
 @pytest.mark.parametrize("command", ["generate", "solve", "distances", "bench"])
-def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, command):
+def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, capsys,
+                                                       command):
     out = str(tmp_path / "no_such_dir" / "out")
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({
@@ -296,9 +309,12 @@ def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, 
         "distances": ["--in", str(instance_path)],
         "bench": ["--suite", str(suite), "--jobs", "1"],
     }[command]
-    run = _run_cli([command, *args, "-o", out])
-    assert run.returncode == cli.EXIT_INVALID
-    assert run.stderr == f"premarshal: cannot write {out}: No such file or directory\n"
+    # In process, so that ``bench`` is seen to fail before it solves a row;
+    # a traceback would surface here as the exception itself.
+    with mock.patch.object(bench, "run_suite", side_effect=AssertionError("suite solved")):
+        code = cli.main([command, *args, "-o", out])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"premarshal: cannot write {out}: No such file or directory\n"
 
 
 def test_bench_writes_csv_and_aggregate(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import weakref
 from unittest import mock
@@ -133,6 +134,65 @@ def test_score_matches_exhaustive_oracle(sides):
             assert len({cand.rows for cand in cands}) == len(cands)
             for cand in cands:
                 assert fixing.misplaced_count(bay, cand) == oracle_best
+
+
+def _dp_is_finite(bay):
+    return not math.isinf(fixing._BayTables(bay).cost_to_go(0, (0, 0)))
+
+
+def _every_cell_reached(bay):
+    """Each cell has a side whose lane from the front to that cell holds no hole."""
+    occ = {(i, j): g for (i, j, _), g in bay.occupancy.items()}
+    I, J = bay.I, bay.J
+    for i in range(1, I + 1):
+        for j in range(1, J + 1):
+            lanes = {  # deepest first
+                "W": [(k, j) for k in range(i, 0, -1)],
+                "E": [(k, j) for k in range(i, I + 1)],
+                "N": [(i, k) for k in range(j, 0, -1)],
+                "S": [(i, k) for k in range(j, J + 1)],
+            }
+            if not any(side in bay.access_sides and fixing._lane_of_cells(occ, side, cells)
+                       for side, cells in lanes.items()):
+                return False
+    return True
+
+
+# 4x4, all four sides.  Each cell is reached from some side, but (2, 2) only
+# from the east and (3, 3) only from the north, and those two lanes cross at
+# (3, 2): no assignment exists.
+CROSSED_LANES = _bay(4, 4, {(2, 1): 1, (1, 2): 1, (2, 3): 1, (4, 3): 1, (3, 4): 1})
+# 4x6, sides E, N and W, assignable.  The search meets one column state at
+# two rows, dead at one and alive at the other, so a memo of dead states
+# that forgets the row answers no.
+STATE_AT_TWO_ROWS = _bay(4, 6, dict.fromkeys(
+    [(1, 1), (1, 5), (2, 1), (2, 3), (2, 5), (3, 4), (3, 6), (4, 1), (4, 3)], 1), frozenset("ENW"))
+
+
+def test_probe_agrees_with_the_cost_dp():
+    assert _every_cell_reached(CROSSED_LANES)
+    assert not _dp_is_finite(CROSSED_LANES)
+    assert not fixing.has_hole_free_assignment(CROSSED_LANES)
+    assert _dp_is_finite(STATE_AT_TWO_ROWS)
+    assert fixing.has_hole_free_assignment(STATE_AT_TWO_ROWS)
+    rng = random.Random("probe against cost DP")
+    feasible = 0
+    for _ in range(2000):
+        I, J = rng.randint(1, 7), rng.randint(1, 7)
+        sides = frozenset(rng.sample("NESW", rng.randint(1, 4)))
+        bay = _bay(I, J, _random_occ(rng, I, J, rng.randint(0, I * J)), sides)
+        answer = fixing.has_hole_free_assignment(bay)
+        assert answer == _dp_is_finite(bay), bay
+        feasible += answer
+    assert 500 < feasible < 1500  # both answers are well exercised
+
+
+def test_probe_builds_no_cost_tables():
+    ring = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (2, 2)}
+    with mock.patch.object(fixing, "_BayTables", side_effect=AssertionError("cost tables built")):
+        assert fixing.has_hole_free_assignment(_bay(3, 3, {(1, 1): 2, (3, 2): 1}))
+        assert not fixing.has_hole_free_assignment(_bay(3, 3, ring))
+        assert not fixing.has_hole_free_assignment(CROSSED_LANES)
 
 
 def test_oracle_formulation_against_direction_grid():
