@@ -15,10 +15,8 @@ from .model import (
     Solution,
     SolveStats,
     TimedOut,
-    VirtualLane,
     WarehouseInstance,
     apply_move,
-    blocking_count,
     legal_moves,
     state_key,
 )
@@ -33,10 +31,8 @@ __all__ = [
     "Solution",
     "SolveStats",
     "TimedOut",
-    "VirtualLane",
     "WarehouseInstance",
     "apply_move",
-    "blocking_count",
     "legal_moves",
     "state_key",
     "__version__",

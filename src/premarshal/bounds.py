@@ -59,10 +59,12 @@ maps a cover of the child to a cover of the parent that costs at most
 
 In every case h = BX + GX <= BX' + GX' + 1 = h' + 1.
 
-``lane_change`` re-profiles one lane that comes to hold new contents and
-gives its BX change and surplus change.  ``lb_incremental`` applies it to
-the two lanes a move touches and adds both surplus changes to the parent's
-surplus; its result is identical to the from-scratch computation.
+``lane_profile`` and ``lane_change`` take a lane as its contents, its
+capacity and the group count G, as a state holds them.  ``lane_change``
+re-profiles one lane that comes to hold new contents and gives its BX
+change and surplus change.  ``lb_incremental`` applies it to the two lanes
+a move touches and adds both surplus changes to the parent's surplus; its
+result is identical to the from-scratch computation.
 
 ``Siblings`` gives the h of every child of one parent without building the
 child.  The source lane's state after losing its front load, and a target
@@ -93,12 +95,7 @@ from itertools import accumulate, groupby
 from operator import add, gt, itemgetter
 from typing import Sequence
 
-from .model import (
-    LaneConfiguration,
-    Move,
-    VirtualLane,
-    non_increasing_prefix_len,
-)
+from .model import LaneConfiguration, Move, non_increasing_prefix_len
 
 
 @dataclass(frozen=True)
@@ -116,24 +113,26 @@ class LaneProfile:
     prefix_groups: tuple[int, ...] = ()
 
 
-def lane_profile(lane: VirtualLane, groups: int) -> LaneProfile:
-    """Profile a lane: sorted-prefix length, its front group, the blocking
-    groups behind it, and the slots left once the blockers are gone."""
-    prefix = non_increasing_prefix_len(lane.contents)
-    threshold = lane.contents[prefix - 1] if prefix else groups
+def lane_profile(contents: tuple[int, ...], capacity: int, groups: int) -> LaneProfile:
+    """Profile a lane of ``capacity`` slots holding ``contents``: sorted-prefix
+    length, its front group, the blocking groups behind it, and the slots
+    left once the blockers are gone."""
+    prefix = non_increasing_prefix_len(contents)
+    threshold = contents[prefix - 1] if prefix else groups
     return LaneProfile(
         prefix_len=prefix,
         threshold=threshold,
-        blocking_suffix=tuple(sorted(lane.contents[prefix:])),
-        free_after_clear=lane.capacity - prefix,
-        prefix_groups=tuple(lane.contents[:prefix]),
+        blocking_suffix=tuple(sorted(contents[prefix:])),
+        free_after_clear=capacity - prefix,
+        prefix_groups=tuple(contents[:prefix]),
     )
 
 
-def lane_change(old: LaneProfile, lane: VirtualLane, groups: int) -> tuple:
-    """BX change, surplus change and new profile when the lane profiled by
-    ``old`` comes to be ``lane``."""
-    new = lane_profile(lane, groups)
+def lane_change(old: LaneProfile, contents: tuple[int, ...], capacity: int,
+                groups: int) -> tuple:
+    """BX change, surplus change and new profile when the lane of
+    ``capacity`` slots profiled by ``old`` comes to hold ``contents``."""
+    new = lane_profile(contents, capacity, groups)
     per_group = [0] * groups
     for g in new.blocking_suffix:
         per_group[g - 1] += 1
@@ -246,7 +245,8 @@ def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile]) -> int:
 
 def lb_state(config: LaneConfiguration):
     """Full evaluation: (surplus, profiles, h) for incremental updates later."""
-    profiles = tuple(lane_profile(lane, config.groups) for lane in config.lanes)
+    profiles = tuple(lane_profile(loads, capacity, config.groups)
+                     for loads, capacity in zip(config.contents, config.capacities))
     per_group = [0] * config.groups
     for prof in profiles:
         for g in prof.blocking_suffix:
@@ -271,8 +271,9 @@ def lb_incremental(
     surplus changes; equal to lb_state(child) from scratch."""
     profiles = list(parent_profiles)
     src, dst = move.from_lane - 1, move.to_lane - 1
-    _bx, src_change, profiles[src] = lane_change(profiles[src], child.lanes[src], child.groups)
-    _bx, dst_change, profiles[dst] = lane_change(profiles[dst], child.lanes[dst], child.groups)
+    contents, caps, groups = child.contents, child.capacities, child.groups
+    _bx, src_change, profiles[src] = lane_change(profiles[src], contents[src], caps[src], groups)
+    _bx, dst_change, profiles[dst] = lane_change(profiles[dst], contents[dst], caps[dst], groups)
     surplus = tuple(map(add, parent_surplus, src_change))
     surplus = tuple(map(add, surplus, dst_change))
     profiles = tuple(profiles)
@@ -299,7 +300,7 @@ class Siblings:
         #: (capacity, contents, new contents) -> ``lane_change`` result; it depends
         #: on nothing else, so one search may share it between its parents
         self._touched = {} if touched is None else touched
-        #: source lane id -> (BX, load, surplus, profile) once its front load is gone
+        #: source lane index -> (BX, load, surplus, profile) once its front load is gone
         self._taken: dict[int, tuple] = {}
         #: load -> [(BX change, surplus change, mask of the lanes with room giving them)]
         self._classes: dict[int, list] = {}
@@ -319,12 +320,13 @@ class Siblings:
 
     def h(self, move: Move):
         """h of ``apply_move(config, move)`` for a legal ``move``."""
-        bx, load, surplus, src = self._taken_of(move.from_lane)
-        bx_change, change, dst = self._give(move.to_lane, load)
+        s, t = move.from_lane - 1, move.to_lane - 1
+        bx, load, surplus, src = self._taken_of(s)
+        bx_change, change, dst = self._give(t, load)
         surplus = tuple(map(add, surplus, change))
         if max(surplus) <= 0:
             return bx + bx_change
-        return bx + bx_change + self._gx(surplus, move.from_lane, src, move.to_lane, dst)
+        return bx + bx_change + self._gx(surplus, s, src, t, dst)
 
     def select(self, limit, expired=None):
         """The children whose h is at most ``limit``, and the least h above it.
@@ -338,25 +340,26 @@ class Siblings:
         docstring says how the children are listed; the pairs that need GX
         come last, by ascending BX, so that the skip cuts the most.
         """
-        lanes = self.config.lanes
-        room = [idx for idx, lane in enumerate(lanes) if len(lane.contents) < lane.capacity]
-        self._room_rank = rank = [0] * len(lanes)
+        contents = self.config.contents
+        room = [idx for idx, (loads, capacity) in enumerate(zip(contents, self.config.capacities))
+                if len(loads) < capacity]
+        self._room_rank = rank = [0] * len(contents)
         for r, idx in enumerate(room, 1):
             rank[idx] = r
-        self._first = first = [0] * len(lanes)
+        self._first = first = [0] * len(contents)
         listed = 0
         kept = []  # (source index, target mask, h)
         slow = []  # (child BX, source index, target mask, child surplus)
         above = None
-        for s, lane in enumerate(lanes):
-            if not lane.contents:
+        for s, loads in enumerate(contents):
+            if not loads:
                 continue
             if expired is not None and expired():
                 return None
             first[s] = listed
             listed += len(room) - (rank[s] > 0)
             bit = 1 << s
-            for bx, surplus, mask in self._pairs_of(s + 1, room):
+            for bx, surplus, mask in self._pairs_of(s, room):
                 if mask & bit:
                     mask ^= bit
                     if not mask:
@@ -374,10 +377,10 @@ class Siblings:
                 break  # every pair left has h >= bx + 1 >= above > limit
             if expired is not None and expired():
                 return None
-            _bx, load, _surplus, src = self._taken_of(s + 1)
+            _bx, load, _surplus, src = self._taken_of(s)
             for low in _bits(mask):
-                t = low.bit_length()
-                h = bx + self._gx(surplus, s + 1, src, t, self._give(t, load)[2])
+                t = low.bit_length() - 1
+                h = bx + self._gx(surplus, s, src, t, self._give(t, load)[2])
                 if h <= limit:
                     kept.append((s, low, h))
                 elif above is None or h < above:
@@ -393,36 +396,36 @@ class Siblings:
         rank = self._room_rank
         return self._first[src_idx] + rank[dst_idx] - (0 < rank[src_idx] < rank[dst_idx])
 
-    def _taken_of(self, lane_id: int) -> tuple:
-        taken = self._taken.get(lane_id)
+    def _taken_of(self, idx: int) -> tuple:
+        taken = self._taken.get(idx)
         if taken is None:
-            taken = self._taken[lane_id] = self._take(lane_id)
+            taken = self._taken[idx] = self._take(idx)
         return taken
 
-    def _take(self, lane_id: int) -> tuple:
+    def _take(self, idx: int) -> tuple:
         """The source lane after it loses its front load."""
-        contents = self.config.lanes[lane_id - 1].contents
-        bx_change, change, new = self._touch(lane_id, contents[:-1])
+        contents = self.config.contents[idx]
+        bx_change, change, new = self._touch(idx, contents[:-1])
         bx = self.config.blocking_total + bx_change
         return bx, contents[-1], tuple(map(add, self.surplus, change)), new
 
-    def _give(self, lane_id: int, load: int) -> tuple:
+    def _give(self, idx: int, load: int) -> tuple:
         """The target lane after it receives a load of group ``load``: BX
         change, surplus change and profile."""
-        return self._touch(lane_id, self.config.lanes[lane_id - 1].contents + (load,))
+        return self._touch(idx, self.config.contents[idx] + (load,))
 
-    def _pairs_of(self, lane_id: int, room: list[int]) -> list:
+    def _pairs_of(self, idx: int, room: list[int]) -> list:
         """(child BX, child surplus or None, target mask) per target class,
         shared by the sources with the same ``_take`` part."""
-        bx, load, surplus, _src = self._taken_of(lane_id)
+        bx, load, surplus, _src = self._taken_of(idx)
         pairs = self._pairs.get((bx, load, surplus))
         if pairs is None:
             classes = self._classes.get(load)
             if classes is None:
                 masks: dict[tuple, int] = {}
-                for idx in room:
-                    part = self._give(idx + 1, load)[:2]
-                    masks[part] = masks.get(part, 0) | 1 << idx
+                for t in room:
+                    part = self._give(t, load)[:2]
+                    masks[part] = masks.get(part, 0) | 1 << t
                 classes = self._classes[load] = [(*part, mask) for part, mask in masks.items()]
             pairs = self._pairs[bx, load, surplus] = []
             for bx_change, change, mask in classes:
@@ -430,17 +433,14 @@ class Siblings:
                 pairs.append((bx + bx_change, level if max(level) > 0 else None, mask))
         return pairs
 
-    def _touch(self, lane_id: int, contents: tuple[int, ...]) -> tuple:
+    def _touch(self, idx: int, contents: tuple[int, ...]) -> tuple:
         """``lane_change`` of one lane coming to hold ``contents``, memoised."""
-        lane = self.config.lanes[lane_id - 1]
-        key = (lane.capacity, lane.contents, contents)
+        capacity = self.config.capacities[idx]
+        key = (capacity, self.config.contents[idx], contents)
         touched = self._touched.get(key)
         if touched is None:
             touched = self._touched[key] = lane_change(
-                self.profiles[lane_id - 1],
-                VirtualLane(lane_id, lane.access_point, lane.capacity, contents),
-                self.config.groups,
-            )
+                self.profiles[idx], contents, capacity, self.config.groups)
         return touched
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
@@ -453,8 +453,10 @@ class Siblings:
             self._shapes[key] = options if len(options) > 1 else None
         return self._shapes[key]
 
-    def _gx(self, surplus: Sequence[int], src_id: int, src: LaneProfile,
-            dst_id: int, dst: LaneProfile):
+    def _gx(self, surplus: Sequence[int], s: int, src: LaneProfile,
+            t: int, dst: LaneProfile):
+        """GX of a child whose lane indices ``s`` and ``t`` come to have the
+        profiles ``src`` and ``dst``."""
         levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
         needs = tuple(x for x in surplus if x > 0)
         options = self._options.get(levels)
@@ -464,7 +466,7 @@ class Siblings:
             ]
         added = [o for o in (self._lane_options(src, levels), self._lane_options(dst, levels))
                  if o is not None]
-        out = [o for o in (options[src_id - 1], options[dst_id - 1]) if o is not None]
+        out = [o for o in (options[s], options[t]) if o is not None]
         into = []
         for o in added:
             if o in out:
@@ -474,8 +476,8 @@ class Siblings:
         key = (levels, needs, tuple(sorted(out)), tuple(sorted(into)))
         gx = self._minima.get(key)
         if gx is None:
-            kept = [o for lane_id, o in enumerate(options, 1)
-                    if o is not None and lane_id != src_id and lane_id != dst_id]
+            kept = [o for idx, o in enumerate(options)
+                    if o is not None and idx != s and idx != t]
             gx = self._minima[key] = _cover(kept + added, needs)
         return gx
 

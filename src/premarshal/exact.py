@@ -89,18 +89,18 @@ class DeadlineReached(Exception):
 class Targets:
     """The moves of a search's states, taken from bitmasks over its lanes.
 
-    Built from the initial configuration: access points and capacities never
-    change, so for each source lane the ascending distinct distances of its
-    dmat row over the lanes, each with the mask of the lanes at that
-    distance or less, hold in every state of the search.
+    Built from the initial configuration: every state of the search shares
+    its access points and capacities, so for each source lane the ascending
+    distinct distances of its dmat row over the lanes, each with the mask of
+    the lanes at that distance or less, hold in every state of the search.
     """
 
     def __init__(self, initial: LaneConfiguration, dmat, depth_correction: bool):
-        points = [lane.access_point for lane in initial.lanes]
+        points = initial.points
         self.dmat = dmat
         self.groups = initial.groups
         self.depth_correction = depth_correction
-        self.capacity = [lane.capacity for lane in initial.lanes]
+        self.capacity = initial.capacities
         #: per source lane: (distances, masks)
         self.reach = []
         for p in points:
@@ -122,8 +122,8 @@ class Targets:
         the per-threshold masks of lanes without blockers (empty lanes sit at
         threshold G)."""
         open_mask = 0
-        for idx, lane in enumerate(config.lanes):
-            if len(lane.contents) < lane.capacity:
+        for idx, (loads, capacity) in enumerate(zip(config.contents, self.capacity)):
+            if len(loads) < capacity:
                 open_mask |= 1 << idx
         if profiles is None:
             return open_mask, None
@@ -160,7 +160,7 @@ class Targets:
         other than its (source, target) lane indices that precede it;
         ``open_mask`` and ``clean`` are ``masks(config, ...)``.
         """
-        lanes = config.lanes
+        lanes = config.contents
         sources = (1 << len(lanes)) - 1
         if last is not None:
             sources &= ~(1 << last)
@@ -191,7 +191,7 @@ class Targets:
             low = sources & -sources
             sources ^= low
             src = low.bit_length() - 1
-            contents = lanes[src].contents
+            contents = lanes[src]
             if not contents:
                 continue
             targets = open_mask & ~low

@@ -121,8 +121,8 @@ def solution_to_json(solution: Solution, initial: LaneConfiguration) -> dict:
         {
             "from_lane": m.from_lane,
             "to_lane": m.to_lane,
-            "from_access_point": initial.lane(m.from_lane).access_point,
-            "to_access_point": initial.lane(m.to_lane).access_point,
+            "from_access_point": initial.points[m.from_lane - 1],
+            "to_access_point": initial.points[m.to_lane - 1],
             "distance": m.distance,
         }
         for m in solution.moves

@@ -68,7 +68,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import bounds
-from .model import BaySpec, LaneConfiguration, VirtualLane, WarehouseInstance, blocking_of
+from .model import BaySpec, LaneConfiguration, WarehouseInstance, blocking_of
 
 
 class InfeasibleAssignment(Exception):
@@ -412,10 +412,7 @@ def _walk(
 
 def _bay_config(bay: BaySpec, assignment: AccessAssignment) -> LaneConfiguration:
     """A stand-alone lane configuration for one bay (placeholder point ids)."""
-    lanes = [
-        VirtualLane(lane_id=k + 1, access_point=0, capacity=lane.capacity, contents=lane.contents)
-        for k, lane in enumerate(induced_lanes(bay, assignment))
-    ]
+    lanes = [(0, lane.capacity, lane.contents) for lane in induced_lanes(bay, assignment)]
     return LaneConfiguration.build(lanes, bay.G)
 
 
@@ -553,14 +550,7 @@ def to_virtual_lanes(
     lanes = []
     bindings = []
     for lane_id, (point, b, lane) in enumerate(keyed, start=1):
-        lanes.append(
-            VirtualLane(
-                lane_id=lane_id,
-                access_point=point,
-                capacity=lane.capacity,
-                contents=lane.contents,
-            )
-        )
+        lanes.append((point, lane.capacity, lane.contents))
         bindings.append(
             LaneBinding(
                 lane_id=lane_id,

@@ -46,7 +46,6 @@ class GenConfig:
     groups: int
     seed: int
     access_sides: frozenset[str] = frozenset(SIDES)
-    tiers: int = 1
     unrestricted: bool = False
 
     def __post_init__(self) -> None:
@@ -59,8 +58,6 @@ class GenConfig:
             raise ValueError("fill must lie in [0, 1]")
         if self.groups < 1:
             raise ValueError("need at least one priority group")
-        if self.tiers != 1:
-            raise ValueError("only single-tier instances can be generated")
         if not self.access_sides or not self.access_sides <= set(SIDES):
             raise ValueError("access_sides must be a non-empty subset of NESW")
         if self.unrestricted:
@@ -90,7 +87,7 @@ class GenConfig:
 def slot_count(config: GenConfig) -> int:
     bi, bj = config.bay
     wr, wc = config.warehouse
-    return bi * bj * config.tiers * wr * wc
+    return bi * bj * wr * wc
 
 
 def target_loads(fill: float, slots: int) -> int:

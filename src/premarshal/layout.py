@@ -21,6 +21,16 @@ searches; forcing every row (the ``d`` attribute, as the ``distances``
 command does) costs O(aisle tiles x distinct access tiles) time.
 Reachability is settled up front from one labelling of the aisle graph's
 components, so an unreachable pair fails at construction, not on first use.
+
+``build_layout`` checks neither overlap nor connectivity, because its
+layouts have neither fault.  Bay b sits at grid cell divmod(b, cols), a
+different cell for every bay, so no two bays share a tile.  No bay covers
+a tile with x = 0 (mod I+1) or y = 0 (mod J+1), so every such tile is an
+aisle and every other tile is storage: the aisles are the full lines
+x = 0 (mod I+1) and y = 0 (mod J+1).  Every vertical line crosses every
+horizontal one, so the aisle graph is connected, and it holds at least
+the line x = 0.  Only a hand-built ``GridLayout`` can be disconnected;
+``all_pairs_distances`` reports it with ``DisconnectedError``.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .model import WarehouseInstance
 
 
 class LayoutError(Exception):
-    """The instance cannot be laid out (overlap, or broken aisle graph)."""
+    """The instance cannot be laid out (mixed bay sizes, or broken aisle graph)."""
 
 
 class DisconnectedError(LayoutError):
@@ -123,10 +133,7 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
         r, c = divmod(b, cols)
         for i in range(1, I + 1):
             for j in range(1, J + 1):
-                tile = (c * (I + 1) + i, r * (J + 1) + j)
-                if tile in storage:
-                    raise LayoutError(f"bays overlap at tile {tile}")
-                storage[tile] = (b, i, j)
+                storage[c * (I + 1) + i, r * (J + 1) + j] = (b, i, j)
 
     aisles = frozenset(
         (x, y) for x in range(width) for y in range(length) if (x, y) not in storage
@@ -150,9 +157,7 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
             for stack, tile in spots:
                 access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
 
-    layout = GridLayout(width, length, aisles, storage, access_points)
-    _check_connected(layout)
-    return layout
+    return GridLayout(width, length, aisles, storage, access_points)
 
 
 def _aisle_graph(aisles) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
@@ -181,14 +186,6 @@ def _bfs(adjacency: list[list[int]], source: int) -> list[int]:
                     reached.append(b)
         frontier = reached
     return dist
-
-
-def _check_connected(layout: GridLayout) -> None:
-    if not layout.aisles:
-        raise LayoutError("layout has no aisle tiles")
-    _, adjacency = _aisle_graph(layout.aisles)
-    if -1 in _bfs(adjacency, 0):
-        raise LayoutError("aisle tiles do not form a single connected component")
 
 
 def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:

@@ -7,12 +7,18 @@ an access point.  Position 1 of a lane is the deepest slot; the last
 occupied position is the one nearest the access point and is the only slot
 a move can take a load from.  Occupancy is always a contiguous prefix of
 the position sequence (no holes).
+
+A search state is flat: ``LaneConfiguration`` holds one tuple of lane
+contents, the tuples of access points and capacities, which no move
+changes and every state of an instance shares, and the cached blocking
+count.  The contents tuple is its own memo key (``state_key``).  A
+``Move`` names lanes by 1-based id; the state's tuples index them from 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 SIDES = ("N", "E", "S", "W")
 
@@ -44,50 +50,6 @@ def blocking_of(contents: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class VirtualLane:
-    """A boundary-anchored run of slots behaving as a LIFO stack.
-
-    ``contents`` is ordered deepest-first: ``contents[0]`` sits at position 1
-    (the far end), ``contents[-1]`` is adjacent to the access point.
-    """
-
-    lane_id: int
-    access_point: int
-    capacity: int
-    contents: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"lane {self.lane_id}: capacity must be positive")
-        if len(self.contents) > self.capacity:
-            raise ValueError(f"lane {self.lane_id}: contents exceed capacity")
-
-    @property
-    def fill(self) -> int:
-        return len(self.contents)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.contents
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.contents) == self.capacity
-
-    @property
-    def front(self) -> int:
-        """Group of the load nearest the access point."""
-        if not self.contents:
-            raise IndexError(f"lane {self.lane_id} is empty")
-        return self.contents[-1]
-
-
-def blocking_count(lane: VirtualLane) -> int:
-    """Number of blocking loads in one lane."""
-    return blocking_of(lane.contents)
-
-
-@dataclass(frozen=True)
 class Move:
     """Relocation of one load between two lanes.
 
@@ -106,26 +68,41 @@ class Move:
 
 @dataclass(frozen=True)
 class LaneConfiguration:
-    """Immutable snapshot of all lanes plus cached aggregate counts."""
+    """One search state: the contents of every lane plus cached counts.
 
-    lanes: tuple[VirtualLane, ...]
+    Lane id i (1-based, as in ``Move``) is index i - 1 of every tuple.
+    ``contents[i]`` holds the lane's loads deepest first; ``points[i]`` is
+    its access point and ``capacities[i]`` its slot count.  A move changes
+    only ``contents``: ``apply_move`` hands ``points`` and ``capacities`` on
+    unchanged, so every state of one instance shares them.
+    """
+
+    contents: tuple[tuple[int, ...], ...]
+    points: tuple[int, ...]
+    capacities: tuple[int, ...]
     groups: int
     blocking_total: int
 
     @classmethod
-    def build(cls, lanes: Iterable[VirtualLane], groups: int) -> "LaneConfiguration":
-        lanes = tuple(lanes)
-        for idx, lane in enumerate(lanes):
-            if lane.lane_id != idx + 1:
-                raise ValueError("lane ids must be sequential starting at 1")
-            for g in lane.contents:
+    def build(cls, lanes: Iterable[tuple[int, int, Sequence[int]]],
+              groups: int) -> "LaneConfiguration":
+        """Configuration of the (access point, capacity, contents) triples,
+        in lane id order."""
+        points, capacities, contents = [], [], []
+        for lane_id, (point, capacity, loads) in enumerate(lanes, 1):
+            loads = tuple(loads)
+            if capacity < 1:
+                raise ValueError(f"lane {lane_id}: capacity must be positive")
+            if len(loads) > capacity:
+                raise ValueError(f"lane {lane_id}: contents exceed capacity")
+            for g in loads:
                 if not 1 <= g <= groups:
-                    raise ValueError(f"lane {lane.lane_id}: group {g} outside 1..{groups}")
-        total = sum(blocking_count(lane) for lane in lanes)
-        return cls(lanes=lanes, groups=groups, blocking_total=total)
-
-    def lane(self, lane_id: int) -> VirtualLane:
-        return self.lanes[lane_id - 1]
+                    raise ValueError(f"lane {lane_id}: group {g} outside 1..{groups}")
+            points.append(point)
+            capacities.append(capacity)
+            contents.append(loads)
+        total = sum(map(blocking_of, contents))
+        return cls(tuple(contents), tuple(points), tuple(capacities), groups, total)
 
     @property
     def is_sorted(self) -> bool:
@@ -138,18 +115,21 @@ def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
     Lanes are distinguishable (their access-point distances differ), so no
     lane-permutation canonicalization is applied.
     """
-    return tuple(lane.contents for lane in config.lanes)
+    return config.contents
 
 
-def move_distance(src: VirtualLane, dst: VirtualLane, dmat, depth_correction: bool = False) -> int:
-    """Loaded distance of moving the front load of ``src`` onto ``dst``.
+def move_distance(config: LaneConfiguration, src: int, dst: int, dmat,
+                  depth_correction: bool = False) -> int:
+    """Loaded distance of moving the front load of lane index ``src`` onto
+    lane index ``dst``.
 
     With ``depth_correction`` the empty tiles travelled inside both lanes are
     added (off by default: travel within a lane is neglected).
     """
-    d = dmat.between(src.access_point, dst.access_point)
+    d = dmat.between(config.points[src], config.points[dst])
     if depth_correction:
-        d += (src.capacity - src.fill) + (dst.capacity - dst.fill - 1)
+        caps, contents = config.capacities, config.contents
+        d += (caps[src] - len(contents[src])) + (caps[dst] - len(contents[dst]) - 1)
     return d
 
 
@@ -168,59 +148,53 @@ def legal_moves(
     lane index i, i.e. lane id i + 1), which must be legal; the moves come
     in the pairs' order, each pair's by target.
     """
-    lanes = config.lanes
+    contents = config.contents
     if targets is None:
         room = 0
-        for idx, lane in enumerate(lanes):
-            if len(lane.contents) < lane.capacity:
+        for idx, (loads, capacity) in enumerate(zip(contents, config.capacities)):
+            if len(loads) < capacity:
                 room |= 1 << idx
-        targets = [(idx, room & ~(1 << idx)) for idx, lane in enumerate(lanes) if lane.contents]
+        targets = [(idx, room & ~(1 << idx)) for idx, loads in enumerate(contents) if loads]
     moves = []
-    for src_idx, mask in targets:
-        src = lanes[src_idx]
+    for src, mask in targets:
+        fill = len(contents[src])
         while mask:
             low = mask & -mask
             mask ^= low
-            dst = lanes[low.bit_length() - 1]
-            moves.append(Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
-                              move_distance(src, dst, dmat, depth_correction)))
+            dst = low.bit_length() - 1
+            moves.append(Move(src + 1, dst + 1, fill, len(contents[dst]) + 1,
+                              move_distance(config, src, dst, dmat, depth_correction)))
     return moves
 
 
 def apply_move(config: LaneConfiguration, move: Move) -> LaneConfiguration:
     """Successor state after one move; the cached blocking total is updated
     from the two touched lanes only."""
+    n = len(config.contents)
+    if not (1 <= move.from_lane <= n and 1 <= move.to_lane <= n):
+        raise IllegalMove(f"unknown lane in {move}")
     if move.from_lane == move.to_lane:
         raise IllegalMove("source and target lane are identical")
-    try:
-        src = config.lane(move.from_lane)
-        dst = config.lane(move.to_lane)
-    except IndexError as exc:
-        raise IllegalMove(f"unknown lane in {move}") from exc
-    if src.is_empty:
-        raise IllegalMove(f"source lane {src.lane_id} is empty")
-    if dst.is_full:
-        raise IllegalMove(f"target lane {dst.lane_id} is full")
-    if move.from_pos != src.fill or move.to_pos != dst.fill + 1:
+    src, dst = move.from_lane - 1, move.to_lane - 1
+    contents = list(config.contents)
+    old_src, old_dst = contents[src], contents[dst]
+    if not old_src:
+        raise IllegalMove(f"source lane {move.from_lane} is empty")
+    if len(old_dst) == config.capacities[dst]:
+        raise IllegalMove(f"target lane {move.to_lane} is full")
+    if move.from_pos != len(old_src) or move.to_pos != len(old_dst) + 1:
         raise IllegalMove(f"positions of {move} do not match the state")
 
-    load = src.contents[-1]
-    new_src = VirtualLane(src.lane_id, src.access_point, src.capacity, src.contents[:-1])
-    new_dst = VirtualLane(dst.lane_id, dst.access_point, dst.capacity, dst.contents + (load,))
-    lanes = list(config.lanes)
-    lanes[src.lane_id - 1] = new_src
-    lanes[dst.lane_id - 1] = new_dst
+    contents[src] = new_src = old_src[:-1]
+    contents[dst] = new_dst = old_dst + old_src[-1:]
     delta = (
-        blocking_count(new_src)
-        - blocking_count(src)
-        + blocking_count(new_dst)
-        - blocking_count(dst)
+        blocking_of(new_src)
+        - blocking_of(old_src)
+        + blocking_of(new_dst)
+        - blocking_of(old_dst)
     )
-    return LaneConfiguration(
-        lanes=tuple(lanes),
-        groups=config.groups,
-        blocking_total=config.blocking_total + delta,
-    )
+    return LaneConfiguration(tuple(contents), config.points, config.capacities,
+                             config.groups, config.blocking_total + delta)
 
 
 @dataclass

@@ -96,16 +96,18 @@ def replay(
     points = {b.lane_id: b.access_point for b in bindings}
 
     total = 0
-    lane_ids = range(1, len(config.lanes) + 1)
+    lane_ids = range(1, len(config.contents) + 1)
     for idx, entry in enumerate(claimed_moves):
         pair = (entry["from_lane"], entry["to_lane"])
         # Only a plain int names a lane: 12.0 and True compare equal to 12
         # and 1, but they are not lane ids.
         src, dst = (
-            config.lane(lane_id) if type(lane_id) is int and lane_id in lane_ids else None
+            lane_id - 1 if type(lane_id) is int and lane_id in lane_ids else None
             for lane_id in pair
         )
-        if src is None or dst is None or src.lane_id == dst.lane_id or src.is_empty or dst.is_full:
+        contents = config.contents
+        if (src is None or dst is None or src == dst or not contents[src]
+                or len(contents[dst]) == config.capacities[dst]):
             report.flag(
                 "illegal-move",
                 f"no legal move from lane {pair[0]} to lane {pair[1]}",
@@ -113,11 +115,11 @@ def replay(
             )
             return report  # the rest of the plan is not replayable
         move = Move(
-            src.lane_id,
-            dst.lane_id,
-            src.fill,
-            dst.fill + 1,
-            move_distance(src, dst, dmat, depth_correction),
+            src + 1,
+            dst + 1,
+            len(contents[src]),
+            len(contents[dst]) + 1,
+            move_distance(config, src, dst, dmat, depth_correction),
         )
         if entry.get("distance") != move.distance:
             report.flag(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from premarshal.model import LaneConfiguration, VirtualLane
+from premarshal.model import LaneConfiguration
 
 
 class FakeDmat:
@@ -26,8 +26,4 @@ class FakeDmat:
 
 def make_config(lanes, groups):
     """lanes: list of (capacity, contents tuple, access_point)."""
-    built = [
-        VirtualLane(lane_id=idx + 1, access_point=ap, capacity=cap, contents=tuple(contents))
-        for idx, (cap, contents, ap) in enumerate(lanes)
-    ]
-    return LaneConfiguration.build(built, groups)
+    return LaneConfiguration.build([(ap, cap, contents) for cap, contents, ap in lanes], groups)

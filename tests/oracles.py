@@ -453,8 +453,8 @@ def reconstruct_occupancy(config, bindings):
     ``fixing.to_virtual_lanes``."""
     occ = {}
     for binding in bindings:
-        lane = config.lane(binding.lane_id)
+        contents = config.contents[binding.lane_id - 1]
         for pos, (i, j) in enumerate(binding.cells):
-            if pos < len(lane.contents):
-                occ[(binding.bay, i, j)] = lane.contents[pos]
+            if pos < len(contents):
+                occ[(binding.bay, i, j)] = contents[pos]
     return occ

@@ -160,9 +160,9 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     sources = []
     real_take = bounds.Siblings._take
 
-    def counting_take(self, lane_id):
-        sources.append(lane_id)
-        return real_take(self, lane_id)
+    def counting_take(self, idx):
+        sources.append(idx + 1)  # the lane id
+        return real_take(self, idx)
 
     monkeypatch.setattr(bounds.Siblings, "_take", counting_take)
     # One blocker and 40 sorted lanes with room: 41 sources and 1,640

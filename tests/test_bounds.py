@@ -7,21 +7,21 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import FakeDmat, make_config
 from premarshal import bounds
-from premarshal.model import VirtualLane, apply_move, legal_moves, state_key
+from premarshal.model import apply_move, legal_moves, state_key
 
 DMAT = FakeDmat()
 
 
 def test_lane_profile_frozen():
-    empty = bounds.lane_profile(VirtualLane(1, 0, 3), groups=5)
+    empty = bounds.lane_profile((), 3, groups=5)
     assert (empty.prefix_len, empty.threshold, empty.blocking_suffix) == (0, 5, ())
     assert empty.free_after_clear == 3
 
-    sorted_lane = bounds.lane_profile(VirtualLane(1, 0, 3, (5, 3, 1)), groups=5)
+    sorted_lane = bounds.lane_profile((5, 3, 1), 3, groups=5)
     assert (sorted_lane.prefix_len, sorted_lane.threshold) == (3, 1)
     assert sorted_lane.blocking_suffix == ()
 
-    mixed = bounds.lane_profile(VirtualLane(1, 0, 4, (2, 5, 1)), groups=5)
+    mixed = bounds.lane_profile((2, 5, 1), 4, groups=5)
     assert mixed.prefix_len == 1
     assert mixed.threshold == 2
     assert mixed.blocking_suffix == (1, 5)
@@ -30,10 +30,10 @@ def test_lane_profile_frozen():
 
 
 def test_profile_counts_blocking():
-    lane = VirtualLane(1, 0, 5, (3, 3, 2, 4, 1))
-    prof = bounds.lane_profile(lane, groups=5)
+    contents = (3, 3, 2, 4, 1)
+    prof = bounds.lane_profile(contents, 5, groups=5)
     assert len(prof.blocking_suffix) == 2
-    assert prof.prefix_len + len(prof.blocking_suffix) == lane.fill
+    assert prof.prefix_len + len(prof.blocking_suffix) == len(contents)
 
 
 def test_bx_bound_frozen():
@@ -182,11 +182,13 @@ def test_h_is_consistent():
         for move in legal_moves(config, DMAT):
             c_h = siblings.h(move)
             assert h <= c_h + 1
-            target = apply_move(config, move).lane(move.to_lane)
+            t = move.to_lane - 1
+            target = bounds.lane_profile(apply_move(config, move).contents[t],
+                                         config.capacities[t], groups)
             case = (
                 "blocker" if profiles[move.from_lane - 1].blocking_suffix else "prefix",
-                "blocked" if len(bounds.lane_profile(target, groups).blocking_suffix)
-                > len(profiles[move.to_lane - 1].blocking_suffix) else "clean",
+                "blocked" if len(target.blocking_suffix)
+                > len(profiles[t].blocking_suffix) else "clean",
             )
             if case == ("blocker", "blocked"):
                 assert c_h == h
@@ -340,7 +342,7 @@ def test_select_reads_the_clock_before_pairs_that_need_gx():
 def _coverable(config, extra):
     """The first loads of ``extra``, one per free slot of ``config``: the
     loads then fit in the capacity, so clearing every prefix covers them."""
-    return extra[:sum(lane.capacity - len(lane.contents) for lane in config.lanes)]
+    return extra[:sum(config.capacities) - sum(map(len, config.contents))]
 
 
 def _with_extra_demand(surplus, extra):

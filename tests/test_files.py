@@ -140,9 +140,7 @@ def test_solution_round_trip(tmp_path):
         assert entry["from_lane"] == move.from_lane
         assert entry["to_lane"] == move.to_lane
         assert entry["distance"] == move.distance
-        assert entry["from_access_point"] == prepared.config.lane(
-            move.from_lane
-        ).access_point
+        assert entry["from_access_point"] == prepared.config.points[move.from_lane - 1]
     assert data["assignments"] == [
         {"bay": 0, "rows": ["WWW", "WWW", "WWW"]},
         {"bay": 1, "rows": ["WWW", "WWW", "WWW"]},

@@ -337,9 +337,9 @@ def test_to_virtual_lanes_and_round_trip():
     layout = build_layout(inst)
     assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)]
     config, bindings = fixing.to_virtual_lanes(inst, assignments, layout)
-    assert sum(l.capacity for l in config.lanes) == 9
-    assert [l.lane_id for l in config.lanes] == list(range(1, len(config.lanes) + 1))
-    aps = [l.access_point for l in config.lanes]
+    assert sum(config.capacities) == 9
+    assert [b.lane_id for b in bindings] == list(range(1, len(config.contents) + 1))
+    aps = list(config.points)
     assert aps == sorted(aps)
     rebuilt = oracles.reconstruct_occupancy(config, bindings)
     assert rebuilt == {(0, i, j): g for (i, j), g in occ.items()}
@@ -353,6 +353,5 @@ def test_all_west_lanes():
     cands = list(fixing.optimal_assignments(bay, 10))
     assert len(cands) == 1 and cands[0].rows == ("WWW", "WWW", "WWW")
     config, _bindings = fixing.to_virtual_lanes(inst, cands, layout)
-    assert len(config.lanes) == 3
-    assert all(l.capacity == 3 for l in config.lanes)
-    assert [l.contents for l in config.lanes] == [(1,), (2,), (3,)]
+    assert config.capacities == (3, 3, 3)
+    assert config.contents == ((1,), (2,), (3,))

@@ -55,7 +55,6 @@ def test_config_rejects_nonsense_even_unrestricted():
         dict(fill=-0.1),
         dict(fill=1.5),
         dict(groups=0),
-        dict(tiers=2),
         dict(access_sides=frozenset()),
         dict(access_sides=frozenset("NX")),
     ):

@@ -176,7 +176,7 @@ def test_replaying_a_sorted_plan_runs_only_the_connectivity_searches():
     assert result.k == 0
     with mock.patch.object(layout_module, "_bfs", wraps=layout_module._bfs) as bfs:
         assert verify.replay(instance, prepared.assignments, result).ok
-    assert bfs.call_count == 2  # build_layout's check and the labelling
+    assert bfs.call_count == 1  # the labelling
 
 
 def test_csv_of_a_large_instance_is_pinned():

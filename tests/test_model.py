@@ -11,9 +11,7 @@ from premarshal.model import (
     Move,
     Solution,
     SolveStats,
-    VirtualLane,
     apply_move,
-    blocking_count,
     blocking_of,
     legal_moves,
     move_distance,
@@ -28,7 +26,7 @@ contents_strategy = st.lists(st.integers(min_value=1, max_value=9), max_size=6)
 
 def _census(config):
     """How many loads of each group the lanes hold."""
-    return Counter(g for lane in config.lanes for g in lane.contents)
+    return Counter(g for loads in config.contents for g in loads)
 
 
 def test_blocking_frozen_values():
@@ -52,27 +50,44 @@ def test_blocking_matches_rules_oracle(contents):
 
 
 def test_lane_validation():
-    with pytest.raises(ValueError):
-        VirtualLane(lane_id=1, access_point=0, capacity=0)
-    with pytest.raises(ValueError):
-        VirtualLane(lane_id=1, access_point=0, capacity=1, contents=(1, 2))
-    lane = VirtualLane(lane_id=1, access_point=3, capacity=2, contents=(4,))
-    assert lane.front == 4 and lane.fill == 1
-    assert not lane.is_full and not lane.is_empty
+    with pytest.raises(ValueError, match="lane 2: capacity must be positive"):
+        LaneConfiguration.build([(0, 1, ()), (1, 0, ())], groups=3)
+    with pytest.raises(ValueError, match="lane 1: contents exceed capacity"):
+        LaneConfiguration.build([(0, 1, (1, 2))], groups=3)
+    config = LaneConfiguration.build([(3, 2, [4]), (5, 1, ())], groups=4)
+    assert config.contents == ((4,), ())
+    assert config.points == (3, 5) and config.capacities == (2, 1)
+    assert config.groups == 4 and config.blocking_total == 0
 
 
 def test_config_build_rejects_bad_ids_and_groups():
-    with pytest.raises(ValueError):
-        LaneConfiguration.build(
-            [VirtualLane(lane_id=2, access_point=0, capacity=1)], groups=3
-        )
-    with pytest.raises(ValueError):
-        make_config([(2, (7,), 0)], groups=3)
+    for group in (0, 7):
+        with pytest.raises(ValueError, match=f"lane 2: group {group} outside 1..3"):
+            make_config([(2, (1,), 0), (2, (group,), 1)], groups=3)
+
+
+def test_children_share_the_static_lane_data():
+    config = make_config([(2, (2, 1), 4), (3, (), 7), (1, (3,), 2)], groups=3)
+    assert state_key(config) is config.contents
+    for move in legal_moves(config, DMAT):
+        child = apply_move(config, move)
+        assert child.points is config.points
+        assert child.capacities is config.capacities
+        assert state_key(child) is child.contents
+
+
+def test_apply_move_rejects_unknown_lanes():
+    """Lane ids run 1..n; 0 is no alias of the last lane, nor n + 1 of any."""
+    config = make_config([(2, (2,), 0), (2, (), 1), (2, (1, 3), 2)], 3)
+    for move in (Move(0, 2, 2, 1, 1), Move(1, 0, 1, 1, 1), Move(1, 4, 1, 1, 1),
+                 Move(4, 2, 1, 1, 1)):
+        with pytest.raises(IllegalMove, match="unknown lane"):
+            apply_move(config, move)
 
 
 def test_state_blocking_sums_lanes():
     config = make_config([(3, (2, 5, 1), 0), (3, (), 1), (2, (), 2)], groups=5)
-    assert sum(oracles.blocking_by_rules(lane.contents) for lane in config.lanes) == 2
+    assert sum(oracles.blocking_by_rules(loads) for loads in config.contents) == 2
     assert config.blocking_total == 2
     assert not config.is_sorted
 
@@ -105,8 +120,7 @@ def test_apply_move_frozen():
     assert config.blocking_total == 1
     move = legal_moves(config, DMAT)[0]
     after = apply_move(config, move)
-    assert after.lane(1).contents == (2,)
-    assert after.lane(2).contents == (5,)
+    assert after.contents == ((2,), (5,))
     assert after.blocking_total == 0
     assert _census(after) == _census(config)
 
@@ -151,10 +165,10 @@ def test_random_walk_conserves_census_and_no_holes(lanes_contents, picks):
         config = apply_move(config, moves[pick % len(moves)])
         assert _census(config) == census
         assert config.blocking_total == sum(
-            oracles.blocking_by_rules(lane.contents) for lane in config.lanes
+            oracles.blocking_by_rules(loads) for loads in config.contents
         )
-        for lane in config.lanes:
-            assert len(lane.contents) <= lane.capacity
+        for loads, capacity in zip(config.contents, config.capacities):
+            assert len(loads) <= capacity
 
 
 def test_solution_consistency_checks():
@@ -183,12 +197,14 @@ _CONFIGS = st.lists(
 def test_legal_moves_equal_every_pair_by_hand(lane_specs, depth):
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
+    n = len(config.contents)
+    fill = [len(loads) for loads in config.contents]
     everything = [
-        Move(src.lane_id, dst.lane_id, src.fill, dst.fill + 1,
-             move_distance(src, dst, DMAT, depth))
-        for src in config.lanes
-        for dst in config.lanes
-        if src is not dst and not src.is_empty and not dst.is_full
+        Move(src + 1, dst + 1, fill[src], fill[dst] + 1,
+             move_distance(config, src, dst, DMAT, depth))
+        for src in range(n)
+        for dst in range(n)
+        if src != dst and fill[src] and fill[dst] < config.capacities[dst]
     ]
     assert legal_moves(config, DMAT, depth) == everything
 

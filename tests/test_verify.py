@@ -153,9 +153,9 @@ def test_brute_force_raises_past_its_budget():
 
 def test_replay_rejects_each_kind_of_illegal_pair():
     instance, prepared, _result, data = _solved_witness()
-    lanes = prepared.config.lanes
+    lanes = prepared.config.contents
     src = data["moves"][0]["from_lane"]
-    empty = next(lane.lane_id for lane in lanes if lane.is_empty)
+    empty = next(idx for idx, loads in enumerate(lanes, 1) if not loads)
     # lanes 1 and 3 hold two loads in three slots: one move fills lane 3
     fill_3 = {"from_lane": 1, "to_lane": 3, "distance": prepared.dmat.between(0, 2)}
     plans = [[{"from_lane": a, "to_lane": b}] for a, b in
