@@ -30,9 +30,23 @@ and the band columns without a horizontal cell here pass to the south band.
 So the cost to finish rows j..J depends only on j and (M, S).  A column
 still in its north band after the last row has no horizontal cell and takes
 its cheapest full-column N/S split.  Lane costs are precomputed per row
-split and per column split and are None when the lane would contain a hole
-or sit on a side without access points; the band costs of a row and the
-split costs are summed per mask the first time that mask is met.
+split and per column split, in one pass over each line: every further cell
+of a lane adds its new deepest load, so the non-increasing prefix of the
+contents grows by one or restarts at that load, and the cost is the loads
+outside the prefix.  A cost is None when the lane would contain a hole or
+sit on a side without access points.  The band costs of a row and the split
+costs are summed per mask the first time that mask is met.
+
+The search is pruned by the best total found so far, branch and bound on
+a DP (Morin & Marsten, Operations Research 24(4), 1976).  Every cost to go
+is >= 0, so a row choice that adds at least the best total of the state's
+earlier choices cannot lower the minimum and is skipped unexpanded.  A
+state is memoised only once all its choices are tried or skipped, so the
+memo holds exact minima only and no state is expanded twice; an empty bay
+memoises J states.  The walk that enumerates the optimal assignments skips
+a choice whose spent cost exceeds the optimum before it asks for its cost
+to go, which the memo may lack.  The unpruned walk rejects the same
+choices, so the assignments and their order are unchanged.
 
 The instance generator asks only whether that cost is finite, and
 ``has_hole_free_assignment`` answers without building a cost table:
@@ -147,16 +161,21 @@ def _lane_costs(occ, cells_front_to_deep, open_side: bool) -> list[int | None]:
 
     An entry is None when that lane would hold a hole or its side has no
     access; a hole in one lane is a hole in every longer lane of its line.
+    Each further load is the lane's new deepest one, so the non-increasing
+    prefix of the contents (``blocking_of``) grows by one when that load is
+    at least the previous deepest and is the load alone otherwise.
     """
     costs: list[int | None] = [0]
-    contents: list[int] = []  # deepest first
+    loads = prefix = deepest = 0  # groups are >= 1, so the first load extends
     for cell in cells_front_to_deep:
         g = occ.get(cell)
-        if not open_side or (g is None and contents):
+        if not open_side or (g is None and loads):
             break  # no access, or this empty cell would sit deeper than a load
         if g is not None:
-            contents.insert(0, g)
-        costs.append(blocking_of(contents))
+            prefix = prefix + 1 if g >= deepest else 1
+            loads += 1
+            deepest = g
+        costs.append(loads - prefix)
     return costs + [None] * (len(cells_front_to_deep) + 1 - len(costs))
 
 
@@ -195,30 +214,27 @@ def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLan
             raise ValueError(f"lane assigned to inaccessible side {side}")
         lanes.append(lane)
 
-    for j in range(1, J + 1):
-        row = assignment.rows[j - 1]
-        w = [i for i in range(1, I + 1) if row[i - 1] == "W"]
-        e = [i for i in range(1, I + 1) if row[i - 1] == "E"]
-        if w and w != list(range(1, len(w) + 1)):
+    # A run is anchored when no cell of its side lies past its boundary run.
+    for j, row in enumerate(assignment.rows, 1):
+        w, e = I - len(row.lstrip("W")), I - len(row.rstrip("E"))
+        if "W" in row[w:]:
             raise ValueError(f"W cells of row {j} are not a west-anchored prefix")
-        if e and e != list(range(I - len(e) + 1, I + 1)):
+        if "E" in row[:I - e]:
             raise ValueError(f"E cells of row {j} are not an east-anchored suffix")
         if w:
-            emit(_row_lane(occ, "W", j, len(w), I), "W")
+            emit(_row_lane(occ, "W", j, w, I), "W")
         if e:
-            emit(_row_lane(occ, "E", j, len(e), I), "E")
-    for i in range(1, I + 1):
-        col = [assignment.rows[j - 1][i - 1] for j in range(1, J + 1)]
-        n = [j for j in range(1, J + 1) if col[j - 1] == "N"]
-        s = [j for j in range(1, J + 1) if col[j - 1] == "S"]
-        if n and n != list(range(1, len(n) + 1)):
+            emit(_row_lane(occ, "E", j, e, I), "E")
+    for i, col in enumerate(map("".join, zip(*assignment.rows)), 1):
+        n, s = J - len(col.lstrip("N")), J - len(col.rstrip("S"))
+        if "N" in col[n:]:
             raise ValueError(f"N cells of column {i} are not a north-anchored prefix")
-        if s and s != list(range(J - len(s) + 1, J + 1)):
+        if "S" in col[:J - s]:
             raise ValueError(f"S cells of column {i} are not a south-anchored suffix")
         if n:
-            emit(_col_lane(occ, "N", i, len(n), J), "N")
+            emit(_col_lane(occ, "N", i, n, J), "N")
         if s:
-            emit(_col_lane(occ, "S", i, len(s), J), "S")
+            emit(_col_lane(occ, "S", i, s, J), "S")
     return lanes
 
 
@@ -323,6 +339,9 @@ class _BayTables:
         if best is None:
             best = math.inf
             for _, _, added, new_state in self.row_choices(j, state):
+                # The rows below add >= 0, so this choice cannot beat best.
+                if added >= best:
+                    continue
                 total = added + self.cost_to_go(j + 1, new_state)
                 if total < best:
                     best = total
@@ -404,20 +423,26 @@ def _walk(
             yield AccessAssignment(_directions(tables, row_splits, col_splits), opt)
         return
     for alpha, eps, added, new_state in tables.row_choices(j, state):
+        if spent + added > opt:  # its cost to go may not be memoised
+            continue
         if spent + added + tables.cost_to_go(j + 1, new_state) == opt:
             row_splits.append((alpha, eps))
             yield from _walk(tables, opt, j + 1, new_state, spent + added, row_splits)
             row_splits.pop()
 
 
-def _bay_config(bay: BaySpec, assignment: AccessAssignment) -> LaneConfiguration:
-    """A stand-alone lane configuration for one bay (placeholder point ids)."""
-    lanes = [(0, lane.capacity, lane.contents) for lane in induced_lanes(bay, assignment)]
-    return LaneConfiguration.build(lanes, bay.G)
+def _bay_config(bay: BaySpec, lanes: list[InducedLane]) -> LaneConfiguration:
+    """A stand-alone lane configuration of one bay's lanes (placeholder point ids)."""
+    return LaneConfiguration.build([(0, lane.capacity, lane.contents) for lane in lanes], bay.G)
 
 
-def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> AccessAssignment:
+def select_assignment(
+    candidates: Iterable[AccessAssignment], bay: BaySpec,
+) -> tuple[AccessAssignment, list[InducedLane]]:
     """Pick the candidate with the smallest lower bound h; first found wins ties.
+
+    Returns the candidate with the lanes built for its bound, which
+    ``number_lanes`` takes as they are.
 
     The candidates must share one ``misplaced``, as those of one
     ``optimal_assignments`` call do; the floor is the first one's, and a
@@ -437,14 +462,15 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
             floor = cand.misplaced
         elif cand.misplaced != floor:
             raise ValueError("candidate assignments differ in their misplaced count")
-        h = bounds.lb(_bay_config(bay, cand))
+        lanes = induced_lanes(bay, cand)
+        h = bounds.lb(_bay_config(bay, lanes))
         if best is None or h < best_h:
-            best, best_h = cand, h
+            best, best_h, best_lanes = cand, h, lanes
             if h == floor:
                 break
     if best is None:
         raise ValueError("no candidate assignments")
-    return best
+    return best, best_lanes
 
 
 def _reach(loaded_front_to_deep, open_side: bool) -> int:
@@ -528,18 +554,30 @@ def to_virtual_lanes(
 ) -> tuple[LaneConfiguration, list[LaneBinding]]:
     """Turn per-bay assignments into the global lane configuration.
 
+    Builds each bay's lanes from its assignment and numbers them with
+    ``number_lanes``.
+    """
+    if len(assignments) != len(instance.bays):
+        raise ValueError("one assignment per bay required")
+    bay_lanes = [induced_lanes(bay, a) for bay, a in zip(instance.bays, assignments)]
+    return number_lanes(bay_lanes, layout, instance.groups)
+
+
+def number_lanes(
+    bay_lanes: list[list[InducedLane]], layout, groups: int,
+) -> tuple[LaneConfiguration, list[LaneBinding]]:
+    """The global lane configuration of every bay's lanes, ``bay_lanes[b]`` for bay b.
+
     Lanes are ordered by their access-point id and renumbered 1..n; the
     bindings record which grid cells each lane covers (deepest first) so the
     occupancy can be reconstructed and moves can be replayed.
     """
-    if len(assignments) != len(instance.bays):
-        raise ValueError("one assignment per bay required")
     by_stack = {
         (ap.bay, ap.stack, ap.side): ap.point_id for ap in layout.access_points
     }
     keyed = []
-    for b, (bay, assignment) in enumerate(zip(instance.bays, assignments)):
-        for lane in induced_lanes(bay, assignment):
+    for b, lanes in enumerate(bay_lanes):
+        for lane in lanes:
             point = by_stack.get((b, lane.front, lane.side))
             if point is None:
                 raise ValueError(
@@ -560,5 +598,4 @@ def to_virtual_lanes(
                 access_point=point,
             )
         )
-    return LaneConfiguration.build(lanes, instance.groups), bindings
-
+    return LaneConfiguration.build(lanes, groups), bindings

@@ -105,17 +105,27 @@ def _grow(rng: random.Random, I, J, sides, target) -> set[tuple[int, int]] | Non
         "S": [[(i, j) for j in range(1, J + 1)] for i in range(1, I + 1)],
         "W": [[(i, j) for i in range(I, 0, -1)] for j in range(1, J + 1)],
     }
+    north, east, south, west = (lines[side] for side in SIDES)
     # Fixed N, E, S, W order keeps runs reproducible.
     extendable = [f for side in SIDES if side in sides for f in lines[side]]
     occupied: set[tuple[int, int]] = set()
     while len(occupied) < target:
         if not extendable:
             return None
-        chosen = extendable[rng.randrange(len(extendable))]
-        occupied.add(chosen.pop())
-        # A frontier that is used up or whose next cell is taken stays so,
-        # so the list is pruned in order rather than rebuilt.
-        extendable = [f for f in extendable if f and f[-1] not in occupied]
+        k = rng.randrange(len(extendable))
+        chosen = extendable[k]
+        cell = chosen.pop()
+        occupied.add(cell)
+        # A frontier that is used up or whose next cell is taken stays so.
+        # Only the chosen one and those whose next cell this was can become
+        # so now, and those lie on the lines through the cell.  Dropping them
+        # keeps the order of the rest, and so the draws.
+        if not chosen or chosen[-1] in occupied:
+            del extendable[k]
+        i, j = cell
+        for f in (north[i - 1], south[i - 1], east[j - 1], west[j - 1]):
+            if f and f[-1] == cell:
+                extendable = [e for e in extendable if e is not f]
     return occupied
 
 

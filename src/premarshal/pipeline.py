@@ -30,11 +30,13 @@ def prepare(instance: WarehouseInstance) -> Prepared:
     started = time.perf_counter()
     layout = build_layout(instance)
     dmat = all_pairs_distances(layout)
-    assignments = []
+    assignments, bay_lanes = [], []
     for bay in instance.bays:
         candidates = fixing.optimal_assignments(bay, limit=ASSIGNMENT_CANDIDATES)
-        assignments.append(fixing.select_assignment(candidates, bay))
-    config, bindings = fixing.to_virtual_lanes(instance, assignments, layout)
+        assignment, lanes = fixing.select_assignment(candidates, bay)
+        assignments.append(assignment)
+        bay_lanes.append(lanes)
+    config, bindings = fixing.number_lanes(bay_lanes, layout, instance.groups)
     return Prepared(
         layout=layout,
         dmat=dmat,

@@ -2,11 +2,14 @@
 
 It rebuilds the layout, the distance matrix and the virtual lanes from the
 instance and the assignments with the same code as preprocessing
-(``build_layout``, ``all_pairs_distances``, ``to_virtual_lanes``) and applies
+(``build_layout``, ``all_pairs_distances``, ``number_lanes``) and applies
 moves with the core move semantics of ``model``; it shares no search or
 bound code with the solvers, so it can serve as a differential-test
-reference for them, not for those shared layers.  Distance rows are
-computed only for the access points the claimed moves touch.
+reference for them, not for those shared layers.  Replay builds its lanes
+from the assignments through ``to_virtual_lanes``, while preprocessing
+numbers the lanes that ``select_assignment`` built for its bound, so replay
+does not depend on what selection kept.  Distance rows are computed only for
+the access points the claimed moves touch.
 """
 
 from __future__ import annotations

@@ -435,6 +435,54 @@ def store_every_child_astar(root, dmat, depth_correction=False):
     return ("Infeasible", None, None, None, nodes)
 
 
+def unpruned_assignments(bay, limit):
+    """``fixing.optimal_assignments`` with a DP and walk that cost every row choice.
+
+    Runs on the package's cost tables (``_BayTables``, its ``row_choices``
+    and ``_directions``) and memoises the minimum over all valid choices of
+    a row, with no choice skipped by the best found so far.  Returns the
+    list, or raises ``InfeasibleAssignment`` with the package's message.
+    """
+    tables = fixing._BayTables(bay)
+    memo = {}
+
+    def cost(j, state):
+        if j == tables.J:
+            return tables.split_sums[tables.full & ~(state[0] | state[1])]
+        if (j, state) not in memo:
+            memo[j, state] = min(
+                (added + cost(j + 1, new) for _, _, added, new in tables.row_choices(j, state)),
+                default=math.inf,
+            )
+        return memo[j, state]
+
+    def walk(j, state, spent, row_splits):
+        if j == tables.J:
+            occupied = state[0] | state[1]
+            splits = [
+                [c for c, cost_c in enumerate(tables.split_cost[i])
+                 if cost_c == tables.split_best[i]]
+                if not occupied >> i & 1 else [0]
+                for i in range(tables.I)
+            ]
+            for col_splits in itertools.product(*splits):
+                yield fixing.AccessAssignment(
+                    fixing._directions(tables, row_splits, col_splits), best)
+            return
+        for alpha, eps, added, new in tables.row_choices(j, state):
+            if spent + added + cost(j + 1, new) == best:
+                yield from walk(j + 1, new, spent + added, row_splits + [(alpha, eps)])
+
+    best = cost(0, (0, 0))
+    if math.isinf(best):
+        raise fixing.InfeasibleAssignment(
+            f"no hole-free assignment for a {bay.I}x{bay.J} bay with "
+            f"sides {''.join(sorted(bay.access_sides))}"
+        )
+    best = int(best)
+    return list(itertools.islice(walk(0, (0, 0), 0, []), 1 if bay.load_count == 0 else limit))
+
+
 def full_scan_select(candidates, bay):
     """The candidate with the least ``bounds.lb``, scanning every candidate.
 
@@ -442,7 +490,7 @@ def full_scan_select(candidates, bay):
     """
     best, best_h = None, math.inf
     for cand in candidates:
-        h = bounds.lb(fixing._bay_config(bay, cand))
+        h = bounds.lb(fixing._bay_config(bay, fixing.induced_lanes(bay, cand)))
         if h < best_h:
             best, best_h = cand, h
     return best if best is not None else candidates[0]

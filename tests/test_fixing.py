@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from premarshal import bounds, fixing, generate
 from premarshal.layout import all_pairs_distances, build_layout
-from premarshal.model import BaySpec, WarehouseInstance
+from premarshal.model import BaySpec, WarehouseInstance, blocking_of
 
 ALL_SIDES = frozenset("NESW")
 
@@ -187,6 +187,66 @@ def test_probe_agrees_with_the_cost_dp():
     assert 500 < feasible < 1500  # both answers are well exercised
 
 
+def test_pruned_dp_lists_what_the_unpruned_one_lists():
+    """Skipping row choices that cannot beat the best changes no list and no error."""
+    rng = random.Random("pruned against unpruned DP")
+    feasible = 0
+    for n in range(2000):
+        I, J = rng.randint(1, 7), rng.randint(1, 7)
+        sides = frozenset(rng.sample("NESW", rng.randint(1, 4)))
+        limit = rng.choice((1, 10, 50))
+        bay = _bay(I, J, _random_occ(rng, I, J, rng.randint(0, I * J)), sides)
+        if n % 2:  # a generated bay instead, which is assignable
+            try:
+                bay = generate._generate_bay(
+                    rng.getrandbits(32), I, J, sides, rng.randint(2, 10),
+                    rng.randint(0, I * J))
+            except generate.GenerationFailed:
+                pass
+        try:
+            expected = oracles.unpruned_assignments(bay, limit)
+        except fixing.InfeasibleAssignment as exc:
+            with pytest.raises(fixing.InfeasibleAssignment) as got:
+                fixing.optimal_assignments(bay, limit)
+            assert str(got.value) == str(exc)
+            continue
+        assert list(fixing.optimal_assignments(bay, limit)) == expected, bay
+        feasible += 1
+    assert 500 < feasible < 1500  # both outcomes are well exercised
+
+
+def test_lane_costs_recount_blocking_loads():
+    rng = random.Random("lane costs")
+    for _ in range(2000):
+        length = rng.randint(0, 8)
+        cells = [(a, 1) for a in range(1, length + 1)]  # front to deep
+        occ = {cell: rng.randint(1, 4) for cell in cells if rng.random() < 0.8}
+        open_side = rng.random() < 0.9
+        expected = []
+        for a in range(length + 1):
+            loaded = [cell in occ for cell in cells[:a]]
+            hole = any(loaded[p] and not loaded[q] for p in range(a) for q in range(p + 1, a))
+            contents = [occ[cell] for cell in reversed(cells[:a]) if cell in occ]
+            usable = (open_side or a == 0) and not hole
+            expected.append(blocking_of(contents) if usable else None)
+        assert fixing._lane_costs(occ, cells, open_side) == expected, (occ, open_side)
+
+
+@pytest.mark.parametrize("I, J", [(1, 1), (3, 3), (6, 6), (7, 2), (2, 7)])
+def test_an_empty_bay_memoises_one_state_per_row(I, J):
+    """Every choice after the first scores no less than its 0, so none is costed."""
+    made = []
+
+    class Tables(fixing._BayTables):
+        def __init__(self, bay):
+            super().__init__(bay)
+            made.append(self)
+
+    with mock.patch.object(fixing, "_BayTables", Tables):
+        assert len(list(fixing.optimal_assignments(_bay(I, J, {}), limit=10))) == 1
+    assert sum(len(memo) for memo in made[0]._memo) == J
+
+
 def test_probe_builds_no_cost_tables():
     ring = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (2, 2)}
     with mock.patch.object(fixing, "_BayTables", side_effect=AssertionError("cost tables built")):
@@ -204,6 +264,11 @@ def test_oracle_formulation_against_direction_grid():
             oracles.brute_fixings_by_direction_grid(3, 3, occ)
 
 
+def _h(bay, assignment):
+    """The bound selection reads for one candidate."""
+    return bounds.lb(fixing._bay_config(bay, fixing.induced_lanes(bay, assignment)))
+
+
 def test_select_assignment_minimizes_h():
     rng = random.Random(7)
     for _ in range(10):
@@ -213,10 +278,11 @@ def test_select_assignment_minimizes_h():
             cands = list(fixing.optimal_assignments(bay, limit=10))
         except fixing.InfeasibleAssignment:
             continue
-        chosen = fixing.select_assignment(cands, bay)
-        scores = [bounds.lb(fixing._bay_config(bay, c)) for c in cands]
-        assert bounds.lb(fixing._bay_config(bay, chosen)) == min(scores)
+        chosen, lanes = fixing.select_assignment(cands, bay)
+        scores = [_h(bay, c) for c in cands]
+        assert _h(bay, chosen) == min(scores)
         assert chosen is cands[scores.index(min(scores))]
+        assert lanes == fixing.induced_lanes(bay, chosen)
 
 
 @st.composite
@@ -239,14 +305,14 @@ def _bays_and_candidates(draw):
 @given(_bays_and_candidates())
 def test_select_stops_at_the_first_candidate_on_the_floor(drawn):
     bay, cands = drawn
-    hs = [bounds.lb(fixing._bay_config(bay, c)) for c in cands]
+    hs = [_h(bay, c) for c in cands]
     floor = cands[0].misplaced
     assert all(c.misplaced == floor for c in cands)
     assert all(h >= floor for h in hs)
     first = next((n for n, h in enumerate(hs) if h == floor), None)
 
     with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
-        chosen = fixing.select_assignment(cands, bay)
+        chosen, _lanes = fixing.select_assignment(cands, bay)
     assert chosen is oracles.full_scan_select(cands, bay)
     assert lb.call_count == (len(cands) if first is None else first + 1)
 
@@ -255,9 +321,9 @@ def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
     """The first candidate has GX > 0; the second reaches h = misplaced = 1."""
     bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
     cands = list(fixing.optimal_assignments(bay, limit=10))
-    assert [bounds.lb(fixing._bay_config(bay, c)) for c in cands] == [2, 1] * 4
+    assert [_h(bay, c) for c in cands] == [2, 1] * 4
     with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
-        chosen = fixing.select_assignment(cands, bay)
+        chosen, _lanes = fixing.select_assignment(cands, bay)
     assert chosen is cands[1] is oracles.full_scan_select(cands, bay)
     assert lb.call_count == 2
 
@@ -335,7 +401,7 @@ def test_to_virtual_lanes_and_round_trip():
     bay = _bay(3, 3, occ)
     inst = WarehouseInstance(bays=(bay,), warehouse_rows=1, warehouse_cols=1, meta={})
     layout = build_layout(inst)
-    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)]
+    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)[0]]
     config, bindings = fixing.to_virtual_lanes(inst, assignments, layout)
     assert sum(config.capacities) == 9
     assert [b.lane_id for b in bindings] == list(range(1, len(config.contents) + 1))

@@ -1,7 +1,9 @@
-from premarshal import astar, exact
+from unittest import mock
+
+from premarshal import astar, exact, fixing
 from premarshal.generate import GenConfig, generate
 from premarshal.model import Solution
-from premarshal.pipeline import solve_instance
+from premarshal.pipeline import prepare, solve_instance
 
 
 def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
@@ -24,3 +26,13 @@ def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
     assert isinstance(result, Solution)
     assert got["astar"] <= 5.0
     assert 0.0 <= got["exact"] <= 5.0
+
+
+def test_prepare_builds_each_bays_lanes_once():
+    """Selection's lanes are numbered as built; replay's rebuild gives the same lanes."""
+    instance = generate(GenConfig(bay=(3, 3), warehouse=(3, 3), fill=0.6, groups=10, seed=1))
+    with mock.patch.object(fixing, "induced_lanes", wraps=fixing.induced_lanes) as built:
+        prepared = prepare(instance)
+    assert built.call_count == len(instance.bays)
+    rebuilt = fixing.to_virtual_lanes(instance, prepared.assignments, prepared.layout)
+    assert rebuilt == (prepared.config, prepared.bindings)
