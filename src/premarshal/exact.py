@@ -8,9 +8,12 @@ move twice in a row (the relay would collapse into a single cheaper move,
 so the rule never cuts all optima).
 
 Deepening starts at the lower bound of the initial state and stops at the
-A* move count, which is already minimal; the first feasible k-bar therefore
-equals the optimal move count, and the complete search at that depth
-returns the minimum total loaded distance among all optimal-length plans.
+move count of the upper-bound plan: A*'s, which is minimal, or a
+replay-valid plan read from a file, which need not be.  That plan's
+distance caps only its own stage, since a plan of fewer moves beats it at
+any distance.  The first feasible k-bar therefore equals the optimal move
+count, and the complete search at that depth returns the minimum total
+loaded distance among all optimal-length plans.
 
 Children are taken from bitmasks over the lanes (bit i is lane i + 1), so
 no (source, target) pair that a cut would drop is looked at.  Access points
@@ -30,11 +33,11 @@ rule).  ``legal_moves`` then builds the moves of those (source, targets)
 pairs only.  After a child is built, the full h from ``lb_incremental``
 decides.
 
-The tight stage, k-bar = h0 with the bound on, allows two more cuts.  The
-bound is consistent (proved in the ``bounds`` docstring), so h falls by at
-most 1 per move, and the search cuts every child with h > k-bar - s at
-stage s.  Every node at stage s therefore has h = k-bar - s exactly, and
-every move lowers h by exactly 1:
+The tight stage, k-bar = h0, allows two more cuts.  The bound is
+consistent (proved in the ``bounds`` docstring), so h falls by at most 1
+per move, and the search cuts every child with h > k-bar - s at stage s.
+Every node at stage s therefore has h = k-bar - s exactly, and every move
+lowers h by exactly 1:
 
 * The stage is a function of the state, and no plan of the stage has a
   relay: a relay child at stage s equals a one-move child of its
@@ -63,6 +66,7 @@ relay and a state is met at several stages, so neither cut applies there.
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_right
 
@@ -117,16 +121,14 @@ class Targets:
                     masks.append(mask)
             self.reach.append((dists, masks))
 
-    def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int] | None]:
-        """The mask of lanes with room and, from ``profiles`` unless None,
-        the per-threshold masks of lanes without blockers (empty lanes sit at
+    def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int]]:
+        """The mask of lanes with room and, from ``profiles``, the
+        per-threshold masks of lanes without blockers (empty lanes sit at
         threshold G)."""
         open_mask = 0
         for idx, (loads, capacity) in enumerate(zip(config.contents, self.capacity)):
             if len(loads) < capacity:
                 open_mask |= 1 << idx
-        if profiles is None:
-            return open_mask, None
         clean = [0] * self.groups
         for idx, prof in enumerate(profiles):
             if not prof.blocking_suffix:
@@ -139,8 +141,6 @@ class Targets:
         open_mask |= 1 << src
         if move.to_pos == self.capacity[dst]:
             open_mask &= ~(1 << dst)
-        if clean is None:
-            return open_mask, None
         clean = list(clean)
         for idx in (src, dst):
             old, new = profiles[idx], c_profiles[idx]
@@ -151,14 +151,13 @@ class Targets:
         return open_mask, clean
 
     def moves(self, config: LaneConfiguration, open_mask: int, clean, last: int | None,
-              budget: int | None, remaining: int | None,
-              commute: tuple[int, int] | None) -> list[Move]:
+              budget: int, remaining: int, commute: tuple[int, int] | None) -> list[Move]:
         """The legal moves of ``config`` in (source, target) order, less those
-        from lane index ``last``, those longer than ``budget``, unless
-        ``remaining`` is None those whose child has more than ``remaining``
-        blocking loads and, unless ``commute`` is None, those on two lanes
-        other than its (source, target) lane indices that precede it;
-        ``open_mask`` and ``clean`` are ``masks(config, ...)``.
+        from lane index ``last``, those longer than ``budget``, those whose
+        child has more than ``remaining`` blocking loads and, unless
+        ``commute`` is None, those on two lanes other than its (source,
+        target) lane indices that precede it; ``open_mask`` and ``clean`` are
+        ``masks(config, ...)``.
         """
         lanes = config.contents
         sources = (1 << len(lanes)) - 1
@@ -174,7 +173,7 @@ class Targets:
         # A move takes a blocker away only from a lane that has one, and adds
         # one unless its target has no blockers and a threshold >= the load.
         narrowed = 0
-        if remaining is not None and config.blocking_total >= remaining:
+        if config.blocking_total >= remaining:
             if config.blocking_total > remaining + 1:
                 return []
             accept = [0] * (self.groups + 1)
@@ -199,16 +198,15 @@ class Targets:
                 targets &= accept[contents[-1] - 1]
             if below & low:
                 targets &= paired
-            if budget is not None:
-                # dst_empty >= 0, so this is a superset when depth counts
-                src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
-                dists, masks = self.reach[src]
-                within = bisect_right(dists, budget - src_empty)
-                targets &= masks[within - 1] if within else 0
+            # dst_empty >= 0, so this is a superset when depth counts
+            src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
+            dists, masks = self.reach[src]
+            within = bisect_right(dists, budget - src_empty)
+            targets &= masks[within - 1] if within else 0
             if targets:
                 pairs.append((src, targets))
         moves = legal_moves(config, self.dmat, self.depth_correction, pairs)
-        if self.depth_correction and budget is not None:
+        if self.depth_correction:
             moves = [move for move in moves if move.distance <= budget]
         return moves
 
@@ -221,22 +219,17 @@ def complete_search(
     depth_correction: bool = False,
     *,
     deadline: float | None = None,
-    use_memo: bool = True,
-    prune_distance: bool = True,
-    prune_bound: bool = True,
-    prune_tight: bool = True,
     counters: SolveStats | None = None,
 ) -> tuple[list[Move], int, int] | None:
     """(moves, distance, nodes) of the least-distance plan of exactly
     ``k_bar`` moves within ``c_ub``, by exhaustive DFS; None when there is
     none.
 
-    The prune toggles only change the number of visited nodes, never the
-    returned optimum; they exist for differential testing.  ``prune_tight``
-    switches the tight-stage cuts (module docstring), which apply only with
-    ``prune_bound`` and when the root's h equals ``k_bar``; with it on or
-    off the plan is the same.  Child order is (source lane id, target lane
-    id), so results are deterministic.
+    The memo, the distance budget and the bound cut every node; the
+    tight-stage cuts apply when the root's h equals ``k_bar``.  None of
+    them changes the plan: child order is (source lane id, target lane id),
+    and the plan returned is P* of the module docstring, the first
+    least-distance plan in that order.
     """
     if k_bar < 0:
         raise ValueError("k_bar must be nonnegative")
@@ -247,7 +240,7 @@ def complete_search(
     nodes = [0]
     memo: dict[tuple, int] = {}
     root_surplus, root_profiles, root_h = bounds.lb_state(initial)
-    tight = prune_tight and prune_bound and root_h == k_bar
+    tight = root_h == k_bar
     targets = Targets(initial, dmat, depth_correction)
     trail: list[Move] = []
 
@@ -256,39 +249,28 @@ def complete_search(
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineReached
         if stage == k_bar:
-            # The distance cap is part of the goal, not a prune: it must hold
-            # even with prune_distance switched off.
             if config.blocking_total == 0 and dist <= c_ub:
                 if incumbent[0] is None or dist < incumbent[0]:
                     incumbent[0] = dist
                     best_moves[:] = trail
             return
-        if use_memo:
-            key = state_key(config) if tight else (state_key(config), stage, last)
-            known = memo.get(key)
-            if known is not None and known <= dist:
-                return
-            memo[key] = dist
+        key = state_key(config) if tight else (state_key(config), stage, last)
+        known = memo.get(key)
+        if known is not None and known <= dist:
+            return
+        memo[key] = dist
         remaining = k_bar - (stage + 1)
-        budget = None
-        if prune_distance:
-            budget = c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)
-            budget -= dist
-        moves = targets.moves(config, open_mask, clean, last, budget,
-                              remaining if prune_bound else None, commute)
-        for move in moves:
+        budget = (c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)) - dist
+        for move in targets.moves(config, open_mask, clean, last, budget, remaining, commute):
             c_dist = dist + move.distance
             # The incumbent can fall while this node's children are searched,
             # so the budget may be stale by now.
-            if prune_distance and incumbent[0] is not None and c_dist >= incumbent[0]:
+            if incumbent[0] is not None and c_dist >= incumbent[0]:
                 continue
             child = apply_move(config, move)
-            if prune_bound:
-                c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child)
-                if c_h > remaining:
-                    continue
-            else:
-                c_surplus = c_profiles = None
+            c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child)
+            if c_h > remaining:
+                continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
             c_last = move.to_lane - 1
@@ -298,8 +280,8 @@ def complete_search(
             trail.pop()
 
     try:
-        if not (prune_bound and root_h > k_bar):
-            root_masks = targets.masks(initial, root_profiles if prune_bound else None)
+        if root_h <= k_bar:
+            root_masks = targets.masks(initial, root_profiles)
             dfs(initial, 0, 0, None, None, root_surplus, root_profiles, *root_masks)
     finally:
         if counters is not None:
@@ -321,15 +303,15 @@ def solve_exact(
 ):
     """Minimal moves, then minimal total loaded distance; exact on both.
 
-    Deepens k-bar from the root lower bound; the A* solution supplies both
-    the distance upper bound and the move-count ceiling (its k is already
-    minimal, so the loop always terminates at or before it).
+    Deepens k-bar from the root lower bound up to the move count of
+    ``astar_solution``, any replay-valid plan, whose distance caps that last
+    stage only (module docstring).
     """
     started = time.perf_counter()
     stats = SolveStats(optimal_moves=True, optimal_distance=True)
     try:
-        c_ub = astar_solution.total_distance
         for k_bar in range(bounds.lb(config), astar_solution.k + 1):
+            c_ub = astar_solution.total_distance if k_bar == astar_solution.k else sys.maxsize
             try:
                 result = complete_search(config, k_bar, dmat, c_ub, depth_correction,
                                          deadline=started + timeout_s, counters=stats)
@@ -339,8 +321,9 @@ def solve_exact(
                 moves, distance, _nodes = result
                 return Solution(algo="exact", moves=tuple(moves), k=k_bar,
                                 total_distance=distance, stats=stats)
-        # Unreachable when the A* answer is sound: its own plan is relay-free
-        # and within c_ub, so k_bar = astar.k is always feasible.
+        # Unreachable when the bound plan replays: with no relay it is a
+        # plan of its own stage, and a relay collapses into a plan of fewer
+        # moves, which an uncapped stage below finds.
         return Infeasible(stats)
     finally:
         stats.wall_time = time.perf_counter() - started

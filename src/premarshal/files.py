@@ -50,6 +50,13 @@ def _checked(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a plain int: not a float, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def instance_from_json(data: dict) -> WarehouseInstance:
     data = _checked(data, dict, "an instance")
     meta = _checked(data.get("meta", {}), dict, "meta")
@@ -63,13 +70,13 @@ def instance_from_json(data: dict) -> WarehouseInstance:
         occupancy = {}
         for load in _checked(entry["loads"], list, "loads"):
             load = _checked(load, dict, "a load")
-            occupancy[load["i"], load["j"], load["t"]] = load["g"]
+            cell = tuple(_integer(load[key], f"load {key}") for key in "ijt")
+            if cell in occupancy:
+                raise ValueError(f"two loads at cell (i, j, t) = {cell}")
+            occupancy[cell] = _integer(load["g"], "load g")
         bays.append(
             BaySpec(
-                I=entry["I"],
-                J=entry["J"],
-                T=entry["T"],
-                G=entry["G"],
+                **{key: _integer(entry[key], f"bay {key}") for key in "IJTG"},
                 occupancy=occupancy,
                 access_sides=frozenset(entry["access_sides"]),
             )

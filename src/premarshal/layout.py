@@ -78,14 +78,13 @@ class DistanceMatrix:
     """Symmetric matrix of shortest aisle distances between access points.
 
     ``between`` indexes ``rows``, a mapping from point id to the point's
-    row.  Built from ``d``, the matrix holds every row from the start;
-    ``all_pairs_distances`` passes a mapping that computes a row the first
+    row; ``all_pairs_distances`` passes one that computes a row the first
     time it is asked for.  ``d`` is every row in point order.
     """
 
-    def __init__(self, n: int, d=None, rows=None):
+    def __init__(self, n: int, rows):
         self.n = n
-        self.rows = dict(enumerate(d)) if rows is None else rows
+        self.rows = rows
 
     @cached_property
     def d(self) -> tuple[tuple[int, ...], ...]:
@@ -217,7 +216,7 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
             if component[cp] != component[cq] and p.point_id < q.point_id
         ]
         raise DisconnectedError(unreachable)
-    return DistanceMatrix(n=len(points), rows=_RowsOnFirstUse(adjacency, columns))
+    return DistanceMatrix(len(points), _RowsOnFirstUse(adjacency, columns))
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:

@@ -271,18 +271,21 @@ def plain_optimum(lanes, distance, max_k):
     return walk(state, 0, 0, None)
 
 
-def staged_optimum(lanes, distance, k_bar, c_ub):
-    """Min distance over plans of exactly k_bar moves, no relayed loads.
+def staged_optimum(lanes, distance, k_bar, c_ub, depth_correction=False):
+    """(distance, plan) of the least-distance plan of exactly k_bar moves
+    with no relayed load, or None when no plan qualifies.
 
     Mirrors the staged model semantics: a load placed at stage k may not be
     the load removed at stage k + 1; the final state must be fully sorted and
-    the total distance must not exceed c_ub.  Returns None when no plan
-    qualifies.
+    the total distance must not exceed c_ub.  ``plan`` is the list of
+    (source index, target index) pairs of the least-distance plan that
+    comes first in the order of those lists.  With ``depth_correction`` a move also costs the empty
+    slots of its source before it and of its target after it.
     """
     def walk(state, stage, dist, last_target):
         if stage == k_bar:
             ok = all(blocking_by_rules(c) == 0 for _cap, c in state)
-            return dist if ok and dist <= c_ub else None
+            return (dist, []) if ok and dist <= c_ub else None
         best = None
         for s, (scap, sc) in enumerate(state):
             if not sc or s == last_target:
@@ -290,12 +293,15 @@ def staged_optimum(lanes, distance, k_bar, c_ub):
             for t, (tcap, tc) in enumerate(state):
                 if s == t or len(tc) >= tcap:
                     continue
+                step = distance(s, t)
+                if depth_correction:
+                    step += (scap - len(sc)) + (tcap - len(tc) - 1)
                 nxt = list(state)
                 nxt[s] = (scap, sc[:-1])
                 nxt[t] = (tcap, tc + (sc[-1],))
-                got = walk(tuple(nxt), stage + 1, dist + distance(s, t), t)
-                if got is not None and (best is None or got < best):
-                    best = got
+                got = walk(tuple(nxt), stage + 1, dist + step, t)
+                if got is not None and (best is None or got[0] < best[0]):
+                    best = (got[0], [(s, t)] + got[1])
         return best
 
     state = tuple((cap, tuple(contents)) for cap, contents in lanes)

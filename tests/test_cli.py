@@ -236,6 +236,39 @@ def test_non_object_instances_exit_3_without_a_traceback(tmp_path, content):
     assert "cannot read instance" in run.stderr
 
 
+def _second_load_at_a_cell(bay):
+    first = bay["loads"][0]
+    bay["loads"].append({**first, "g": first["g"] % bay["G"] + 1})
+
+
+def _fractional_group(bay):
+    bay["loads"][0]["g"] = 2.5
+
+
+def _float_width(bay):
+    bay["I"] = float(bay["I"])
+
+
+def _bool_cell(bay):
+    bay["loads"][0]["i"] = True
+
+
+@pytest.mark.parametrize("tamper", [
+    _second_load_at_a_cell, _fractional_group, _float_width, _bool_cell,
+])
+def test_instances_with_malformed_loads_exit_3_without_a_traceback(instance_path, tmp_path,
+                                                                   tamper):
+    data = json.loads(instance_path.read_text())
+    tamper(data["bays"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    run = _run_cli(["solve", "--algo", "astar", "--in", str(path),
+                    "-o", str(tmp_path / "plan.json")])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "cannot read instance" in run.stderr
+
+
 @pytest.fixture(scope="module")
 def probe_plan(tmp_path_factory):
     """4x4/2x2/0.9/G10/s8 with its A* plan, written by the CLI."""

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,18 @@ DMAT = FakeDmat()
 
 def _dist_fn(lanes):
     return lambda s, t: DMAT.between(lanes[s][2], lanes[t][2])
+
+
+def _oracle(lanes, k_bar, c_ub, depth=False):
+    return oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), k_bar, c_ub, depth)
+
+
+def _as_oracle(result):
+    """``complete_search``'s result as the staged oracle gives it."""
+    if result is None:
+        return None
+    moves, distance, _nodes = result
+    return distance, [(m.from_lane - 1, m.to_lane - 1) for m in moves]
 
 
 def test_model_rejects_negative_parameters():
@@ -37,7 +48,7 @@ def test_relay_rule_forbids_immediate_bounce():
     one = exact.complete_search(config, 1, DMAT, c_ub=10)
     assert one is not None and one[1] == 1
     assert exact.complete_search(config, 2, DMAT, c_ub=10) is None
-    assert oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), 2, 10) is None
+    assert _oracle(lanes, 2, 10) is None
 
 
 def test_two_loads_relay_through_each_other():
@@ -50,25 +61,23 @@ def test_two_loads_relay_through_each_other():
     moves, distance, _nodes = result
     assert distance == 2
     assert [(m.from_lane, m.to_lane) for m in moves] == [(2, 3), (1, 2)]
-    assert oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), 2, 100) == 2
+    assert _oracle(lanes, 2, 100) == (2, [(1, 2), (0, 1)])
 
 
 def test_distance_cap_is_part_of_the_goal():
-    """c_ub must hold even with distance pruning switched off."""
     lanes = [(2, (1, 3), 0), (1, (), 5)]
     config = make_config(lanes, groups=3)
     assert exact.complete_search(config, 0, DMAT, c_ub=100) is None
-    for prune in (False, True):
-        capped = exact.complete_search(config, 1, DMAT, c_ub=4, prune_distance=prune)
-        assert capped is None
-        exactly = exact.complete_search(config, 1, DMAT, c_ub=5, prune_distance=prune)
-        assert exactly is not None and exactly[1] == 5
+    assert exact.complete_search(config, 1, DMAT, c_ub=4) is None
+    assert _oracle(lanes, 1, 4) is None
+    exactly = exact.complete_search(config, 1, DMAT, c_ub=5)
+    assert _as_oracle(exactly) == _oracle(lanes, 1, 5) == (5, [(0, 1)])
 
 
-def test_toggles_never_change_the_answer():
-    """Memoisation and both prunes are speedups, not semantics."""
+def test_search_returns_the_oracles_plan():
+    """The plan and distance, or None, are the staged oracle's, with either
+    depth setting, below, at and above the root bound."""
     rng = random.Random(41)
-    toggles = list(itertools.product((False, True), repeat=3))
     for _ in range(18):
         aps = rng.sample(range(8), 3)
         lanes = [
@@ -78,53 +87,47 @@ def test_toggles_never_change_the_answer():
             for idx in range(3)
         ]
         config = make_config(lanes, groups=4)
-        for k_bar in (rng.randint(0, 2), 3):
-            expected = oracles.staged_optimum(
-                [l[:2] for l in lanes], _dist_fn(lanes), k_bar, 10_000
-            )
-            for use_memo, prune_distance, prune_bound in toggles:
-                result = exact.complete_search(
-                    config, k_bar, DMAT, c_ub=10_000,
-                    use_memo=use_memo,
-                    prune_distance=prune_distance,
-                    prune_bound=prune_bound,
-                )
-                if expected is None:
-                    assert result is None
-                    continue
-                assert result is not None and result[1] == expected
+        h0 = bounds.lb(config)
+        for k_bar, depth in itertools.product((rng.randint(0, 2), h0, h0 + 1, 3),
+                                              (False, True)):
+            expected = _oracle(lanes, k_bar, 10_000, depth)
+            assert _as_oracle(exact.complete_search(config, k_bar, DMAT, 10_000, depth)) \
+                == expected
             if expected is None:
                 continue
             # boundary: the cap is attainable at equality and not below it
-            tight = exact.complete_search(config, k_bar, DMAT, expected)
-            assert tight is not None
-            moves, distance, _nodes = tight
-            assert distance == expected
+            tight = exact.complete_search(config, k_bar, DMAT, expected[0], depth)
+            assert _as_oracle(tight) == expected
+            moves = tight[0]
             assert len(moves) == k_bar
-            assert sum(m.distance for m in moves) == expected
+            assert sum(m.distance for m in moves) == expected[0]
             for prev, nxt in zip(moves, moves[1:]):
                 assert nxt.from_lane != prev.to_lane
             state = config
             for move in moves:
                 state = apply_move(state, move)
             assert state.is_sorted
-            if expected > 0:
-                assert exact.complete_search(config, k_bar, DMAT, expected - 1) is None
+            if expected[0] > 0:
+                assert exact.complete_search(config, k_bar, DMAT, expected[0] - 1, depth) is None
+
+
+def _relay_free_nodes(config, depth, last=None):
+    """Nodes of the search tree of ``depth`` moves with no cut but the relay
+    rule."""
+    if depth == 0:
+        return 1
+    return 1 + sum(_relay_free_nodes(apply_move(config, m), depth - 1, m.to_lane)
+                   for m in legal_moves(config, DMAT) if m.from_lane != last)
 
 
 def test_counters_and_prunes_only_save_work():
-    config = make_config([(3, (1, 3), 0), (3, (2, 4), 1), (3, (), 2)], groups=4)
+    lanes = [(3, (1, 3), 0), (3, (2, 4), 1), (3, (), 2)]
+    config = make_config(lanes, groups=4)
     counters = SolveStats()
     fast = exact.complete_search(config, 2, DMAT, c_ub=1_000, counters=counters)
-    bare = exact.complete_search(
-        config, 2, DMAT, c_ub=1_000, use_memo=False, prune_distance=False, prune_bound=False
-    )
-    assert fast is not None and bare is not None
-    _moves, fast_distance, fast_nodes = fast
-    _moves, bare_distance, bare_nodes = bare
-    assert fast_distance == bare_distance
-    assert fast_nodes <= bare_nodes
-    assert counters.nodes_evaluated == fast_nodes
+    assert _as_oracle(fast) == _oracle(lanes, 2, 1_000)
+    assert counters.nodes_evaluated == fast[2]
+    assert fast[2] < _relay_free_nodes(config, 2)
 
 
 def test_solve_exact_matches_lexicographic_oracle():
@@ -158,6 +161,66 @@ def test_solve_exact_matches_lexicographic_oracle():
     assert checked == 30
 
 
+def _bound_plan(config, pairs):
+    """The replay-valid plan of the (source, target) lane indices ``pairs``."""
+    moves = []
+    for src, dst in pairs:
+        moves.append(next(m for m in legal_moves(config, DMAT)
+                          if (m.from_lane - 1, m.to_lane - 1) == (src, dst)))
+        config = apply_move(config, moves[-1])
+    assert config.is_sorted
+    return Solution(algo="astar", moves=tuple(moves), k=len(moves),
+                    total_distance=sum(m.distance for m in moves), stats=SolveStats())
+
+
+def _detour(config, plan):
+    """``plan`` with its first legal move in ``config`` and that move's
+    reverse put in front: a replay-valid plan two moves longer."""
+    first = legal_moves(config, DMAT)[0]
+    src, dst = first.from_lane - 1, first.to_lane - 1
+    return _bound_plan(config, [(src, dst), (dst, src),
+                                *((m.from_lane - 1, m.to_lane - 1) for m in plan.moves)])
+
+
+def test_solve_exact_finds_the_minimal_k_under_a_longer_bound():
+    """A replay-valid bound of k* + 2 moves, as ``--ub-from`` may give, still
+    yields the lexicographic optimum, also where stages above the root bound
+    must be searched."""
+    rng = random.Random(23)
+    below_k = 0
+    for _ in range(300):
+        lanes = [
+            (3, tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2))), idx * 2)
+            for idx in range(3)
+        ]
+        if not any(contents for _cap, contents, _ap in lanes):
+            continue  # no move to detour by
+        config = make_config(lanes, groups=4)
+        warm = astar.solve_astar(config, DMAT)
+        assert isinstance(warm, Solution)
+        long = _detour(config, warm)
+        result = exact.solve_exact(config, DMAT, long)
+        assert isinstance(result, Solution)
+        best = oracles.plain_optimum([l[:2] for l in lanes], _dist_fn(lanes), max_k=warm.k)
+        assert (result.k, result.total_distance) == best
+        below_k += bounds.lb(config) < result.k
+    assert below_k >= 10
+
+
+def test_a_longer_bound_of_less_distance_caps_only_its_own_stage():
+    """A 4-move bound plan of distance 12 must not hide the 2-move optimum of
+    distance 14."""
+    lanes = [(3, (1, 3), 1), (3, (), 9), (3, (1, 4), 3)]
+    config = make_config(lanes, groups=4)
+    bound = _bound_plan(config, _oracle(lanes, 4, 13)[1])
+    assert (bound.k, bound.total_distance) == (4, 12)
+    result = exact.solve_exact(config, DMAT, bound)
+    assert isinstance(result, Solution)
+    best = oracles.plain_optimum([l[:2] for l in lanes], _dist_fn(lanes), max_k=4)
+    assert best == (2, 14)
+    assert (result.k, result.total_distance) == best
+
+
 def test_exact_beats_astar_distance_on_dependency_instance():
     """Same plan length, strictly shorter travel than the greedy expansion."""
     dmat = FakeDmat({(0, 1): 1, (2, 1): 1, (0, 5): 6, (2, 5): 6, (0, 2): 2,
@@ -188,64 +251,81 @@ def test_timeout_reports_the_stage_reached():
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
 
 
-# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes
-# without the tight-stage cuts, nodes with them, move pairs), with A* and
-# exact both run at that depth setting.  The counts without the cuts were
-# recorded before the exact search cut children ahead of building them
-# (depth correction off) and before it took them from lane bitmasks (on).
+# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes,
+# move pairs) of ``solve_exact``, with A* and exact both run at that depth
+# setting; the root bound equals k, so the one stage searched is tight.
 PINNED_SEARCHES = {
     ((4, 4), (2, 2), 0.9, 10, 8): {
-        False: (3, 11, 18, 18, [(12, 11), (39, 3), (24, 39)]),
-        True: (3, 11, 15, 15, [(12, 11), (39, 3), (24, 39)]),
+        False: (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
+        True: (3, 11, 15, [(12, 11), (39, 3), (24, 39)]),
     },
     ((5, 5), (2, 2), 0.8, 5, 3): {
-        False: (4, 13, 230, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
-        True: (4, 16, 222, 97, [(4, 3), (41, 11), (54, 32), (22, 32)]),
+        False: (4, 13, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+        True: (4, 16, 97, [(4, 3), (41, 11), (54, 32), (22, 32)]),
+    },
+}
+
+# The same instances -> depth correction -> (distance, nodes, move pairs) of
+# ``complete_search`` at k-bar = root h + 1 within A*'s distance, where the
+# tight-stage cuts do not apply.  Recorded before the search lost its prune
+# switches.
+PINNED_NEXT_STAGE = {
+    ((4, 4), (2, 2), 0.9, 10, 8): {
+        False: (2, 150, [(12, 11), (23, 38), (39, 23), (24, 39)]),
+        True: (3, 166, [(12, 11), (23, 38), (39, 23), (24, 39)]),
+    },
+    ((5, 5), (2, 2), 0.8, 5, 3): {
+        False: (10, 12042, [(4, 3), (23, 24), (22, 23), (41, 11), (54, 32)]),
+        True: (13, 9240, [(4, 3), (23, 24), (22, 23), (41, 11), (54, 32)]),
     },
 }
 
 
-def _pinned_solves(spec, prune_tight):
-    """(pinned, got) per depth setting of ``spec``, with ``solve_exact`` run
-    with the tight-stage cuts on or off."""
+@functools.cache
+def _pinned_instance(spec):
     bay, warehouse, fill, groups, seed = spec
-    prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
+    return prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
                                       groups=groups, seed=seed)))
-    search = functools.partial(exact.complete_search, prune_tight=prune_tight)
-    for depth_correction, pinned in PINNED_SEARCHES[spec].items():
-        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
-        with mock.patch.object(exact, "complete_search", search):
-            result = exact.solve_exact(prep.config, prep.dmat, warm,
-                                       depth_correction=depth_correction)
-        assert isinstance(result, Solution)
-        got = (result.k, result.total_distance, result.stats.nodes_evaluated,
-               [(m.from_lane, m.to_lane) for m in result.moves])
-        yield pinned, got
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
-def test_pinned_node_counts_and_plans(spec):
-    """Without the tight-stage cuts, cutting children before they are built
-    visits the very same nodes."""
-    for (k, distance, nodes, _tight_nodes, pairs), got in _pinned_solves(spec, False):
-        assert got == (k, distance, nodes, pairs)
+def _pairs(moves):
+    return [(m.from_lane, m.to_lane) for m in moves]
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
 def test_pinned_node_counts_with_tight_cuts(spec):
     """The tight-stage cuts keep the plan and visit the pinned nodes."""
-    for (k, distance, _nodes, tight_nodes, pairs), got in _pinned_solves(spec, True):
-        assert got == (k, distance, tight_nodes, pairs)
+    prep = _pinned_instance(spec)
+    for depth_correction, pinned in PINNED_SEARCHES[spec].items():
+        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
+        result = exact.solve_exact(prep.config, prep.dmat, warm,
+                                   depth_correction=depth_correction)
+        assert isinstance(result, Solution)
+        assert bounds.lb(prep.config) == result.k
+        assert (result.k, result.total_distance, result.stats.nodes_evaluated,
+                _pairs(result.moves)) == pinned
 
 
-def test_tight_cuts_keep_the_plan_and_only_save_nodes():
-    """On random states whose root bound is A*'s k, the tight-stage cuts give
-    the plan the search gives without them, with either depth setting, the
-    staged oracle's distance, and no more nodes; one stage more, where they
-    do not apply, nothing changes.  k-bar stays small enough for the
-    oracle's unpruned walk."""
+@pytest.mark.parametrize("spec", sorted(PINNED_NEXT_STAGE))
+def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
+    prep = _pinned_instance(spec)
+    k_bar = bounds.lb(prep.config) + 1
+    for depth_correction, pinned in PINNED_NEXT_STAGE[spec].items():
+        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
+        result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance,
+                                       depth_correction)
+        assert result is not None
+        moves, distance, nodes = result
+        assert (distance, nodes, _pairs(moves)) == pinned
+
+
+def test_tight_stage_and_the_next_return_the_oracles_plan():
+    """On random states whose root bound is A*'s k, the search gives the
+    staged oracle's plan, or None where it does, with either depth setting,
+    in the tight stage and in the one above it.  k-bar stays small enough for
+    the oracle's unpruned walk."""
     rng = random.Random(5)
-    tight = saved = 0
+    tight = found = empty = 0
     for _ in range(300):
         lanes = []
         for _lane in range(rng.randint(4, 6)):
@@ -259,25 +339,17 @@ def test_tight_cuts_keep_the_plan_and_only_save_nodes():
             continue
         tight += 1
         for k_bar in (h0, h0 + 1)[:10 - len(lanes) - h0]:
-            c_ub = warm.total_distance + 4
-            expected = oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes),
-                                              k_bar, c_ub)
-            for depth, cap in ((False, c_ub), (True, 10_000)):
-                on = exact.complete_search(config, k_bar, DMAT, cap, depth)
-                off = exact.complete_search(config, k_bar, DMAT, cap, depth,
-                                            prune_tight=False)
-                if off is None:
-                    assert on is None and (depth or expected is None)
-                    continue
-                assert on is not None and on[:2] == off[:2]
-                assert depth or on[1] == expected
-                if k_bar > h0:
-                    assert on[2] == off[2]
-                    continue
-                assert on[2] <= off[2]
-                saved += on[2] < off[2]
+            for depth in (False, True):
+                # Depth correction adds to every move, so A*'s distance
+                # without it leaves some stages with no plan.
+                c_ub = warm.total_distance if depth else warm.total_distance + 4
+                expected = _oracle(lanes, k_bar, c_ub, depth)
+                assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub, depth)) \
+                    == expected
+                found += expected is not None
+                empty += expected is None
     assert tight >= 100
-    assert saved >= 10
+    assert found >= 150 and empty >= 100
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,8 +364,8 @@ def test_tight_cuts_keep_the_plan_and_only_save_nodes():
         max_size=5,
     ),
     st.booleans(),
-    st.one_of(st.none(), st.integers(min_value=-1, max_value=14)),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    st.integers(min_value=-1, max_value=14),
+    st.integers(min_value=0, max_value=6),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
@@ -301,14 +373,11 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
     """The mask generator yields the legal moves that the relay rule, the
     distance budget, the child's blocking count and, with ``commuting``, the
     commuting-move cut after the walk's last move leave, in legal-move
-    order, at every state of a walk whose masks are patched move by move.
-    ``budget`` None is prune_distance off, ``remaining`` None prune_bound off."""
+    order, at every state of a walk whose masks are patched move by move."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
     targets = exact.Targets(config, DMAT, depth)
     surplus, profiles, _h = bounds.lb_state(config)
-    if remaining is None:
-        profiles = None  # the search keeps no profiles without the bound
     open_mask, clean = targets.masks(config, profiles)
     last = commute = None
     for _ in range(6):
@@ -316,8 +385,8 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
         by_hand = [
             m for m in moves
             if m.from_lane - 1 != last
-            and (budget is None or m.distance <= budget)
-            and (remaining is None or apply_move(config, m).blocking_total <= remaining)
+            and m.distance <= budget
+            and apply_move(config, m).blocking_total <= remaining
             and (commute is None or not {m.from_lane - 1, m.to_lane - 1}.isdisjoint(commute)
                  or (m.from_lane - 1, m.to_lane - 1) > commute)
         ]
@@ -327,9 +396,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
             return
         move = rng.choice(moves)
         child = apply_move(config, move)
-        c_profiles = None
-        if profiles is not None:
-            surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child)
+        surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child)
         open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
         assert (open_mask, clean) == targets.masks(child, c_profiles)
         config, profiles, last = child, c_profiles, move.to_lane - 1
@@ -350,17 +417,12 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
     ),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=30),
+    st.booleans(),
 )
-def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub):
+def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub, depth):
     """The BX pre-check and the full bound cut only dead subtrees, so the
-    plan found is the one the unbounded search finds first."""
+    plan found is the staged oracle's, which nothing cuts."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    bounded = exact.complete_search(config, k_bar, DMAT, c_ub)
-    unbounded = exact.complete_search(config, k_bar, DMAT, c_ub, prune_bound=False)
-    if unbounded is None:
-        assert bounded is None
-        return
-    assert bounded is not None
-    assert bounded[:2] == unbounded[:2]
-    assert bounded[2] <= unbounded[2]
+    assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub, depth)) \
+        == _oracle(lanes, k_bar, c_ub, depth)

@@ -116,6 +116,34 @@ def test_instance_from_json_returns_or_raises_a_read_error(data):
     except (ValueError, KeyError, TypeError):
         return
     assert isinstance(instance, WarehouseInstance)
+    for bay, entry in zip(instance.bays, data["bays"], strict=True):
+        assert all(type(v) is int for v in (bay.I, bay.J, bay.T, bay.G))
+        assert all(type(v) is int for cell, g in bay.occupancy.items() for v in (*cell, g))
+        assert bay.load_count == len(entry["loads"])
+
+
+def _one_bay(loads, **dims):
+    bay = {"I": 3, "J": 3, "T": 1, "G": 5, "access_sides": ["W"], "loads": loads}
+    bay.update(dims)
+    return {"meta": {"warehouse_layout": "1x1"}, "bays": [bay]}
+
+
+def test_instance_from_json_rejects_two_loads_at_one_cell():
+    loads = [{"i": 3, "j": 1, "t": 1, "g": 1}, {"i": 3, "j": 1, "t": 1, "g": 4}]
+    with pytest.raises(ValueError, match="two loads at cell"):
+        files.instance_from_json(_one_bay(loads))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("g", 2.5), ("g", 2.0), ("i", True), ("t", False), ("j", "1"),
+    ("I", 3.0), ("G", True), ("T", None),
+])
+def test_instance_from_json_rejects_numbers_that_are_no_integers(key, value):
+    load = {"i": 3, "j": 1, "t": 1, "g": 2}
+    dims = {}
+    (load if key in load else dims)[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        files.instance_from_json(_one_bay([load], **dims))
 
 
 def test_parse_layout_label():

@@ -234,7 +234,7 @@ def test_access_point_off_the_aisles_rejected():
 
 
 def test_csv_export():
-    m = DistanceMatrix(n=2, d=((0, 3), (3, 0)))
+    m = DistanceMatrix(2, {0: (0, 3), 1: (3, 0)})
     buf = io.StringIO()
     write_distances_csv(m, buf)
     lines = buf.getvalue().strip().splitlines()
