@@ -31,14 +31,16 @@ duplicate detection: Korf, IJCAI 2003).  An offer is the queue entry
 (f, h, dist, tie, parent, move); popping it builds the child with
 ``apply_move``, and the child is skipped if its ``state_key`` is in the
 closed set, or else closed, counted and given its surplus and profiles by
-``bounds.lb_incremental``.  h depends only on the state and every tie is
-unique, so the first offer of a state to pop is the least (f, dist, tie)
-offered for it so far: the record that a store-every-child A* offering
-children in ``legal_moves`` order keeps (new, better f, or the same f with
-a smaller dist), with ties independent of the order in which deferred
-children are offered.  So the plan, k, distance and node count are those
-of the store-every-child search.  A child that a re-entry offers again is an
-equal queue entry; it pops right after the first and is skipped as closed.
+``bounds.lb_incremental``, which looks up the two lane changes that the
+parent's listing made in the search's lane-change memo.  h depends only on
+the state and every tie is unique, so the first offer of a state to pop is
+the least (f, dist, tie) offered for it so far: the record that a
+store-every-child A* offering children in ``legal_moves`` order keeps (new,
+better f, or the same f with a smaller dist), with ties independent of the
+order in which deferred children are offered.  So the plan, k, distance
+and node count are those of the store-every-child search.  A child that a
+re-entry offers again is an equal queue entry; it pops right after the
+first and is skipped as closed.
 
 The returned move count is provably minimal; the distance is only the
 tie-broken heuristic value.  h is consistent (proved in the ``bounds``
@@ -99,7 +101,9 @@ def solve_astar(
         # (h = -1) of an expanded node.
         root = (None, None, 0, 0, config, surplus, profiles)
         open_heap = [(h0, h0, 0, (0, 0), root, None)]
-        # Lane changes seen by this search's listings, shared between parents.
+        # Lane changes seen by this search's listings and pops, shared between
+        # parents.  Its keys hold for this instance's G only, so the memo dies
+        # with the search.
         touched: dict[tuple, tuple] = {}
 
         def expired():
@@ -115,7 +119,8 @@ def solve_astar(
                 if key in closed:
                     continue
                 closed.add(key)
-                surplus, profiles, _h = bounds.lb_incremental(node[5], node[6], move, config)
+                surplus, profiles, _h = bounds.lb_incremental(node[5], node[6], move, config,
+                                                              touched)
                 node = (node, move, node[2] + 1, dist, config, surplus, profiles)
             _parent, _move, g, dist, config, surplus, profiles = node
             if h < 0:

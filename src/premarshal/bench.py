@@ -67,30 +67,61 @@ class SuiteRun:
     timeout_s: float | None = None
 
 
-def suite_runs(suite: dict) -> list[SuiteRun]:
+ALGOS = ("astar", "exact")
+
+
+def _is_int(value) -> bool:
+    """True for a plain integer: not a float, a string or a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _listed(suite: dict, key: str, accept, what: str) -> list:
+    """``suite[key]``, which must be a list of items that ``accept``."""
+    value = suite.get(key)
+    if not isinstance(value, list) or not all(map(accept, value)):
+        raise ValueError(f"{key!r} must be a list of {what}, not {value!r}")
+    return value
+
+
+def suite_runs(suite) -> list[SuiteRun]:
     """Expand a suite dict into its deterministic run list.
 
     Suite schema: {"configs": [{"bay": "3x3", "warehouse": "2x2",
     "fill": 0.6, "classes": 5}], "seeds": [1, 2], "algos": ["astar",
     "exact"], "timeout_s": {"astar": 600, "exact": 3600},
-    "unrestricted": false}.  Runs are ordered (config, seed, algo).  A
-    ``timeout_s`` value that ``budget_seconds`` rejects raises ValueError.
+    "unrestricted": false}.  Runs are ordered (config, seed, algo).  A suite
+    that is no object, lists of the wrong kind (seeds and classes must be
+    plain integers, algos among ``ALGOS``), a ``timeout_s`` that is no
+    object keyed by algos, or a value of it that ``budget_seconds`` rejects
+    raise ValueError; a config without one of its keys raises KeyError.
     """
     from .files import parse_layout_label
 
-    unrestricted = bool(suite.get("unrestricted", False))
-    timeouts = {algo: budget_seconds(value)
-                for algo, value in suite.get("timeout_s", {}).items()}
+    if not isinstance(suite, dict):
+        raise ValueError(f"a suite must be a JSON object, not {suite!r}")
+    configs = _listed(suite, "configs", lambda entry: isinstance(entry, dict), "objects")
+    seeds = _listed(suite, "seeds", _is_int, "integers")
+    algos = _listed(suite, "algos", ALGOS.__contains__, f"algorithms of {ALGOS}")
+    timeout_s = suite.get("timeout_s", {})
+    if not isinstance(timeout_s, dict) or not set(timeout_s) <= set(ALGOS):
+        raise ValueError(f"'timeout_s' must map algorithms of {ALGOS} to budgets, "
+                         f"not {timeout_s!r}")
+    unrestricted = suite.get("unrestricted", False)
+    if not isinstance(unrestricted, bool):
+        raise ValueError(f"'unrestricted' must be true or false, not {unrestricted!r}")
+    timeouts = {algo: budget_seconds(value) for algo, value in timeout_s.items()}
     runs = []
-    for entry in suite["configs"]:
-        for seed in suite["seeds"]:
-            for algo in suite["algos"]:
+    for entry in configs:
+        if not _is_int(entry["classes"]):
+            raise ValueError(f"'classes' must be an integer, not {entry['classes']!r}")
+        for seed in seeds:
+            for algo in algos:
                 config = GenConfig(
                     bay=parse_layout_label(entry["bay"]),
                     warehouse=parse_layout_label(entry["warehouse"]),
                     fill=float(entry["fill"]),
-                    groups=int(entry["classes"]),
-                    seed=int(seed),
+                    groups=entry["classes"],
+                    seed=seed,
                     unrestricted=unrestricted,
                 )
                 runs.append(
@@ -171,11 +202,9 @@ def run_group(runs: list[SuiteRun]) -> list[dict]:
     return rows
 
 
-def run_suite(suite: dict, jobs: int = 1) -> list[dict]:
-    """All rows of a suite, ordered by (config, seed, algo) come what may."""
-    groups = [
-        list(runs) for _, runs in itertools.groupby(suite_runs(suite), lambda r: r.config)
-    ]
+def run_suite(runs: list[SuiteRun], jobs: int = 1) -> list[dict]:
+    """All rows of ``suite_runs``' list, in its order come what may."""
+    groups = [list(cells) for _, cells in itertools.groupby(runs, lambda r: r.config)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(run_group, groups))

@@ -64,7 +64,12 @@ capacity and the group count G, as a state holds them.  ``lane_change``
 re-profiles one lane that comes to hold new contents and gives its BX
 change and surplus change.  ``lb_incremental`` applies it to the two lanes
 a move touches and adds both surplus changes to the parent's surplus; its
-result is identical to the from-scratch computation.
+result is identical to the from-scratch computation.  ``cached_lane_change``
+memoises ``lane_change`` by (capacity, old contents, new contents), which
+fix its result for one G.  A search keeps one such memo and passes it to
+every ``lb_incremental`` and ``Siblings`` call, so each lane transition is
+profiled once per search.  In A* the two transitions of a popped child were
+made when its parent's children were listed, so the pop only looks them up.
 
 ``Siblings`` gives the h of every child of one parent without building the
 child.  The source lane's state after losing its front load, and a target
@@ -261,19 +266,37 @@ def lb(config: LaneConfiguration):
     return lb_state(config)[2]
 
 
+def cached_lane_change(touched: dict, old: LaneProfile, old_contents: tuple[int, ...],
+                       contents: tuple[int, ...], capacity: int, groups: int) -> tuple:
+    """``lane_change(old, contents, capacity, groups)``, memoised in ``touched``
+    under (capacity, old contents, contents).  ``old`` profiles the old
+    contents, so the key fixes the result for one ``groups``: a memo must
+    serve the states of one search only."""
+    key = (capacity, old_contents, contents)
+    change = touched.get(key)
+    if change is None:
+        change = touched[key] = lane_change(old, contents, capacity, groups)
+    return change
+
+
 def lb_incremental(
     parent_surplus: tuple[int, ...],
     parent_profiles: Sequence[LaneProfile],
     move: Move,
     child: LaneConfiguration,
+    touched: dict,
 ):
     """Re-profile only the two lanes touched by ``move`` and add their
-    surplus changes; equal to lb_state(child) from scratch."""
+    surplus changes; equal to lb_state(child) from scratch.  ``touched`` is
+    the search's ``cached_lane_change`` memo, the one its ``Siblings`` share."""
     profiles = list(parent_profiles)
     src, dst = move.from_lane - 1, move.to_lane - 1
     contents, caps, groups = child.contents, child.capacities, child.groups
-    _bx, src_change, profiles[src] = lane_change(profiles[src], contents[src], caps[src], groups)
-    _bx, dst_change, profiles[dst] = lane_change(profiles[dst], contents[dst], caps[dst], groups)
+    new_src, new_dst = contents[src], contents[dst]
+    _bx, src_change, profiles[src] = cached_lane_change(
+        touched, profiles[src], new_src + new_dst[-1:], new_src, caps[src], groups)
+    _bx, dst_change, profiles[dst] = cached_lane_change(
+        touched, profiles[dst], new_dst[:-1], new_dst, caps[dst], groups)
     surplus = tuple(map(add, parent_surplus, src_change))
     surplus = tuple(map(add, surplus, dst_change))
     profiles = tuple(profiles)
@@ -297,8 +320,8 @@ class Siblings:
         self.config = config
         self.surplus = surplus
         self.profiles = profiles
-        #: (capacity, contents, new contents) -> ``lane_change`` result; it depends
-        #: on nothing else, so one search may share it between its parents
+        #: the ``cached_lane_change`` memo; one search shares it between its
+        #: parents and with ``lb_incremental``
         self._touched = {} if touched is None else touched
         #: source lane index -> (BX, load, surplus, profile) once its front load is gone
         self._taken: dict[int, tuple] = {}
@@ -435,13 +458,9 @@ class Siblings:
 
     def _touch(self, idx: int, contents: tuple[int, ...]) -> tuple:
         """``lane_change`` of one lane coming to hold ``contents``, memoised."""
-        capacity = self.config.capacities[idx]
-        key = (capacity, self.config.contents[idx], contents)
-        touched = self._touched.get(key)
-        if touched is None:
-            touched = self._touched[key] = lane_change(
-                self.profiles[idx], contents, capacity, self.config.groups)
-        return touched
+        config = self.config
+        return cached_lane_change(self._touched, self.profiles[idx], config.contents[idx],
+                                  contents, config.capacities[idx], config.groups)
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
         """Removal options of one lane at ``levels``, None when trivial."""

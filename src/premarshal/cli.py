@@ -211,14 +211,16 @@ def _cmd_bench(args) -> int:
             suite = json.load(f)
     except (OSError, ValueError) as exc:
         raise _Failure(EXIT_INVALID, f"cannot read suite {args.suite}: {exc}") from exc
+    # Expanded before ``-o`` is opened, so that a bad suite leaves the file as it was.
+    try:
+        runs = bench.suite_runs(suite)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _Failure(EXIT_INVALID, f"bad suite: {exc}") from exc
     # Opened before any row is solved, so that an unwritable path costs no solve.
     with _writing(args.out):
         out = open(args.out, "w", encoding="utf-8", newline="")
     with out:
-        try:
-            rows = bench.run_suite(suite, jobs=max(1, jobs))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _Failure(EXIT_INVALID, f"bad suite: {exc}") from exc
+        rows = bench.run_suite(runs, jobs=max(1, jobs))
         with _writing(args.out):
             bench.write_results_csv(rows, out)
     print(json.dumps(bench.aggregate(rows), indent=2))

@@ -23,15 +23,25 @@ distances of its dmat row, each with the mask of the lanes at that
 distance or less; one bisection gives the targets within a distance
 budget.  Each node carries the mask of lanes with room and, per threshold,
 the mask of lanes without blockers, patched from its parent's at the two
-lanes a move touches.  A source's targets are then one mask expression: the lanes with
-room other than itself, within the budget, min(c_ub, incumbent - 1) minus
-the distance so far, and, when the child's blocking count (BX) would
-otherwise exceed the stages left, only the lanes that take its front load
-unblocked.  Since h = BX + GX with GX >= 0, that cuts only what the full
-bound would cut.  The lane the last move filled is no source (the relay
-rule).  ``legal_moves`` then builds the moves of those (source, targets)
-pairs only.  After a child is built, the full h from ``lb_incremental``
-decides.
+lanes a move touches.  A source's targets are then one mask expression:
+the lanes with room other than itself, within the budget, min(c_ub,
+incumbent - 1) minus the distance so far, and, when the child's blocking
+count (BX) would otherwise exceed the stages left, only the lanes that take
+its front load unblocked.  Since h = BX + GX with GX >= 0, that cuts only
+what the full bound would cut.  The lane the last move filled is no source
+(the relay rule).  ``legal_moves`` then builds the moves of those (source,
+targets) pairs only.  After a child is built, the full h from
+``lb_incremental`` decides; its lane changes come from one memo per search.
+
+A source's distances and masks are built the first time it still has
+targets before the bisection, so the search reads the dmat rows of its
+sources only, and a row's BFS runs only when some search reads it.  In the
+tight stage below, where every move lowers h by exactly 1, GX = 0 at the
+root limits these to rows of lanes blocked at the root.  At a node with
+GX = 0, BX = h exceeds the moves left after the next one, so only its
+blocked lanes are sources; and a child has h - 1 only if its move takes a
+blocker to a lane that it leaves unblocked, which keeps GX = 0 and blocks
+no new lane.
 
 The tight stage, k-bar = h0, allows two more cuts.  The bound is
 consistent (proved in the ``bounds`` docstring), so h falls by at most 1
@@ -97,29 +107,37 @@ class Targets:
     its access points and capacities, so for each source lane the ascending
     distinct distances of its dmat row over the lanes, each with the mask of
     the lanes at that distance or less, hold in every state of the search.
+    A source's distances and masks are built the first time ``moves`` needs
+    them, so the dmat rows of lanes that are never a source are never read.
     """
 
     def __init__(self, initial: LaneConfiguration, dmat, depth_correction: bool):
-        points = initial.points
+        self.points = initial.points
         self.dmat = dmat
         self.groups = initial.groups
         self.depth_correction = depth_correction
         self.capacity = initial.capacities
-        #: per source lane: (distances, masks)
-        self.reach = []
-        for p in points:
-            row = [dmat.between(p, q) for q in points]
-            dists: list[int] = []
-            masks: list[int] = []
-            mask = 0
-            for idx in sorted(range(len(row)), key=row.__getitem__):
-                mask |= 1 << idx
-                if dists and dists[-1] == row[idx]:
-                    masks[-1] = mask
-                else:
-                    dists.append(row[idx])
-                    masks.append(mask)
-            self.reach.append((dists, masks))
+        #: per source lane: (distances, masks), None until ``moves`` reads it
+        self.reach: list[tuple[list[int], list[int]] | None] = [None] * len(self.points)
+
+    def _reach(self, src: int) -> tuple[list[int], list[int]]:
+        """The ascending distinct distances from lane index ``src`` to the
+        lanes, each with the mask of the lanes at that distance or less."""
+        points = self.points
+        p = points[src]
+        row = [self.dmat.between(p, q) for q in points]
+        dists: list[int] = []
+        masks: list[int] = []
+        mask = 0
+        for idx in sorted(range(len(row)), key=row.__getitem__):
+            mask |= 1 << idx
+            if dists and dists[-1] == row[idx]:
+                masks[-1] = mask
+            else:
+                dists.append(row[idx])
+                masks.append(mask)
+        self.reach[src] = dists, masks
+        return dists, masks
 
     def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int]]:
         """The mask of lanes with room and, from ``profiles``, the
@@ -198,9 +216,11 @@ class Targets:
                 targets &= accept[contents[-1] - 1]
             if below & low:
                 targets &= paired
+            if not targets:
+                continue
             # dst_empty >= 0, so this is a superset when depth counts
             src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
-            dists, masks = self.reach[src]
+            dists, masks = self.reach[src] or self._reach(src)
             within = bisect_right(dists, budget - src_empty)
             targets &= masks[within - 1] if within else 0
             if targets:
@@ -239,6 +259,9 @@ def complete_search(
     best_moves: list[Move] = []
     nodes = [0]
     memo: dict[tuple, int] = {}
+    # The lane-change memo of ``bounds.cached_lane_change``.  Its keys hold for
+    # this instance's G only, so it lives no longer than this search.
+    touched: dict[tuple, tuple] = {}
     root_surplus, root_profiles, root_h = bounds.lb_state(initial)
     tight = root_h == k_bar
     targets = Targets(initial, dmat, depth_correction)
@@ -268,7 +291,8 @@ def complete_search(
             if incumbent[0] is not None and c_dist >= incumbent[0]:
                 continue
             child = apply_move(config, move)
-            c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child)
+            c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child,
+                                                                touched)
             if c_h > remaining:
                 continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)

@@ -419,7 +419,7 @@ def store_every_child_astar(root, dmat, depth_correction=False):
         nodes += 1
         parent, move, g, dist = rec[:4]
         if rec[7] is None:
-            rec[7], rec[8], _ = bounds.lb_incremental(parent[7], parent[8], move, rec[6])
+            rec[7], rec[8], _ = bounds.lb_incremental(parent[7], parent[8], move, rec[6], {})
         if rec[6].blocking_total == 0:
             moves = []
             while rec[1] is not None:

@@ -282,7 +282,7 @@ def test_c07_incremental_lower_bound_equivalence():
                     break
                 move = rng.choice(moves)
                 child = apply_move(state, move)
-                surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child)
+                surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child, {})
                 assert (surplus, profiles, h) == bounds.lb_state(child)
                 assert h == bounds.lb(child)
                 state = child
@@ -471,8 +471,8 @@ def test_c12_suite_determinism():
         bench.write_results_csv(rows, out)
         return out.getvalue().encode()
 
-    first = non_timing_csv(bench.run_suite(suite))
-    second = non_timing_csv(bench.run_suite(suite))
+    first = non_timing_csv(bench.run_suite(bench.suite_runs(suite)))
+    second = non_timing_csv(bench.run_suite(bench.suite_runs(suite)))
     assert first == second
     assert first.count(b"\r\n") == 13  # header + 12 runs
     print("C12: PASS (non-timing CSV columns identical byte-for-byte)")

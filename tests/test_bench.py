@@ -57,6 +57,29 @@ def test_suite_runs_reject_budgets_that_are_no_finite_number_of_seconds(budget):
         bench.suite_runs({**SUITE, "timeout_s": {"exact": 120, "astar": budget}})
 
 
+@pytest.mark.parametrize("suite", [
+    [SUITE],
+    {**SUITE, "timeout_s": 5},
+    {**SUITE, "timeout_s": [1]},
+    {**SUITE, "timeout_s": {"bogus": 5}},
+    {**SUITE, "algos": "astar"},
+    {**SUITE, "algos": ["bogus"]},
+    {**SUITE, "seeds": [2.7]},
+    {**SUITE, "seeds": [True]},
+    {**SUITE, "seeds": 2},
+    {**SUITE, "configs": SUITE["configs"][0]},
+    {**SUITE, "configs": ["3x3"]},
+    {**SUITE, "configs": [{**SUITE["configs"][0], "classes": 5.5}]},
+    {**SUITE, "unrestricted": "false"},
+])
+def test_suite_runs_reject_malformed_suites(suite):
+    """A suite of the wrong shape fails as a whole, with ValueError, instead
+    of crashing on it, running the letters of an algorithm name, writing a
+    failed row for an unknown one or truncating a seed."""
+    with pytest.raises(ValueError):
+        bench.suite_runs(suite)
+
+
 def test_suite_runs_respect_the_benchmark_grid():
     off_grid = {
         "configs": [{"bay": "2x2", "warehouse": "1x1", "fill": 0.3, "classes": 3}],
@@ -77,8 +100,8 @@ def _strip_timing(rows):
 
 
 def test_run_suite_rows_and_determinism():
-    first = bench.run_suite(SUITE)
-    second = bench.run_suite(SUITE)
+    first = bench.run_suite(bench.suite_runs(SUITE))
+    second = bench.run_suite(bench.suite_runs(SUITE))
     assert len(first) == 8
     assert _strip_timing(first) == _strip_timing(second)
     for row in first:
@@ -98,8 +121,8 @@ def test_run_suite_parallel_matches_serial():
         "seeds": [1, 2],
         "algos": ["astar", "exact"],
     }
-    serial = bench.run_suite(suite, jobs=1)
-    parallel = bench.run_suite(suite, jobs=2)
+    serial = bench.run_suite(bench.suite_runs(suite), jobs=1)
+    parallel = bench.run_suite(bench.suite_runs(suite), jobs=2)
     assert _strip_timing(serial) == _strip_timing(parallel)
 
 

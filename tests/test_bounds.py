@@ -109,7 +109,7 @@ def test_incremental_equals_scratch_on_random_walks():
                 break
             move = rng.choice(moves)
             config = apply_move(config, move)
-            surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config)
+            surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config, {})
             s_surplus, s_profiles, s_h = bounds.lb_state(config)
             assert h == s_h
             assert surplus == s_surplus
@@ -140,8 +140,47 @@ def test_incremental_property(lane_specs, rng):
             return
         move = rng.choice(moves)
         config = apply_move(config, move)
-        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config)
+        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config, {})
         assert (surplus, profiles, h) == bounds.lb_state(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_incremental_with_the_search_memo(lane_specs, rng):
+    """One lane-change memo for a whole walk, filled first by each parent's
+    ``Siblings`` listing as in A*: ``lb_incremental`` still equals the
+    from-scratch bound, and only looks up the keys the listing wrote."""
+    lanes = []
+    for idx, (cap, contents) in enumerate(lane_specs):
+        lanes.append((max(cap, len(contents)), tuple(contents), idx))
+    config = make_config(lanes, groups=5)
+    surplus, profiles, h = bounds.lb_state(config)
+    touched = {}
+    for _ in range(6):
+        moves = legal_moves(config, DMAT)
+        if not moves:
+            return
+        bounds.Siblings(config, surplus, profiles, touched).select(math.inf)
+        listed = dict(touched)
+        move = rng.choice(moves)
+        child = apply_move(config, move)
+        for lane in (move.from_lane - 1, move.to_lane - 1):
+            key = (config.capacities[lane], config.contents[lane], child.contents[lane])
+            assert key in listed
+        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child, touched)
+        assert touched == listed
+        assert (surplus, profiles, h) == bounds.lb_state(child)
+        config = child
 
 
 @st.composite

@@ -396,6 +396,35 @@ def test_bench_rejects_broken_suites(tmp_path, capsys):
     assert "bad suite: a time budget" in capsys.readouterr().err
 
 
+_SMALL_SUITE = {
+    "configs": [{"bay": "3x3", "warehouse": "2x2", "fill": 0.4, "classes": 5}],
+    "seeds": [1],
+    "algos": ["astar"],
+}
+
+
+@pytest.mark.parametrize("suite", [
+    [_SMALL_SUITE],
+    {**_SMALL_SUITE, "timeout_s": 5},
+    {**_SMALL_SUITE, "timeout_s": [1]},
+    {**_SMALL_SUITE, "algos": "astar"},
+    {**_SMALL_SUITE, "algos": ["bogus"]},
+    {**_SMALL_SUITE, "seeds": [2.7]},
+])
+def test_malformed_suites_exit_3_and_leave_the_output_be(tmp_path, suite):
+    """The suite is checked before ``-o`` is opened, so an existing results
+    file keeps its bytes and no row is solved."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    out = tmp_path / "results.csv"
+    out.write_bytes(b"bay_layout\r\nkept\r\n")
+    run = _run_cli(["bench", "--suite", str(path), "-o", str(out)])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert run.stderr.startswith("premarshal: bad suite: ")
+    assert "Traceback" not in run.stderr
+    assert out.read_bytes() == b"bay_layout\r\nkept\r\n"
+
+
 def test_distances_command(instance_path, tmp_path, capsys):
     out = tmp_path / "distances.csv"
     code = cli.main(["distances", "--in", str(instance_path), "-o", str(out)])

@@ -9,6 +9,7 @@ import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds, exact
 from premarshal.generate import GenConfig, generate
+from premarshal.layout import DistanceMatrix
 from premarshal.pipeline import prepare
 from premarshal.model import Solution, SolveStats, TimedOut, apply_move, legal_moves
 
@@ -319,6 +320,37 @@ def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
         assert (distance, nodes, _pairs(moves)) == pinned
 
 
+class _RowsRead:
+    """A ``DistanceMatrix`` rows mapping that records the points asked for."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = set()
+
+    def __getitem__(self, p):
+        self.read.add(p)
+        return self.rows[p]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES) + [((4, 4), (3, 3), 0.9, 10, 1)])
+def test_tight_stage_reads_only_the_rows_of_lanes_blocked_at_the_root(spec):
+    """With GX = 0 at the root, the tight stage moves blockers only from
+    lanes blocked at the root, so the search reads the distance rows of
+    those lanes' access points and no other, with either depth setting."""
+    prep = _pinned_instance(spec)
+    config = prep.config
+    _surplus, profiles, h0 = bounds.lb_state(config)
+    assert h0 == config.blocking_total
+    blocked = {p for p, prof in zip(config.points, profiles) if prof.blocking_suffix}
+    for depth_correction in (False, True):
+        warm = astar.solve_astar(config, prep.dmat, depth_correction=depth_correction)
+        rows = _RowsRead(prep.dmat.rows)
+        result = exact.complete_search(config, h0, DistanceMatrix(prep.dmat.n, rows),
+                                       warm.total_distance, depth_correction)
+        assert result is not None
+        assert rows.read and rows.read <= blocked
+
+
 def test_tight_stage_and_the_next_return_the_oracles_plan():
     """On random states whose root bound is A*'s k, the search gives the
     staged oracle's plan, or None where it does, with either depth setting,
@@ -396,7 +428,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
             return
         move = rng.choice(moves)
         child = apply_move(config, move)
-        surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child)
+        surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child, {})
         open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
         assert (open_mask, clean) == targets.masks(child, c_profiles)
         config, profiles, last = child, c_profiles, move.to_lane - 1
