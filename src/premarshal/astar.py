@@ -3,8 +3,8 @@
 Nodes are popped from the open queue by lexicographic (f, h, dist, tie),
 where f = g + h, g is the move count so far, h the admissible lower bound,
 dist the total loaded move distance from the root and tie the pair
-(expansion number, n) of the expansion that offered the node, n the rank
-of the node's move among its parent's moves.
+(expansion number, n) of the expansion that offered the node, n the place
+of the offer in the search's sequence of offers.
 The goal test happens at pop time; a popped node is closed and never
 re-expanded.
 
@@ -17,8 +17,8 @@ that.  The listing works on classes of target lanes that give every child
 of one source the same h, so it computes an h per child only where GX may
 be positive; the other children are not offered, and most never get an h.
 The offered children's moves are built by ``legal_moves`` for the listed
-(source, target mask) pairs, and each child's tie is the rank n of its move
-among all of the parent's moves in ``legal_moves`` order.  If some child has
+(source, target mask) pairs and pushed in that order, each with the next
+number of one counter that the search keeps for its offers.  If some child has
 f > F, the parent goes back on the queue as a re-entry with key
 (F', -1, 0, (expansion number, 0)), F' the least such f.  h >= 0 for every
 node, so the re-entry pops before any node of f = F'; popping it lists the
@@ -36,11 +36,14 @@ parent's listing made in the search's lane-change memo.  h depends only on
 the state and every tie is unique, so the first offer of a state to pop is
 the least (f, dist, tie) offered for it so far: the record that a
 store-every-child A* offering children in ``legal_moves`` order keeps (new,
-better f, or the same f with a smaller dist), with ties independent of the
-order in which deferred children are offered.  So the plan, k, distance
-and node count are those of the store-every-child search.  A child that a
-re-entry offers again is an equal queue entry; it pops right after the
-first and is skipped as closed.
+better f, or the same f with a smaller dist).  The counter ties siblings as
+their moves' order in ``legal_moves`` would: two children of one parent
+with equal (f, h, dist) have the same h, so the first listing whose limit
+reaches it offers both, in that order.  A child that a re-entry offers
+again is an equal state with a larger counter, so it pops after its first
+offer and is skipped as closed.  Offers of different parents compare
+expansion numbers first.  So the plan, k, distance and node count are
+those of the store-every-child search.
 
 The returned move count is provably minimal; the distance is only the
 tie-broken heuristic value.  h is consistent (proved in the ``bounds``
@@ -50,6 +53,7 @@ docstring), so popped f never falls and a closed node stays closed.
 from __future__ import annotations
 
 import gc
+import itertools
 import time
 from heapq import heappop, heappush
 
@@ -105,6 +109,7 @@ def solve_astar(
         # parents.  Its keys hold for this instance's G only, so the memo dies
         # with the search.
         touched: dict[tuple, tuple] = {}
+        offered = itertools.count(1)
 
         def expired():
             return time.perf_counter() - started >= timeout_s
@@ -144,8 +149,8 @@ def solve_astar(
                 moves = legal_moves(config, dmat, depth_correction, [group[:2] for group in groups])
                 hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
                 for move, c_h in zip(moves, hs):
-                    c_tie = (expansion, siblings.rank(move.from_lane - 1, move.to_lane - 1))
-                    heappush(open_heap, (c_g + c_h, c_h, dist + move.distance, c_tie, node, move))
+                    heappush(open_heap, (c_g + c_h, c_h, dist + move.distance,
+                                         (expansion, next(offered)), node, move))
             if above is not None:
                 heappush(open_heap, (c_g + above, -1, 0, (expansion, 0), node, None))
 

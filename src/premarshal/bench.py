@@ -68,6 +68,8 @@ class SuiteRun:
 
 
 ALGOS = ("astar", "exact")
+SUITE_KEYS = ("configs", "seeds", "algos", "timeout_s", "unrestricted")
+CONFIG_KEYS = ("bay", "warehouse", "fill", "classes")
 
 
 def _is_int(value) -> bool:
@@ -83,6 +85,13 @@ def _listed(suite: dict, key: str, accept, what: str) -> list:
     return value
 
 
+def _known_keys(entry: dict, known: tuple, what: str) -> None:
+    """Reject keys of ``entry`` outside ``known``, which would be ignored."""
+    unknown = [key for key in entry if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown!r}; known: {', '.join(known)}")
+
+
 def suite_runs(suite) -> list[SuiteRun]:
     """Expand a suite dict into its deterministic run list.
 
@@ -90,18 +99,24 @@ def suite_runs(suite) -> list[SuiteRun]:
     "fill": 0.6, "classes": 5}], "seeds": [1, 2], "algos": ["astar",
     "exact"], "timeout_s": {"astar": 600, "exact": 3600},
     "unrestricted": false}.  Runs are ordered (config, seed, algo).  A suite
-    that is no object, lists of the wrong kind (seeds and classes must be
-    plain integers, algos among ``ALGOS``), a ``timeout_s`` that is no
-    object keyed by algos, or a value of it that ``budget_seconds`` rejects
-    raise ValueError; a config without one of its keys raises KeyError.
+    that is no object, a key of it or of a config outside that schema,
+    lists of the wrong kind (seeds and classes must be plain integers,
+    algos among ``ALGOS``), a seed or algo given twice, a fill that is no
+    int or float, a ``timeout_s`` that is no object keyed by algos, or a
+    value of it that ``budget_seconds`` rejects raise ValueError; a config
+    without one of its keys raises KeyError.
     """
     from .files import parse_layout_label
 
     if not isinstance(suite, dict):
         raise ValueError(f"a suite must be a JSON object, not {suite!r}")
+    _known_keys(suite, SUITE_KEYS, "suite")
     configs = _listed(suite, "configs", lambda entry: isinstance(entry, dict), "objects")
     seeds = _listed(suite, "seeds", _is_int, "integers")
     algos = _listed(suite, "algos", ALGOS.__contains__, f"algorithms of {ALGOS}")
+    for key, values in (("seeds", seeds), ("algos", algos)):
+        if len(set(values)) < len(values):  # a repeat would run the same rows twice
+            raise ValueError(f"{key!r} must not repeat an item, not {values!r}")
     timeout_s = suite.get("timeout_s", {})
     if not isinstance(timeout_s, dict) or not set(timeout_s) <= set(ALGOS):
         raise ValueError(f"'timeout_s' must map algorithms of {ALGOS} to budgets, "
@@ -112,8 +127,11 @@ def suite_runs(suite) -> list[SuiteRun]:
     timeouts = {algo: budget_seconds(value) for algo, value in timeout_s.items()}
     runs = []
     for entry in configs:
+        _known_keys(entry, CONFIG_KEYS, "config")
         if not _is_int(entry["classes"]):
             raise ValueError(f"'classes' must be an integer, not {entry['classes']!r}")
+        if type(entry["fill"]) not in (int, float):
+            raise ValueError(f"'fill' must be a number, not {entry['fill']!r}")
         for seed in seeds:
             for algo in algos:
                 config = GenConfig(
@@ -133,21 +151,11 @@ def suite_runs(suite) -> list[SuiteRun]:
 def _row(run: SuiteRun) -> dict:
     """The row of one suite cell before anything has run."""
     config = run.config
-    return {
-        "bay_layout": config.bay_label,
-        "warehouse_layout": config.warehouse_label,
-        "fill": config.fill,
-        "classes": config.groups,
-        "seed": config.seed,
-        "algo": run.algo,
-        "solved": False,
-        "timed_out": False,
-        "k": "",
-        "total_distance": "",
-        "nodes_evaluated": "",
-        "preprocessing_s": "",
-        "solve_s": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(bay_layout=config.bay_label, warehouse_layout=config.warehouse_label,
+               fill=config.fill, classes=config.groups, seed=config.seed, algo=run.algo,
+               solved=False, timed_out=False)
+    return row
 
 
 def _report(row: dict, exc: Exception) -> None:

@@ -309,10 +309,11 @@ class Siblings:
     lb(apply_move(...)).
 
     ``h`` gives one child's h.  ``select`` lists the children whose h is at
-    most a limit, and the least h above it, without an h per child where a
-    whole class of children shares one.  Build one per expanded parent: the
-    caches below are shared by all of its children and die with it, but
-    for ``touched``, which the parents of one search can share.
+    most a limit, in ``legal_moves`` order, and the least h above it,
+    without an h per child where a whole class of children shares one.
+    Build one per expanded parent: the caches below are shared by all of
+    its children and die with it, but for ``touched``, which the parents
+    of one search can share.
     """
 
     def __init__(self, config: LaneConfiguration, surplus: tuple[int, ...], profiles,
@@ -336,10 +337,6 @@ class Siblings:
         self._shapes: dict[tuple, tuple] = {}
         #: (levels, needs, options out, options in) -> GX
         self._minima: dict[tuple, int] = {}
-        #: lane index -> pairs of the sources before it, and its rank among
-        #: the lanes with room (0 if full); set by ``select``
-        self._first: list[int] = []
-        self._room_rank: list[int] = []
 
     def h(self, move: Move):
         """h of ``apply_move(config, move)`` for a legal ``move``."""
@@ -356,7 +353,8 @@ class Siblings:
 
         Returns ``(groups, above)``.  ``groups`` holds the kept children as
         (source lane index, target mask, h), bit i of a mask standing for
-        lane index i, in the order ``legal_moves`` gives their moves;
+        lane index i, in the order ``legal_moves`` gives their moves, which
+        is the order A* offers them in and ties siblings by;
         ``above`` is the least h above ``limit``, or None.  Returns
         None once ``expired()`` is true; it is read before each source lane
         and before each (source, class) pair that needs GX.  The module
@@ -366,11 +364,6 @@ class Siblings:
         contents = self.config.contents
         room = [idx for idx, (loads, capacity) in enumerate(zip(contents, self.config.capacities))
                 if len(loads) < capacity]
-        self._room_rank = rank = [0] * len(contents)
-        for r, idx in enumerate(room, 1):
-            rank[idx] = r
-        self._first = first = [0] * len(contents)
-        listed = 0
         kept = []  # (source index, target mask, h)
         slow = []  # (child BX, source index, target mask, child surplus)
         above = None
@@ -379,8 +372,6 @@ class Siblings:
                 continue
             if expired is not None and expired():
                 return None
-            first[s] = listed
-            listed += len(room) - (rank[s] > 0)
             bit = 1 << s
             for bx, surplus, mask in self._pairs_of(s, room):
                 if mask & bit:
@@ -409,15 +400,6 @@ class Siblings:
                 elif above is None or h < above:
                     above = h
         return _in_move_order(kept), above
-
-    def rank(self, src_idx: int, dst_idx: int) -> int:
-        """1-based place of the move from lane index ``src_idx`` to
-        ``dst_idx`` among all of the parent's moves in ``legal_moves``
-        order; valid after ``select``.  The sources before it give their
-        pairs, then come the lanes with room up to the target, less the
-        source itself when it has room and comes first."""
-        rank = self._room_rank
-        return self._first[src_idx] + rank[dst_idx] - (0 < rank[src_idx] < rank[dst_idx])
 
     def _taken_of(self, idx: int) -> tuple:
         taken = self._taken.get(idx)

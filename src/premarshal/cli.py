@@ -199,13 +199,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    jobs = args.jobs
+    jobs, source = args.jobs, "--jobs"
     if jobs is None:
-        value = os.environ.get("MARSHAL_JOBS", "1")
+        value, source = os.environ.get("MARSHAL_JOBS", "1"), "MARSHAL_JOBS"
         try:
             jobs = int(value)
         except ValueError:
             raise _Failure(EXIT_USAGE, f"MARSHAL_JOBS must be an integer, not {value!r}") from None
+    if jobs < 1:
+        raise _Failure(EXIT_USAGE, f"{source} must be at least 1, not {jobs}")
     try:
         with open(args.suite, encoding="utf-8") as f:
             suite = json.load(f)
@@ -220,7 +222,7 @@ def _cmd_bench(args) -> int:
     with _writing(args.out):
         out = open(args.out, "w", encoding="utf-8", newline="")
     with out:
-        rows = bench.run_suite(runs, jobs=max(1, jobs))
+        rows = bench.run_suite(runs, jobs=jobs)
         with _writing(args.out):
             bench.write_results_csv(rows, out)
     print(json.dumps(bench.aggregate(rows), indent=2))

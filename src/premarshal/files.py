@@ -110,15 +110,12 @@ def assignments_from_json(data: list[dict], instance: WarehouseInstance) -> list
     for b, bay in enumerate(instance.bays):
         if b not in by_bay:
             raise ValueError(f"solution carries no assignment for bay {b}")
-        assignment = AccessAssignment(rows=by_bay[b], misplaced=0)
+        rows = by_bay[b]
         try:
-            assignment = AccessAssignment(
-                rows=assignment.rows,
-                misplaced=misplaced_count(bay, assignment),
-            )
+            misplaced = misplaced_count(bay, AccessAssignment(rows=rows, misplaced=0))
         except ValueError:
-            pass  # structurally invalid; replay will report it
-        out.append(assignment)
+            misplaced = 0  # structurally invalid; replay will report it
+        out.append(AccessAssignment(rows=rows, misplaced=misplaced))
     return out
 
 

@@ -107,27 +107,13 @@ class AccessAssignment:
 
 @dataclass(frozen=True)
 class InducedLane:
-    """One lane of an assignment: cells and their groups, deepest first."""
+    """One lane of an assignment: its side, front stack, slot count and
+    groups, deepest first."""
 
     side: str
     front: tuple[int, int]
-    cells: tuple[tuple[int, int], ...]
+    capacity: int
     contents: tuple[int, ...]
-
-    @property
-    def capacity(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
-class LaneBinding:
-    """Where a virtual lane lives: bay, side and grid cells (deepest first)."""
-
-    lane_id: int
-    bay: int
-    side: str
-    cells: tuple[tuple[int, int], ...]
-    access_point: int
 
 
 def _single_tier(bay: BaySpec) -> dict[tuple[int, int], int]:
@@ -151,7 +137,7 @@ def _lane_of_cells(occ, side, cells_deep_to_front) -> InducedLane | None:
     return InducedLane(
         side=side,
         front=cells_deep_to_front[-1],
-        cells=tuple(cells_deep_to_front),
+        capacity=len(cells_deep_to_front),
         contents=tuple(contents),
     )
 
@@ -551,7 +537,7 @@ def to_virtual_lanes(
     instance: WarehouseInstance,
     assignments: list[AccessAssignment],
     layout,
-) -> tuple[LaneConfiguration, list[LaneBinding]]:
+) -> LaneConfiguration:
     """Turn per-bay assignments into the global lane configuration.
 
     Builds each bay's lanes from its assignment and numbers them with
@@ -563,39 +549,25 @@ def to_virtual_lanes(
     return number_lanes(bay_lanes, layout, instance.groups)
 
 
-def number_lanes(
-    bay_lanes: list[list[InducedLane]], layout, groups: int,
-) -> tuple[LaneConfiguration, list[LaneBinding]]:
+def number_lanes(bay_lanes: list[list[InducedLane]], layout, groups: int) -> LaneConfiguration:
     """The global lane configuration of every bay's lanes, ``bay_lanes[b]`` for bay b.
 
-    Lanes are ordered by their access-point id and renumbered 1..n; the
-    bindings record which grid cells each lane covers (deepest first) so the
-    occupancy can be reconstructed and moves can be replayed.
+    Each lane takes the access point at its front stack and side.  Lanes
+    are ordered by that point's id and renumbered 1..n, and
+    ``LaneConfiguration.points`` records the point of each, which is all
+    that replay and the solution file need to place a move.
     """
     by_stack = {
         (ap.bay, ap.stack, ap.side): ap.point_id for ap in layout.access_points
     }
-    keyed = []
-    for b, lanes in enumerate(bay_lanes):
-        for lane in lanes:
+    lanes = []
+    for b, lanes_of_bay in enumerate(bay_lanes):
+        for lane in lanes_of_bay:
             point = by_stack.get((b, lane.front, lane.side))
             if point is None:
                 raise ValueError(
                     f"bay {b} has no access point at {lane.front} side {lane.side}"
                 )
-            keyed.append((point, b, lane))
-    keyed.sort(key=lambda item: item[0])
-    lanes = []
-    bindings = []
-    for lane_id, (point, b, lane) in enumerate(keyed, start=1):
-        lanes.append((point, lane.capacity, lane.contents))
-        bindings.append(
-            LaneBinding(
-                lane_id=lane_id,
-                bay=b,
-                side=lane.side,
-                cells=lane.cells,
-                access_point=point,
-            )
-        )
-    return LaneConfiguration.build(lanes, groups), bindings
+            lanes.append((point, lane.capacity, lane.contents))
+    lanes.sort(key=lambda lane: lane[0])
+    return LaneConfiguration.build(lanes, groups)

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 from . import astar, exact, fixing
-from .fixing import AccessAssignment, LaneBinding
+from .fixing import AccessAssignment
 from .layout import DistanceMatrix, GridLayout, all_pairs_distances, build_layout
 from .model import Infeasible, LaneConfiguration, Solution, TimedOut, WarehouseInstance
 
@@ -21,7 +21,6 @@ class Prepared:
     dmat: DistanceMatrix
     assignments: list[AccessAssignment]
     config: LaneConfiguration
-    bindings: list[LaneBinding]
     preprocessing_time: float
 
 
@@ -36,13 +35,12 @@ def prepare(instance: WarehouseInstance) -> Prepared:
         assignment, lanes = fixing.select_assignment(candidates, bay)
         assignments.append(assignment)
         bay_lanes.append(lanes)
-    config, bindings = fixing.number_lanes(bay_lanes, layout, instance.groups)
+    config = fixing.number_lanes(bay_lanes, layout, instance.groups)
     return Prepared(
         layout=layout,
         dmat=dmat,
         assignments=assignments,
         config=config,
-        bindings=bindings,
         preprocessing_time=time.perf_counter() - started,
     )
 

@@ -8,8 +8,9 @@ bound code with the solvers, so it can serve as a differential-test
 reference for them, not for those shared layers.  Replay builds its lanes
 from the assignments through ``to_virtual_lanes``, while preprocessing
 numbers the lanes that ``select_assignment`` built for its bound, so replay
-does not depend on what selection kept.  Distance rows are computed only for
-the access points the claimed moves touch.
+does not depend on what selection kept.  A claimed move's access points are
+checked against the rebuilt configuration's ``points``.  Distance rows are
+computed only for the access points the claimed moves touch.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from dataclasses import dataclass, field
 
 from .fixing import AccessAssignment, to_virtual_lanes
 from .layout import all_pairs_distances, build_layout
-from .model import (
-    Move,
-    Solution,
-    WarehouseInstance,
-    apply_move,
-    move_distance,
-)
+from .model import Solution, WarehouseInstance, apply_move, legal_moves
 
 
 @dataclass
@@ -92,11 +87,10 @@ def replay(
     try:
         layout = build_layout(instance)
         dmat = all_pairs_distances(layout)
-        config, bindings = to_virtual_lanes(instance, assignments, layout)
+        config = to_virtual_lanes(instance, assignments, layout)
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         report.flag("setup", f"could not rebuild lanes: {exc}")
         return report
-    points = {b.lane_id: b.access_point for b in bindings}
 
     total = 0
     lane_ids = range(1, len(config.contents) + 1)
@@ -117,26 +111,20 @@ def replay(
                 idx,
             )
             return report  # the rest of the plan is not replayable
-        move = Move(
-            src + 1,
-            dst + 1,
-            len(contents[src]),
-            len(contents[dst]) + 1,
-            move_distance(config, src, dst, dmat, depth_correction),
-        )
+        [move] = legal_moves(config, dmat, depth_correction, [(src, 1 << dst)])
         if entry.get("distance") != move.distance:
             report.flag(
                 "distance-mismatch",
                 f"claimed {entry.get('distance')}, recomputed {move.distance}",
                 idx,
             )
-        for side, lane_key in (("from", pair[0]), ("to", pair[1])):
+        for side, lane in (("from", src), ("to", dst)):
             claimed_point = entry.get(f"{side}_access_point")
-            if claimed_point is not None and claimed_point != points[lane_key]:
+            point = config.points[lane]
+            if claimed_point is not None and claimed_point != point:
                 report.flag(
                     "access-point-mismatch",
-                    f"{side} lane {lane_key} uses point {points[lane_key]}, "
-                    f"claimed {claimed_point}",
+                    f"{side} lane {lane + 1} uses point {point}, claimed {claimed_point}",
                     idx,
                 )
         total += move.distance

@@ -502,13 +502,28 @@ def full_scan_select(candidates, bay):
     return best if best is not None else candidates[0]
 
 
-def reconstruct_occupancy(config, bindings):
+_INWARD = {"W": (1, 0), "E": (-1, 0), "N": (0, 1), "S": (0, -1)}
+
+
+def reconstruct_occupancy(config, layout, assignments):
     """Map (bay, i, j) -> group implied by the lanes; the inverse of
-    ``fixing.to_virtual_lanes``."""
+    ``fixing.to_virtual_lanes``.
+
+    An access point's lane starts at its stack and runs inward while the
+    assignment's direction is the point's side; it holds, deepest first, the
+    contents of the lane that ``config.points`` gives that point.
+    """
+    lane_of = {point: idx for idx, point in enumerate(config.points)}
     occ = {}
-    for binding in bindings:
-        contents = config.contents[binding.lane_id - 1]
-        for pos, (i, j) in enumerate(binding.cells):
-            if pos < len(contents):
-                occ[(binding.bay, i, j)] = contents[pos]
+    for ap in layout.access_points:
+        rows = assignments[ap.bay].rows
+        di, dj = _INWARD[ap.side]
+        (i, j), cells = ap.stack, []
+        while 1 <= j <= len(rows) and 1 <= i <= len(rows[0]) and rows[j - 1][i - 1] == ap.side:
+            cells.append((i, j))
+            i, j = i + di, j + dj
+        if cells:
+            contents = config.contents[lane_of[ap.point_id]]
+            for (i, j), g in zip(reversed(cells), contents):
+                occ[(ap.bay, i, j)] = g
     return occ

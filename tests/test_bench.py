@@ -80,6 +80,33 @@ def test_suite_runs_reject_malformed_suites(suite):
         bench.suite_runs(suite)
 
 
+def _config(**changes):
+    return {**SUITE, "configs": [{**SUITE["configs"][0], **changes}]}
+
+
+@pytest.mark.parametrize("suite", [
+    pytest.param({**SUITE, "seeds": [1, 1]}, id="repeated-seed"),
+    pytest.param({**SUITE, "algos": ["astar", "astar"]}, id="repeated-algo"),
+    pytest.param(_config(fill="0.8"), id="string-fill"),
+    pytest.param(_config(fill=True), id="bool-fill"),
+    pytest.param(_config(fill=None), id="null-fill"),
+    pytest.param(_config(colour="red"), id="unknown-config-key"),
+    pytest.param({**SUITE, "timeouts": {"astar": 5}}, id="unknown-suite-key"),
+])
+def test_suite_runs_reject_repeats_string_fills_and_unknown_keys(suite):
+    """A repeated seed or algo would run the same row twice, a string fill
+    would run as the number it spells, and an unknown key, such as a
+    misspelt ``timeout_s``, would be dropped, leaving every run on the
+    default budgets."""
+    with pytest.raises(ValueError):
+        bench.suite_runs(suite)
+
+
+def test_suite_runs_take_an_integer_fill():
+    runs = bench.suite_runs({**_config(fill=1), "unrestricted": True})
+    assert {r.config.fill for r in runs} == {1.0}
+
+
 def test_suite_runs_respect_the_benchmark_grid():
     off_grid = {
         "configs": [{"bay": "2x2", "warehouse": "1x1", "fill": 0.3, "classes": 3}],

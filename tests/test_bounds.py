@@ -342,25 +342,23 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
 )
 def test_select_lists_what_a_loop_over_every_move_keeps(lane_specs, extra):
     """At every limit, ``Siblings.select`` gives the (move, h) of the
-    children with h <= limit, in ``legal_moves`` order, with the moves'
-    ranks in it and the least h above the limit, as a loop over every move
-    and ``Siblings.h`` does.  ``extra`` adds demand, at most one load per
+    children with h <= limit, in ``legal_moves`` order, and the least h
+    above the limit, as a loop over every move and ``Siblings.h`` does.  ``extra`` adds demand, at most one load per
     free slot, so that GX > 0 occurs."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
     surplus, profiles, _h = bounds.lb_state(config)
     surplus = _with_extra_demand(surplus, _coverable(config, extra))
     loop = bounds.Siblings(config, surplus, profiles)
-    every = [(move, loop.h(move), n) for n, move in enumerate(legal_moves(config, DMAT), 1)]
+    every = [(move, loop.h(move)) for move in legal_moves(config, DMAT)]
     siblings = bounds.Siblings(config, surplus, profiles)
-    for limit in range(-1, max((h for _m, h, _n in every), default=0) + 2):
-        want = [(m, h, n) for m, h, n in every if h <= limit]
-        above = min((h for _m, h, _n in every if h > limit), default=None)
+    for limit in range(-1, max((h for _m, h in every), default=0) + 2):
+        want = [(m, h) for m, h in every if h <= limit]
+        above = min((h for _m, h in every if h > limit), default=None)
         groups, got_above = siblings.select(limit)
         moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
         hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
-        got = [(m, h, siblings.rank(m.from_lane - 1, m.to_lane - 1)) for m, h in zip(moves, hs)]
-        assert got == want
+        assert list(zip(moves, hs)) == want
         assert got_above == above
 
 

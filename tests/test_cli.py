@@ -381,6 +381,26 @@ def test_bench_rejects_a_job_count_that_is_no_integer(tmp_path, monkeypatch):
     assert run.stderr == "premarshal: MARSHAL_JOBS must be an integer, not 'abc'\n"
 
 
+@pytest.mark.parametrize("flag, env, source", [
+    (["--jobs", "0"], None, "--jobs must be at least 1, not 0"),
+    (["--jobs", "-3"], None, "--jobs must be at least 1, not -3"),
+    ([], "0", "MARSHAL_JOBS must be at least 1, not 0"),
+])
+def test_bench_rejects_a_job_count_below_one(tmp_path, capsys, monkeypatch, flag, env, source):
+    """A job count below 1 is a usage error, not a serial run, and it is
+    found before ``-o`` is opened."""
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(_SMALL_SUITE))
+    out = tmp_path / "results.csv"
+    if env is not None:
+        monkeypatch.setenv("MARSHAL_JOBS", env)
+    with mock.patch.object(bench, "run_suite", side_effect=AssertionError("suite solved")):
+        code = cli.main(["bench", "--suite", str(suite), *flag, "-o", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"premarshal: {source}\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_broken_suites(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text("{not json")

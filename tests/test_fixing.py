@@ -402,13 +402,25 @@ def test_to_virtual_lanes_and_round_trip():
     inst = WarehouseInstance(bays=(bay,), warehouse_rows=1, warehouse_cols=1, meta={})
     layout = build_layout(inst)
     assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)[0]]
-    config, bindings = fixing.to_virtual_lanes(inst, assignments, layout)
+    config = fixing.to_virtual_lanes(inst, assignments, layout)
     assert sum(config.capacities) == 9
-    assert [b.lane_id for b in bindings] == list(range(1, len(config.contents) + 1))
     aps = list(config.points)
     assert aps == sorted(aps)
-    rebuilt = oracles.reconstruct_occupancy(config, bindings)
+    rebuilt = oracles.reconstruct_occupancy(config, layout, assignments)
     assert rebuilt == {(0, i, j): g for (i, j), g in occ.items()}
+
+
+def test_numbered_lanes_hold_each_generated_bays_loads():
+    inst = generate.generate(generate.GenConfig(
+        bay=(4, 4), warehouse=(2, 2), fill=0.9, groups=10, seed=8,
+    ))
+    layout = build_layout(inst)
+    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)[0]
+                   for bay in inst.bays]
+    config = fixing.to_virtual_lanes(inst, assignments, layout)
+    want = {(b, i, j): g for b, bay in enumerate(inst.bays)
+            for (i, j, _t), g in bay.occupancy.items()}
+    assert oracles.reconstruct_occupancy(config, layout, assignments) == want
 
 
 def test_all_west_lanes():
@@ -418,6 +430,6 @@ def test_all_west_lanes():
     layout = build_layout(inst)
     cands = list(fixing.optimal_assignments(bay, 10))
     assert len(cands) == 1 and cands[0].rows == ("WWW", "WWW", "WWW")
-    config, _bindings = fixing.to_virtual_lanes(inst, cands, layout)
+    config = fixing.to_virtual_lanes(inst, cands, layout)
     assert config.capacities == (3, 3, 3)
     assert config.contents == ((1,), (2,), (3,))

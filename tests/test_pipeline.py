@@ -35,4 +35,4 @@ def test_prepare_builds_each_bays_lanes_once():
         prepared = prepare(instance)
     assert built.call_count == len(instance.bays)
     rebuilt = fixing.to_virtual_lanes(instance, prepared.assignments, prepared.layout)
-    assert rebuilt == (prepared.config, prepared.bindings)
+    assert rebuilt == prepared.config

@@ -89,12 +89,14 @@ def test_replay_flags_unfinished_plans():
     assert [v["code"] for v in report.violations] == ["not-sorted"]
 
 
-def test_replay_checks_claimed_access_points():
+@pytest.mark.parametrize("side", ["from_access_point", "to_access_point"])
+def test_replay_checks_claimed_access_points(side):
     instance, prepared, _result, data = _solved_witness()
     bad = copy.deepcopy(data)
-    bad["moves"][0]["from_access_point"] = 99
+    bad["moves"][0][side] = 99
     report = verify.replay(instance, prepared.assignments, bad)
     assert [v["code"] for v in report.violations] == ["access-point-mismatch"]
+    assert report.violations[0]["detail"].startswith(side.split("_")[0] + " lane")
 
 
 def test_replay_reports_setup_failures():
