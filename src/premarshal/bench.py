@@ -101,7 +101,8 @@ def suite_runs(suite) -> list[SuiteRun]:
     "unrestricted": false}.  Runs are ordered (config, seed, algo).  A suite
     that is no object, a key of it or of a config outside that schema,
     lists of the wrong kind (seeds and classes must be plain integers,
-    algos among ``ALGOS``), a seed or algo given twice, a fill that is no
+    algos among ``ALGOS``), a seed or algo given twice, two configs that
+    parse to the same (bay, warehouse, fill, classes), a fill that is no
     int or float, a ``timeout_s`` that is no object keyed by algos, or a
     value of it that ``budget_seconds`` rejects raise ValueError; a config
     without one of its keys raises KeyError.
@@ -125,23 +126,21 @@ def suite_runs(suite) -> list[SuiteRun]:
     if not isinstance(unrestricted, bool):
         raise ValueError(f"'unrestricted' must be true or false, not {unrestricted!r}")
     timeouts = {algo: budget_seconds(value) for algo, value in timeout_s.items()}
-    runs = []
+    runs, seen = [], set()
     for entry in configs:
         _known_keys(entry, CONFIG_KEYS, "config")
         if not _is_int(entry["classes"]):
             raise ValueError(f"'classes' must be an integer, not {entry['classes']!r}")
         if type(entry["fill"]) not in (int, float):
             raise ValueError(f"'fill' must be a number, not {entry['fill']!r}")
+        shape = (parse_layout_label(entry["bay"]), parse_layout_label(entry["warehouse"]),
+                 float(entry["fill"]), entry["classes"])
+        if shape in seen:  # it would run the same rows twice
+            raise ValueError(f"config {entry!r} repeats an earlier one")
+        seen.add(shape)
         for seed in seeds:
             for algo in algos:
-                config = GenConfig(
-                    bay=parse_layout_label(entry["bay"]),
-                    warehouse=parse_layout_label(entry["warehouse"]),
-                    fill=float(entry["fill"]),
-                    groups=entry["classes"],
-                    seed=seed,
-                    unrestricted=unrestricted,
-                )
+                config = GenConfig(*shape, seed=seed, unrestricted=unrestricted)
                 runs.append(
                     SuiteRun(config=config, algo=algo, timeout_s=timeouts.get(algo))
                 )

@@ -262,7 +262,13 @@ def lb_state(config: LaneConfiguration):
 
 
 def lb(config: LaneConfiguration):
-    """h = BX + gx_bound; admissible for the remaining move count."""
+    """h = BX + gx_bound; admissible for the remaining move count.
+
+    A config with no blocker gets h = 0 at once: with no blocking load there
+    is no demand, so no level of the surplus is positive and GX = 0.
+    """
+    if config.blocking_total == 0:
+        return 0
     return lb_state(config)[2]
 
 

@@ -29,20 +29,27 @@ The next state is ``(H, S | (M & ~H))``: the columns of H are in the band,
 and the band columns without a horizontal cell here pass to the south band.
 So the cost to finish rows j..J depends only on j and (M, S).  A column
 still in its north band after the last row has no horizontal cell and takes
-its cheapest full-column N/S split.  Lane costs are precomputed per row
-split and per column split, in one pass over each line: every further cell
-of a lane adds its new deepest load, so the non-increasing prefix of the
-contents grows by one or restarts at that load, and the cost is the loads
-outside the prefix.  A cost is None when the lane would contain a hole or
-sit on a side without access points.  The band costs of a row and the split
-costs are summed per mask the first time that mask is met.
+its cheapest full-column N/S split.
+
+Every table reads the bay as one grid, ``_grid``: its rows of groups, 0
+for an empty cell.  A line is a grid row or column, read from its side, so
+the lanes of a line are slices of it and no cell is looked up by its
+(i, j) key.  Lane costs are precomputed per row split and per column split,
+in one pass over each line: every further cell of a lane adds its new
+deepest load, so the non-increasing prefix of the contents grows by one or
+restarts at that load, and the cost is the loads outside the prefix.  A
+cost is None when the lane would contain a hole or sit on a side without
+access points.  The band costs of a row and the split costs are summed per
+mask the first time that mask is met.
 
 The search is pruned by the best total found so far, branch and bound on
 a DP (Morin & Marsten, Operations Research 24(4), 1976).  Every cost to go
 is >= 0, so a row choice that adds at least the best total of the state's
-earlier choices cannot lower the minimum and is skipped unexpanded.  A
-state is memoised only once all its choices are tried or skipped, so the
-memo holds exact minima only and no state is expanded twice; an empty bay
+earlier choices cannot lower the minimum and is skipped unexpanded.  For
+the same reason a state stops at its first total of 0: nothing can beat
+it, so the choices after it are not even listed.  A state is memoised only
+once all its choices are tried, skipped or cut off by a 0, so the memo
+holds exact minima only and no state is expanded twice; an empty bay
 memoises J states.  The walk that enumerates the optimal assignments skips
 a choice whose spent cost exceeds the optimum before it asks for its cost
 to go, which the memo may lack.  The unpruned walk rejects the same
@@ -116,34 +123,32 @@ class InducedLane:
     contents: tuple[int, ...]
 
 
-def _single_tier(bay: BaySpec) -> dict[tuple[int, int], int]:
+def _grid(bay: BaySpec) -> list[list[int]]:
+    """The bay's groups as J rows of I cells, 0 for an empty cell.
+
+    ``grid[j][i]`` is stack (i+1, j+1).  Raises ValueError on a bay of more
+    than one tier.
+    """
     if bay.T != 1:
         raise ValueError("access fixing supports exactly one tier")
-    return {(i, j): g for (i, j, t), g in bay.occupancy.items()}
+    grid = [[0] * bay.I for _ in range(bay.J)]
+    for (i, j, _), g in bay.occupancy.items():
+        grid[j - 1][i - 1] = g
+    return grid
 
 
-def _lane_of_cells(occ, side, cells_deep_to_front) -> InducedLane | None:
-    """Build a lane from its cells, or None if an empty cell sits behind a load."""
-    contents = []
-    seen_empty = False
-    for cell in cells_deep_to_front:
-        g = occ.get(cell)
-        if g is None:
-            seen_empty = True
-        elif seen_empty:
-            return None  # hole: empty slot deeper than this load
-        else:
-            contents.append(g)
-    return InducedLane(
-        side=side,
-        front=cells_deep_to_front[-1],
-        capacity=len(cells_deep_to_front),
-        contents=tuple(contents),
-    )
+def _lane(side: str, front: tuple[int, int], line) -> InducedLane | None:
+    """The lane over ``line``, its groups deepest first (0 for empty), or
+    None if an empty cell sits behind a load."""
+    loads = len(line) - line.count(0)
+    if 0 in line[:loads]:
+        return None  # hole: empty slot deeper than a load
+    return InducedLane(side, front, len(line), tuple(line[:loads]))
 
 
-def _lane_costs(occ, cells_front_to_deep, open_side: bool) -> list[int | None]:
-    """Blocking count of the lane over the first a cells, for a = 0..len(cells).
+def _lane_costs(line, open_side: bool) -> list[int | None]:
+    """Blocking count of the lane over the first a cells of ``line``, its
+    groups front to deep (0 for empty), for a = 0..len(line).
 
     An entry is None when that lane would hold a hole or its side has no
     access; a hole in one lane is a hole in every longer lane of its line.
@@ -153,32 +158,16 @@ def _lane_costs(occ, cells_front_to_deep, open_side: bool) -> list[int | None]:
     """
     costs: list[int | None] = [0]
     loads = prefix = deepest = 0  # groups are >= 1, so the first load extends
-    for cell in cells_front_to_deep:
-        g = occ.get(cell)
-        if not open_side or (g is None and loads):
-            break  # no access, or this empty cell would sit deeper than a load
-        if g is not None:
-            prefix = prefix + 1 if g >= deepest else 1
-            loads += 1
-            deepest = g
-        costs.append(loads - prefix)
-    return costs + [None] * (len(cells_front_to_deep) + 1 - len(costs))
-
-
-def _row_lane(occ, side, j, count, I) -> InducedLane | None:
-    if side == "W":  # cells 1..count, front at i = 1
-        cells = [(i, j) for i in range(count, 0, -1)]
-    else:  # "E": cells I-count+1..I, front at i = I
-        cells = [(i, j) for i in range(I - count + 1, I + 1)]
-    return _lane_of_cells(occ, side, cells)
-
-
-def _col_lane(occ, side, i, count, J) -> InducedLane | None:
-    if side == "N":  # cells (i, 1..count), front at j = 1
-        cells = [(i, j) for j in range(count, 0, -1)]
-    else:  # "S": cells (i, J-count+1..J), front at j = J
-        cells = [(i, j) for j in range(J - count + 1, J + 1)]
-    return _lane_of_cells(occ, side, cells)
+    if open_side:
+        for g in line:
+            if g:
+                prefix = prefix + 1 if g >= deepest else 1
+                loads += 1
+                deepest = g
+            elif loads:
+                break  # this empty cell would sit deeper than a load
+            costs.append(loads - prefix)
+    return costs + [None] * (len(line) + 1 - len(costs))
 
 
 def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLane]:
@@ -187,13 +176,14 @@ def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLan
     Raises ValueError when a direction run is not boundary-anchored, a lane
     contains a hole, or a lane sits on a side the bay does not expose.
     """
-    occ = _single_tier(bay)
+    grid = _grid(bay)
     I, J = bay.I, bay.J
     if len(assignment.rows) != J or any(len(r) != I for r in assignment.rows):
         raise ValueError("assignment shape does not match the bay")
     lanes: list[InducedLane] = []
 
-    def emit(lane: InducedLane | None, side: str) -> None:
+    def emit(side: str, front: tuple[int, int], line) -> None:
+        lane = _lane(side, front, line)
         if lane is None:
             raise ValueError(f"lane on side {side} contains a hole")
         if side not in bay.access_sides:
@@ -201,26 +191,26 @@ def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLan
         lanes.append(lane)
 
     # A run is anchored when no cell of its side lies past its boundary run.
-    for j, row in enumerate(assignment.rows, 1):
+    for j, (row, cells) in enumerate(zip(assignment.rows, grid), 1):
         w, e = I - len(row.lstrip("W")), I - len(row.rstrip("E"))
         if "W" in row[w:]:
             raise ValueError(f"W cells of row {j} are not a west-anchored prefix")
         if "E" in row[:I - e]:
             raise ValueError(f"E cells of row {j} are not an east-anchored suffix")
         if w:
-            emit(_row_lane(occ, "W", j, w, I), "W")
+            emit("W", (1, j), cells[w - 1::-1])
         if e:
-            emit(_row_lane(occ, "E", j, e, I), "E")
-    for i, col in enumerate(map("".join, zip(*assignment.rows)), 1):
+            emit("E", (I, j), cells[I - e:])
+    for i, (col, cells) in enumerate(zip(map("".join, zip(*assignment.rows)), zip(*grid)), 1):
         n, s = J - len(col.lstrip("N")), J - len(col.rstrip("S"))
         if "N" in col[n:]:
             raise ValueError(f"N cells of column {i} are not a north-anchored prefix")
         if "S" in col[:J - s]:
             raise ValueError(f"S cells of column {i} are not a south-anchored suffix")
         if n:
-            emit(_col_lane(occ, "N", i, n, J), "N")
+            emit("N", (i, 1), cells[n - 1::-1])
         if s:
-            emit(_col_lane(occ, "S", i, s, J), "S")
+            emit("S", (i, J), cells[J - s:])
     return lanes
 
 
@@ -249,25 +239,23 @@ class _MaskSums(dict):
 class _BayTables:
     """Per-bay lane-cost tables plus the memoized row DP over column masks.
 
-    Rows j and columns i are 0-based here (grid cells stay 1-based), and
-    column i is bit i of a mask.
+    Rows j and columns i are 0-based here, as in ``_grid``, and column i
+    is bit i of a mask.
     """
 
     def __init__(self, bay: BaySpec):
-        occ = _single_tier(bay)
+        grid = _grid(bay)
+        columns = list(zip(*grid))
+        sides = bay.access_sides
         I, J = self.I, self.J = bay.I, bay.J
-
-        def costs(side: str, cells: list[tuple[int, int]]) -> list[int | None]:
-            return _lane_costs(occ, cells, side in bay.access_sides)
-
         # wcost[j][a]: W lane over the first a cells of row j; a = 0 means no lane.
-        wcost = [costs("W", [(i, j) for i in range(1, I + 1)]) for j in range(1, J + 1)]
-        ecost = [costs("E", [(i, j) for i in range(I, 0, -1)]) for j in range(1, J + 1)]
+        wcost = [_lane_costs(row, "W" in sides) for row in grid]
+        ecost = [_lane_costs(row[::-1], "E" in sides) for row in grid]
         # ncost[i][j]: N lane over rows 0..j-1 of column i, the cost charged
         # when the column's horizontal band starts at row j; scost[i][j]: S
         # lane over rows j..J-1, charged when the band ends above row j.
-        ncost = [costs("N", [(i, j) for j in range(1, J + 1)]) for i in range(1, I + 1)]
-        scost = [costs("S", [(i, j) for j in range(J, 0, -1)])[::-1] for i in range(1, I + 1)]
+        ncost = [_lane_costs(col, "N" in sides) for col in columns]
+        scost = [_lane_costs(col[::-1], "S" in sides)[::-1] for col in columns]
         # Full-column splits for columns with no horizontal cell: N over
         # rows 0..c-1 plus S over rows c..J-1, for c = 0..J.
         self.split_cost = [
@@ -331,6 +319,8 @@ class _BayTables:
                 total = added + self.cost_to_go(j + 1, new_state)
                 if total < best:
                     best = total
+                    if not best:
+                        break  # no cost is negative, so nothing beats 0
             memo[state] = best
         return best
 
@@ -338,27 +328,16 @@ class _BayTables:
 def _directions(tables: _BayTables, row_splits, col_splits) -> tuple[str, ...]:
     """Materialize the direction grid from per-row (alpha, eps) and splits."""
     I, J = tables.I, tables.J
-    grid = [[""] * I for _ in range(J)]
-    for j in range(J):
-        alpha, eps = row_splits[j]
-        for i in range(I):
-            if i < alpha:
-                grid[j][i] = "W"
-            elif i >= I - eps:
-                grid[j][i] = "E"
+    grid = [["W"] * alpha + [""] * (I - alpha - eps) + ["E"] * eps for alpha, eps in row_splits]
     for i in range(I):
         horizontal = [j for j in range(J) if grid[j][i]]
-        if horizontal:
-            first, last = horizontal[0], horizontal[-1]
-            for j in range(first):
-                grid[j][i] = "N"
-            for j in range(last + 1, J):
-                grid[j][i] = "S"
-        else:
-            c = col_splits[i]
-            for j in range(J):
-                grid[j][i] = "N" if j < c else "S"
-    return tuple("".join(row) for row in grid)
+        # N above the horizontal band and S below it, or the full-column split.
+        north, south = (horizontal[0], horizontal[-1] + 1) if horizontal else (col_splits[i],) * 2
+        for j in range(north):
+            grid[j][i] = "N"
+        for j in range(south, J):
+            grid[j][i] = "S"
+    return tuple(map("".join, grid))
 
 
 def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignment]:
@@ -480,9 +459,8 @@ def has_hole_free_assignment(bay: BaySpec) -> bool:
     with a cell no side reaches, and otherwise searches the DP's column-mask
     states for one complete path (see the module docstring).
     """
-    occ = _single_tier(bay)
+    grid = _grid(bay)
     I, J, sides = bay.I, bay.J, bay.access_sides
-    grid = [[(i, j) in occ for i in range(1, I + 1)] for j in range(1, J + 1)]
     columns = list(zip(*grid))
     wmax = [_reach(row, "W" in sides) for row in grid]
     emax = [_reach(row[::-1], "E" in sides) for row in grid]

@@ -10,7 +10,8 @@ the orthogonally adjacent aisle tile.  Access points of facing bays may
 share a tile (distance 0).
 
 Access-point ids are 0-based and enumerated bay by bay, sides in N, E, S, W
-order, stacks by ascending index within a side.
+order, stacks by ascending index within a side.  An ``AccessPoint`` is a
+``NamedTuple`` of its id, tile, bay, stack and side.
 
 Distances are computed on the aisle graph with tiles numbered in sorted
 order: one breadth-first search from an access tile fills a flat list of hop
@@ -26,11 +27,13 @@ components, so an unreachable pair fails at construction, not on first use.
 layouts have neither fault.  Bay b sits at grid cell divmod(b, cols), a
 different cell for every bay, so no two bays share a tile.  No bay covers
 a tile with x = 0 (mod I+1) or y = 0 (mod J+1), so every such tile is an
-aisle and every other tile is storage: the aisles are the full lines
-x = 0 (mod I+1) and y = 0 (mod J+1).  Every vertical line crosses every
-horizontal one, so the aisle graph is connected, and it holds at least
-the line x = 0.  Only a hand-built ``GridLayout`` can be disconnected;
-``all_pairs_distances`` reports it with ``DisconnectedError``.
+aisle and every other tile is storage (the instance has one bay per grid
+cell): the aisles are the full lines x = 0 (mod I+1) and y = 0 (mod J+1).
+So ``build_layout`` takes the tiles of those lines as the aisles.  Every
+vertical line crosses every horizontal one, so the aisle graph is
+connected, and it holds at least the line x = 0.  Only a hand-built
+``GridLayout`` can be disconnected; ``all_pairs_distances`` reports it
+with ``DisconnectedError``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import csv
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import WarehouseInstance
 
@@ -56,8 +60,7 @@ class DisconnectedError(LayoutError):
         super().__init__(f"{len(pairs)} unreachable access-point pairs ({preview} ...)")
 
 
-@dataclass(frozen=True)
-class AccessPoint:
+class AccessPoint(NamedTuple):
     point_id: int
     tile: tuple[int, int]
     bay: int
@@ -135,7 +138,8 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
                 storage[c * (I + 1) + i, r * (J + 1) + j] = (b, i, j)
 
     aisles = frozenset(
-        (x, y) for x in range(width) for y in range(length) if (x, y) not in storage
+        [(x, y) for x in range(0, width, I + 1) for y in range(length)]
+        + [(x, y) for y in range(0, length, J + 1) for x in range(width)]
     )
 
     access_points: list[AccessPoint] = []

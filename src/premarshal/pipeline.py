@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import astar, exact, fixing
 from .fixing import AccessAssignment
-from .layout import DistanceMatrix, GridLayout, all_pairs_distances, build_layout
+from .layout import DistanceMatrix, all_pairs_distances, build_layout
 from .model import Infeasible, LaneConfiguration, Solution, TimedOut, WarehouseInstance
 
 ASSIGNMENT_CANDIDATES = 10
@@ -17,7 +17,6 @@ ASSIGNMENT_CANDIDATES = 10
 class Prepared:
     """Everything the solvers need, plus how long it took to build."""
 
-    layout: GridLayout
     dmat: DistanceMatrix
     assignments: list[AccessAssignment]
     config: LaneConfiguration
@@ -37,7 +36,6 @@ def prepare(instance: WarehouseInstance) -> Prepared:
         bay_lanes.append(lanes)
     config = fixing.number_lanes(bay_lanes, layout, instance.groups)
     return Prepared(
-        layout=layout,
         dmat=dmat,
         assignments=assignments,
         config=config,

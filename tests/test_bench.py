@@ -87,6 +87,11 @@ def _config(**changes):
 @pytest.mark.parametrize("suite", [
     pytest.param({**SUITE, "seeds": [1, 1]}, id="repeated-seed"),
     pytest.param({**SUITE, "algos": ["astar", "astar"]}, id="repeated-algo"),
+    pytest.param({**SUITE, "configs": [*SUITE["configs"], {**SUITE["configs"][0], "bay": "3X3"}]},
+                 id="repeated-config"),
+    pytest.param({**SUITE, "configs": [{**SUITE["configs"][0], "fill": fill} for fill in (1, 1.0)],
+                  "unrestricted": True},
+                 id="repeated-config-integer-fill"),
     pytest.param(_config(fill="0.8"), id="string-fill"),
     pytest.param(_config(fill=True), id="bool-fill"),
     pytest.param(_config(fill=None), id="null-fill"),
@@ -94,7 +99,7 @@ def _config(**changes):
     pytest.param({**SUITE, "timeouts": {"astar": 5}}, id="unknown-suite-key"),
 ])
 def test_suite_runs_reject_repeats_string_fills_and_unknown_keys(suite):
-    """A repeated seed or algo would run the same row twice, a string fill
+    """A repeated seed, algo or config would run the same rows twice, a string fill
     would run as the number it spells, and an unknown key, such as a
     misspelt ``timeout_s``, would be dropped, leaving every run on the
     default budgets."""

@@ -89,6 +89,34 @@ def test_lb_empty_lane_never_raises_h():
     assert bounds.lb(make_config(with_free, groups=5)) <= bounds.lb(make_config(base, groups=5))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example([(2, [5, 3], True), (1, [], False), (3, [4, 4, 1], True)])
+@example([(1, [2], True), (3, [1, 2], False)])
+def test_lb_equals_the_full_evaluation(lane_specs):
+    """``lb``'s shortcut for a config without blockers gives ``lb_state``'s h.
+
+    A lane drawn with its flag set holds its loads deepest first in
+    non-increasing order, so it has no blocker; a config of such lanes only
+    takes the shortcut.
+    """
+    lanes = [(max(cap, len(contents)), sorted(contents, reverse=True) if ordered else contents,
+              idx)
+             for idx, (cap, contents, ordered) in enumerate(lane_specs)]
+    config = make_config(lanes, groups=5)
+    assert bounds.lb(config) == bounds.lb_state(config)[2]
+
+
 def _random_config(rng, n_lanes=4, cap=3, groups=5):
     lanes = []
     for idx in range(n_lanes):

@@ -142,18 +142,20 @@ def _dp_is_finite(bay):
 
 def _every_cell_reached(bay):
     """Each cell has a side whose lane from the front to that cell holds no hole."""
-    occ = {(i, j): g for (i, j, _), g in bay.occupancy.items()}
+    grid = fixing._grid(bay)
+    columns = list(zip(*grid))
     I, J = bay.I, bay.J
-    for i in range(1, I + 1):
-        for j in range(1, J + 1):
+    for i in range(I):
+        for j in range(J):
+            row, col = grid[j], columns[i]
             lanes = {  # deepest first
-                "W": [(k, j) for k in range(i, 0, -1)],
-                "E": [(k, j) for k in range(i, I + 1)],
-                "N": [(i, k) for k in range(j, 0, -1)],
-                "S": [(i, k) for k in range(j, J + 1)],
+                "W": ((1, j + 1), row[i::-1]),
+                "E": ((I, j + 1), row[i:]),
+                "N": ((i + 1, 1), col[j::-1]),
+                "S": ((i + 1, J), col[j:]),
             }
-            if not any(side in bay.access_sides and fixing._lane_of_cells(occ, side, cells)
-                       for side, cells in lanes.items()):
+            if not any(side in bay.access_sides and fixing._lane(side, front, line)
+                       for side, (front, line) in lanes.items()):
                 return False
     return True
 
@@ -219,17 +221,17 @@ def test_lane_costs_recount_blocking_loads():
     rng = random.Random("lane costs")
     for _ in range(2000):
         length = rng.randint(0, 8)
-        cells = [(a, 1) for a in range(1, length + 1)]  # front to deep
-        occ = {cell: rng.randint(1, 4) for cell in cells if rng.random() < 0.8}
+        # front to deep, 0 for an empty cell
+        line = [rng.randint(1, 4) if rng.random() < 0.8 else 0 for _ in range(length)]
         open_side = rng.random() < 0.9
         expected = []
         for a in range(length + 1):
-            loaded = [cell in occ for cell in cells[:a]]
+            loaded = [g > 0 for g in line[:a]]
             hole = any(loaded[p] and not loaded[q] for p in range(a) for q in range(p + 1, a))
-            contents = [occ[cell] for cell in reversed(cells[:a]) if cell in occ]
+            contents = [g for g in reversed(line[:a]) if g]
             usable = (open_side or a == 0) and not hole
             expected.append(blocking_of(contents) if usable else None)
-        assert fixing._lane_costs(occ, cells, open_side) == expected, (occ, open_side)
+        assert fixing._lane_costs(line, open_side) == expected, (line, open_side)
 
 
 @pytest.mark.parametrize("I, J", [(1, 1), (3, 3), (6, 6), (7, 2), (2, 7)])

@@ -1,7 +1,12 @@
+import hashlib
+import json
 from unittest import mock
+
+import pytest
 
 from premarshal import astar, exact, fixing
 from premarshal.generate import GenConfig, generate
+from premarshal.layout import build_layout
 from premarshal.model import Solution
 from premarshal.pipeline import prepare, solve_instance
 
@@ -34,5 +39,54 @@ def test_prepare_builds_each_bays_lanes_once():
     with mock.patch.object(fixing, "induced_lanes", wraps=fixing.induced_lanes) as built:
         prepared = prepare(instance)
     assert built.call_count == len(instance.bays)
-    rebuilt = fixing.to_virtual_lanes(instance, prepared.assignments, prepared.layout)
+    rebuilt = fixing.to_virtual_lanes(instance, prepared.assignments, build_layout(instance))
     assert rebuilt == prepared.config
+
+
+def _prepared_digest(prepared) -> str:
+    """sha256 of the JSON of what ``prepare`` hands the solvers: every
+    assignment (rows, misplaced) and the config's contents, points and
+    capacities."""
+    config = prepared.config
+    outputs = [
+        [[list(a.rows), a.misplaced] for a in prepared.assignments],
+        [list(lane) for lane in config.contents],
+        list(config.points),
+        list(config.capacities),
+    ]
+    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+
+
+# Per instance (bay side, warehouse side, fill, groups, seed), the digest of
+# ``prepare``'s outputs: the five prepare-large and four astar-wide instances
+# of perfbench, recorded before the fixing DP read each bay as one grid.  Their plans are pinned too, but a k = 0 plan has no moves,
+# so only this digest sees the assignments and lanes of the prepare-large ones.
+PREPARED_DIGESTS = {
+    (3, 12, 0.6, 10, 1):
+        "bf089603718f7afbb14ee6a8a7e433426f4f96cb62b79396667ebe9a60b0c303",
+    (3, 12, 0.6, 10, 2):
+        "07d2b5a00912a105644b184ae902f24ed0a22d78a718d98edbf2638c6410b6de",
+    (3, 10, 0.6, 10, 1):
+        "f43d6620baf13f4cd09c308b18a52ba3976337f587ad0333cb969b1a268b74be",
+    (3, 10, 0.4, 5, 2):
+        "75f3244ce88e5eac8c438b5045aa31e5f8d04630373166f4f1f47f81dd7b5f1d",
+    (4, 8, 0.4, 5, 2):
+        "bbc24736dcb08998e931a3c514fb6ca3d8dadd6c9b4367a4c3ec8e20b63f585a",
+    (3, 7, 0.9, 10, 1):
+        "8fd19580db0f65b89118cc6e3fb8e6ed7996b0e0dcb50d4a16c43aed176f0ff4",
+    (5, 3, 0.8, 10, 1):
+        "b3c54224ded16e494d50d23d47a2ddef78da5630e4c4d0d521c978432a38f543",
+    (5, 3, 0.9, 10, 1):
+        "643e3e2673e5b06482cb9da3d225d9a70c34dfebe319e79dbc5ebf46b150ec95",
+    (6, 2, 0.8, 10, 1):
+        "bb4d0f234e64ad2f29cf635ff1f0fb22f24d7e6d937156de0bcdea612ff0872c",
+}
+
+
+@pytest.mark.parametrize("spec", list(PREPARED_DIGESTS),
+                         ids=lambda spec: "{0}x{0}-{1}x{1}-{2}-G{3}-s{4}".format(*spec))
+def test_prepare_outputs_pinned(spec):
+    bay, warehouse, fill, groups, seed = spec
+    instance = generate(GenConfig(bay=(bay, bay), warehouse=(warehouse, warehouse),
+                                  fill=fill, groups=groups, seed=seed))
+    assert _prepared_digest(prepare(instance)) == PREPARED_DIGESTS[spec]
