@@ -13,9 +13,11 @@ children are listed, not generated and filtered (enhanced partial
 expansion: Felner et al., AAAI 2012; Goldenberg et al., JAIR 2014).
 Expanding a node at value F asks ``bounds.Siblings.select`` for the
 children with h <= F - g - 1, that is f <= F, and for the least h above
-that.  The listing works on classes of target lanes that give every child
-of one source the same h, so it computes an h per child only where GX may
-be positive; the other children are not offered, and most never get an h.
+that.  The listing reads classes of source lanes and of target lanes off
+the parent's lane profiles, and gives one h to all children of a (source
+class, target class) pair; it computes an h per child only where GX may be
+positive.  The other children are not offered, and most never get an h
+of their own.
 The offered children's moves are built by ``legal_moves`` for the listed
 (source, target mask) pairs and pushed in that order, each with the next
 number of one counter that the search keeps for its offers.  If some child has
@@ -31,8 +33,8 @@ duplicate detection: Korf, IJCAI 2003).  An offer is the queue entry
 (f, h, dist, tie, parent, move); popping it builds the child with
 ``apply_move``, and the child is skipped if its ``state_key`` is in the
 closed set, or else closed, counted and given its surplus and profiles by
-``bounds.lb_incremental``, which looks up the two lane changes that the
-parent's listing made in the search's lane-change memo.  h depends only on
+``bounds.lb_incremental``, which computes its two lane changes through
+the search's lane-change memo.  h depends only on
 the state and every tie is unique, so the first offer of a state to pop is
 the least (f, dist, tie) offered for it so far: the record that a
 store-every-child A* offering children in ``legal_moves`` order keeps (new,
@@ -105,7 +107,7 @@ def solve_astar(
         # (h = -1) of an expanded node.
         root = (None, None, 0, 0, config, surplus, profiles)
         open_heap = [(h0, h0, 0, (0, 0), root, None)]
-        # Lane changes seen by this search's listings and pops, shared between
+        # Lane changes seen by this search's pops and listings, shared between
         # parents.  Its keys hold for this instance's G only, so the memo dies
         # with the search.
         touched: dict[tuple, tuple] = {}

@@ -68,29 +68,38 @@ result is identical to the from-scratch computation.  ``cached_lane_change``
 memoises ``lane_change`` by (capacity, old contents, new contents), which
 fix its result for one G.  A search keeps one such memo and passes it to
 every ``lb_incremental`` and ``Siblings`` call, so each lane transition is
-profiled once per search.  In A* the two transitions of a popped child were
-made when its parent's children were listed, so the pop only looks them up.
+profiled once per search.  An A* pop computes its two transitions through
+it; ``Siblings`` adds only those of the children whose h needs GX.
 
-``Siblings`` gives the h of every child of one parent without building the
-child.  The source lane's state after losing its front load, and a target
-lane's after receiving a load of group p, go through ``lane_change`` once
-per parent; a child's surplus then differs from the parent's by those two
-cached O(G) surplus changes.  When some level has a deficit, the child's
-lanes offer the parent's removal options with those of the two touched
-lanes swapped.  The minimum is shared between siblings: given the parent,
-it is fixed by the levels, their needs and the options swapped out and in
-once equal ones cancel.
+``Siblings.select`` lists the children of one parent whose h is at most a
+limit, and the least h above it, the way A* asks for them, reading their
+BX and surplus off the parent's profiles.  A child's BX and surplus are
+the parent's plus a part for its source and a part for its target.  Let p
+be the moved load and f a lane's free slots once its blockers are gone; a
+lane is blocked when it holds a blocker and clean otherwise.  A target
+lane with room adds:
 
-``Siblings.select`` lists the children whose h is at most a limit, and the
-least h above it, the way A* asks for them.  A child's h is its source's
-part (BX after the take, the front load p, the surplus) changed by its
-target's part for p (BX change, surplus change).  Targets with equal parts
-form one class, and there are few: every blocked lane with room is one
-class per p, and a clean lane's part depends only on its threshold and
-free slots.  Where no level of the resulting surplus is positive, GX is 0
-and one sum gives the h of the whole (source, class) pair.  Only the other
-pairs get an h per target, and none where GX >= 1 already puts them at or
-above the least h above the limit found so far.
+* BX + 1 and + 1 at the levels up to p when it is blocked, or clean with
+  a threshold below p: p blocks there;
+* + 1 at the levels up to p when it is clean with threshold p;
+* + 1 at the levels up to p and + f above p up to t when it is clean with
+  a threshold t above p.
+
+A blocked source adds BX - 1 and - 1 at the levels up to p.  A clean one
+adds - 1 at the levels up to p and - (f + 1) above p up to t', the group
+of the load under p (G when p is alone).  So one pass over the lanes
+gives the source classes, keyed by (p, t', f), or by p when blocked, and
+the target classes: a mask of the blocked lanes with room and one per
+clean (threshold, f), merged per p where their parts are equal.  Each
+(source class, target class) pair gets one BX and one surplus; where no
+level of it is positive, GX is 0 and that BX is the h of every child of
+the pair.  Only the other pairs get an h per child, from the new profiles
+of the two touched lanes: the parent's removal options with theirs
+swapped, and a minimum shared between siblings, which the levels, their
+needs and the options swapped out and in fix once equal ones cancel.  A
+pair is skipped unsummed when its BX is above the limit and at or above
+the least h above it found so far, and a pair that needs GX when BX + 1
+is.
 """
 
 from __future__ import annotations
@@ -310,13 +319,10 @@ def lb_incremental(
 
 
 class Siblings:
-    """h of the children of one parent, from the parent's surplus and
-    profiles and the move, without building the children; equal to
+    """The children of one parent whose h is at most a limit, listed from
+    the parent's surplus and profiles without building them; each h equals
     lb(apply_move(...)).
 
-    ``h`` gives one child's h.  ``select`` lists the children whose h is at
-    most a limit, in ``legal_moves`` order, and the least h above it,
-    without an h per child where a whole class of children shares one.
     Build one per expanded parent: the caches below are shared by all of
     its children and die with it, but for ``touched``, which the parents
     of one search can share.
@@ -330,29 +336,12 @@ class Siblings:
         #: the ``cached_lane_change`` memo; one search shares it between its
         #: parents and with ``lb_incremental``
         self._touched = {} if touched is None else touched
-        #: source lane index -> (BX, load, surplus, profile) once its front load is gone
-        self._taken: dict[int, tuple] = {}
-        #: load -> [(BX change, surplus change, mask of the lanes with room giving them)]
-        self._classes: dict[int, list] = {}
-        #: (BX, load, surplus) of a source -> [(child BX, child surplus or None
-        #: when no level is positive, target mask)], one per class of its load
-        self._pairs: dict[tuple, list] = {}
         #: levels -> removal options of each parent lane, None where trivial
         self._options: dict[tuple[int, ...], list] = {}
         #: (prefix groups, free slots, levels) -> removal options, None if trivial
         self._shapes: dict[tuple, tuple] = {}
         #: (levels, needs, options out, options in) -> GX
         self._minima: dict[tuple, int] = {}
-
-    def h(self, move: Move):
-        """h of ``apply_move(config, move)`` for a legal ``move``."""
-        s, t = move.from_lane - 1, move.to_lane - 1
-        bx, load, surplus, src = self._taken_of(s)
-        bx_change, change, dst = self._give(t, load)
-        surplus = tuple(map(add, surplus, change))
-        if max(surplus) <= 0:
-            return bx + bx_change
-        return bx + bx_change + self._gx(surplus, s, src, t, dst)
 
     def select(self, limit, expired=None):
         """The children whose h is at most ``limit``, and the least h above it.
@@ -363,92 +352,93 @@ class Siblings:
         is the order A* offers them in and ties siblings by;
         ``above`` is the least h above ``limit``, or None.  Returns
         None once ``expired()`` is true; it is read before each source lane
-        and before each (source, class) pair that needs GX.  The module
-        docstring says how the children are listed; the pairs that need GX
-        come last, by ascending BX, so that the skip cuts the most.
+        and before each (source class, target class) pair that needs GX.
+        The module docstring says how the children are listed; the pairs
+        that need GX come last, by ascending BX, so that the skip cuts the
+        most.
         """
-        contents = self.config.contents
-        room = [idx for idx, (loads, capacity) in enumerate(zip(contents, self.config.capacities))
-                if len(loads) < capacity]
-        kept = []  # (source index, target mask, h)
-        slow = []  # (child BX, source index, target mask, child surplus)
+        config = self.config
+        groups = config.groups
+        blocked = 0  # lanes with room that hold a blocker
+        clean: dict[tuple[int, int], int] = {}  # (threshold, free) -> lanes with room, no blocker
+        # (p, t', f) of a clean source, (p, 0, 0) of a blocked one -> source lanes
+        sources: dict[tuple[int, int, int], int] = {}
+        for idx, (loads, capacity, prof) in enumerate(
+                zip(config.contents, config.capacities, self.profiles)):
+            bit = 1 << idx
+            if len(loads) < capacity:
+                if prof.blocking_suffix:
+                    blocked |= bit
+                else:
+                    key = (prof.threshold, prof.free_after_clear)
+                    clean[key] = clean.get(key, 0) | bit
+            if loads:
+                if expired is not None and expired():
+                    return None
+                if prof.blocking_suffix:
+                    key = (loads[-1], 0, 0)
+                else:
+                    key = (loads[-1], loads[-2] if len(loads) > 1 else groups,
+                           prof.free_after_clear)
+                sources[key] = sources.get(key, 0) | bit
+
+        kept: dict[tuple[int, int], int] = {}  # (source index, h) -> target mask
+        slow = []  # (child BX, source mask, target mask, child surplus, load)
         above = None
-        for s, loads in enumerate(contents):
-            if not loads:
-                continue
-            if expired is not None and expired():
-                return None
-            bit = 1 << s
-            for bx, surplus, mask in self._pairs_of(s, room):
-                if mask & bit:
-                    mask ^= bit
-                    if not mask:
-                        continue
-                if surplus is not None:
-                    slow.append((bx, s, mask, surplus))
-                elif bx <= limit:
-                    kept.append((s, mask, bx))
-                elif above is None or bx < above:
-                    above = bx
+        targets: dict[int, list] = {}  # load -> [(BX change, surplus change, target mask)]
+        for (p, after, free), from_mask in sources.items():
+            if after:
+                bx = config.blocking_total
+                taken = (-1,) * p + (-free - 1,) * (after - p) + (0,) * (groups - after)
+            else:
+                bx = config.blocking_total - 1
+                taken = (-1,) * p + (0,) * (groups - p)
+            taken = tuple(map(add, self.surplus, taken))
+            classes = targets.get(p)
+            if classes is None:
+                classes = targets[p] = _target_classes(p, blocked, clean, groups)
+            for bx_change, change, to_mask in classes:
+                c_bx = bx + bx_change
+                if c_bx > limit and above is not None and c_bx >= above:
+                    continue  # h >= BX >= above > limit
+                lanes = from_mask | to_mask
+                if not lanes & (lanes - 1):
+                    continue  # one lane, the source alone: no move
+                level = tuple(map(add, taken, change))
+                if max(level) > 0:
+                    slow.append((c_bx, from_mask, to_mask, level, p))
+                elif c_bx > limit:
+                    above = c_bx
+                else:
+                    for low in _bits(from_mask):
+                        if to_mask & ~low:
+                            key = (low.bit_length() - 1, c_bx)
+                            kept[key] = kept.get(key, 0) | to_mask & ~low
 
         slow.sort(key=itemgetter(0))
-        for bx, s, mask, surplus in slow:
+        for bx, from_mask, to_mask, level, p in slow:
             if above is not None and bx + 1 >= above:
                 break  # every pair left has h >= bx + 1 >= above > limit
             if expired is not None and expired():
                 return None
-            _bx, load, _surplus, src = self._taken_of(s)
-            for low in _bits(mask):
-                t = low.bit_length() - 1
-                h = bx + self._gx(surplus, s, src, t, self._give(t, load)[2])
-                if h <= limit:
-                    kept.append((s, low, h))
-                elif above is None or h < above:
-                    above = h
+            for low in _bits(from_mask):
+                s = low.bit_length() - 1
+                src = self._touch(s, config.contents[s][:-1])
+                for t_low in _bits(to_mask & ~low):
+                    t = t_low.bit_length() - 1
+                    h = bx + self._gx(level, s, src, t, self._touch(t, config.contents[t] + (p,)))
+                    if h <= limit:
+                        kept[s, h] = kept.get((s, h), 0) | t_low
+                    elif above is None or h < above:
+                        above = h
         return _in_move_order(kept), above
 
-    def _taken_of(self, idx: int) -> tuple:
-        taken = self._taken.get(idx)
-        if taken is None:
-            taken = self._taken[idx] = self._take(idx)
-        return taken
-
-    def _take(self, idx: int) -> tuple:
-        """The source lane after it loses its front load."""
-        contents = self.config.contents[idx]
-        bx_change, change, new = self._touch(idx, contents[:-1])
-        bx = self.config.blocking_total + bx_change
-        return bx, contents[-1], tuple(map(add, self.surplus, change)), new
-
-    def _give(self, idx: int, load: int) -> tuple:
-        """The target lane after it receives a load of group ``load``: BX
-        change, surplus change and profile."""
-        return self._touch(idx, self.config.contents[idx] + (load,))
-
-    def _pairs_of(self, idx: int, room: list[int]) -> list:
-        """(child BX, child surplus or None, target mask) per target class,
-        shared by the sources with the same ``_take`` part."""
-        bx, load, surplus, _src = self._taken_of(idx)
-        pairs = self._pairs.get((bx, load, surplus))
-        if pairs is None:
-            classes = self._classes.get(load)
-            if classes is None:
-                masks: dict[tuple, int] = {}
-                for t in room:
-                    part = self._give(t, load)[:2]
-                    masks[part] = masks.get(part, 0) | 1 << t
-                classes = self._classes[load] = [(*part, mask) for part, mask in masks.items()]
-            pairs = self._pairs[bx, load, surplus] = []
-            for bx_change, change, mask in classes:
-                level = tuple(map(add, surplus, change))
-                pairs.append((bx + bx_change, level if max(level) > 0 else None, mask))
-        return pairs
-
-    def _touch(self, idx: int, contents: tuple[int, ...]) -> tuple:
-        """``lane_change`` of one lane coming to hold ``contents``, memoised."""
+    def _touch(self, idx: int, contents: tuple[int, ...]) -> LaneProfile:
+        """The profile of lane ``idx`` coming to hold ``contents``, through
+        the memoised ``lane_change``."""
         config = self.config
         return cached_lane_change(self._touched, self.profiles[idx], config.contents[idx],
-                                  contents, config.capacities[idx], config.groups)
+                                  contents, config.capacities[idx], config.groups)[2]
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
         """Removal options of one lane at ``levels``, None when trivial."""
@@ -489,6 +479,29 @@ class Siblings:
         return gx
 
 
+def _target_classes(load: int, blocked: int, clean: dict, groups: int) -> list:
+    """(BX change, surplus change, target mask) of each class of the lanes
+    with room, for a load of group ``load``.  ``blocked`` masks those that
+    hold a blocker and ``clean`` maps (threshold, free slots) to the mask of
+    the others."""
+    ones = (1,) * load + (0,) * (groups - load)
+    blocks, joins = blocked, 0
+    classes = []
+    for (threshold, free), mask in clean.items():
+        if threshold < load:
+            blocks |= mask
+        elif threshold == load:
+            joins |= mask
+        else:
+            classes.append((0, ones[:load] + (free,) * (threshold - load)
+                            + (0,) * (groups - threshold), mask))
+    if blocks:
+        classes.append((1, ones, blocks))
+    if joins:
+        classes.append((0, ones, joins))
+    return classes
+
+
 def _bits(mask: int):
     """The set bits of ``mask``, lowest first, each as a one-bit mask."""
     while mask:
@@ -497,16 +510,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _in_move_order(kept: list) -> list:
-    """``kept`` (source, target mask, h) groups, put in (source, target)
-    order: a source's groups of different h are split per target."""
-    kept.sort(key=itemgetter(0))
+def _in_move_order(kept: dict) -> list:
+    """``kept``, (source, h) -> target mask, as (source, target mask, h)
+    groups in (source, target) order: a source whose children differ in h
+    is split per target."""
     groups = []
-    for s, run in groupby(kept, itemgetter(0)):
-        run = list(run)
-        if len(run) == 1:
-            groups += run
-        else:
-            groups += sorted(((s, low, h) for _s, mask, h in run for low in _bits(mask)),
-                             key=itemgetter(1))
+    for s, keys in groupby(sorted(kept), itemgetter(0)):
+        run = [(s, kept[key], key[1]) for key in keys]
+        if len(run) > 1:
+            run = sorted(((s, low, h) for _s, mask, h in run for low in _bits(mask)),
+                         key=itemgetter(1))
+        groups += run
     return groups

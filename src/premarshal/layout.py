@@ -73,7 +73,6 @@ class GridLayout:
     width: int
     length: int
     aisles: frozenset[tuple[int, int]]
-    storage: dict[tuple[int, int], tuple[int, int, int]]
     access_points: list[AccessPoint]
 
 
@@ -130,13 +129,6 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
     width = cols * (I + 1) + 1
     length = rows * (J + 1) + 1
 
-    storage: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for b, bay in enumerate(instance.bays):
-        r, c = divmod(b, cols)
-        for i in range(1, I + 1):
-            for j in range(1, J + 1):
-                storage[c * (I + 1) + i, r * (J + 1) + j] = (b, i, j)
-
     aisles = frozenset(
         [(x, y) for x in range(0, width, I + 1) for y in range(length)]
         + [(x, y) for y in range(0, length, J + 1) for x in range(width)]
@@ -160,7 +152,7 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
             for stack, tile in spots:
                 access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
 
-    return GridLayout(width, length, aisles, storage, access_points)
+    return GridLayout(width, length, aisles, access_points)
 
 
 def _aisle_graph(aisles) -> tuple[dict[tuple[int, int], int], list[list[int]]]:

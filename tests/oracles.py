@@ -399,13 +399,12 @@ def store_every_child_astar(root, dmat, depth_correction=False):
     not closed and the child's f is smaller, or equal with a smaller dist.
     It asserts that no popped f falls below the one before, which holds
     when h is consistent, so a closed key never needs reopening.  Children
-    are built and keyed when generated, get their h from ``bounds.Siblings``
-    and their surplus and profiles when popped, so a patched ``Siblings.h``
-    acts here as in ``astar``.
+    are built, keyed and given their h by ``bounds.lb_state`` when
+    generated; no listing code of ``astar`` runs here.
     """
-    # A record is [parent, move, g, dist, f, closed, config, surplus, profiles].
-    surplus, profiles, h0 = bounds.lb_state(root)
-    records = {state_key(root): [None, None, 0, 0, h0, False, root, surplus, profiles]}
+    # A record is [parent, move, g, dist, f, closed, config].
+    h0 = bounds.lb_state(root)[2]
+    records = {state_key(root): [None, None, 0, 0, h0, False, root]}
     heap = [(h0, h0, 0, 0, state_key(root))]
     pushes, last_f, nodes = 0, 0, 0
     while heap:
@@ -417,25 +416,22 @@ def store_every_child_astar(root, dmat, depth_correction=False):
         last_f = f
         rec[5] = True
         nodes += 1
-        parent, move, g, dist = rec[:4]
-        if rec[7] is None:
-            rec[7], rec[8], _ = bounds.lb_incremental(parent[7], parent[8], move, rec[6], {})
+        g, dist = rec[2:4]
         if rec[6].blocking_total == 0:
             moves = []
             while rec[1] is not None:
                 moves.append(rec[1])
                 rec = rec[0]
             return ("Solution", g, dist, tuple(reversed(moves)), nodes)
-        child_h = bounds.Siblings(rec[6], rec[7], rec[8]).h
         for move in legal_moves(rec[6], dmat, depth_correction):
-            c_h = child_h(move)
             child = apply_move(rec[6], move)
+            c_h = bounds.lb_state(child)[2]
             c_key = state_key(child)
             c_f, c_dist = g + 1 + c_h, dist + move.distance
             known = records.get(c_key)
             if known is not None and (known[5] or (known[4], known[3]) <= (c_f, c_dist)):
                 continue
-            records[c_key] = [rec, move, g + 1, c_dist, c_f, False, child, None, None]
+            records[c_key] = [rec, move, g + 1, c_dist, c_f, False, child]
             pushes += 1
             heappush(heap, (c_f, c_h, c_dist, pushes, c_key))
     return ("Infeasible", None, None, None, nodes)

@@ -1,6 +1,5 @@
 import gc
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -149,52 +148,62 @@ def test_moves_replay_to_sorted():
         assert sum(m.distance for m in result.moves) == result.total_distance
 
 
+class _Clock:
+    """A ``time`` stand-in whose clock reads 0, 1, 2, ... and counts its
+    reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return self.reads - 1
+
+
 def test_deadline_holds_inside_one_expansion(monkeypatch):
     """The clock is read before each source lane of the listing, not only
-    between pops, and in a re-entry as in a first expansion.
-
-    Sources are counted where their part of h is computed (``_take``),
-    since A* builds no child before it is popped."""
-    ticks = iter(range(1_000_000))
-    monkeypatch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    sources = []
-    real_take = bounds.Siblings._take
-
-    def counting_take(self, idx):
-        sources.append(idx + 1)  # the lane id
-        return real_take(self, idx)
-
-    monkeypatch.setattr(bounds.Siblings, "_take", counting_take)
+    between pops, and in a re-entry as in a first expansion."""
+    clock = _Clock()
+    monkeypatch.setattr(astar, "time", clock)
     # One blocker and 40 sorted lanes with room: 41 sources and 1,640
-    # children at the root, none of whose h needs GX.
+    # children at the root, none of whose h needs GX.  The start reads 0
+    # and the first pop 1; sources 1-9 read 2-10, inside the budget, and
+    # source 10 reads 11, past it; the stats read 12.
     lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
-    config = make_config(lanes, groups=2)
-    # start reads 0 and the first pop 1; sources 1-9 read 2-10, inside the
-    # budget, and source 10 reads 11, past it.
-    result = astar.solve_astar(config, DMAT, timeout_s=10.5)
+    result = astar.solve_astar(make_config(lanes, groups=2), DMAT, timeout_s=10.5)
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
-    assert sources == list(range(1, 10))
+    assert clock.reads == 13
 
-    # A BX change one too high puts every child of the root above the
-    # root's f, so the root keeps none of its 1,640 children and comes back
-    # as a re-entry at f + 1.  Reads: start 0, first pop 1, the 41 sources
-    # of the expansion 2-42, the re-entry's pop 43 and its sources 1-9
-    # 44-52, all inside the budget; source 10 of the re-entry reads 53,
-    # past it.
-    real_give = bounds.Siblings._give
+    # The root bound of REENTERING_LANES is below k, so some parent comes
+    # back as a re-entry.  A state is expanded once, so a listing of a
+    # configuration listed before is a re-entry's.  Find the first, and the
+    # clock reading it starts at, in a run with no deadline; then end the
+    # budget between its second and third sources.
+    config = make_config(REENTERING_LANES, 3)
+    listed, starts = set(), []
+    real_select = bounds.Siblings.select
 
-    def higher_give(self, lane_id, load):
-        bx_change, change, dst = real_give(self, lane_id, load)
-        return bx_change + 1, change, dst
+    def select(self, limit, expired=None):
+        if self.config.contents in listed:
+            starts.append((clock.reads, self.config))
+        listed.add(self.config.contents)
+        return real_select(self, limit, expired)
 
-    monkeypatch.setattr(bounds.Siblings, "_give", higher_give)
-    ticks = iter(range(1_000_000))
-    sources.clear()
-    result = astar.solve_astar(config, DMAT, timeout_s=52.5)
+    monkeypatch.setattr(bounds.Siblings, "select", select)
+    clock.reads = 0
+    assert isinstance(astar.solve_astar(config, DMAT), Solution)
+    start, again = starts[0]
+    assert sum(map(bool, again.contents)) >= 3
+    clock.reads = 0
+    listed.clear()
+    starts.clear()
+    result = astar.solve_astar(config, DMAT, timeout_s=start + 1.5)
     assert isinstance(result, TimedOut)
-    assert result.stats.nodes_evaluated == 1
-    assert sources == list(range(1, 42)) + list(range(1, 10))
+    assert starts[0][0] == start
+    # Sources 1 and 2 read start and start + 1, source 3 start + 2, past
+    # the budget; the stats read start + 3.
+    assert clock.reads == start + 4
 
 
 def test_only_popped_offers_are_keyed(monkeypatch):
@@ -218,20 +227,20 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
     """The cyclic collector is off during the search and as the caller had
     it afterwards, whether the search solves, times out or raises."""
     seen = []
-    real_give = bounds.Siblings._give
+    real_select = bounds.Siblings.select
 
-    def watching_give(self, lane_id, load):
+    def watching_select(self, limit, expired=None):
         seen.append(gc.isenabled())
-        return real_give(self, lane_id, load)
+        return real_select(self, limit, expired)
 
-    def failing_give(self, lane_id, load):
+    def failing_select(self, limit, expired=None):
         raise RuntimeError("h failed")
 
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(bounds.Siblings, "_give", watching_give)
+            patch.setattr(bounds.Siblings, "select", watching_select)
             config = make_config([(3, (1, 2), 0), (3, (2,), 1), (3, (), 2)], groups=2)
             assert isinstance(astar.solve_astar(config, DMAT), Solution)
         assert seen and not any(seen)
@@ -239,15 +248,14 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
 
         with monkeypatch.context() as patch:
             # The clock of test_deadline_holds_inside_one_expansion.
-            ticks = iter(range(1_000_000))
-            patch.setattr(astar, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+            patch.setattr(astar, "time", _Clock())
             lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
             result = astar.solve_astar(make_config(lanes, groups=2), DMAT, timeout_s=1.5)
             assert isinstance(result, TimedOut)
         assert gc.isenabled() == enabled
 
         with monkeypatch.context() as patch:
-            patch.setattr(bounds.Siblings, "_give", failing_give)
+            patch.setattr(bounds.Siblings, "select", failing_select)
             with pytest.raises(RuntimeError, match="h failed"):
                 astar.solve_astar(config, DMAT)
         assert gc.isenabled() == enabled

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import oracles
 from conftest import FakeDmat, make_config
@@ -185,9 +185,9 @@ def test_incremental_property(lane_specs, rng):
     st.randoms(use_true_random=False),
 )
 def test_incremental_with_the_search_memo(lane_specs, rng):
-    """One lane-change memo for a whole walk, filled first by each parent's
-    ``Siblings`` listing as in A*: ``lb_incremental`` still equals the
-    from-scratch bound, and only looks up the keys the listing wrote."""
+    """One lane-change memo for a whole walk, shared by each parent's
+    ``Siblings`` listing and by ``lb_incremental``, as in A*:
+    ``lb_incremental`` still equals the from-scratch bound."""
     lanes = []
     for idx, (cap, contents) in enumerate(lane_specs):
         lanes.append((max(cap, len(contents)), tuple(contents), idx))
@@ -199,14 +199,9 @@ def test_incremental_with_the_search_memo(lane_specs, rng):
         if not moves:
             return
         bounds.Siblings(config, surplus, profiles, touched).select(math.inf)
-        listed = dict(touched)
         move = rng.choice(moves)
         child = apply_move(config, move)
-        for lane in (move.from_lane - 1, move.to_lane - 1):
-            key = (config.capacities[lane], config.contents[lane], child.contents[lane])
-            assert key in listed
         surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child, touched)
-        assert touched == listed
         assert (surplus, profiles, h) == bounds.lb_state(child)
         config = child
 
@@ -232,8 +227,8 @@ def test_h_is_consistent():
     a blocker or a prefix load of its source, and becomes a blocker at its
     target or joins the target's sorted prefix.  The proof's sharper claims
     are checked too: h' = h when a blocker stays a blocker, and h <= h' when
-    a prefix load becomes one.  The child's h is the one A* uses,
-    ``Siblings.h``."""
+    a prefix load becomes one.  The child's h is that of the built child,
+    which ``Siblings.select`` gives A* (tested below)."""
     seen = set()
 
     @settings(max_examples=300, deadline=None)
@@ -245,9 +240,8 @@ def test_h_is_consistent():
         groups, lanes = state
         config = make_config(lanes, groups)
         surplus, profiles, h = bounds.lb_state(config)
-        siblings = bounds.Siblings(config, surplus, profiles)
         for move in legal_moves(config, DMAT):
-            c_h = siblings.h(move)
+            c_h = bounds.lb_state(apply_move(config, move))[2]
             assert h <= c_h + 1
             t = move.to_lane - 1
             target = bounds.lane_profile(apply_move(config, move).contents[t],
@@ -335,25 +329,22 @@ def test_gx_of_many_equal_lanes(n, gx):
     st.lists(st.integers(min_value=1, max_value=5), max_size=3),
 )
 def test_sibling_h_equals_the_built_child(lane_specs, extra):
-    """A*'s children are never built at generation: their h, from the
-    parent and the move, must equal that of the built child.
-    ``extra`` adds demand that no move touches, at most one load per free
-    slot, so that GX > 0 is reached more often; without it the h is
+    """A*'s children are never built at generation: with no limit,
+    ``Siblings.select`` lists every legal move with the h of the built
+    child.  ``extra`` adds demand that no move touches, at most one load per
+    free slot, so that GX > 0 is reached more often; without it the h is
     lb(child)."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
-    for move in legal_moves(config, DMAT):
-        child = apply_move(config, move)
-        if extra:
-            c_surplus, c_profiles, _h = bounds.lb_state(child)
-            gx = bounds.gx_bound(_with_extra_demand(c_surplus, extra), c_profiles)
-            expected = child.blocking_total + gx
-        else:
-            expected = bounds.lb(child)
-        assert siblings.h(move) == expected
+    groups, above = siblings.select(math.inf)
+    moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
+    hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
+    assert moves == legal_moves(config, DMAT)
+    assert hs == [_child_h(config, move, extra) for move in moves]
+    assert above is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,33 +359,86 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     ),
     st.lists(st.integers(min_value=1, max_value=5), max_size=4),
 )
+# Lane 1 is alone in its source class and in the class of lanes with room
+# that its own load would join, a pair with no move: the least h above
+# 0 is 2, not that pair's 1.
+@example([(2, [2]), (3, [1, 2])], [])
 def test_select_lists_what_a_loop_over_every_move_keeps(lane_specs, extra):
     """At every limit, ``Siblings.select`` gives the (move, h) of the
     children with h <= limit, in ``legal_moves`` order, and the least h
-    above the limit, as a loop over every move and ``Siblings.h`` does.  ``extra`` adds demand, at most one load per
-    free slot, so that GX > 0 occurs."""
+    above the limit, as a loop over every move and the built child's
+    ``lb_state`` does.  ``extra`` adds demand, at most one load per free
+    slot, so that GX > 0 occurs."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
-    config = make_config(lanes, groups=5)
-    surplus, profiles, _h = bounds.lb_state(config)
-    surplus = _with_extra_demand(surplus, _coverable(config, extra))
-    loop = bounds.Siblings(config, surplus, profiles)
-    every = [(move, loop.h(move)) for move in legal_moves(config, DMAT)]
-    siblings = bounds.Siblings(config, surplus, profiles)
-    for limit in range(-1, max((h for _m, h in every), default=0) + 2):
-        want = [(m, h) for m, h in every if h <= limit]
-        above = min((h for _m, h in every if h > limit), default=None)
-        groups, got_above = siblings.select(limit)
-        moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
-        hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
-        assert list(zip(moves, hs)) == want
-        assert got_above == above
+    _check_select_at_every_limit(make_config(lanes, groups=5), extra)
+
+
+@st.composite
+def _wide_states(draw):
+    """(G, lanes, extra): 20-60 lanes of capacity 1-5 and G of 2-4, so that
+    many lanes share a (threshold, free slots) class and a source class.
+    A lane is empty, clean (loads non-increasing from the deepest) or drawn
+    freely, which mostly gives a blocker; the others are full about half
+    the time, so that room is scarce.  ``extra`` is up to 12 loads of
+    demand that sits in no lane."""
+    groups = draw(st.integers(min_value=2, max_value=4))
+    load = st.integers(min_value=1, max_value=groups)
+    lanes = []
+    for idx in range(draw(st.integers(min_value=20, max_value=60))):
+        capacity = draw(st.integers(min_value=1, max_value=5))
+        kind = draw(st.sampled_from(("free", "clean", "free", "empty")))
+        fill = draw(st.one_of(st.just(capacity), st.integers(min_value=1, max_value=capacity)))
+        contents = [] if kind == "empty" else draw(
+            st.lists(load, min_size=fill, max_size=fill))
+        if kind == "clean":
+            contents.sort(reverse=True)
+        lanes.append((capacity, tuple(contents), idx))
+    return groups, lanes, draw(st.lists(load, max_size=12))
+
+
+def test_select_on_wide_states():
+    """``test_select_lists_what_a_loop_over_every_move_keeps`` on 20-60
+    lanes, where the classes of the listing hold many lanes each.  Some
+    states must share a target class among three or more lanes and keep a
+    child whose h needs GX."""
+    seen = {"shared": False, "gx": False}
+
+    # No shrinking: a failing state of 60 lanes takes minutes to shrink,
+    # and the test above checks the same property on states it can shrink.
+    @settings(max_examples=25, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(_wide_states())
+    # G = 3.  Lanes 1-3 hold (3, 1, 1), (2, 1, 1) and (1, 1) in 4, 4 and 3
+    # slots: one source class and one target class.  Six lanes hold
+    # (1, 1, 3) in 3 slots and eleven a 3 in one; no threshold is 3, so
+    # every child needs GX.  Once their front load is gone, lane 1 opens at
+    # 3 with one removal and lane 2 with two, so their children differ in h.
+    @example((3, [(4, (3, 1, 1), 0), (4, (2, 1, 1), 1), (3, (1, 1), 2)]
+              + [(3, (1, 1, 3), idx) for idx in range(3, 9)]
+              + [(1, (3,), idx) for idx in range(9, 20)], []))
+    def check(state):
+        groups, lanes, extra = state
+        config = make_config(lanes, groups)
+        every = _check_select_at_every_limit(config, extra)
+        profiles = bounds.lb_state(config)[1]
+        shared = {}
+        for loads, capacity, prof in zip(config.contents, config.capacities, profiles):
+            if len(loads) < capacity and not prof.blocking_suffix:
+                key = (prof.threshold, prof.free_after_clear)
+                shared[key] = shared.get(key, 0) + 1
+        seen["shared"] |= max(shared.values(), default=0) >= 3
+        seen["gx"] |= any(h > apply_move(config, move).blocking_total for move, h in every)
+
+    check()
+    assert seen == {"shared": True, "gx": True}
 
 
 def test_select_reads_the_clock_before_pairs_that_need_gx():
     """``expired`` is read before each source lane and again before each
-    (source, class) pair that needs GX, so that an expansion whose time goes
-    to GX stops too.  Every child of these 16 lanes needs GX (6 at the
-    root), and with no limit no pair is skipped."""
+    (source class, target class) pair that needs GX, so that an expansion
+    whose time goes to GX stops too.  Every child of these 16 equal lanes
+    needs GX (6 at the root): they make one pair, and with no limit it is
+    not skipped."""
     config = make_config([(3, (1, 2), idx) for idx in range(16)], groups=2)
     surplus, profiles, _h = bounds.lb_state(config)
     reads = iter(range(100))
@@ -402,6 +446,34 @@ def test_select_reads_the_clock_before_pairs_that_need_gx():
     listed = bounds.Siblings(config, surplus, profiles).select(100, lambda: next(reads) >= 16)
     assert listed is None
     assert next(reads) == 17
+
+
+def _child_h(config, move, extra):
+    """h of the child ``move`` makes of ``config``, built and evaluated from
+    scratch, with one more blocking load of each group in ``extra``."""
+    child = apply_move(config, move)
+    surplus, profiles, _h = bounds.lb_state(child)
+    return child.blocking_total + bounds.gx_bound(_with_extra_demand(surplus, extra), profiles)
+
+
+def _check_select_at_every_limit(config, extra):
+    """Check ``select`` of ``config`` with ``extra`` demand against a loop
+    over every move, at every limit from below the least child h to above
+    the greatest; returns the loop's (move, h) list."""
+    extra = _coverable(config, extra)
+    surplus, profiles, _h = bounds.lb_state(config)
+    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
+    every = [(move, _child_h(config, move, extra)) for move in legal_moves(config, DMAT)]
+    hs = [h for _m, h in every] or [0]
+    for limit in range(min(hs) - 1, max(hs) + 2):
+        want = [(m, h) for m, h in every if h <= limit]
+        above = min((h for _m, h in every if h > limit), default=None)
+        groups, got_above = siblings.select(limit)
+        moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
+        got = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
+        assert list(zip(moves, got)) == want
+        assert got_above == above
+    return every
 
 
 def _coverable(config, extra):

@@ -57,11 +57,16 @@ def test_point_ordering_and_adjacency():
     assert (first.side, first.stack, first.tile) == ("N", (1, 1), (1, 0))
     sides = [p.side for p in layout.access_points]
     assert sides == ["N"] * 3 + ["E"] * 3 + ["S"] * 3 + ["W"] * 3
-    for p in layout.access_points:
-        assert p.tile in layout.aisles
-        sx, sy = next(t for t, (b, i, j) in layout.storage.items()
-                      if b == p.bay and (i, j) == p.stack)
-        assert abs(p.tile[0] - sx) + abs(p.tile[1] - sy) == 1
+    # In a warehouse of 3x3 bays and ``cols`` columns, bay b starts at
+    # x0 = 4c, y0 = 4r for (r, c) = divmod(b, cols), and its stack (i, j)
+    # is the tile (x0 + i, y0 + j).
+    for rows, cols in ((1, 1), (2, 3)):
+        layout = build_layout(_instance((3, 3), rows, cols))
+        for p in layout.access_points:
+            assert p.tile in layout.aisles
+            r, c = divmod(p.bay, cols)
+            sx, sy = 4 * c + p.stack[0], 4 * r + p.stack[1]
+            assert abs(p.tile[0] - sx) + abs(p.tile[1] - sy) == 1
 
 
 def test_facing_bays_share_access_tiles():
@@ -207,7 +212,6 @@ def test_disconnected_pairs_reported():
         width=3,
         length=1,
         aisles=frozenset({(0, 0), (2, 0)}),
-        storage={(1, 0): (0, 1, 1)},
         access_points=[
             AccessPoint(0, (0, 0), 0, (1, 1), "W"),
             AccessPoint(1, (2, 0), 0, (1, 1), "E"),
@@ -223,7 +227,6 @@ def test_access_point_off_the_aisles_rejected():
         width=2,
         length=1,
         aisles=frozenset({(0, 0)}),
-        storage={(1, 0): (0, 1, 1)},
         access_points=[
             AccessPoint(0, (0, 0), 0, (1, 1), "W"),
             AccessPoint(1, (1, 0), 0, (1, 1), "E"),
