@@ -122,6 +122,8 @@ def _load_instance(path):
 
 
 def _cmd_solve(args) -> int:
+    if args.ub_from and args.algo != "exact":
+        raise _Failure(EXIT_USAGE, "--ub-from only applies to --algo exact")
     instance = _load_instance(args.infile)
     try:
         prepared = pipeline.prepare(instance)
@@ -131,11 +133,7 @@ def _cmd_solve(args) -> int:
     except Exception as exc:  # noqa: BLE001 - any preprocessing failure is fatal
         raise _Failure(EXIT_INVALID, f"preprocessing failed: {exc}") from exc
 
-    ub = None
-    if args.ub_from:
-        if args.algo != "exact":
-            raise _Failure(EXIT_USAGE, "--ub-from only applies to --algo exact")
-        ub = _load_upper_bound(args.ub_from, instance, prepared)
+    ub = _load_upper_bound(args.ub_from, instance, prepared) if args.ub_from else None
 
     try:
         result, prepared = pipeline.solve_instance(

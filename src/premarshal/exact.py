@@ -35,7 +35,7 @@ targets) pairs only.  After a child is built, the full h from
 
 A source's distances and masks are built the first time it still has
 targets before the bisection, so the search reads the dmat rows of its
-sources only, and a row's BFS runs only when some search reads it.  In the
+sources only, and a row is built only when some search reads it.  In the
 tight stage below, where every move lowers h by exactly 1, GX = 0 at the
 root limits these to rows of lanes blocked at the root.  At a node with
 GX = 0, BX = h exceeds the moves left after the next one, so only its

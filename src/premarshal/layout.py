@@ -13,27 +13,31 @@ Access-point ids are 0-based and enumerated bay by bay, sides in N, E, S, W
 order, stacks by ascending index within a side.  An ``AccessPoint`` is a
 ``NamedTuple`` of its id, tile, bay, stack and side.
 
-Distances are computed on the aisle graph with tiles numbered in sorted
-order: one breadth-first search from an access tile fills a flat list of hop
-counts, the tile's row is read out of it for all access points at once, and
-every point on that tile shares the row.  Rows are computed per access tile
-on first use, so a plan that reads the distances of a few lanes runs a few
-searches; forcing every row (the ``d`` attribute, as the ``distances``
-command does) costs O(aisle tiles x distinct access tiles) time.
-Reachability is settled up front from one labelling of the aisle graph's
-components, so an unreachable pair fails at construction, not on first use.
+The aisles are the full lines x = 0 (mod I+1) and y = 0 (mod J+1).  Bay b
+sits at grid cell divmod(b, cols), a different cell for every bay, and no
+bay covers a tile on those lines, so every such tile is an aisle and every
+other tile is storage (the instance has one bay per grid cell).
+``GridLayout.aisles`` is therefore just the pitch (I+1, J+1) of the lines.
 
-``build_layout`` checks neither overlap nor connectivity, because its
-layouts have neither fault.  Bay b sits at grid cell divmod(b, cols), a
-different cell for every bay, so no two bays share a tile.  No bay covers
-a tile with x = 0 (mod I+1) or y = 0 (mod J+1), so every such tile is an
-aisle and every other tile is storage (the instance has one bay per grid
-cell): the aisles are the full lines x = 0 (mod I+1) and y = 0 (mod J+1).
-So ``build_layout`` takes the tiles of those lines as the aisles.  Every
-vertical line crosses every horizontal one, so the aisle graph is
-connected, and it holds at least the line x = 0.  Only a hand-built
-``GridLayout`` can be disconnected; ``all_pairs_distances`` reports it
-with ``DisconnectedError``.
+Distances are shortest 4-connected paths over the aisle tiles, and on this
+grid they have a closed form.  Every access tile lies on exactly one aisle
+line, strictly between two crossings.  Between tiles p = (x1, y1) and
+q = (x2, y2) the distance is |x1 - x2| + |y1 - y2|, because a monotone
+path exists: if one tile is on a horizontal line and the other on a
+vertical one, follow the first line to the crossing with the second; if
+both are on the same line, follow it; if both are on horizontal lines of
+different bay columns, a vertical line lies between them.  The one
+exception is two tiles on different horizontal lines of one bay column,
+between its vertical aisles xl and xr: the path must leave by one of them,
+so the distance is |y1 - y2| + min(x1 + x2 - 2 xl, 2 xr - x1 - x2).  The
+same holds with x and y swapped for vertical lines of one bay row.
+
+Rows are computed per access tile on first use, as Manhattan distances
+with the detours of the source's own bay column (or row) patched in, and
+every point on that tile shares the row.  A plan that reads the distances
+of a few lanes builds a few rows; forcing every row (the ``d`` attribute,
+as the ``distances`` command does) costs O(access points x distinct access
+tiles) time.
 """
 
 from __future__ import annotations
@@ -48,16 +52,7 @@ from .model import WarehouseInstance
 
 
 class LayoutError(Exception):
-    """The instance cannot be laid out (mixed bay sizes, or broken aisle graph)."""
-
-
-class DisconnectedError(LayoutError):
-    """Some access-point pairs are mutually unreachable over the aisles."""
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-        preview = ", ".join(f"{p}-{q}" for p, q in pairs[:5])
-        super().__init__(f"{len(pairs)} unreachable access-point pairs ({preview} ...)")
+    """The instance cannot be laid out (bays of mixed footprint)."""
 
 
 class AccessPoint(NamedTuple):
@@ -72,7 +67,7 @@ class AccessPoint(NamedTuple):
 class GridLayout:
     width: int
     length: int
-    aisles: frozenset[tuple[int, int]]
+    aisles: tuple[int, int]  # the pitch (I+1, J+1) of the aisle lines
     access_points: list[AccessPoint]
 
 
@@ -97,30 +92,50 @@ class DistanceMatrix:
 
 
 class _RowsOnFirstUse(dict):
-    """Point id -> distance row; a missing row costs one BFS from its tile."""
+    """Point id -> distance row; a missing row is built for its whole tile."""
 
-    def __init__(self, adjacency: list[list[int]], columns: list[int]):
+    def __init__(self, layout: GridLayout):
         super().__init__()
-        self.adjacency = adjacency
-        self.columns = columns
-        self.points_on: dict[int, list[int]] = {}
-        for p, c in enumerate(columns):
-            self.points_on.setdefault(c, []).append(p)
-        if len(columns) > 1:
-            self.pick = operator.itemgetter(*columns)
-        else:  # itemgetter of one key returns a bare value, not a tuple
-            self.pick = lambda dist: tuple(dist[c] for c in columns)  # noqa: E731
+        self.pitch = pitch_x, pitch_y = layout.aisles
+        self.coords = xs, ys = tuple(zip(*(p.tile for p in layout.access_points)))
+        self.gaps: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+        # (on a horizontal line, bay column or row) -> the points there
+        self.bands: dict[tuple[bool, int], list[int]] = {}
+        for p, (x, y) in enumerate(zip(xs, ys)):
+            key = (True, x // pitch_x) if y % pitch_y == 0 else (False, y // pitch_y)
+            self.bands.setdefault(key, []).append(p)
+
+    def _gaps(self, axis: int, at: int) -> list[int]:
+        """|c - at| for every point's coordinate c on ``axis`` (0 is x, 1 is y)."""
+        gaps = self.gaps[axis].get(at)
+        if gaps is None:
+            gaps = self.gaps[axis][at] = [abs(c - at) for c in self.coords[axis]]
+        return gaps
 
     def __missing__(self, p: int) -> tuple[int, ...]:
-        tile = self.columns[p]
-        row = self.pick(_bfs(self.adjacency, tile))
-        for q in self.points_on[tile]:
+        xs, ys = self.coords
+        x1, y1 = xs[p], ys[p]
+        row = list(map(operator.add, self._gaps(0, x1), self._gaps(1, y1)))
+        pitch_x, pitch_y = self.pitch
+        horizontal = y1 % pitch_y == 0
+        along, across, pitch = (xs, ys, pitch_x) if horizontal else (ys, xs, pitch_y)
+        u1, v1 = along[p], across[p]
+        low = u1 - u1 % pitch
+        high = low + pitch
+        for q in self.bands[horizontal, u1 // pitch]:
+            u2, v2 = along[q], across[q]
+            if v2 != v1:
+                row[q] = abs(v2 - v1) + min(u1 + u2 - 2 * low, 2 * high - u1 - u2)
+        row = tuple(row)
+        q = -1
+        for _ in range(row.count(0)):  # distance 0 only on the source's own tile
+            q = row.index(0, q + 1)
             self[q] = row
         return row
 
 
 def build_layout(instance: WarehouseInstance) -> GridLayout:
-    """Place the bays and derive aisle tiles and access points."""
+    """Place the bays and derive the aisle pitch and access points."""
     sizes = {(bay.I, bay.J) for bay in instance.bays}
     if len(sizes) > 1:
         raise LayoutError("bays of mixed footprint cannot share the bay grid")
@@ -128,11 +143,6 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
     rows, cols = instance.warehouse_rows, instance.warehouse_cols
     width = cols * (I + 1) + 1
     length = rows * (J + 1) + 1
-
-    aisles = frozenset(
-        [(x, y) for x in range(0, width, I + 1) for y in range(length)]
-        + [(x, y) for y in range(0, length, J + 1) for x in range(width)]
-    )
 
     access_points: list[AccessPoint] = []
     for b, bay in enumerate(instance.bays):
@@ -152,67 +162,17 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
             for stack, tile in spots:
                 access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
 
-    return GridLayout(width, length, aisles, access_points)
-
-
-def _aisle_graph(aisles) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
-    """Number the aisle tiles in sorted order; list each tile's neighbours."""
-    index = {tile: a for a, tile in enumerate(sorted(aisles))}
-    adjacency = [
-        [index[nxt] for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if nxt in index]
-        for (x, y) in index
-    ]
-    return index, adjacency
-
-
-def _bfs(adjacency: list[list[int]], source: int) -> list[int]:
-    """Hop counts from ``source`` by tile index; -1 marks an unreachable tile."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    frontier = [source]
-    level = 0
-    while frontier:
-        level += 1
-        reached = []
-        for a in frontier:
-            for b in adjacency[a]:
-                if dist[b] < 0:
-                    dist[b] = level
-                    reached.append(b)
-        frontier = reached
-    return dist
+    return GridLayout(width, length, (I + 1, J + 1), access_points)
 
 
 def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     """Shortest 4-connected paths over aisle tiles between all access points.
 
     Storage tiles are never traversed; shortcuts through storage space are
-    deliberately not considered.  Rows are computed on first use, one BFS
-    per distinct access tile, and every point on that tile shares the row.
+    deliberately not considered.  Rows are computed on first use, one per
+    distinct access tile, and every point on that tile shares the row.
     """
-    points = layout.access_points
-    index, adjacency = _aisle_graph(layout.aisles)
-    off_aisle = [p.point_id for p in points if p.tile not in index]
-    if off_aisle:
-        raise LayoutError(f"access points {off_aisle} are not on aisle tiles")
-    columns = [index[p.tile] for p in points]
-
-    component: dict[int, int] = {}  # access tile -> first access tile reaching it
-    for source in columns:
-        if source not in component:
-            hops = _bfs(adjacency, source)
-            for c in columns:
-                if hops[c] >= 0:
-                    component.setdefault(c, source)
-    if len(set(component.values())) > 1:
-        unreachable = [
-            (p.point_id, q.point_id)
-            for p, cp in zip(points, columns)
-            for q, cq in zip(points, columns)
-            if component[cp] != component[cq] and p.point_id < q.point_id
-        ]
-        raise DisconnectedError(unreachable)
-    return DistanceMatrix(len(points), _RowsOnFirstUse(adjacency, columns))
+    return DistanceMatrix(len(layout.access_points), _RowsOnFirstUse(layout))
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:

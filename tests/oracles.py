@@ -57,6 +57,24 @@ def floyd_warshall(n, edges):
     return d
 
 
+def aisle_tiles(instance):
+    """Footprint tiles no bay stack covers; bay b sits at grid cell divmod(b, cols).
+
+    Each bay is ringed by one-tile aisles shared with its neighbours, so the
+    stack (i, j) of the bay at cell (r, c) is the tile (c*(I+1) + i, r*(J+1) + j).
+    """
+    I, J = instance.bays[0].I, instance.bays[0].J
+    cols = instance.warehouse_cols
+    width, length = cols * (I + 1) + 1, instance.warehouse_rows * (J + 1) + 1
+    covered = set()
+    for b in range(len(instance.bays)):
+        r, c = divmod(b, cols)
+        covered.update(
+            (c * (I + 1) + i, r * (J + 1) + j) for i in range(1, I + 1) for j in range(1, J + 1)
+        )
+    return {(x, y) for x in range(width) for y in range(length)} - covered
+
+
 def likelihood_by_sum(p_bar):
     """Literal mean of 1 - p/p_bar over p = 1..p_bar, as an exact fraction."""
     total = sum(Fraction(p_bar - p, p_bar) for p in range(1, p_bar + 1))

@@ -307,9 +307,10 @@ def test_c08_distance_matrix_against_floyd_warshall():
     checked = 0
     for bay_side in (1, 2, 3):
         for wh_side in (1, 2, 3):
-            layout = build_layout(_empty_layout_instance(bay_side, wh_side))
+            instance = _empty_layout_instance(bay_side, wh_side)
+            layout = build_layout(instance)
             matrix = all_pairs_distances(layout)
-            tiles = sorted(layout.aisles)
+            tiles = sorted(oracles.aisle_tiles(instance))
             index = {tile: a for a, tile in enumerate(tiles)}
             edges = [
                 (index[(x, y)], index[nxt])

@@ -99,6 +99,18 @@ def test_ub_from_is_exact_only(instance_path, tmp_path, capsys):
     assert "--ub-from only applies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", [True, False])
+def test_ub_from_with_astar_fails_before_the_instance_is_read(instance_path, tmp_path, capsys,
+                                                              missing):
+    infile = tmp_path / "missing.json" if missing else instance_path
+    with mock.patch.object(cli.pipeline, "prepare", wraps=cli.pipeline.prepare) as prepare:
+        code, out = _solve(infile, tmp_path, "astar", "--ub-from", str(tmp_path / "ub.json"))
+    assert code == cli.EXIT_USAGE
+    assert "--ub-from only applies" in capsys.readouterr().err
+    prepare.assert_not_called()
+    assert not out.exists()
+
+
 def test_missing_inputs_exit_3(tmp_path, capsys):
     ghost = str(tmp_path / "missing.json")
     assert cli.main(["solve", "--algo", "astar", "--in", ghost, "-o", ghost]) \

@@ -3,17 +3,14 @@ import io
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from premarshal import layout as layout_module
 from premarshal import pipeline, verify
 from premarshal.generate import GenConfig, generate
 from premarshal.layout import (
-    AccessPoint,
-    DisconnectedError,
     DistanceMatrix,
-    GridLayout,
     LayoutError,
     all_pairs_distances,
     build_layout,
@@ -61,9 +58,11 @@ def test_point_ordering_and_adjacency():
     # x0 = 4c, y0 = 4r for (r, c) = divmod(b, cols), and its stack (i, j)
     # is the tile (x0 + i, y0 + j).
     for rows, cols in ((1, 1), (2, 3)):
-        layout = build_layout(_instance((3, 3), rows, cols))
+        instance = _instance((3, 3), rows, cols)
+        layout = build_layout(instance)
+        aisles = oracles.aisle_tiles(instance)
         for p in layout.access_points:
-            assert p.tile in layout.aisles
+            assert p.tile in aisles
             r, c = divmod(p.bay, cols)
             sx, sy = 4 * c + p.stack[0], 4 * r + p.stack[1]
             assert abs(p.tile[0] - sx) + abs(p.tile[1] - sy) == 1
@@ -100,8 +99,8 @@ def test_matrix_basics():
     assert m.between(0, 2) == 2
 
 
-def _aisle_graph(layout):
-    tiles = sorted(layout.aisles)
+def _aisle_graph(instance):
+    tiles = sorted(oracles.aisle_tiles(instance))
     index = {t: a for a, t in enumerate(tiles)}
     edges = []
     for (x, y) in tiles:
@@ -113,9 +112,10 @@ def _aisle_graph(layout):
 
 @pytest.mark.parametrize("shape,wh", [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((4, 4), (2, 1))])
 def test_bfs_matches_floyd_warshall(shape, wh):
-    layout = build_layout(_instance(shape, *wh))
+    instance = _instance(shape, *wh)
+    layout = build_layout(instance)
     matrix = all_pairs_distances(layout)
-    tiles, index, edges = _aisle_graph(layout)
+    tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
     for p in layout.access_points:
         for q in layout.access_points:
@@ -123,21 +123,30 @@ def test_bfs_matches_floyd_warshall(shape, wh):
 
 
 @st.composite
-def _layouts(draw):
+def _instances(draw):
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     sides = draw(st.lists(
         st.sets(st.sampled_from("NESW"), min_size=1).map("".join),
         min_size=rows * cols, max_size=rows * cols,
     ))
-    return build_layout(_instance(shape, rows, cols, sides))
+    return _instance(shape, rows, cols, sides)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_layouts())
-def test_distances_equal_floyd_warshall_on_random_layouts(layout):
+@given(_instances())
+# Two tiles on different lines of one bay column (row) leave by the nearer
+# side aisle: 1-wide and 1-deep bays tie, single-side and N+S-only bays
+# have a near end on either side.
+@example(_instance((1, 4), 2, 2))
+@example(_instance((4, 1), 2, 2))
+@example(_instance((3, 2), 3, 2, "N"))
+@example(_instance((2, 3), 2, 3, "W"))
+@example(_instance((4, 3), 3, 2, "NS"))
+def test_distances_equal_floyd_warshall_on_random_layouts(instance):
+    layout = build_layout(instance)
     matrix = all_pairs_distances(layout)
-    tiles, index, edges = _aisle_graph(layout)
+    tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
     points = layout.access_points
     assert matrix.n == len(points)
@@ -149,39 +158,51 @@ def test_distances_equal_floyd_warshall_on_random_layouts(layout):
                 assert matrix.d[q.point_id] == matrix.d[p.point_id]
 
 
+def _counting_row_builds(built):
+    """Patch the lazy rows so that each row built appends its point to ``built``."""
+    build = layout_module._RowsOnFirstUse.__missing__
+
+    def counted(rows, p):
+        built.append(p)
+        return build(rows, p)
+
+    return mock.patch.object(layout_module._RowsOnFirstUse, "__missing__", counted)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_layouts(), st.randoms(use_true_random=False))
-def test_rows_on_first_use_equal_the_eager_rows(layout, rng):
-    """Asked in any order, every distance is the oracle's, each tile's BFS runs once."""
-    tiles, index, edges = _aisle_graph(layout)
+@given(_instances(), st.randoms(use_true_random=False))
+def test_rows_on_first_use_equal_the_eager_rows(instance, rng):
+    """Asked in any order, every distance is the oracle's, each tile's row is built once."""
+    layout = build_layout(instance)
+    tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
     points = layout.access_points
     pairs = [(p, q) for p in points for q in points]
     rng.shuffle(pairs)
-    with mock.patch.object(layout_module, "_bfs", wraps=layout_module._bfs) as bfs:
+    built = []
+    with _counting_row_builds(built):
         matrix = all_pairs_distances(layout)
-        assert bfs.call_count == 1  # the labelling of a connected layout
+        assert built == []
         for p, q in pairs:
             assert matrix.between(p.point_id, q.point_id) == oracle[index[p.tile]][index[q.tile]]
-    sources = [args[1] for args, _ in bfs.call_args_list[1:]]
-    assert sorted(sources) == sorted({index[p.tile] for p in points})
+    assert sorted(points[p].tile for p in built) == sorted({p.tile for p in points})
+    for p in points:
+        for q in points:
+            if q.tile == p.tile:
+                assert matrix.rows[q.point_id] is matrix.rows[p.point_id]
 
-    _, adjacency = layout_module._aisle_graph(layout.aisles)
-    columns = [index[p.tile] for p in points]
-    eager = tuple(
-        tuple(layout_module._bfs(adjacency, index[p.tile])[c] for c in columns)
-        for p in points
-    )
+    eager = tuple(tuple(oracle[index[p.tile]][index[q.tile]] for q in points) for p in points)
     assert matrix.d == eager
 
 
-def test_replaying_a_sorted_plan_runs_only_the_connectivity_searches():
+def test_a_sorted_replay_builds_no_distance_row():
     instance = generate(GenConfig(bay=(3, 3), warehouse=(12, 12), fill=0.6, groups=10, seed=1))
     result, prepared = pipeline.solve_instance(instance, "astar")
     assert result.k == 0
-    with mock.patch.object(layout_module, "_bfs", wraps=layout_module._bfs) as bfs:
+    built = []
+    with _counting_row_builds(built):
         assert verify.replay(instance, prepared.assignments, result).ok
-    assert bfs.call_count == 1  # the labelling
+    assert built == []
 
 
 def test_csv_of_a_large_instance_is_pinned():
@@ -204,36 +225,6 @@ def test_triangle_inequality():
         for b in range(n):
             for c in range(n):
                 assert m.between(a, c) <= m.between(a, b) + m.between(b, c)
-
-
-def test_disconnected_pairs_reported():
-    # hand-built layout: two isolated aisle tiles, each carrying one point
-    layout = GridLayout(
-        width=3,
-        length=1,
-        aisles=frozenset({(0, 0), (2, 0)}),
-        access_points=[
-            AccessPoint(0, (0, 0), 0, (1, 1), "W"),
-            AccessPoint(1, (2, 0), 0, (1, 1), "E"),
-        ],
-    )
-    with pytest.raises(DisconnectedError) as err:
-        all_pairs_distances(layout)
-    assert err.value.pairs == [(0, 1)]
-
-
-def test_access_point_off_the_aisles_rejected():
-    layout = GridLayout(
-        width=2,
-        length=1,
-        aisles=frozenset({(0, 0)}),
-        access_points=[
-            AccessPoint(0, (0, 0), 0, (1, 1), "W"),
-            AccessPoint(1, (1, 0), 0, (1, 1), "E"),
-        ],
-    )
-    with pytest.raises(LayoutError, match=r"\[1\] are not on aisle tiles"):
-        all_pairs_distances(layout)
 
 
 def test_csv_export():
