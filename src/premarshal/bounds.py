@@ -104,16 +104,14 @@ is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import add, gt, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import LaneConfiguration, Move, non_increasing_prefix_len
 
 
-@dataclass(frozen=True)
-class LaneProfile:
+class LaneProfile(NamedTuple):
     """Per-lane summary feeding the supply-and-demand model.
 
     ``prefix_groups`` keeps the sorted prefix in deepest-first order; the
@@ -124,7 +122,7 @@ class LaneProfile:
     threshold: int
     blocking_suffix: tuple[int, ...]
     free_after_clear: int
-    prefix_groups: tuple[int, ...] = ()
+    prefix_groups: tuple[int, ...]
 
 
 def lane_profile(contents: tuple[int, ...], capacity: int, groups: int) -> LaneProfile:
@@ -133,13 +131,8 @@ def lane_profile(contents: tuple[int, ...], capacity: int, groups: int) -> LaneP
     left once the blockers are gone."""
     prefix = non_increasing_prefix_len(contents)
     threshold = contents[prefix - 1] if prefix else groups
-    return LaneProfile(
-        prefix_len=prefix,
-        threshold=threshold,
-        blocking_suffix=tuple(sorted(contents[prefix:])),
-        free_after_clear=capacity - prefix,
-        prefix_groups=tuple(contents[:prefix]),
-    )
+    return LaneProfile(prefix, threshold, tuple(sorted(contents[prefix:])), capacity - prefix,
+                       tuple(contents[:prefix]))
 
 
 def lane_change(old: LaneProfile, contents: tuple[int, ...], capacity: int,

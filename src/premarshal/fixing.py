@@ -55,6 +55,15 @@ a choice whose spent cost exceeds the optimum before it asks for its cost
 to go, which the memo may lack.  The unpruned walk rejects the same
 choices, so the assignments and their order are unchanged.
 
+Each assignment the walk yields carries its lanes.  At a leaf it holds
+every row's (alpha, eps) and every north-band column's split, so one pass
+draws the direction rows and cuts the lanes from the grid's lines; a lane
+the walk reaches is hole-free and on an open side, so its loads are the
+non-empty cells of its slice.  ``select_assignment`` reads its bounds off
+those lanes and preprocessing numbers them as they are, while
+``induced_lanes`` derives the lanes again from the direction strings,
+checking them, for replay (``to_virtual_lanes``).
+
 The instance generator asks only whether that cost is finite, and
 ``has_hole_free_assignment`` answers without building a cost table:
 
@@ -83,10 +92,12 @@ The instance generator asks only whether that cost is finite, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bounds
 from .model import BaySpec, LaneConfiguration, WarehouseInstance, blocking_of
@@ -96,24 +107,7 @@ class InfeasibleAssignment(Exception):
     """No hole-free direction assignment exists for the bay."""
 
 
-@dataclass(frozen=True)
-class AccessAssignment:
-    """Direction of every stack of one bay, as row strings.
-
-    ``rows[j-1][i-1]`` is the side ("N", "E", "S" or "W") serving stack
-    (i, j); ``misplaced`` is the number of blocking loads the induced lanes
-    carry.
-    """
-
-    rows: tuple[str, ...]
-    misplaced: int
-
-    def direction(self, i: int, j: int) -> str:
-        return self.rows[j - 1][i - 1]
-
-
-@dataclass(frozen=True)
-class InducedLane:
+class InducedLane(NamedTuple):
     """One lane of an assignment: its side, front stack, slot count and
     groups, deepest first."""
 
@@ -121,6 +115,25 @@ class InducedLane:
     front: tuple[int, int]
     capacity: int
     contents: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class AccessAssignment:
+    """Direction of every stack of one bay, as row strings.
+
+    ``rows[j-1][i-1]`` is the side ("N", "E", "S" or "W") serving stack
+    (i, j); ``misplaced`` is the number of blocking loads the induced lanes
+    carry.  ``lanes`` holds those lanes on an assignment that
+    ``optimal_assignments`` built, and None on one built from its rows
+    alone; it takes no part in equality or the repr.
+    """
+
+    rows: tuple[str, ...]
+    misplaced: int
+    lanes: tuple[InducedLane, ...] | None = field(default=None, compare=False, repr=False)
+
+    def direction(self, i: int, j: int) -> str:
+        return self.rows[j - 1][i - 1]
 
 
 def _grid(bay: BaySpec) -> list[list[int]]:
@@ -236,6 +249,16 @@ class _MaskSums(dict):
         return total
 
 
+@functools.cache
+def _row_splits(I: int) -> tuple[tuple[int, int, int], ...]:
+    """(alpha, eps, mask of the horizontal cells) of every split of a row of
+    ``I`` cells into alpha W cells, vertical cells and eps E cells, alpha
+    ascending, then eps ascending."""
+    full = (1 << I) - 1
+    return tuple((alpha, eps, ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1)))
+                 for alpha in range(I + 1) for eps in range(I - alpha + 1))
+
+
 class _BayTables:
     """Per-bay lane-cost tables plus the memoized row DP over column masks.
 
@@ -244,8 +267,8 @@ class _BayTables:
     """
 
     def __init__(self, bay: BaySpec):
-        grid = _grid(bay)
-        columns = list(zip(*grid))
+        grid = self.grid = _grid(bay)
+        columns = self.columns = list(zip(*grid))
         sides = bay.access_sides
         I, J = self.I, self.J = bay.I, bay.J
         # wcost[j][a]: W lane over the first a cells of row j; a = 0 means no lane.
@@ -265,23 +288,24 @@ class _BayTables:
         self.split_best = [min(per_c) for per_c in self.split_cost]
 
         # choices[j]: (alpha, eps, W and E lane cost, mask of the horizontal
-        # cells) for every pair of row-j lanes without a hole, alpha
-        # ascending, then eps ascending.
+        # cells) for every pair of row-j lanes without a hole, in the order
+        # of ``_row_splits``.
         self.full = (1 << I) - 1
-        self.choices = []
-        for j in range(J):
-            row = []
-            for alpha, wc in enumerate(wcost[j]):
-                for eps in range(I - alpha + 1):
-                    ec = ecost[j][eps]
-                    if wc is not None and ec is not None:
-                        east = self.full ^ ((1 << (I - eps)) - 1)
-                        row.append((alpha, eps, wc + ec, ((1 << alpha) - 1) | east))
-            self.choices.append(row)
+        self.choices = [
+            [(alpha, eps, wc[alpha] + ec[eps], mask) for alpha, eps, mask in _row_splits(I)
+             if wc[alpha] is not None and ec[eps] is not None]
+            for wc, ec in zip(wcost, ecost)
+        ]
         # nbad[j]: columns whose north band cannot end above row j;
         # sbad[j]: columns whose south band cannot start at row j.
-        self.nbad = [sum(1 << i for i in range(I) if ncost[i][j] is None) for j in range(J)]
-        self.sbad = [sum(1 << i for i in range(I) if scost[i][j] is None) for j in range(J)]
+        nbad, sbad = [0] * J, [0] * J
+        for i, (nc, sc) in enumerate(zip(ncost, scost)):
+            for j in range(J):
+                if nc[j] is None:
+                    nbad[j] |= 1 << i
+                if sc[j] is None:
+                    sbad[j] |= 1 << i
+        self.nbad, self.sbad = nbad, sbad
         # Band costs per (row, column mask) and the terminal cost per mask of
         # columns left in the north band, summed on first use: a table of
         # 2^I entries would not pay on the wide bays ``--unrestricted`` admits.
@@ -325,19 +349,41 @@ class _BayTables:
         return best
 
 
-def _directions(tables: _BayTables, row_splits, col_splits) -> tuple[str, ...]:
-    """Materialize the direction grid from per-row (alpha, eps) and splits."""
-    I, J = tables.I, tables.J
-    grid = [["W"] * alpha + [""] * (I - alpha - eps) + ["E"] * eps for alpha, eps in row_splits]
-    for i in range(I):
-        horizontal = [j for j in range(J) if grid[j][i]]
-        # N above the horizontal band and S below it, or the full-column split.
-        north, south = (horizontal[0], horizontal[-1] + 1) if horizontal else (col_splits[i],) * 2
-        for j in range(north):
-            grid[j][i] = "N"
-        for j in range(south, J):
-            grid[j][i] = "S"
-    return tuple(map("".join, grid))
+def _assignment(tables: _BayTables, row_splits, col_splits, misplaced: int) -> AccessAssignment:
+    """The assignment of per-row (alpha, eps) and per-column splits, with its lanes.
+
+    A column's vertical cells are N above its horizontal band and S below
+    it, or split at ``col_splits[i]`` when it has none.  Each lane is a
+    slice of a grid line read deepest first; the walk reaches only lanes
+    without a hole, so its loads are the slice's non-empty cells.
+    """
+    I, J, grid = tables.I, tables.J, tables.grid
+    lanes = []
+    north, south = list(col_splits), list(col_splits)
+    banded = 0  # columns whose horizontal band has started
+    for j, (alpha, eps) in enumerate(row_splits):
+        row = grid[j]
+        if alpha:
+            west = row[alpha - 1::-1]
+            lanes.append(InducedLane("W", (1, j + 1), alpha, tuple(filter(None, west))))
+        if eps:
+            lanes.append(InducedLane("E", (I, j + 1), eps, tuple(filter(None, row[I - eps:]))))
+        for i in itertools.chain(range(alpha), range(I - eps, I)):
+            if not banded >> i & 1:
+                banded |= 1 << i
+                north[i] = j
+            south[i] = j + 1
+    for i, (n, s, col) in enumerate(zip(north, south, tables.columns)):
+        if n:
+            lanes.append(InducedLane("N", (i + 1, 1), n, tuple(filter(None, col[n - 1::-1]))))
+        if s < J:
+            lanes.append(InducedLane("S", (i + 1, J), J - s, tuple(filter(None, col[s:]))))
+    rows = tuple(
+        "W" * alpha + "".join("N" if j < north[i] else "S" for i in range(alpha, I - eps))
+        + "E" * eps
+        for j, (alpha, eps) in enumerate(row_splits)
+    )
+    return AccessAssignment(rows, misplaced, tuple(lanes))
 
 
 def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignment]:
@@ -385,7 +431,7 @@ def _walk(
             for i in range(tables.I)
         ]
         for col_splits in itertools.product(*splits):
-            yield AccessAssignment(_directions(tables, row_splits, col_splits), opt)
+            yield _assignment(tables, row_splits, col_splits, opt)
         return
     for alpha, eps, added, new_state in tables.row_choices(j, state):
         if spent + added > opt:  # its cost to go may not be memoised
@@ -396,18 +442,17 @@ def _walk(
             row_splits.pop()
 
 
-def _bay_config(bay: BaySpec, lanes: list[InducedLane]) -> LaneConfiguration:
+def _bay_config(bay: BaySpec, lanes: Iterable[InducedLane]) -> LaneConfiguration:
     """A stand-alone lane configuration of one bay's lanes (placeholder point ids)."""
     return LaneConfiguration.build([(0, lane.capacity, lane.contents) for lane in lanes], bay.G)
 
 
-def select_assignment(
-    candidates: Iterable[AccessAssignment], bay: BaySpec,
-) -> tuple[AccessAssignment, list[InducedLane]]:
+def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> AccessAssignment:
     """Pick the candidate with the smallest lower bound h; first found wins ties.
 
-    Returns the candidate with the lanes built for its bound, which
-    ``number_lanes`` takes as they are.
+    The candidates carry their lanes, as those of ``optimal_assignments``
+    do; the bound is read off them, and ``number_lanes`` takes the chosen
+    one's as they are.
 
     The candidates must share one ``misplaced``, as those of one
     ``optimal_assignments`` call do; the floor is the first one's, and a
@@ -416,26 +461,28 @@ def select_assignment(
     ``misplaced`` is the blocking count BX of its lanes, and h = BX + GX
     with GX >= 0, so no candidate's h is below the floor.  A candidate that
     reaches it cannot be beaten, and as the first one found it also wins
-    every tie.  Candidates are read one at a time, so when they come from
-    ``optimal_assignments`` the ones after the stop are never built: on a
-    bay whose first candidate has no covering term (GX = 0), one assignment
-    is built and one bound evaluated.
+    every tie.  At a floor of 0 the first candidate has no blocker, so no
+    demand and GX = 0: it wins with no bound evaluated.  Candidates are
+    read one at a time, so when they come from ``optimal_assignments`` the
+    ones after the stop are never built: on a bay whose first candidate has
+    no covering term (GX = 0), one assignment is built.
     """
     best = None
     for cand in candidates:
         if best is None:
             floor = cand.misplaced
+            if not floor:
+                return cand
         elif cand.misplaced != floor:
             raise ValueError("candidate assignments differ in their misplaced count")
-        lanes = induced_lanes(bay, cand)
-        h = bounds.lb(_bay_config(bay, lanes))
+        h = bounds.lb(_bay_config(bay, cand.lanes))
         if best is None or h < best_h:
-            best, best_h, best_lanes = cand, h, lanes
+            best, best_h = cand, h
             if h == floor:
                 break
     if best is None:
         raise ValueError("no candidate assignments")
-    return best, best_lanes
+    return best
 
 
 def _reach(loaded_front_to_deep, open_side: bool) -> int:

@@ -65,8 +65,6 @@ class AccessPoint(NamedTuple):
 
 @dataclass
 class GridLayout:
-    width: int
-    length: int
     aisles: tuple[int, int]  # the pitch (I+1, J+1) of the aisle lines
     access_points: list[AccessPoint]
 
@@ -140,9 +138,7 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
     if len(sizes) > 1:
         raise LayoutError("bays of mixed footprint cannot share the bay grid")
     I, J = sizes.pop()
-    rows, cols = instance.warehouse_rows, instance.warehouse_cols
-    width = cols * (I + 1) + 1
-    length = rows * (J + 1) + 1
+    cols = instance.warehouse_cols
 
     access_points: list[AccessPoint] = []
     for b, bay in enumerate(instance.bays):
@@ -162,7 +158,7 @@ def build_layout(instance: WarehouseInstance) -> GridLayout:
             for stack, tile in spots:
                 access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
 
-    return GridLayout(width, length, (I + 1, J + 1), access_points)
+    return GridLayout((I + 1, J + 1), access_points)
 
 
 def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:

@@ -13,12 +13,15 @@ contents, the tuples of access points and capacities, which no move
 changes and every state of an instance shares, and the cached blocking
 count.  The contents tuple is its own memo key (``state_key``).  A
 ``Move`` names lanes by 1-based id; the state's tuples index them from 0.
+Both are named tuples: immutable, hashable and equal by value like a frozen
+dataclass, but built in well under half the time, and the searches build
+one of each per child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 SIDES = ("N", "E", "S", "W")
 
@@ -49,8 +52,7 @@ def blocking_of(contents: Sequence[int]) -> int:
     return len(contents) - non_increasing_prefix_len(contents)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """Relocation of one load between two lanes.
 
     ``from_pos`` is the 1-based position vacated (the front-most occupied
@@ -66,8 +68,7 @@ class Move:
     distance: int
 
 
-@dataclass(frozen=True)
-class LaneConfiguration:
+class LaneConfiguration(NamedTuple):
     """One search state: the contents of every lane plus cached counts.
 
     Lane id i (1-based, as in ``Move``) is index i - 1 of every tuple.

@@ -28,13 +28,11 @@ def prepare(instance: WarehouseInstance) -> Prepared:
     started = time.perf_counter()
     layout = build_layout(instance)
     dmat = all_pairs_distances(layout)
-    assignments, bay_lanes = [], []
-    for bay in instance.bays:
-        candidates = fixing.optimal_assignments(bay, limit=ASSIGNMENT_CANDIDATES)
-        assignment, lanes = fixing.select_assignment(candidates, bay)
-        assignments.append(assignment)
-        bay_lanes.append(lanes)
-    config = fixing.number_lanes(bay_lanes, layout, instance.groups)
+    assignments = [
+        fixing.select_assignment(fixing.optimal_assignments(bay, limit=ASSIGNMENT_CANDIDATES), bay)
+        for bay in instance.bays
+    ]
+    config = fixing.number_lanes([a.lanes for a in assignments], layout, instance.groups)
     return Prepared(
         dmat=dmat,
         assignments=assignments,

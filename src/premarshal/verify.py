@@ -5,10 +5,11 @@ instance and the assignments with the same code as preprocessing
 (``build_layout``, ``all_pairs_distances``, ``number_lanes``) and applies
 moves with the core move semantics of ``model``; it shares no search or
 bound code with the solvers, so it can serve as a differential-test
-reference for them, not for those shared layers.  Replay builds its lanes
-from the assignments through ``to_virtual_lanes``, while preprocessing
-numbers the lanes that ``select_assignment`` built for its bound, so replay
-does not depend on what selection kept.  A claimed move's access points are
+reference for them, not for those shared layers.  Preprocessing numbers
+the lanes that the fixing walk built with each candidate assignment, while
+replay derives them separately, from the assignments' direction strings
+through ``to_virtual_lanes``, so it does not depend on what the walk or
+selection kept.  A claimed move's access points are
 checked against the rebuilt configuration's ``points``.  Distance rows are
 computed only for the access points the claimed moves touch.
 """

@@ -458,10 +458,12 @@ def store_every_child_astar(root, dmat, depth_correction=False):
 def unpruned_assignments(bay, limit):
     """``fixing.optimal_assignments`` with a DP and walk that cost every row choice.
 
-    Runs on the package's cost tables (``_BayTables``, its ``row_choices``
-    and ``_directions``) and memoises the minimum over all valid choices of
-    a row, with no choice skipped by the best found so far.  Returns the
-    list, or raises ``InfeasibleAssignment`` with the package's message.
+    Runs on the package's cost tables (``_BayTables`` and its
+    ``row_choices``) and memoises the minimum over all valid choices of a
+    row, with no choice skipped by the best found so far.  The direction
+    rows are drawn here, cell by cell, from the row and column splits.
+    Returns the list, or raises ``InfeasibleAssignment`` with the package's
+    message.
     """
     tables = fixing._BayTables(bay)
     memo = {}
@@ -486,8 +488,7 @@ def unpruned_assignments(bay, limit):
                 for i in range(tables.I)
             ]
             for col_splits in itertools.product(*splits):
-                yield fixing.AccessAssignment(
-                    fixing._directions(tables, row_splits, col_splits), best)
+                yield fixing.AccessAssignment(_directions(row_splits, col_splits), best)
             return
         for alpha, eps, added, new in tables.row_choices(j, state):
             if spent + added + cost(j + 1, new) == best:
@@ -501,6 +502,21 @@ def unpruned_assignments(bay, limit):
         )
     best = int(best)
     return list(itertools.islice(walk(0, (0, 0), 0, []), 1 if bay.load_count == 0 else limit))
+
+
+def _directions(row_splits, col_splits):
+    """Direction rows of per-row (alpha, eps) and per-column splits: N above a
+    column's horizontal band and S below it, or split at ``col_splits[i]``
+    when the column has no horizontal cell."""
+    I = len(col_splits)
+    grid = [["W"] * alpha + [""] * (I - alpha - eps) + ["E"] * eps for alpha, eps in row_splits]
+    for i in range(I):
+        horizontal = [j for j, row in enumerate(grid) if row[i]]
+        north, south = (horizontal[0], horizontal[-1] + 1) if horizontal else (col_splits[i],) * 2
+        for j, row in enumerate(grid):
+            if not row[i]:
+                row[i] = "N" if j < north else "S"
+    return tuple(map("".join, grid))
 
 
 def full_scan_select(candidates, bay):

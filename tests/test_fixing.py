@@ -280,11 +280,11 @@ def test_select_assignment_minimizes_h():
             cands = list(fixing.optimal_assignments(bay, limit=10))
         except fixing.InfeasibleAssignment:
             continue
-        chosen, lanes = fixing.select_assignment(cands, bay)
+        chosen = fixing.select_assignment(cands, bay)
         scores = [_h(bay, c) for c in cands]
         assert _h(bay, chosen) == min(scores)
         assert chosen is cands[scores.index(min(scores))]
-        assert lanes == fixing.induced_lanes(bay, chosen)
+        assert list(chosen.lanes) == fixing.induced_lanes(bay, chosen)
 
 
 @st.composite
@@ -313,10 +313,13 @@ def test_select_stops_at_the_first_candidate_on_the_floor(drawn):
     assert all(h >= floor for h in hs)
     first = next((n for n, h in enumerate(hs) if h == floor), None)
 
-    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
-        chosen, _lanes = fixing.select_assignment(cands, bay)
+    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb, \
+            mock.patch.object(fixing, "_bay_config", wraps=fixing._bay_config) as configs:
+        chosen = fixing.select_assignment(cands, bay)
     assert chosen is oracles.full_scan_select(cands, bay)
-    assert lb.call_count == (len(cands) if first is None else first + 1)
+    # At a floor of 0 the first candidate is on it, with no bound evaluated.
+    read = 0 if floor == 0 else len(cands) if first is None else first + 1
+    assert lb.call_count == configs.call_count == read
 
 
 def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
@@ -325,7 +328,7 @@ def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
     cands = list(fixing.optimal_assignments(bay, limit=10))
     assert [_h(bay, c) for c in cands] == [2, 1] * 4
     with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
-        chosen, _lanes = fixing.select_assignment(cands, bay)
+        chosen = fixing.select_assignment(cands, bay)
     assert chosen is cands[1] is oracles.full_scan_select(cands, bay)
     assert lb.call_count == 2
 
@@ -336,9 +339,33 @@ def test_select_builds_only_the_candidates_it_reads():
     steps = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
     for bay, built in ((uniform, 1), (steps, 2)):
         assert len(list(fixing.optimal_assignments(bay, limit=10))) > built
-        with mock.patch.object(fixing, "_directions", wraps=fixing._directions) as directions:
+        with mock.patch.object(fixing, "_assignment", wraps=fixing._assignment) as assignment:
             fixing.select_assignment(fixing.optimal_assignments(bay, limit=10), bay)
-        assert directions.call_count == built
+        assert assignment.call_count == built
+
+
+@st.composite
+def _assignable_bays(draw):
+    """A generated bay of 1..6 by 1..6 cells; empty and full ones are drawn often."""
+    I, J = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sides = frozenset(draw(st.sets(st.sampled_from("NESW"), min_size=1)))
+    loads = draw(st.one_of(st.just(0), st.just(I * J), st.integers(0, I * J)))
+    try:
+        return generate._generate_bay(draw(st.integers(0, 2**32)), I, J, sides,
+                                      draw(st.integers(2, 6)), loads)
+    except generate.GenerationFailed:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignable_bays())
+def test_every_candidate_carries_its_induced_lanes(bay):
+    """The walk's lanes are the ones replay derives from the direction rows."""
+    for cand in fixing.optimal_assignments(bay, 10):
+        carried = {(lane.side, lane.front): lane for lane in cand.lanes}
+        assert len(carried) == len(cand.lanes)
+        derived = fixing.induced_lanes(bay, cand)
+        assert carried == {(lane.side, lane.front): lane for lane in derived}
 
 
 def test_an_abandoned_enumeration_frees_its_tables():
@@ -362,16 +389,37 @@ def test_an_abandoned_enumeration_frees_its_tables():
             gc.enable()
 
 
+def _candidate(bay, rows, misplaced):
+    """An assignment of ``rows`` claiming ``misplaced``, carrying its lanes."""
+    lanes = fixing.induced_lanes(bay, fixing.AccessAssignment(rows, misplaced))
+    return fixing.AccessAssignment(rows, misplaced, tuple(lanes))
+
+
 def test_select_rejects_candidates_off_one_floor():
     """The early stop is sound only when every candidate has one ``misplaced``."""
-    bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
-    # Both read: the first one's h of 2 is above either misplaced count.
-    pair = [fixing.AccessAssignment(("EEE", "EEE"), 1), fixing.AccessAssignment(("EEE", "WEE"), 0)]
+    bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 3, (2, 2): 1, (3, 1): 4, (3, 2): 4},
+               frozenset("EW"), G=4)
+    # Both read: the first one's h of 4 or 5 is above either misplaced count.
+    pair = [_candidate(bay, ("WEE", "EEE"), 1), _candidate(bay, ("EEE", "EEE"), 2)]
+    assert [_h(bay, c) for c in pair] == [4, 5]
     for cands in (pair, pair[::-1]):
         with pytest.raises(ValueError, match="misplaced"):
             fixing.select_assignment(cands, bay)
     with pytest.raises(ValueError, match="no candidate"):
         fixing.select_assignment(iter(()), bay)
+
+
+def test_select_reads_nothing_past_a_first_candidate_of_floor_0():
+    bay = _bay(3, 1, {(1, 1): 1, (2, 1): 2}, frozenset("EW"), G=4)
+    first = next(fixing.optimal_assignments(bay, 10))
+    assert first.misplaced == 0
+
+    def candidates():
+        yield first
+        raise AssertionError("a candidate after one of floor 0 was read")
+
+    with mock.patch.object(bounds, "lb", side_effect=AssertionError("bound evaluated")):
+        assert fixing.select_assignment(candidates(), bay) is first
 
 
 # sha256 of the JSON of [c.rows for c in optimal_assignments(bay, 10)] per
@@ -403,7 +451,7 @@ def test_to_virtual_lanes_and_round_trip():
     bay = _bay(3, 3, occ)
     inst = WarehouseInstance(bays=(bay,), warehouse_rows=1, warehouse_cols=1, meta={})
     layout = build_layout(inst)
-    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)[0]]
+    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)]
     config = fixing.to_virtual_lanes(inst, assignments, layout)
     assert sum(config.capacities) == 9
     aps = list(config.points)
@@ -417,7 +465,7 @@ def test_numbered_lanes_hold_each_generated_bays_loads():
         bay=(4, 4), warehouse=(2, 2), fill=0.9, groups=10, seed=8,
     ))
     layout = build_layout(inst)
-    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)[0]
+    assignments = [fixing.select_assignment(fixing.optimal_assignments(bay, 10), bay)
                    for bay in inst.bays]
     config = fixing.to_virtual_lanes(inst, assignments, layout)
     want = {(b, i, j): g for b, bay in enumerate(inst.bays)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import FakeDmat, make_config
+from premarshal import bounds, fixing
 from premarshal.model import (
     IllegalMove,
     LaneConfiguration,
@@ -132,6 +133,38 @@ def test_apply_move_rejects_stale_positions():
         apply_move(config, bad)
     with pytest.raises(IllegalMove):
         apply_move(config, Move(from_lane=2, to_lane=1, from_pos=1, to_pos=2, distance=0))
+
+
+# The value types built per lane or per child: a maker of one value and a field.
+VALUE_TYPES = {
+    "Move": (lambda: Move(1, 2, 3, 1, 7), "distance"),
+    "LaneConfiguration": (lambda: make_config([(2, (1,), 0), (2, (), 1)], groups=1), "contents"),
+    "LaneProfile": (lambda: bounds.lane_profile((3, 1, 2), 4, 3), "threshold"),
+    "InducedLane": (lambda: fixing.InducedLane("W", (1, 2), 3, (2, 1)), "contents"),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_TYPES))
+def test_value_types_are_immutable_hashable_and_equal_by_value(kind):
+    make, field = VALUE_TYPES[kind]
+    value, twin = make(), make()
+    assert type(value).__name__ == kind
+    assert value == twin and value is not twin
+    assert hash(value) == hash(twin) and len({value, twin}) == 1
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert value == twin
+
+
+def test_move_repr_names_every_field():
+    """``IllegalMove`` messages embed it."""
+    move = Move(from_lane=1, to_lane=9, from_pos=3, to_pos=1, distance=7)
+    assert repr(move) == "Move(from_lane=1, to_lane=9, from_pos=3, to_pos=1, distance=7)"
+    config = make_config([(2, (1,), 0), (2, (), 1)], groups=1)
+    with pytest.raises(IllegalMove, match=r"unknown lane in Move\(from_lane=1, to_lane=9, "):
+        apply_move(config, move)
 
 
 def test_state_key_distinguishes_lanes():

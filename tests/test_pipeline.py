@@ -34,11 +34,14 @@ def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
 
 
 def test_prepare_builds_each_bays_lanes_once():
-    """Selection's lanes are numbered as built; replay's rebuild gives the same lanes."""
-    instance = generate(GenConfig(bay=(3, 3), warehouse=(3, 3), fill=0.6, groups=10, seed=1))
+    """The walk's lanes are numbered as built; replay's rebuild from the
+    direction rows gives the same lanes."""
+    # Two bays of floor 0 and two of floor 1, whose bounds selection reads.
+    instance = generate(GenConfig(bay=(4, 4), warehouse=(2, 2), fill=0.9, groups=10, seed=1))
     with mock.patch.object(fixing, "induced_lanes", wraps=fixing.induced_lanes) as built:
         prepared = prepare(instance)
-    assert built.call_count == len(instance.bays)
+    assert not built.called
+    assert [a.misplaced for a in prepared.assignments] == [1, 0, 1, 0]
     rebuilt = fixing.to_virtual_lanes(instance, prepared.assignments, build_layout(instance))
     assert rebuilt == prepared.config
 
