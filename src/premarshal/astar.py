@@ -79,7 +79,6 @@ def solve_astar(
     config: LaneConfiguration,
     dmat,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    depth_correction: bool = False,
 ):
     """Solve for the minimal move count; Solution, TimedOut or Infeasible.
 
@@ -148,7 +147,7 @@ def solve_astar(
                 return TimedOut(stats)
             groups, above = listed
             if groups:
-                moves = legal_moves(config, dmat, depth_correction, [group[:2] for group in groups])
+                moves = legal_moves(config, dmat, [group[:2] for group in groups])
                 hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
                 for move, c_h in zip(moves, hs):
                     heappush(open_heap, (c_g + c_h, c_h, dist + move.distance,

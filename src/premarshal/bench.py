@@ -1,4 +1,4 @@
-"""Benchmark harness: analysis formulas, the suite runner and its CSV."""
+"""Benchmark harness: the suite runner and its CSV."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO
 
 from .generate import GenConfig, generate
@@ -30,23 +29,6 @@ CSV_COLUMNS = [
     "preprocessing_s",
     "solve_s",
 ]
-
-
-class DomainError(ValueError):
-    """Argument outside the formula's domain."""
-
-
-def blockage_likelihood(p_bar: int) -> Fraction:
-    """Mean likelihood that a random load placed in front of another blocks it.
-
-    With groups uniform on 1..p_bar, a load in front of group p blocks with
-    probability 1 - p/p_bar, so the mean over p is (1/p_bar) *
-    sum_{p=1..p_bar} (1 - p/p_bar) = (p_bar - 1) / (2 p_bar), exactly, which
-    grows toward 1/2 as the group count grows.
-    """
-    if p_bar < 1:
-        raise DomainError("the group count must be at least 1")
-    return Fraction(p_bar - 1, 2 * p_bar)
 
 
 def budget_seconds(value) -> float:

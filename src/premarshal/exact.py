@@ -111,11 +111,10 @@ class Targets:
     them, so the dmat rows of lanes that are never a source are never read.
     """
 
-    def __init__(self, initial: LaneConfiguration, dmat, depth_correction: bool):
+    def __init__(self, initial: LaneConfiguration, dmat):
         self.points = initial.points
         self.dmat = dmat
         self.groups = initial.groups
-        self.depth_correction = depth_correction
         self.capacity = initial.capacities
         #: per source lane: (distances, masks), None until ``moves`` reads it
         self.reach: list[tuple[list[int], list[int]] | None] = [None] * len(self.points)
@@ -218,17 +217,12 @@ class Targets:
                 targets &= paired
             if not targets:
                 continue
-            # dst_empty >= 0, so this is a superset when depth counts
-            src_empty = self.capacity[src] - len(contents) if self.depth_correction else 0
             dists, masks = self.reach[src] or self._reach(src)
-            within = bisect_right(dists, budget - src_empty)
+            within = bisect_right(dists, budget)
             targets &= masks[within - 1] if within else 0
             if targets:
                 pairs.append((src, targets))
-        moves = legal_moves(config, self.dmat, self.depth_correction, pairs)
-        if self.depth_correction:
-            moves = [move for move in moves if move.distance <= budget]
-        return moves
+        return legal_moves(config, self.dmat, pairs)
 
 
 def complete_search(
@@ -236,7 +230,6 @@ def complete_search(
     k_bar: int,
     dmat,
     c_ub: int,
-    depth_correction: bool = False,
     *,
     deadline: float | None = None,
     counters: SolveStats | None = None,
@@ -264,7 +257,7 @@ def complete_search(
     touched: dict[tuple, tuple] = {}
     root_surplus, root_profiles, root_h = bounds.lb_state(initial)
     tight = root_h == k_bar
-    targets = Targets(initial, dmat, depth_correction)
+    targets = Targets(initial, dmat)
     trail: list[Move] = []
 
     def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean) -> None:
@@ -323,7 +316,6 @@ def solve_exact(
     dmat,
     astar_solution: Solution,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    depth_correction: bool = False,
 ):
     """Minimal moves, then minimal total loaded distance; exact on both.
 
@@ -337,7 +329,7 @@ def solve_exact(
         for k_bar in range(bounds.lb(config), astar_solution.k + 1):
             c_ub = astar_solution.total_distance if k_bar == astar_solution.k else sys.maxsize
             try:
-                result = complete_search(config, k_bar, dmat, c_ub, depth_correction,
+                result = complete_search(config, k_bar, dmat, c_ub,
                                          deadline=started + timeout_s, counters=stats)
             except DeadlineReached:
                 return TimedOut(stats, k_bar_reached=k_bar)

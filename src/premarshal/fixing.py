@@ -309,8 +309,9 @@ class _BayTables:
         # Band costs per (row, column mask) and the terminal cost per mask of
         # columns left in the north band, summed on first use: a table of
         # 2^I entries would not pay on the wide bays ``--unrestricted`` admits.
-        self.north_sums = [_MaskSums(row) for row in zip(*ncost)]
-        self.south_sums = [_MaskSums(row) for row in zip(*scost)]
+        # Only rows 0..J-1 choose, so row J of ncost and scost gets no sums.
+        self.north_sums = [_MaskSums(row) for row in itertools.islice(zip(*ncost), J)]
+        self.south_sums = [_MaskSums(row) for row in itertools.islice(zip(*scost), J)]
         self.split_sums = _MaskSums(self.split_best)
         self._memo: list[dict[tuple[int, int], float]] = [{} for _ in range(J)]
 

@@ -119,37 +119,23 @@ def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
     return config.contents
 
 
-def move_distance(config: LaneConfiguration, src: int, dst: int, dmat,
-                  depth_correction: bool = False) -> int:
-    """Loaded distance of moving the front load of lane index ``src`` onto
-    lane index ``dst``.
-
-    With ``depth_correction`` the empty tiles travelled inside both lanes are
-    added (off by default: travel within a lane is neglected).
-    """
-    d = dmat.between(config.points[src], config.points[dst])
-    if depth_correction:
-        caps, contents = config.capacities, config.contents
-        d += (caps[src] - len(contents[src])) + (caps[dst] - len(contents[dst]) - 1)
-    return d
-
-
 def legal_moves(
     config: LaneConfiguration,
     dmat,
-    depth_correction: bool = False,
     targets: Iterable[tuple[int, int]] | None = None,
 ) -> list[Move]:
     """All moves available in ``config``: every (non-empty source, non-full
     target) ordered pair, taking the source's front load to the target's
     first empty position.  Ordered by (source lane id, target lane id).
+    A move's distance is the aisle distance between the two lanes' access
+    points; travel within a lane is not counted.
 
     ``targets``, if given, narrows the moves to those it names: pairs of a
     source lane index and the mask of its target lane indices (bit i is
     lane index i, i.e. lane id i + 1), which must be legal; the moves come
     in the pairs' order, each pair's by target.
     """
-    contents = config.contents
+    contents, points = config.contents, config.points
     if targets is None:
         room = 0
         for idx, (loads, capacity) in enumerate(zip(contents, config.capacities)):
@@ -164,7 +150,7 @@ def legal_moves(
             mask ^= low
             dst = low.bit_length() - 1
             moves.append(Move(src + 1, dst + 1, fill, len(contents[dst]) + 1,
-                              move_distance(config, src, dst, dmat, depth_correction)))
+                              dmat.between(points[src], points[dst])))
     return moves
 
 

@@ -45,7 +45,6 @@ def solve_instance(
     instance: WarehouseInstance,
     algo: str,
     timeout_s: float | None = None,
-    depth_correction: bool = False,
     prepared: Prepared | None = None,
     ub_solution=None,
 ):
@@ -63,7 +62,6 @@ def solve_instance(
             prepared.config,
             prepared.dmat,
             timeout_s if timeout_s is not None else astar.DEFAULT_TIMEOUT_S,
-            depth_correction,
         )
     elif algo == "exact":
         # One deadline for both phases: the A* bootstrap may use all of
@@ -75,7 +73,6 @@ def solve_instance(
                 prepared.config,
                 prepared.dmat,
                 astar.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s,
-                depth_correction,
             )
             if not isinstance(ub, Solution):
                 _attach(ub, prepared)
@@ -87,7 +84,6 @@ def solve_instance(
             exact.DEFAULT_TIMEOUT_S
             if deadline is None
             else max(0.0, deadline - time.perf_counter()),
-            depth_correction,
         )
     else:
         raise ValueError(f"unknown algorithm {algo!r}")

@@ -72,7 +72,6 @@ def replay(
     instance: WarehouseInstance,
     assignments: list[AccessAssignment],
     solution,
-    depth_correction: bool = False,
 ) -> ValidationReport:
     """Re-derive lanes, apply each claimed move, and audit every number.
 
@@ -112,7 +111,7 @@ def replay(
                 idx,
             )
             return report  # the rest of the plan is not replayable
-        [move] = legal_moves(config, dmat, depth_correction, [(src, 1 << dst)])
+        [move] = legal_moves(config, dmat, [(src, 1 << dst)])
         if entry.get("distance") != move.distance:
             report.flag(
                 "distance-mismatch",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from premarshal import bounds, fixing
@@ -73,12 +72,6 @@ def aisle_tiles(instance):
             (c * (I + 1) + i, r * (J + 1) + j) for i in range(1, I + 1) for j in range(1, J + 1)
         )
     return {(x, y) for x in range(width) for y in range(length)} - covered
-
-
-def likelihood_by_sum(p_bar):
-    """Literal mean of 1 - p/p_bar over p = 1..p_bar, as an exact fraction."""
-    total = sum(Fraction(p_bar - p, p_bar) for p in range(1, p_bar + 1))
-    return total / p_bar
 
 
 # --- exhaustive access-fixing oracles -------------------------------------
@@ -289,7 +282,7 @@ def plain_optimum(lanes, distance, max_k):
     return walk(state, 0, 0, None)
 
 
-def staged_optimum(lanes, distance, k_bar, c_ub, depth_correction=False):
+def staged_optimum(lanes, distance, k_bar, c_ub):
     """(distance, plan) of the least-distance plan of exactly k_bar moves
     with no relayed load, or None when no plan qualifies.
 
@@ -297,8 +290,7 @@ def staged_optimum(lanes, distance, k_bar, c_ub, depth_correction=False):
     the load removed at stage k + 1; the final state must be fully sorted and
     the total distance must not exceed c_ub.  ``plan`` is the list of
     (source index, target index) pairs of the least-distance plan that
-    comes first in the order of those lists.  With ``depth_correction`` a move also costs the empty
-    slots of its source before it and of its target after it.
+    comes first in the order of those lists.
     """
     def walk(state, stage, dist, last_target):
         if stage == k_bar:
@@ -312,8 +304,6 @@ def staged_optimum(lanes, distance, k_bar, c_ub, depth_correction=False):
                 if s == t or len(tc) >= tcap:
                     continue
                 step = distance(s, t)
-                if depth_correction:
-                    step += (scap - len(sc)) + (tcap - len(tc) - 1)
                 nxt = list(state)
                 nxt[s] = (scap, sc[:-1])
                 nxt[t] = (tcap, tc + (sc[-1],))
@@ -374,7 +364,7 @@ class NoSolutionWithin(Exception):
         self.max_k = max_k
 
 
-def brute_force_optimum(config, dmat, max_k, depth_correction=False):
+def brute_force_optimum(config, dmat, max_k):
     """Least move count k* and cheapest distance among k*-move plans.
 
     Iterative-deepening DFS over all legal move sequences.  The only pruning
@@ -399,7 +389,7 @@ def brute_force_optimum(config, dmat, max_k, depth_correction=False):
                     return
             seen[:] = [(sg, sd) for sg, sd in seen if not (g <= sg and dist <= sd)]
             seen.append((g, dist))
-            for move in legal_moves(cfg, dmat, depth_correction):
+            for move in legal_moves(cfg, dmat):
                 dfs(apply_move(cfg, move), g + 1, dist + move.distance)
 
         dfs(config, 0, 0)
@@ -408,7 +398,7 @@ def brute_force_optimum(config, dmat, max_k, depth_correction=False):
     raise NoSolutionWithin(max_k)
 
 
-def store_every_child_astar(root, dmat, depth_correction=False):
+def store_every_child_astar(root, dmat):
     """A* that stores every child it generates; no deadline.
 
     Returns ("Solution", k, distance, moves, nodes_evaluated), or
@@ -441,7 +431,7 @@ def store_every_child_astar(root, dmat, depth_correction=False):
                 moves.append(rec[1])
                 rec = rec[0]
             return ("Solution", g, dist, tuple(reversed(moves)), nodes)
-        for move in legal_moves(rec[6], dmat, depth_correction):
+        for move in legal_moves(rec[6], dmat):
             child = apply_move(rec[6], move)
             c_h = bounds.lb_state(child)[2]
             c_key = state_key(child)

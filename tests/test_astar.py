@@ -115,8 +115,7 @@ def _random_lanes(rng):
     ]
 
 
-@pytest.mark.parametrize("depth_correction", [False, True])
-def test_partial_expansion_equals_the_store_every_child_search(depth_correction):
+def test_partial_expansion_equals_the_store_every_child_search():
     """Kind, k, distance, moves and node count are those of the A* that
     stores every child, on random small states; some have h0 < k, so
     re-entries run."""
@@ -124,8 +123,8 @@ def test_partial_expansion_equals_the_store_every_child_search(depth_correction)
     below = 0
     for _ in range(150):
         config = make_config(_random_lanes(rng), groups=4)
-        result = astar.solve_astar(config, DMAT, depth_correction=depth_correction)
-        assert _outcome(result) == oracles.store_every_child_astar(config, DMAT, depth_correction)
+        result = astar.solve_astar(config, DMAT)
+        assert _outcome(result) == oracles.store_every_child_astar(config, DMAT)
         below += isinstance(result, Solution) and bounds.lb(config) < result.k
     assert below >= 5
 
@@ -268,28 +267,23 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
 REENTERING_LANES = ((4, (3, 3, 1), 0), (4, (3, 2, 3, 1), 1), (4, (2, 1, 2, 3), 2),
                     (4, (3, 3, 1), 3))
 
-#: (bay, warehouse, fill, G, seed) or (make_config lanes, G), depth
-#: correction -> k, distance, nodes_evaluated and the (from, to) pairs.  The
-#: generated cases were recorded before A* stopped building children at
-#: generation, the make_config case (h0 = 5 < k = 7) before A* expanded
-#: partially.  Ties in (f, h, dist) fall to the expansion order, so these
-#: pin the heap's tie-breaking too.
+#: (bay, warehouse, fill, G, seed) or (make_config lanes, G) -> k, distance,
+#: nodes_evaluated and the (from, to) pairs.  The generated cases were
+#: recorded before A* stopped building children at generation, the
+#: make_config case (h0 = 5 < k = 7) before A* expanded partially.  Ties in
+#: (f, h, dist) fall to the expansion order, so these pin the heap's
+#: tie-breaking too.
 PINNED_PLANS = {
-    (((4, 4), (3, 3), 0.9, 10, 1), False):
+    ((4, 4), (3, 3), 0.9, 10, 1):
         (5, 15, 6, [(27, 54), (89, 90), (56, 60), (10, 40), (74, 66)]),
-    (((4, 4), (3, 3), 0.9, 10, 1), True):
-        (5, 16, 6, [(27, 54), (89, 90), (56, 60), (74, 66), (10, 40)]),
-    (((5, 5), (2, 2), 0.8, 5, 3), False): (4, 13, 5, [(54, 32), (4, 3), (22, 8), (41, 11)]),
-    (((5, 5), (2, 2), 0.8, 5, 3), True): (4, 16, 5, [(4, 3), (54, 32), (22, 32), (41, 11)]),
-    ((REENTERING_LANES, 3), False):
+    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 5, [(54, 32), (4, 3), (22, 8), (41, 11)]),
+    (REENTERING_LANES, 3):
         (7, 10, 28, [(4, 1), (3, 4), (3, 4), (2, 3), (2, 3), (4, 2), (3, 4)]),
-    ((REENTERING_LANES, 3), True):
-        (7, 16, 28, [(4, 1), (3, 4), (3, 4), (2, 3), (4, 3), (2, 4), (3, 2)]),
 }
 
 
-@pytest.mark.parametrize("spec, depth_correction", list(PINNED_PLANS))
-def test_pinned_plans(spec, depth_correction):
+@pytest.mark.parametrize("spec", list(PINNED_PLANS))
+def test_pinned_plans(spec):
     if len(spec) == 2:
         config, dmat = make_config(*spec), DMAT
     else:
@@ -297,8 +291,8 @@ def test_pinned_plans(spec, depth_correction):
         prep = prepare(generate(GenConfig(bay=bay, warehouse=warehouse, fill=fill,
                                           groups=groups, seed=seed)))
         config, dmat = prep.config, prep.dmat
-    result = astar.solve_astar(config, dmat, depth_correction=depth_correction)
+    result = astar.solve_astar(config, dmat)
     assert isinstance(result, Solution)
     got = (result.k, result.total_distance, result.stats.nodes_evaluated,
            [(m.from_lane, m.to_lane) for m in result.moves])
-    assert got == PINNED_PLANS[spec, depth_correction]
+    assert got == PINNED_PLANS[spec]

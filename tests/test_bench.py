@@ -1,31 +1,8 @@
 import io
-from fractions import Fraction
 
 import pytest
 
-import oracles
 from premarshal import astar, bench
-
-
-def test_blockage_likelihood_known_values():
-    assert bench.blockage_likelihood(5) == Fraction(2, 5)
-    assert float(bench.blockage_likelihood(5)) == 0.40
-    assert float(bench.blockage_likelihood(10)) == 0.45
-    assert bench.blockage_likelihood(1) == 0
-    assert bench.blockage_likelihood(2) == Fraction(1, 4)
-
-
-def test_blockage_likelihood_matches_sum_and_limit():
-    for p_bar in range(1, 61):
-        assert bench.blockage_likelihood(p_bar) == oracles.likelihood_by_sum(p_bar)
-    assert bench.blockage_likelihood(10_000) < Fraction(1, 2)
-    assert Fraction(1, 2) - bench.blockage_likelihood(10_000) < Fraction(1, 10_000)
-
-
-def test_blockage_likelihood_domain():
-    for bad in (0, -1):
-        with pytest.raises(bench.DomainError):
-            bench.blockage_likelihood(bad)
 
 
 SUITE = {

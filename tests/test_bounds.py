@@ -340,7 +340,7 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
     groups, above = siblings.select(math.inf)
-    moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
+    moves = legal_moves(config, DMAT, [group[:2] for group in groups])
     hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
     assert moves == legal_moves(config, DMAT)
     assert hs == [_child_h(config, move, extra) for move in moves]
@@ -469,7 +469,7 @@ def _check_select_at_every_limit(config, extra):
         want = [(m, h) for m, h in every if h <= limit]
         above = min((h for _m, h in every if h > limit), default=None)
         groups, got_above = siblings.select(limit)
-        moves = legal_moves(config, DMAT, False, [group[:2] for group in groups])
+        moves = legal_moves(config, DMAT, [group[:2] for group in groups])
         got = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
         assert list(zip(moves, got)) == want
         assert got_above == above

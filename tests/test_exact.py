@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 
 import pytest
@@ -20,8 +19,8 @@ def _dist_fn(lanes):
     return lambda s, t: DMAT.between(lanes[s][2], lanes[t][2])
 
 
-def _oracle(lanes, k_bar, c_ub, depth=False):
-    return oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), k_bar, c_ub, depth)
+def _oracle(lanes, k_bar, c_ub):
+    return oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), k_bar, c_ub)
 
 
 def _as_oracle(result):
@@ -76,8 +75,8 @@ def test_distance_cap_is_part_of_the_goal():
 
 
 def test_search_returns_the_oracles_plan():
-    """The plan and distance, or None, are the staged oracle's, with either
-    depth setting, below, at and above the root bound."""
+    """The plan and distance, or None, are the staged oracle's, below, at and
+    above the root bound."""
     rng = random.Random(41)
     for _ in range(18):
         aps = rng.sample(range(8), 3)
@@ -89,15 +88,13 @@ def test_search_returns_the_oracles_plan():
         ]
         config = make_config(lanes, groups=4)
         h0 = bounds.lb(config)
-        for k_bar, depth in itertools.product((rng.randint(0, 2), h0, h0 + 1, 3),
-                                              (False, True)):
-            expected = _oracle(lanes, k_bar, 10_000, depth)
-            assert _as_oracle(exact.complete_search(config, k_bar, DMAT, 10_000, depth)) \
-                == expected
+        for k_bar in (rng.randint(0, 2), h0, h0 + 1, 3):
+            expected = _oracle(lanes, k_bar, 10_000)
+            assert _as_oracle(exact.complete_search(config, k_bar, DMAT, 10_000)) == expected
             if expected is None:
                 continue
             # boundary: the cap is attainable at equality and not below it
-            tight = exact.complete_search(config, k_bar, DMAT, expected[0], depth)
+            tight = exact.complete_search(config, k_bar, DMAT, expected[0])
             assert _as_oracle(tight) == expected
             moves = tight[0]
             assert len(moves) == k_bar
@@ -109,7 +106,7 @@ def test_search_returns_the_oracles_plan():
                 state = apply_move(state, move)
             assert state.is_sorted
             if expected[0] > 0:
-                assert exact.complete_search(config, k_bar, DMAT, expected[0] - 1, depth) is None
+                assert exact.complete_search(config, k_bar, DMAT, expected[0] - 1) is None
 
 
 def _relay_free_nodes(config, depth, last=None):
@@ -252,33 +249,20 @@ def test_timeout_reports_the_stage_reached():
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
 
 
-# (bay, warehouse, fill, G, seed) -> depth correction -> (k, distance, nodes,
-# move pairs) of ``solve_exact``, with A* and exact both run at that depth
-# setting; the root bound equals k, so the one stage searched is tight.
+# (bay, warehouse, fill, G, seed) -> (k, distance, nodes, move pairs) of
+# ``solve_exact`` after A*; the root bound equals k, so the one stage searched
+# is tight.
 PINNED_SEARCHES = {
-    ((4, 4), (2, 2), 0.9, 10, 8): {
-        False: (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
-        True: (3, 11, 15, [(12, 11), (39, 3), (24, 39)]),
-    },
-    ((5, 5), (2, 2), 0.8, 5, 3): {
-        False: (4, 13, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
-        True: (4, 16, 97, [(4, 3), (41, 11), (54, 32), (22, 32)]),
-    },
+    ((4, 4), (2, 2), 0.9, 10, 8): (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
+    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
 }
 
-# The same instances -> depth correction -> (distance, nodes, move pairs) of
-# ``complete_search`` at k-bar = root h + 1 within A*'s distance, where the
-# tight-stage cuts do not apply.  Recorded before the search lost its prune
-# switches.
+# The same instances -> (distance, nodes, move pairs) of ``complete_search``
+# at k-bar = root h + 1 within A*'s distance, where the tight-stage cuts do
+# not apply.  Recorded before the search lost its prune switches.
 PINNED_NEXT_STAGE = {
-    ((4, 4), (2, 2), 0.9, 10, 8): {
-        False: (2, 150, [(12, 11), (23, 38), (39, 23), (24, 39)]),
-        True: (3, 166, [(12, 11), (23, 38), (39, 23), (24, 39)]),
-    },
-    ((5, 5), (2, 2), 0.8, 5, 3): {
-        False: (10, 12042, [(4, 3), (23, 24), (22, 23), (41, 11), (54, 32)]),
-        True: (13, 9240, [(4, 3), (23, 24), (22, 23), (41, 11), (54, 32)]),
-    },
+    ((4, 4), (2, 2), 0.9, 10, 8): (2, 150, [(12, 11), (23, 38), (39, 23), (24, 39)]),
+    ((5, 5), (2, 2), 0.8, 5, 3): (10, 12042, [(4, 3), (23, 24), (22, 23), (41, 11), (54, 32)]),
 }
 
 
@@ -297,27 +281,23 @@ def _pairs(moves):
 def test_pinned_node_counts_with_tight_cuts(spec):
     """The tight-stage cuts keep the plan and visit the pinned nodes."""
     prep = _pinned_instance(spec)
-    for depth_correction, pinned in PINNED_SEARCHES[spec].items():
-        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
-        result = exact.solve_exact(prep.config, prep.dmat, warm,
-                                   depth_correction=depth_correction)
-        assert isinstance(result, Solution)
-        assert bounds.lb(prep.config) == result.k
-        assert (result.k, result.total_distance, result.stats.nodes_evaluated,
-                _pairs(result.moves)) == pinned
+    warm = astar.solve_astar(prep.config, prep.dmat)
+    result = exact.solve_exact(prep.config, prep.dmat, warm)
+    assert isinstance(result, Solution)
+    assert bounds.lb(prep.config) == result.k
+    assert (result.k, result.total_distance, result.stats.nodes_evaluated,
+            _pairs(result.moves)) == PINNED_SEARCHES[spec]
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_NEXT_STAGE))
 def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     prep = _pinned_instance(spec)
     k_bar = bounds.lb(prep.config) + 1
-    for depth_correction, pinned in PINNED_NEXT_STAGE[spec].items():
-        warm = astar.solve_astar(prep.config, prep.dmat, depth_correction=depth_correction)
-        result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance,
-                                       depth_correction)
-        assert result is not None
-        moves, distance, nodes = result
-        assert (distance, nodes, _pairs(moves)) == pinned
+    warm = astar.solve_astar(prep.config, prep.dmat)
+    result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance)
+    assert result is not None
+    moves, distance, nodes = result
+    assert (distance, nodes, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
 
 
 class _RowsRead:
@@ -336,26 +316,26 @@ class _RowsRead:
 def test_tight_stage_reads_only_the_rows_of_lanes_blocked_at_the_root(spec):
     """With GX = 0 at the root, the tight stage moves blockers only from
     lanes blocked at the root, so the search reads the distance rows of
-    those lanes' access points and no other, with either depth setting."""
+    those lanes' access points and no other."""
     prep = _pinned_instance(spec)
     config = prep.config
     _surplus, profiles, h0 = bounds.lb_state(config)
     assert h0 == config.blocking_total
     blocked = {p for p, prof in zip(config.points, profiles) if prof.blocking_suffix}
-    for depth_correction in (False, True):
-        warm = astar.solve_astar(config, prep.dmat, depth_correction=depth_correction)
-        rows = _RowsRead(prep.dmat.rows)
-        result = exact.complete_search(config, h0, DistanceMatrix(prep.dmat.n, rows),
-                                       warm.total_distance, depth_correction)
-        assert result is not None
-        assert rows.read and rows.read <= blocked
+    warm = astar.solve_astar(config, prep.dmat)
+    rows = _RowsRead(prep.dmat.rows)
+    result = exact.complete_search(config, h0, DistanceMatrix(prep.dmat.n, rows),
+                                   warm.total_distance)
+    assert result is not None
+    assert rows.read and rows.read <= blocked
 
 
 def test_tight_stage_and_the_next_return_the_oracles_plan():
     """On random states whose root bound is A*'s k, the search gives the
-    staged oracle's plan, or None where it does, with either depth setting,
-    in the tight stage and in the one above it.  k-bar stays small enough for
-    the oracle's unpruned walk."""
+    staged oracle's plan, or None where it does, in the tight stage and in
+    the one above it.  The caps are A*'s distance, one below it (mostly no
+    plan) and 4 above it.  k-bar stays small enough for the oracle's
+    unpruned walk."""
     rng = random.Random(5)
     tight = found = empty = 0
     for _ in range(300):
@@ -371,13 +351,11 @@ def test_tight_stage_and_the_next_return_the_oracles_plan():
             continue
         tight += 1
         for k_bar in (h0, h0 + 1)[:10 - len(lanes) - h0]:
-            for depth in (False, True):
-                # Depth correction adds to every move, so A*'s distance
-                # without it leaves some stages with no plan.
-                c_ub = warm.total_distance if depth else warm.total_distance + 4
-                expected = _oracle(lanes, k_bar, c_ub, depth)
-                assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub, depth)) \
-                    == expected
+            for c_ub in (warm.total_distance - 1, warm.total_distance, warm.total_distance + 4):
+                if c_ub < 0:
+                    continue
+                expected = _oracle(lanes, k_bar, c_ub)
+                assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub)) == expected
                 found += expected is not None
                 empty += expected is None
     assert tight >= 100
@@ -395,25 +373,24 @@ def test_tight_stage_and_the_next_return_the_oracles_plan():
         min_size=2,
         max_size=5,
     ),
-    st.booleans(),
     st.integers(min_value=-1, max_value=14),
     st.integers(min_value=0, max_value=6),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, commuting, rng):
+def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commuting, rng):
     """The mask generator yields the legal moves that the relay rule, the
     distance budget, the child's blocking count and, with ``commuting``, the
     commuting-move cut after the walk's last move leave, in legal-move
     order, at every state of a walk whose masks are patched move by move."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    targets = exact.Targets(config, DMAT, depth)
+    targets = exact.Targets(config, DMAT)
     surplus, profiles, _h = bounds.lb_state(config)
     open_mask, clean = targets.masks(config, profiles)
     last = commute = None
     for _ in range(6):
-        moves = legal_moves(config, DMAT, depth)
+        moves = legal_moves(config, DMAT)
         by_hand = [
             m for m in moves
             if m.from_lane - 1 != last
@@ -449,12 +426,11 @@ def test_targets_equal_filtering_by_hand(lane_specs, depth, budget, remaining, c
     ),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=30),
-    st.booleans(),
 )
-def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub, depth):
+def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub):
     """The BX pre-check and the full bound cut only dead subtrees, so the
     plan found is the staged oracle's, which nothing cuts."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub, depth)) \
-        == _oracle(lanes, k_bar, c_ub, depth)
+    assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub)) \
+        == _oracle(lanes, k_bar, c_ub)

@@ -15,7 +15,6 @@ from premarshal.model import (
     apply_move,
     blocking_of,
     legal_moves,
-    move_distance,
     non_increasing_prefix_len,
     state_key,
 )
@@ -226,29 +225,29 @@ _CONFIGS = st.lists(
 )
 
 
-@given(_CONFIGS, st.booleans())
-def test_legal_moves_equal_every_pair_by_hand(lane_specs, depth):
+@given(_CONFIGS)
+def test_legal_moves_equal_every_pair_by_hand(lane_specs):
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
     n = len(config.contents)
     fill = [len(loads) for loads in config.contents]
     everything = [
         Move(src + 1, dst + 1, fill[src], fill[dst] + 1,
-             move_distance(config, src, dst, DMAT, depth))
+             DMAT.between(config.points[src], config.points[dst]))
         for src in range(n)
         for dst in range(n)
         if src != dst and fill[src] and fill[dst] < config.capacities[dst]
     ]
-    assert legal_moves(config, DMAT, depth) == everything
+    assert legal_moves(config, DMAT) == everything
 
 
-@given(_CONFIGS, st.booleans(), st.randoms(use_true_random=False))
-def test_legal_moves_narrowed_to_targets(lane_specs, depth, rng):
+@given(_CONFIGS, st.randoms(use_true_random=False))
+def test_legal_moves_narrowed_to_targets(lane_specs, rng):
     """With ``targets`` the moves are those of the named (source, target)
     pairs, equal to the all-pairs moves and in the pairs' order."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    everything = legal_moves(config, DMAT, depth)
+    everything = legal_moves(config, DMAT)
     sources = sorted({m.from_lane - 1 for m in everything}, key=lambda _: rng.random())
     targets = []
     for src in sources:
@@ -259,4 +258,4 @@ def test_legal_moves_narrowed_to_targets(lane_specs, depth, rng):
         targets.append((src, mask))
     want = [m for src, mask in targets for m in everything
             if m.from_lane - 1 == src and mask >> (m.to_lane - 1) & 1]
-    assert legal_moves(config, DMAT, depth, targets) == want
+    assert legal_moves(config, DMAT, targets) == want

@@ -16,13 +16,13 @@ def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
     got = {}
     real_astar, real_exact = astar.solve_astar, exact.solve_exact
 
-    def recording_astar(config, dmat, timeout_s, depth_correction=False):
+    def recording_astar(config, dmat, timeout_s):
         got["astar"] = timeout_s
-        return real_astar(config, dmat, timeout_s, depth_correction)
+        return real_astar(config, dmat, timeout_s)
 
-    def recording_exact(config, dmat, ub, timeout_s, depth_correction=False):
+    def recording_exact(config, dmat, ub, timeout_s):
         got["exact"] = timeout_s
-        return real_exact(config, dmat, ub, timeout_s, depth_correction)
+        return real_exact(config, dmat, ub, timeout_s)
 
     monkeypatch.setattr(astar, "solve_astar", recording_astar)
     monkeypatch.setattr(exact, "solve_exact", recording_exact)

@@ -106,18 +106,6 @@ def test_replay_reports_setup_failures():
     assert report.violations[0]["code"] == "setup"
 
 
-def test_replay_distances_depend_on_the_depth_flag():
-    instance = _witness_instance()
-    result, prepared = solve_instance(instance, "astar", depth_correction=True)
-    assert isinstance(result, Solution)
-    assert verify.replay(
-        instance, prepared.assignments, result, depth_correction=True
-    ).ok
-    plain = verify.replay(instance, prepared.assignments, result)
-    assert not plain.ok
-    assert "distance-mismatch" in [v["code"] for v in plain.violations]
-
-
 def test_brute_force_matches_the_unpruned_oracle():
     rng = random.Random(23)
     for _ in range(30):
