@@ -9,9 +9,10 @@ horizontal cells of a column as one contiguous middle band.
 
 The assignment minimizing the number of misplaced (blocking) loads over all
 hole-free partitions is found exactly by a depth-first search over rows with
-memoization.  Going down the rows, a column is in its north band (no
-horizontal cell yet), its horizontal band, or its south band (the band has
-ended).  The state is two column masks (M, S): M holds the columns in the
+memoization, unless a cost-free path search finds one of 0 first (see the
+end of this docstring).  Going down the rows, a column is in its north band
+(no horizontal cell yet), its horizontal band, or its south band (the band
+has ended).  The state is two column masks (M, S): M holds the columns in the
 horizontal band, S those in the south band, and the rest are still in the
 north band.  A row's choice (alpha, eps) of W and E counts gives the mask H
 of its horizontal cells and is valid when
@@ -64,30 +65,46 @@ those lanes and preprocessing numbers them as they are, while
 ``induced_lanes`` derives the lanes again from the direction strings,
 checking them, for replay (``to_virtual_lanes``).
 
-The instance generator asks only whether that cost is finite, and
-``has_hole_free_assignment`` answers without building a cost table:
+Two questions need no cost table, and one path search answers both
+(``_first_path``).  The instance generator asks only whether the cost is
+finite (``has_hole_free_assignment``), and preprocessing first asks whether
+it is 0 (``optimal_assignments``):
 
-1. Hole-free lengths.  A line's lane over its first ``a`` cells, counted
-   from its side, is hole-free exactly when ``a <= amax``, where ``amax`` is
-   the length of the longest front run of empty cells then loads (0 on a
-   side without access): such a run holds no hole, and a hole in one lane
-   is a hole in every longer lane of the line.  So a lane cost is None
-   exactly when its length exceeds its line's ``amax``, and the row choices,
+1. Reaches.  A line's lane over its first ``a`` cells, counted from its
+   side, is hole-free exactly when ``a <= amax``, where ``amax`` is the
+   length of the longest front run of empty cells then loads (0 on a side
+   without access): such a run holds no hole, and a hole in one lane is a
+   hole in every longer lane of the line.  A lane's blocking count never
+   falls as it grows deeper along its line, since each new deepest load
+   extends the non-increasing prefix or restarts it (``_lane_costs``), so
+   the lanes of cost 0 are likewise those with ``a <= zmax``, ``zmax`` being
+   the length of the longest hole-free front run whose loads do not fall
+   from front to deep.  So a lane cost is None (or not 0) exactly when its
+   length exceeds its line's ``amax`` (``zmax``), and the row choices,
    ``nbad``, ``sbad`` and the columns with a full-column split
-   (``nmax + smax >= J``) all follow from ``wmax``, ``emax``, ``nmax`` and
-   ``smax``.
+   (``nmax + smax >= J``) all follow from the four lists of reaches, one
+   per side.
 2. Cover.  Every cell lies in exactly one lane, and that lane reaches from
-   its side at least to the cell, so in a hole-free assignment each cell
-   (i, j) has ``i <= wmax[j]``, ``I-i+1 <= emax[j]``, ``j <= nmax[i]`` or
-   ``J-j+1 <= smax[i]``.  A bay with a cell that meets none of them is
-   infeasible.  The converse fails: the lanes that reach two cells may
-   cross.
-3. Path.  Every cost added along a valid row choice is finite, so the cost
-   is finite exactly when some sequence of valid choices ends with every
-   north-band column splittable.  A depth-first search looks for one such
-   path.  It tries each distinct mask H of a row once, since validity and
-   the next state depend on H alone, and it remembers only the states that
-   have no completion.
+   its side at least to the cell, so each cell (i, j) has ``i <= wmax[j]``,
+   ``I-i+1 <= emax[j]``, ``j <= nmax[i]`` or ``J-j+1 <= smax[i]``.  A bay
+   with a cell that meets none of them has no path.  The converse fails:
+   the lanes that reach two cells may cross.
+3. Path.  Every cost added along a valid row choice is finite (is 0 within
+   the zero reaches), so the cost is finite (is 0) exactly when some
+   sequence of valid choices ends with every north-band column splittable.
+   A depth-first search looks for the first such path in ``row_choices``
+   order.  It tries each distinct mask H of a row once, as the first
+   (alpha, eps) to give it, since validity and the next state depend on H
+   alone, and it remembers only the states that have no completion.
+
+At an optimum of 0 the walk takes exactly the choices that add 0 and whose
+state has a cost to go of 0, in ``row_choices`` order, so its first
+assignment is the zero search's first path, with every north-band column at
+its first zero split (the shortest S lane).  ``optimal_assignments`` runs
+that search first and yields its assignment.  It builds the cost tables,
+the memo DP and the walk only when the search finds no path, or when a
+second candidate is asked for; selection stops at a first candidate of
+floor 0, so preprocessing builds no table for such a bay.
 """
 
 from __future__ import annotations
@@ -186,14 +203,16 @@ def _lane_costs(line, open_side: bool) -> list[int | None]:
 def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLane]:
     """Validate the assignment's structure and return its lanes.
 
-    Raises ValueError when a direction run is not boundary-anchored, a lane
-    contains a hole, or a lane sits on a side the bay does not expose.
+    Raises ValueError when a direction is not one of N, E, S and W, a
+    direction run is not boundary-anchored, a lane contains a hole, or a
+    lane sits on a side the bay does not expose.
     """
     grid = _grid(bay)
     I, J = bay.I, bay.J
     if len(assignment.rows) != J or any(len(r) != I for r in assignment.rows):
         raise ValueError("assignment shape does not match the bay")
     lanes: list[InducedLane] = []
+    covered = 0  # cells in some run; a cell of another letter is in none
 
     def emit(side: str, front: tuple[int, int], line) -> None:
         lane = _lane(side, front, line)
@@ -214,6 +233,7 @@ def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLan
             emit("W", (1, j), cells[w - 1::-1])
         if e:
             emit("E", (I, j), cells[I - e:])
+        covered += w + e
     for i, (col, cells) in enumerate(zip(map("".join, zip(*assignment.rows)), zip(*grid)), 1):
         n, s = J - len(col.lstrip("N")), J - len(col.rstrip("S"))
         if "N" in col[n:]:
@@ -224,6 +244,9 @@ def induced_lanes(bay: BaySpec, assignment: AccessAssignment) -> list[InducedLan
             emit("N", (i, 1), cells[n - 1::-1])
         if s:
             emit("S", (i, J), cells[J - s:])
+        covered += n + s
+    if covered != I * J:  # its load would be in no lane
+        raise ValueError("assignment holds a direction other than N, E, S or W")
     return lanes
 
 
@@ -350,15 +373,16 @@ class _BayTables:
         return best
 
 
-def _assignment(tables: _BayTables, row_splits, col_splits, misplaced: int) -> AccessAssignment:
+def _assignment(grid, columns, row_splits, col_splits, misplaced: int) -> AccessAssignment:
     """The assignment of per-row (alpha, eps) and per-column splits, with its lanes.
 
-    A column's vertical cells are N above its horizontal band and S below
-    it, or split at ``col_splits[i]`` when it has none.  Each lane is a
-    slice of a grid line read deepest first; the walk reaches only lanes
-    without a hole, so its loads are the slice's non-empty cells.
+    ``grid`` and ``columns`` are the bay's rows and columns (``_grid``).  A
+    column's vertical cells are N above its horizontal band and S below it,
+    or split at ``col_splits[i]`` when it has none.  Each lane is a slice of
+    a grid line read deepest first; the walk and the zero search reach only
+    lanes without a hole, so its loads are the slice's non-empty cells.
     """
-    I, J, grid = tables.I, tables.J, tables.grid
+    I, J = len(grid[0]), len(grid)
     lanes = []
     north, south = list(col_splits), list(col_splits)
     banded = 0  # columns whose horizontal band has started
@@ -374,7 +398,7 @@ def _assignment(tables: _BayTables, row_splits, col_splits, misplaced: int) -> A
                 banded |= 1 << i
                 north[i] = j
             south[i] = j + 1
-    for i, (n, s, col) in enumerate(zip(north, south, tables.columns)):
+    for i, (n, s, col) in enumerate(zip(north, south, columns)):
         if n:
             lanes.append(InducedLane("N", (i + 1, 1), n, tuple(filter(None, col[n - 1::-1]))))
         if s < J:
@@ -390,16 +414,25 @@ def _assignment(tables: _BayTables, row_splits, col_splits, misplaced: int) -> A
 def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignment]:
     """The minimum-misplaced hole-free assignments, up to ``limit``, on demand.
 
-    The DP runs here, so an infeasible bay raises ``InfeasibleAssignment``
-    (and ``limit < 1`` a ``ValueError``) from the call itself; the returned
-    iterator only walks the filled memo and builds each assignment when it
-    is asked for the next one.  Order is deterministic: rows top to bottom
-    with the west count ascending then the east count ascending, then
-    full-column splits by column and split point ascending.  An empty bay
-    yields a single canonical assignment (every choice scores zero).
+    The bay first gets the cost-free path search within its zero reaches
+    (``_zero_path_assignment``).  Its first path is the walk's first
+    assignment, of 0 misplaced loads, and is yielded with no cost table; the
+    tables, the DP and the walk are built only when a second candidate is
+    asked for.  Without such a path the DP runs in the call, so an
+    infeasible bay raises ``InfeasibleAssignment`` (and ``limit < 1`` a
+    ``ValueError``) from the call itself, and the returned iterator walks
+    the filled memo.  Either way each assignment is built when the iterator
+    is asked for it.  Order is deterministic: rows top to bottom with the west
+    count ascending then the east count ascending, then full-column splits
+    by column and split point ascending.  An empty bay yields a single
+    canonical assignment (every choice scores zero).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
+    grid = _grid(bay)
+    first = _zero_path_assignment(grid, bay.access_sides)
+    if first is not None:
+        return _from_zero_path(first, bay, limit if bay.load_count else 1)
     tables = _BayTables(bay)
     best = tables.cost_to_go(0, (0, 0))
     if math.isinf(best):
@@ -407,9 +440,36 @@ def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignm
             f"no hole-free assignment for a {bay.I}x{bay.J} bay with "
             f"sides {''.join(sorted(bay.access_sides))}"
         )
-    if bay.load_count == 0:
-        limit = 1
     return itertools.islice(_walk(tables, int(best), 0, (0, 0), 0, []), limit)
+
+
+def _zero_path_assignment(grid, sides) -> AccessAssignment | None:
+    """The first assignment of 0 misplaced loads, with its lanes, or None.
+
+    It is the cost-free path search within the zero reaches, each row taking
+    its path's (alpha, eps) and each column still in its north band its
+    first zero split, the one with the shortest S lane.
+    """
+    columns = list(zip(*grid))
+    zero = _reaches(grid, columns, sides, _zero_reach)
+    J = len(grid)
+    path = _first_path(len(columns), J, *zero)
+    if path is None:
+        return None
+    return _assignment(grid, columns, path, [J - s for s in zero[3]], 0)
+
+
+def _from_zero_path(
+    first: AccessAssignment, bay: BaySpec, limit: int,
+) -> Iterator[AccessAssignment]:
+    """``first``, then the walk's assignments after it, up to ``limit`` in all.
+
+    The cost tables are built only when a second candidate is asked for.
+    The optimum is 0, and the walk's first assignment is ``first`` again.
+    """
+    yield first
+    if limit > 1:
+        yield from itertools.islice(_walk(_BayTables(bay), 0, 0, (0, 0), 0, []), 1, limit)
 
 
 # Not a closure: an abandoned walk must free its tables at once, not at a cyclic collection.
@@ -432,7 +492,7 @@ def _walk(
             for i in range(tables.I)
         ]
         for col_splits in itertools.product(*splits):
-            yield _assignment(tables, row_splits, col_splits, opt)
+            yield _assignment(tables.grid, tables.columns, row_splits, col_splits, opt)
         return
     for alpha, eps, added, new_state in tables.row_choices(j, state):
         if spent + added > opt:  # its cost to go may not be memoised
@@ -499,64 +559,108 @@ def _reach(loaded_front_to_deep, open_side: bool) -> int:
     return len(loaded_front_to_deep)
 
 
+def _zero_reach(line, open_side: bool) -> int:
+    """Length of the longest lane over the first cells of ``line``, its
+    groups front to deep (0 for empty), that holds no hole and no blocking
+    load: its loads do not fall from front to deep."""
+    if not open_side:
+        return 0
+    deepest = 0  # groups are >= 1, so 0 means no load yet
+    for a, g in enumerate(line):
+        if g:
+            if g < deepest:
+                return a  # this load would block the shallower ones
+            deepest = g
+        elif deepest:
+            return a  # this empty cell would sit deeper than a load
+    return len(line)
+
+
+def _reaches(grid, columns, sides, reach) -> tuple[list[int], ...]:
+    """``reach`` of every W, E, N and S line of the bay, in that order."""
+    return (
+        [reach(row, "W" in sides) for row in grid],
+        [reach(row[::-1], "E" in sides) for row in grid],
+        [reach(col, "N" in sides) for col in columns],
+        [reach(col[::-1], "S" in sides) for col in columns],
+    )
+
+
 def has_hole_free_assignment(bay: BaySpec) -> bool:
     """Whether any hole-free assignment exists, i.e. the DP's cost is finite.
 
     The instance generator probes every bay it grows with this.  It sums no
-    cost: it reads the hole-free lane lengths of every line, rejects a bay
-    with a cell no side reaches, and otherwise searches the DP's column-mask
-    states for one complete path (see the module docstring).
+    cost: it reads the hole-free lane lengths of every line and looks for
+    one complete path of the DP's column-mask states within them
+    (``_first_path``; see the module docstring).
     """
     grid = _grid(bay)
-    I, J, sides = bay.I, bay.J, bay.access_sides
-    columns = list(zip(*grid))
-    wmax = [_reach(row, "W" in sides) for row in grid]
-    emax = [_reach(row[::-1], "E" in sides) for row in grid]
-    nmax = [_reach(col, "N" in sides) for col in columns]
-    smax = [_reach(col[::-1], "S" in sides) for col in columns]
-    # Rows and columns are 0-based from here on, and column i is bit i.
+    reaches = _reaches(grid, list(zip(*grid)), bay.access_sides, _reach)
+    return _first_path(bay.I, bay.J, *reaches) is not None
+
+
+def _first_path(I: int, J: int, wmax, emax, nmax, smax) -> list[tuple[int, int]] | None:
+    """The first path of valid row choices whose lanes all lie within the
+    given reaches, as the (alpha, eps) of every row, or None if there is none.
+
+    ``wmax[j]`` and ``emax[j]`` bound the W and E lanes of row j, ``nmax[i]``
+    and ``smax[i]`` the N and S lanes of column i (0-based).  A bay with a
+    cell that no lane within them reaches has no path.  Each row tries its
+    distinct horizontal masks in ``_row_splits`` order, as the first
+    (alpha, eps) to give each, and a path must end with every column still
+    in its north band splittable within its reaches.
+    """
     for j in range(J):
         for i in range(I):
             if not (i < wmax[j] or I - i <= emax[j] or j < nmax[i] or J - j <= smax[i]):
-                return False
+                return None
     full = (1 << I) - 1
     rows = []
     for j in range(J):
-        # dict, not set: the masks are tried in row_choices order.
-        masks = dict.fromkeys(
-            ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1))
+        # mask -> its first (alpha, eps), the masks in that order.  Only the
+        # full mask has several splits (alpha + eps = I), and the first has
+        # the least alpha, I - emax[j]; past it, eps stops short of I - alpha.
+        e = emax[j]
+        splits = {
+            ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1)): (alpha, eps)
             for alpha in range(wmax[j] + 1)
-            for eps in range(min(emax[j], I - alpha) + 1)
-        )
+            for eps in range(min(e, I - alpha - (alpha > I - e)) + 1)
+        }
         nbad = sum(1 << i for i in range(I) if j > nmax[i])
         sbad = sum(1 << i for i in range(I) if J - j > smax[i])
-        rows.append((tuple(masks), nbad, sbad))
+        rows.append((splits, nbad, sbad))
     nosplit = sum(1 << i for i in range(I) if nmax[i] + smax[i] < J)
-    return _completes(rows, full, nosplit, 0, 0, 0, set())
+    path = _completion(rows, full, nosplit, 0, 0, 0, set())
+    return None if path is None else path[::-1]
 
 
 # Not a closure: each of the generator's many probes must free its state at once.
-def _completes(rows, full: int, nosplit: int, j: int, band: int, south: int, dead: set) -> bool:
-    """Whether rows ``j``.. have valid horizontal masks from state (band, south).
+def _completion(rows, full: int, nosplit: int, j: int, band: int, south: int,
+                dead: set) -> list[tuple[int, int]] | None:
+    """The first valid choices of rows ``j``.. from state (band, south),
+    bottom row first, or None if they have none.
 
-    ``rows[j]`` holds row j's distinct horizontal masks, ``nbad`` and
-    ``sbad``, and a mask is valid by the tests of ``_BayTables.row_choices``.
-    ``dead`` collects the (j, band, south) states found to have no completion.
+    ``rows[j]`` holds row j's (alpha, eps) per distinct horizontal mask,
+    ``nbad`` and ``sbad``, and a mask is valid by the tests of
+    ``_BayTables.row_choices``.  ``dead`` collects the (j, band, south)
+    states found to have no completion.
     """
     if j == len(rows):
-        return not full & ~(band | south) & nosplit
+        return None if full & ~(band | south) & nosplit else []
     if (j, band, south) in dead:
-        return False
-    masks, nbad, sbad = rows[j]
+        return None
+    splits, nbad, sbad = rows[j]
     north = full & ~(band | south)
-    for horizontal in masks:
+    for horizontal, split in splits.items():
         ended = band & ~horizontal
         if horizontal & south or horizontal & north & nbad or ended & sbad:
             continue
-        if _completes(rows, full, nosplit, j + 1, horizontal, south | ended, dead):
-            return True
+        path = _completion(rows, full, nosplit, j + 1, horizontal, south | ended, dead)
+        if path is not None:
+            path.append(split)
+            return path
     dead.add((j, band, south))
-    return False
+    return None
 
 
 def to_virtual_lanes(

@@ -90,18 +90,28 @@ class DistanceMatrix:
 
 
 class _RowsOnFirstUse(dict):
-    """Point id -> distance row; a missing row is built for its whole tile."""
+    """Point id -> distance row; a missing row is built for its whole tile.
+
+    The bands are built on the first missing row, so a plan that reads no
+    distance pays nothing for them.  The coordinates are not: building them
+    later would keep every access point alive with the matrix.
+    """
 
     def __init__(self, layout: GridLayout):
         super().__init__()
-        self.pitch = pitch_x, pitch_y = layout.aisles
-        self.coords = xs, ys = tuple(zip(*(p.tile for p in layout.access_points)))
+        self.pitch = layout.aisles
+        self.coords = tuple(zip(*(p.tile for p in layout.access_points)))
         self.gaps: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
-        # (on a horizontal line, bay column or row) -> the points there
-        self.bands: dict[tuple[bool, int], list[int]] = {}
-        for p, (x, y) in enumerate(zip(xs, ys)):
+
+    @cached_property
+    def bands(self) -> dict[tuple[bool, int], list[int]]:
+        """(on a horizontal line, bay column or row) -> the points there."""
+        pitch_x, pitch_y = self.pitch
+        bands: dict[tuple[bool, int], list[int]] = {}
+        for p, (x, y) in enumerate(zip(*self.coords)):
             key = (True, x // pitch_x) if y % pitch_y == 0 else (False, y // pitch_y)
-            self.bands.setdefault(key, []).append(p)
+            bands.setdefault(key, []).append(p)
+        return bands
 
     def _gaps(self, axis: int, at: int) -> list[int]:
         """|c - at| for every point's coordinate c on ``axis`` (0 is x, 1 is y)."""

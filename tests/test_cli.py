@@ -192,6 +192,27 @@ def test_verify_reports_missing_assignments(instance_path, tmp_path, capsys):
     assert report["violations"][0]["code"] == "assignments"
 
 
+def test_verify_rejects_directions_outside_nesw(tmp_path):
+    """A plan whose cells all face "X" puts no load in a lane; with no moves
+    it must not pass as sorted."""
+    inst, plan = tmp_path / "inst.json", tmp_path / "plan.json"
+    assert cli.main(["generate", "--bay", "4x4", "--warehouse", "2x2", "--fill", "0.9",
+                     "--classes", "10", "--seed", "8", "-o", str(inst)]) == cli.EXIT_OK
+    assert cli.main(["solve", "--algo", "astar", "--in", str(inst), "-o", str(plan)]) == cli.EXIT_OK
+    data = files.read_solution(plan)
+    assert data["k"] > 0
+    for entry in data["assignments"]:
+        entry["rows"] = ["X" * len(row) for row in entry["rows"]]
+    data.update(moves=[], k=0, total_distance=0)
+    plan.write_text(json.dumps(data))
+    run = _run_cli(["verify", "--in", str(inst), "--sol", str(plan)])
+    assert run.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in run.stderr
+    report = json.loads(run.stdout)
+    assert report["ok"] is False
+    assert report["violations"][0]["code"] == "setup"
+
+
 def test_ub_from_must_match_the_instance(instance_path, tmp_path, capsys):
     code, astar_out = _solve(instance_path, tmp_path, "astar")
     assert code == cli.EXIT_OK

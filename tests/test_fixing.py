@@ -96,6 +96,9 @@ def test_induced_lanes_validate_anchoring():
     with pytest.raises(ValueError):
         # west cell east of an east cell: neither run is boundary-anchored
         fixing.induced_lanes(bay, fixing.AccessAssignment(rows=("EW",), misplaced=0))
+    with pytest.raises(ValueError, match="direction other than"):
+        # no lane takes an X cell, so its load would be dropped
+        fixing.induced_lanes(bay, fixing.AccessAssignment(rows=("WX",), misplaced=0))
 
 
 def test_direction_accessor():
@@ -236,17 +239,16 @@ def test_lane_costs_recount_blocking_loads():
 
 @pytest.mark.parametrize("I, J", [(1, 1), (3, 3), (6, 6), (7, 2), (2, 7)])
 def test_an_empty_bay_memoises_one_state_per_row(I, J):
-    """Every choice after the first scores no less than its 0, so none is costed."""
-    made = []
+    """Every choice after the first scores no less than its 0, so none is costed.
 
-    class Tables(fixing._BayTables):
-        def __init__(self, bay):
-            super().__init__(bay)
-            made.append(self)
-
-    with mock.patch.object(fixing, "_BayTables", Tables):
+    ``optimal_assignments`` finds the empty bay's one assignment by the zero
+    search and builds no cost table at all.
+    """
+    tables = fixing._BayTables(_bay(I, J, {}))
+    assert tables.cost_to_go(0, (0, 0)) == 0
+    assert sum(len(memo) for memo in tables._memo) == J
+    with mock.patch.object(fixing, "_BayTables", side_effect=AssertionError("cost tables built")):
         assert len(list(fixing.optimal_assignments(_bay(I, J, {}), limit=10))) == 1
-    assert sum(len(memo) for memo in made[0]._memo) == J
 
 
 def test_probe_builds_no_cost_tables():
@@ -369,7 +371,12 @@ def test_every_candidate_carries_its_induced_lanes(bay):
 
 
 def test_an_abandoned_enumeration_frees_its_tables():
-    """The walk forms no reference cycle: its tables die without the collector A* pauses."""
+    """The walk forms no reference cycle: its tables die without the collector A* pauses.
+
+    The bay's optimum is 1, so the DP builds its tables, and selection
+    abandons the walk at its second candidate.  A bay of optimum 0 builds
+    them only for a second candidate, abandoned here after it.
+    """
     made = []
 
     class Tables(fixing._BayTables):
@@ -377,16 +384,46 @@ def test_an_abandoned_enumeration_frees_its_tables():
             super().__init__(bay)
             made.append(weakref.ref(self))
 
-    bay = _bay(3, 3, {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)})
+    steps = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
+    uniform = _bay(3, 3, {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)})
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         with mock.patch.object(fixing, "_BayTables", Tables):
-            fixing.select_assignment(fixing.optimal_assignments(bay, limit=10), bay)
-        assert len(made) == 1 and made[0]() is None
+            fixing.select_assignment(fixing.optimal_assignments(steps, limit=10), steps)
+            assert len(made) == 1 and made[0]() is None
+            candidates = fixing.optimal_assignments(uniform, limit=10)
+            next(candidates), next(candidates)
+            assert len(made) == 2 and made[1]() is not None
+            del candidates
+            assert made[1]() is None
     finally:
         if was_enabled:
             gc.enable()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignable_bays())
+def test_the_zero_search_finds_the_first_assignment_of_optimum_0(bay):
+    """A path within the zero reaches exists exactly when the least misplaced
+    count is 0, and its assignment is the unpruned walk's first one."""
+    first = oracles.unpruned_assignments(bay, 1)[0]
+    found = fixing._zero_path_assignment(fixing._grid(bay), bay.access_sides)
+    assert (found is not None) == (first.misplaced == 0)
+    if found is not None:
+        assert found == first
+        assert list(found.lanes) == fixing.induced_lanes(bay, first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_assignable_bays(), st.sampled_from([1, 2, 10]))
+def test_candidate_lists_equal_the_unpruned_walks(bay, limit):
+    """The zero search's first candidate and the walk's later ones are the
+    unpruned walk's list, lanes included."""
+    expected = oracles.unpruned_assignments(bay, limit)
+    got = list(fixing.optimal_assignments(bay, limit))
+    assert got == expected
+    assert [list(c.lanes) for c in got] == [fixing.induced_lanes(bay, c) for c in expected]
 
 
 def _candidate(bay, rows, misplaced):

@@ -46,6 +46,15 @@ def test_prepare_builds_each_bays_lanes_once():
     assert rebuilt == prepared.config
 
 
+def test_prepare_builds_no_cost_table_on_bays_of_floor_0():
+    """Each bay's first candidate comes from the zero search, and selection
+    stops at it, so the DP's tables are never built."""
+    instance = generate(GenConfig(bay=(3, 3), warehouse=(3, 3), fill=0.4, groups=5, seed=1))
+    with mock.patch.object(fixing, "_BayTables", side_effect=AssertionError("cost tables built")):
+        prepared = prepare(instance)
+    assert [a.misplaced for a in prepared.assignments] == [0] * 9
+
+
 def _prepared_digest(prepared) -> str:
     """sha256 of the JSON of what ``prepare`` hands the solvers: every
     assignment (rows, misplaced) and the config's contents, points and
