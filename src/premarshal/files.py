@@ -104,8 +104,20 @@ def assignments_to_json(assignments: list[AccessAssignment]) -> list[dict]:
 
 
 def assignments_from_json(data: list[dict], instance: WarehouseInstance) -> list[AccessAssignment]:
-    """Rebuild assignments; the misplaced count is recomputed when possible."""
-    by_bay = {entry["bay"]: tuple(entry["rows"]) for entry in data}
+    """Rebuild assignments; the misplaced count is recomputed when possible.
+
+    Raises ValueError on an entry whose bay is no integer, not a bay of the
+    instance, or one that an earlier entry already named.
+    """
+    by_bay = {}
+    for entry in data:
+        b = _integer(entry["bay"], "assignment bay")
+        if not 0 <= b < len(instance.bays):
+            raise ValueError(f"assignment for bay {b}, but the instance has "
+                             f"{len(instance.bays)} bays")
+        if b in by_bay:
+            raise ValueError(f"two assignments for bay {b}")
+        by_bay[b] = tuple(entry["rows"])
     out = []
     for b, bay in enumerate(instance.bays):
         if b not in by_bay:

@@ -682,18 +682,16 @@ def to_virtual_lanes(
 def number_lanes(bay_lanes: list[list[InducedLane]], layout, groups: int) -> LaneConfiguration:
     """The global lane configuration of every bay's lanes, ``bay_lanes[b]`` for bay b.
 
-    Each lane takes the access point at its front stack and side.  Lanes
-    are ordered by that point's id and renumbered 1..n, and
-    ``LaneConfiguration.points`` records the point of each, which is all
-    that replay and the solution file need to place a move.
+    Each lane takes the access point at its front stack and side, by
+    ``GridLayout.point_id``.  Lanes are ordered by that point's id and
+    renumbered 1..n, and ``LaneConfiguration.points`` records the point of
+    each, which is all that replay and the solution file need to place a
+    move.
     """
-    by_stack = {
-        (ap.bay, ap.stack, ap.side): ap.point_id for ap in layout.access_points
-    }
     lanes = []
     for b, lanes_of_bay in enumerate(bay_lanes):
         for lane in lanes_of_bay:
-            point = by_stack.get((b, lane.front, lane.side))
+            point = layout.point_id(b, lane.front, lane.side)
             if point is None:
                 raise ValueError(
                     f"bay {b} has no access point at {lane.front} side {lane.side}"

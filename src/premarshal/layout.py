@@ -10,8 +10,15 @@ the orthogonally adjacent aisle tile.  Access points of facing bays may
 share a tile (distance 0).
 
 Access-point ids are 0-based and enumerated bay by bay, sides in N, E, S, W
-order, stacks by ascending index within a side.  An ``AccessPoint`` is a
-``NamedTuple`` of its id, tile, bay, stack and side.
+order, stacks by ascending index within a side.  Both an id and a tile
+follow from a formula: ``GridLayout`` keeps the id of the first point on
+each side of each bay (a closed side has none), so the point of stack
+(i, j) on side N or S is that id plus i - 1, and on E or W plus j - 1
+(``point_id``); its tile is the stack's neighbour across the side.  No
+per-point object is built to lay out, number lanes or measure distances.
+``access_points`` lists every point as an ``AccessPoint``, a
+``NamedTuple`` of its id, tile, bay, stack and side, each built only when
+it is read.
 
 The aisles are the full lines x = 0 (mod I+1) and y = 0 (mod J+1).  Bay b
 sits at grid cell divmod(b, cols), a different cell for every bay, and no
@@ -34,21 +41,24 @@ same holds with x and y swapped for vertical lines of one bay row.
 
 Rows are computed per access tile on first use, as Manhattan distances
 with the detours of the source's own bay column (or row) patched in, and
-every point on that tile shares the row.  A plan that reads the distances
-of a few lanes builds a few rows; forcing every row (the ``d`` attribute,
-as the ``distances`` command does) costs O(access points x distinct access
-tiles) time.
+every point on that tile shares the row.  The tiles of all points are
+computed with the first row, so a plan that reads no distance computes
+none, and one that reads the distances of a few lanes builds a few rows;
+forcing every row (the ``d`` attribute, as the ``distances`` command does)
+costs O(access points x distinct access tiles) time.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import WarehouseInstance
+from .model import SIDES, WarehouseInstance
 
 
 class LayoutError(Exception):
@@ -66,7 +76,63 @@ class AccessPoint(NamedTuple):
 @dataclass
 class GridLayout:
     aisles: tuple[int, int]  # the pitch (I+1, J+1) of the aisle lines
-    access_points: list[AccessPoint]
+    cols: int  # bays per row of the bay grid
+    # starts[4 b + s] is the id of the first point on side SIDES[s] of bay b,
+    # and the points of that side run up to the next entry: none if closed.
+    starts: list[int]
+
+    @property
+    def n(self) -> int:
+        return self.starts[-1]
+
+    def point_id(self, bay: int, stack: tuple[int, int], side: str) -> int | None:
+        """Id of the point of boundary ``stack`` on ``side``; None if the bay
+        has no such side."""
+        slot = 4 * bay + SIDES.index(side)
+        first = self.starts[slot]
+        if first == self.starts[slot + 1]:
+            return None
+        i, j = stack
+        return first + (i - 1 if side in "NS" else j - 1)
+
+    def edge(self, bay: int, side: str) -> tuple[Sequence[int], Sequence[int]]:
+        """x and y of the tiles of a bay side's points, stacks ascending."""
+        pitch_x, pitch_y = self.aisles
+        r, c = divmod(bay, self.cols)
+        x0, y0 = c * pitch_x, r * pitch_y
+        if side in "NS":
+            y = y0 if side == "N" else y0 + pitch_y
+            return range(x0 + 1, x0 + pitch_x), [y] * (pitch_x - 1)
+        x = x0 if side == "W" else x0 + pitch_x
+        return [x] * (pitch_y - 1), range(y0 + 1, y0 + pitch_y)
+
+    @property
+    def access_points(self) -> _AccessPoints:
+        return _AccessPoints(self)
+
+
+class _AccessPoints(Sequence):
+    """Every ``AccessPoint`` in id order, each built when it is indexed."""
+
+    def __init__(self, layout: GridLayout):
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return self.layout.n
+
+    def __getitem__(self, p: int) -> AccessPoint:
+        p = range(len(self))[p]  # IndexError past either end
+        starts = self.layout.starts
+        # The last side starting at or before p: a closed side ends where it
+        # starts, so it is never the one.
+        slot = bisect_right(starts, p) - 1
+        b, s = divmod(slot, 4)
+        side = SIDES[s]
+        k = p - starts[slot]
+        xs, ys = self.layout.edge(b, side)
+        I, J = (pitch - 1 for pitch in self.layout.aisles)
+        stack = {"N": (k + 1, 1), "E": (I, k + 1), "S": (k + 1, J), "W": (1, k + 1)}[side]
+        return AccessPoint(p, (xs[k], ys[k]), b, stack, side)
 
 
 class DistanceMatrix:
@@ -92,16 +158,29 @@ class DistanceMatrix:
 class _RowsOnFirstUse(dict):
     """Point id -> distance row; a missing row is built for its whole tile.
 
-    The bands are built on the first missing row, so a plan that reads no
-    distance pays nothing for them.  The coordinates are not: building them
-    later would keep every access point alive with the matrix.
+    The tile coordinates and the bands are built on the first missing row,
+    so a plan that reads no distance pays nothing for them.
     """
 
     def __init__(self, layout: GridLayout):
         super().__init__()
+        self.layout = layout
         self.pitch = layout.aisles
-        self.coords = tuple(zip(*(p.tile for p in layout.access_points)))
         self.gaps: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+
+    @cached_property
+    def coords(self) -> tuple[list[int], list[int]]:
+        """x and y of every point's tile, in point order."""
+        starts = self.layout.starts
+        xs: list[int] = []
+        ys: list[int] = []
+        for slot in range(len(starts) - 1):
+            if starts[slot] < starts[slot + 1]:  # the side is open
+                b, s = divmod(slot, 4)
+                edge_xs, edge_ys = self.layout.edge(b, SIDES[s])
+                xs += edge_xs
+                ys += edge_ys
+        return xs, ys
 
     @cached_property
     def bands(self) -> dict[tuple[bool, int], list[int]]:
@@ -143,32 +222,17 @@ class _RowsOnFirstUse(dict):
 
 
 def build_layout(instance: WarehouseInstance) -> GridLayout:
-    """Place the bays and derive the aisle pitch and access points."""
+    """Place the bays and number the access points of each one's open sides."""
     sizes = {(bay.I, bay.J) for bay in instance.bays}
     if len(sizes) > 1:
         raise LayoutError("bays of mixed footprint cannot share the bay grid")
     I, J = sizes.pop()
-    cols = instance.warehouse_cols
-
-    access_points: list[AccessPoint] = []
-    for b, bay in enumerate(instance.bays):
-        r, c = divmod(b, cols)
-        x0, y0 = c * (I + 1), r * (J + 1)
-        for side in ("N", "E", "S", "W"):
-            if side not in bay.access_sides:
-                continue
-            if side == "N":
-                spots = [((i, 1), (x0 + i, y0)) for i in range(1, I + 1)]
-            elif side == "E":
-                spots = [((I, j), (x0 + I + 1, y0 + j)) for j in range(1, J + 1)]
-            elif side == "S":
-                spots = [((i, J), (x0 + i, y0 + J + 1)) for i in range(1, I + 1)]
-            else:
-                spots = [((1, j), (x0, y0 + j)) for j in range(1, J + 1)]
-            for stack, tile in spots:
-                access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
-
-    return GridLayout((I + 1, J + 1), access_points)
+    starts = [0]
+    for bay in instance.bays:
+        for side in SIDES:
+            count = (I if side in "NS" else J) if side in bay.access_sides else 0
+            starts.append(starts[-1] + count)
+    return GridLayout((I + 1, J + 1), instance.warehouse_cols, starts)
 
 
 def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
@@ -178,7 +242,7 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     deliberately not considered.  Rows are computed on first use, one per
     distinct access tile, and every point on that tile shares the row.
     """
-    return DistanceMatrix(len(layout.access_points), _RowsOnFirstUse(layout))
+    return DistanceMatrix(layout.n, _RowsOnFirstUse(layout))
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:

@@ -10,8 +10,12 @@ the lanes that the fixing walk built with each candidate assignment, while
 replay derives them separately, from the assignments' direction strings
 through ``to_virtual_lanes``, so it does not depend on what the walk or
 selection kept.  A claimed move's access points are
-checked against the rebuilt configuration's ``points``.  Distance rows are
-computed only for the access points the claimed moves touch.
+checked against the rebuilt configuration's ``points``.  The rebuild makes
+no per-point object: ``build_layout`` keeps the first point id of each bay
+side and ``number_lanes`` reads a lane's id off it by formula.  Tile
+coordinates are computed with the first distance row, and rows only for
+the access points the claimed moves touch, so an empty plan computes
+neither.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import math
 from heapq import heappop, heappush
 
 from premarshal import bounds, fixing
+from premarshal.layout import AccessPoint
 from premarshal.model import apply_move, legal_moves, state_key
 
 
@@ -72,6 +73,33 @@ def aisle_tiles(instance):
             (c * (I + 1) + i, r * (J + 1) + j) for i in range(1, I + 1) for j in range(1, J + 1)
         )
     return {(x, y) for x in range(width) for y in range(length)} - covered
+
+
+def access_points(instance):
+    """Every access point, enumerated one at a time: bay by bay, sides in
+    N, E, S, W order, stacks ascending, each on the aisle tile next to its
+    boundary stack."""
+    I, J = instance.bays[0].I, instance.bays[0].J
+    cols = instance.warehouse_cols
+
+    access_points: list[AccessPoint] = []
+    for b, bay in enumerate(instance.bays):
+        r, c = divmod(b, cols)
+        x0, y0 = c * (I + 1), r * (J + 1)
+        for side in ("N", "E", "S", "W"):
+            if side not in bay.access_sides:
+                continue
+            if side == "N":
+                spots = [((i, 1), (x0 + i, y0)) for i in range(1, I + 1)]
+            elif side == "E":
+                spots = [((I, j), (x0 + I + 1, y0 + j)) for j in range(1, J + 1)]
+            elif side == "S":
+                spots = [((i, J), (x0 + i, y0 + J + 1)) for i in range(1, I + 1)]
+            else:
+                spots = [((1, j), (x0, y0 + j)) for j in range(1, J + 1)]
+            for stack, tile in spots:
+                access_points.append(AccessPoint(len(access_points), tile, b, stack, side))
+    return access_points
 
 
 # --- exhaustive access-fixing oracles -------------------------------------

@@ -358,6 +358,28 @@ def test_malformed_solutions_exit_3_without_a_traceback(probe_plan, tmp_path, ta
             assert [v["code"] for v in report["violations"]] == ["malformed"]
 
 
+def test_a_plan_with_forged_assignments_exits_3_without_a_traceback(probe_plan, tmp_path):
+    """A second, different entry for bay 0 put first and one for a bay the
+    instance lacks: verify and --ub-from both reject the assignments."""
+    inst, plan = probe_plan
+    data = json.loads(plan.read_text())
+    data["assignments"][:0] = [{"bay": 0, "rows": ["EEEE"] * 4}]
+    data["assignments"].append({"bay": 99, "rows": ["junk"]})
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    run = _run_cli(["verify", "--in", str(inst), "--sol", str(forged)])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    report = json.loads(run.stdout)
+    assert report["ok"] is False
+    assert [v["code"] for v in report["violations"]] == ["assignments"]
+    run = _run_cli(["solve", "--algo", "exact", "--in", str(inst), "--ub-from", str(forged),
+                    "-o", str(tmp_path / "exact.json")])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "bad assignments" in run.stderr
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "distances", "bench"])
 def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, capsys,
                                                        command):

@@ -224,3 +224,18 @@ def test_assignments_from_json_requires_every_bay():
     instance = _witness_instance()
     with pytest.raises(ValueError):
         files.assignments_from_json([{"bay": 0, "rows": ["WWW"] * 3}], instance)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"bay": 0, "rows": ["EEE"] * 3}, {"bay": 0, "rows": ["WWW"] * 3}], "two assignments"),
+    ([{"bay": 2, "rows": ["WWW"] * 3}], "has 2 bays"),
+    ([{"bay": -1, "rows": ["WWW"] * 3}], "has 2 bays"),
+    ([{"bay": 1.0, "rows": ["WWW"] * 3}], "must be an integer"),
+    ([{"bay": True, "rows": ["WWW"] * 3}], "must be an integer"),
+    ([{"bay": "0", "rows": ["WWW"] * 3}], "must be an integer"),
+])
+def test_assignments_from_json_rejects_repeated_and_foreign_bays(entries, message):
+    """Each entry must name a bay of the instance, as a plain int, once."""
+    data = [{"bay": 0, "rows": ["WWW"] * 3}, {"bay": 1, "rows": ["WWW"] * 3}]
+    with pytest.raises(ValueError, match=message):
+        files.assignments_from_json(entries + data, _witness_instance())

@@ -67,10 +67,11 @@ def test_point_ordering_and_adjacency():
 
 
 def test_facing_bays_share_access_tiles():
-    layout = build_layout(_instance((3, 3), 1, 2))
-    matrix = all_pairs_distances(layout)
-    east_of_0 = [p for p in layout.access_points if p.bay == 0 and p.side == "E"]
-    west_of_1 = [p for p in layout.access_points if p.bay == 1 and p.side == "W"]
+    instance = _instance((3, 3), 1, 2)
+    matrix = all_pairs_distances(build_layout(instance))
+    points = oracles.access_points(instance)
+    east_of_0 = [p for p in points if p.bay == 0 and p.side == "E"]
+    west_of_1 = [p for p in points if p.bay == 1 and p.side == "W"]
     for e, w in zip(east_of_0, west_of_1):
         assert e.tile == w.tile
         assert matrix.between(e.point_id, w.point_id) == 0
@@ -115,15 +116,18 @@ def test_bfs_matches_floyd_warshall(shape, wh):
     matrix = all_pairs_distances(layout)
     tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
-    for p in layout.access_points:
-        for q in layout.access_points:
+    points = oracles.access_points(instance)
+    for p in points:
+        for q in points:
             assert matrix.between(p.point_id, q.point_id) == oracle[index[p.tile]][index[q.tile]]
 
 
 @st.composite
-def _instances(draw):
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def _instances(draw, max_side=4, max_cols=3):
+    """Bays up to ``max_side`` square in up to 3 x ``max_cols``, each with its
+    own non-empty set of access sides."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, max_cols))
     sides = draw(st.lists(
         st.sets(st.sampled_from("NESW"), min_size=1).map("".join),
         min_size=rows * cols, max_size=rows * cols,
@@ -146,7 +150,7 @@ def test_distances_equal_floyd_warshall_on_random_layouts(instance):
     matrix = all_pairs_distances(layout)
     tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
-    points = layout.access_points
+    points = oracles.access_points(instance)
     assert matrix.n == len(points)
     for p in points:
         row = [oracle[index[p.tile]][index[q.tile]] for q in points]
@@ -154,6 +158,33 @@ def test_distances_equal_floyd_warshall_on_random_layouts(instance):
         for q in points:
             if q.tile == p.tile:
                 assert matrix.d[q.point_id] == matrix.d[p.point_id]
+
+
+def _side_stacks(bay, side):
+    """The boundary stacks of ``bay`` on ``side``, ascending."""
+    if side in "NS":
+        return [(i, 1 if side == "N" else bay.J) for i in range(1, bay.I + 1)]
+    return [(1 if side == "W" else bay.I, j) for j in range(1, bay.J + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances(max_side=6, max_cols=4))
+@example(_instance((1, 1), 1, 1, "N"))
+@example(_instance((2, 5), 2, 2, ["NW", "ES", "S", "NESW"]))
+def test_point_ids_and_points_follow_the_enumeration(instance):
+    """Ids and tiles by formula equal the one-by-one enumeration, per-bay
+    side sets included; a side the bay lacks has no id."""
+    layout = build_layout(instance)
+    points = oracles.access_points(instance)
+    assert len(layout.access_points) == layout.n == len(points)
+    assert list(layout.access_points) == points
+    assert layout.access_points[-1] == points[-1]
+    for p in points:
+        assert layout.point_id(p.bay, p.stack, p.side) == p.point_id
+    for b, bay in enumerate(instance.bays):
+        for side in set("NESW") - bay.access_sides:
+            for stack in _side_stacks(bay, side):
+                assert layout.point_id(b, stack, side) is None
 
 
 def _counting_row_builds(built):
@@ -174,7 +205,7 @@ def test_rows_on_first_use_equal_the_eager_rows(instance, rng):
     layout = build_layout(instance)
     tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
-    points = layout.access_points
+    points = oracles.access_points(instance)
     pairs = [(p, q) for p in points for q in points]
     rng.shuffle(pairs)
     built = []
@@ -201,6 +232,20 @@ def test_a_sorted_replay_builds_no_distance_row():
     with _counting_row_builds(built):
         assert verify.replay(instance, prepared.assignments, result).ok
     assert built == []
+
+
+def test_a_sorted_plan_builds_no_access_point_and_no_tile():
+    """Preparing, solving and replaying a k = 0 instance numbers its lanes by
+    formula and reads no distance, so no point object or tile is built (and
+    with no tile, no distance row)."""
+    instance = generate(GenConfig(bay=(3, 3), warehouse=(12, 12), fill=0.6, groups=10, seed=1))
+    with mock.patch.object(layout_module, "AccessPoint", side_effect=AssertionError), \
+            mock.patch.object(layout_module._RowsOnFirstUse, "coords",
+                              new_callable=mock.PropertyMock, side_effect=AssertionError):
+        prepared = pipeline.prepare(instance)
+        result, _ = pipeline.solve_instance(instance, "astar", prepared=prepared)
+        assert result.k == 0
+        assert verify.replay(instance, prepared.assignments, result).ok
 
 
 def test_csv_of_a_large_instance_is_pinned():
