@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -125,6 +126,9 @@ def _cmd_solve(args) -> int:
     if args.ub_from and args.algo != "exact":
         raise _Failure(EXIT_USAGE, "--ub-from only applies to --algo exact")
     instance = _load_instance(args.infile)
+    # The budget covers the whole command: preprocessing and the ``--ub-from``
+    # replay spend it too, and the solver gets what is left.
+    started = time.perf_counter()
     try:
         prepared = pipeline.prepare(instance)
     except MemoryError:
@@ -135,9 +139,12 @@ def _cmd_solve(args) -> int:
 
     ub = _load_upper_bound(args.ub_from, instance, prepared) if args.ub_from else None
 
+    timeout_s = args.timeout_s
+    if timeout_s is not None:
+        timeout_s = max(0.0, timeout_s - (time.perf_counter() - started))
     try:
         result, prepared = pipeline.solve_instance(
-            instance, args.algo, timeout_s=args.timeout_s, prepared=prepared, ub_solution=ub
+            instance, args.algo, timeout_s=timeout_s, prepared=prepared, ub_solution=ub
         )
     except MemoryError:
         # Out of memory is a spent budget, like running out of time.

@@ -43,7 +43,7 @@ blocked lanes are sources; and a child has h - 1 only if its move takes a
 blocker to a lane that it leaves unblocked, which keeps GX = 0 and blocks
 no new lane.
 
-The tight stage, k-bar = h0, allows two more cuts.  The bound is
+The tight stage, k-bar = h0, allows three more cuts.  The bound is
 consistent (proved in the ``bounds`` docstring), so h falls by at most 1
 per move, and the search cuts every child with h > k-bar - s at stage s.
 Every node at stage s therefore has h = k-bar - s exactly, and every move
@@ -61,8 +61,24 @@ lowers h by exactly 1:
   (c, d) < (a, b) is skipped (partial-order reduction: Godefroid, LNCS
   1032, 1996).  For a source c < a other than b, that leaves only the
   targets a and b.
+* A child with GX = 0, whose BX = h is the number of moves left, is cut
+  when its distance plus ``Targets.distance_bound`` exceeds the cap,
+  min(c_ub, incumbent - 1).  A move changes BX by at most 1, so each move
+  left lowers it by exactly 1.  Only one kind of move does: it takes a
+  blocker p from its lane s to a lane t != s that p joins unblocked, one
+  with no blocker, a threshold >= p and a free slot.  So no prefix load
+  moves, and each blocker moves exactly once.  A move lowers or keeps its target's threshold and free
+  slots once cleared (free_after_clear), and a blocker leaving its lane
+  changes neither.  So t already has a threshold >= p and
+  free_after_clear >= 1 at the child.  A move's distance depends on its
+  two lanes only.  The remaining distance is therefore at least the sum
+  over the blockers of the least d(s, t) over such lanes t.  Such a lane
+  exists: GX = 0 means that at the level of the highest blocker of s,
+  the free slots of lanes with a threshold at least that high cover the
+  blockers, and s is none of them, since its threshold is below its
+  first blocker.
 
-Neither cut changes the plan.  The search returns P*, the least-distance
+No cut changes the plan.  The search returns P*, the least-distance
 plan of k-bar moves that comes first in the order of its (source, target)
 sequence, the order in which the DFS meets plans.  P* has no adjacent commuting pair out
 of order: swapping it would give a smaller plan that is legal, has no
@@ -70,8 +86,21 @@ relay and has the same distance.  Nor does the memo cut P* at the state S
 it reaches after s moves: an earlier visit of S came by a prefix Q that
 precedes P*'s in DFS order, has the same length s (the stage is a function
 of the state) and no higher distance, so Q followed by the rest of P*
-would be a smaller optimal plan.  Outside the tight stage a swap can make a
-relay and a state is met at several stages, so neither cut applies there.
+would be a smaller optimal plan.  The distance cut drops only subtrees
+that hold no plan within the cap, and the cap only falls, so a memo entry
+at distance d still stands for every later visit at d or more.  Outside
+the tight stage a swap can make a relay and a state is met at several
+stages, so the first two cuts do not apply there.
+
+The distance cut is not applied at GX = m > 0.  There m of the moves
+left take sorted-prefix loads out, which raises their lanes' thresholds
+and free slots: a blocker may then land in a lane that cannot take it
+now, and those m moves carry no blocker.  A bound that relaxes each lane
+for m removals is plausible but unproven, so such nodes stay uncut.  Nor
+is it applied outside the tight stage, where the optimal move count
+exceeds the root bound.  The argument above holds there at a node whose
+BX equals the moves left, but no grid instance measured has such a
+stage, and its search stays as it was.
 """
 
 from __future__ import annotations
@@ -107,8 +136,9 @@ class Targets:
     its access points and capacities, so for each source lane the ascending
     distinct distances of its dmat row over the lanes, each with the mask of
     the lanes at that distance or less, hold in every state of the search.
-    A source's distances and masks are built the first time ``moves`` needs
-    them, so the dmat rows of lanes that are never a source are never read.
+    A source's distances and masks are built the first time ``moves`` or
+    ``distance_bound`` needs them, so the dmat rows of lanes that are never
+    a source or blocked are never read.
     """
 
     def __init__(self, initial: LaneConfiguration, dmat):
@@ -116,7 +146,7 @@ class Targets:
         self.dmat = dmat
         self.groups = initial.groups
         self.capacity = initial.capacities
-        #: per source lane: (distances, masks), None until ``moves`` reads it
+        #: per source lane: (distances, masks), None until first read
         self.reach: list[tuple[list[int], list[int]] | None] = [None] * len(self.points)
 
     def _reach(self, src: int) -> tuple[list[int], list[int]]:
@@ -137,6 +167,34 @@ class Targets:
                 masks.append(mask)
         self.reach[src] = dists, masks
         return dists, masks
+
+    def distance_bound(self, profiles) -> int:
+        """A lower bound on the distance still to come from a tight-stage
+        state with GX = 0 and lane ``profiles``: the sum over its blockers of
+        the least distance from the blocker's lane to another lane with a
+        threshold >= the blocker and a free slot once cleared.  GX = 0
+        gives every blocker such a lane (module docstring)."""
+        accept = [0] * self.groups  # [g - 1]: lanes that could take a load of group g
+        for idx, prof in enumerate(profiles):
+            if prof.free_after_clear:
+                accept[prof.threshold - 1] |= 1 << idx
+        for g in range(self.groups - 1, 0, -1):
+            accept[g - 1] |= accept[g]
+        total = 0
+        for src, prof in enumerate(profiles):
+            if not prof.blocking_suffix:
+                continue
+            dists, masks = self.reach[src] or self._reach(src)
+            others = ~(1 << src)
+            at = 0
+            # Ascending blockers accept shrinking lane sets, so each one's
+            # least distance is at or after the one before's.
+            for load in prof.blocking_suffix:
+                lanes = accept[load - 1] & others
+                while not masks[at] & lanes:
+                    at += 1
+                total += dists[at]
+        return total
 
     def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int]]:
         """The mask of lanes with room and, from ``profiles``, the
@@ -239,10 +297,10 @@ def complete_search(
     none.
 
     The memo, the distance budget and the bound cut every node; the
-    tight-stage cuts apply when the root's h equals ``k_bar``.  None of
-    them changes the plan: child order is (source lane id, target lane id),
-    and the plan returned is P* of the module docstring, the first
-    least-distance plan in that order.
+    tight-stage cuts, the distance bound at GX = 0 among them, apply when
+    the root's h equals ``k_bar``.  None of them changes the plan: child
+    order is (source lane id, target lane id), and the plan returned is P*
+    of the module docstring, the first least-distance plan in that order.
     """
     if k_bar < 0:
         raise ValueError("k_bar must be nonnegative")
@@ -288,6 +346,10 @@ def complete_search(
                                                                 touched)
             if c_h > remaining:
                 continue
+            if tight and c_h == child.blocking_total > 0:
+                cap = c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)
+                if c_dist + targets.distance_bound(c_profiles) > cap:
+                    continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
             c_last = move.to_lane - 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -124,6 +125,23 @@ def test_timeout_exits_2(instance_path, tmp_path, capsys):
     code, _ = _solve(instance_path, tmp_path, "exact", "--timeout-s", "0")
     assert code == cli.EXIT_TIMEOUT
     assert "solver timed out" in capsys.readouterr().err
+
+
+def test_timeout_covers_preprocessing(instance_path, tmp_path, capsys, monkeypatch):
+    """A budget that preprocessing uses up leaves the solver none: the
+    command times out, though A* alone would solve this instance within it."""
+    prepare = cli.pipeline.prepare
+
+    def slow(instance):
+        prepared = prepare(instance)
+        time.sleep(0.6)
+        return prepared
+
+    monkeypatch.setattr(cli.pipeline, "prepare", slow)
+    code, out = _solve(instance_path, tmp_path, "astar", "--timeout-s", "0.5")
+    assert code == cli.EXIT_TIMEOUT
+    assert "solver timed out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget", ["nan", "-5", "inf", "soon"])

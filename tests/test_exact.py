@@ -253,8 +253,8 @@ def test_timeout_reports_the_stage_reached():
 # ``solve_exact`` after A*; the root bound equals k, so the one stage searched
 # is tight.
 PINNED_SEARCHES = {
-    ((4, 4), (2, 2), 0.9, 10, 8): (3, 11, 18, [(12, 11), (39, 3), (24, 39)]),
-    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 94, [(4, 3), (22, 8), (41, 11), (54, 32)]),
+    ((4, 4), (2, 2), 0.9, 10, 8): (3, 11, 6, [(12, 11), (39, 3), (24, 39)]),
+    ((5, 5), (2, 2), 0.8, 5, 3): (4, 13, 5, [(4, 3), (22, 8), (41, 11), (54, 32)]),
 }
 
 # The same instances -> (distance, nodes, move pairs) of ``complete_search``
@@ -298,6 +298,83 @@ def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     assert result is not None
     moves, distance, nodes = result
     assert (distance, nodes, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
+
+
+# (bay, warehouse, fill, G, seed) -> (k, distance, nodes) of ``solve_exact``
+# after A*.  The root has GX = 0 and its distance bound equals the distance,
+# which certifies the optimum.  Without the distance cut the first took
+# 131,729 nodes and the second did not finish within 40 s.
+PINNED_HARD = {
+    ((3, 3), (10, 10), 0.9, 10, 1): (7, 32, 8),
+    ((4, 4), (4, 4), 0.9, 10, 1): (10, 35, 11),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_HARD))
+def test_hard_tight_instances_solve_within_budget(spec):
+    prep = _pinned_instance(spec)
+    config = prep.config
+    _surplus, profiles, h0 = bounds.lb_state(config)
+    assert h0 == config.blocking_total
+    warm = astar.solve_astar(config, prep.dmat)
+    result = exact.solve_exact(config, prep.dmat, warm, timeout_s=20)
+    assert isinstance(result, Solution)
+    assert (result.k, result.total_distance, result.stats.nodes_evaluated) == PINNED_HARD[spec]
+    assert exact.Targets(config, prep.dmat).distance_bound(profiles) == result.total_distance
+
+
+def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
+    """On random states whose root is tight with GX = 0, the distance bound
+    at the root and at every state along the staged oracle's plan is at most
+    the distance that plan has left, and the search returns the oracle's
+    plan."""
+    rng = random.Random(11)
+    plans = positive = tight = 0
+    for _ in range(400):
+        lanes = []
+        for _lane in range(rng.randint(4, 6)):
+            cap = rng.randint(2, 3)
+            contents = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, cap)))
+            lanes.append((cap, contents, rng.randrange(8)))
+        config = make_config(lanes, groups=4)
+        h0 = bounds.lb(config)
+        if not 0 < h0 == config.blocking_total <= 9 - len(lanes):
+            continue
+        expected = _oracle(lanes, h0, 10_000)
+        assert _as_oracle(exact.complete_search(config, h0, DMAT, 10_000)) == expected
+        if expected is None:
+            continue
+        plans += 1
+        targets = exact.Targets(config, DMAT)
+        left, state = expected[0], config
+        for pair in expected[1] + [None]:
+            _surplus, profiles, h = bounds.lb_state(state)
+            assert h == state.blocking_total  # GX = 0 all along the plan
+            bound = targets.distance_bound(profiles)
+            assert bound <= left
+            positive += bound > 0
+            tight += bound == left > 0
+            if pair is None:
+                break
+            move = next(m for m in legal_moves(state, DMAT)
+                        if (m.from_lane - 1, m.to_lane - 1) == pair)
+            state, left = apply_move(state, move), left - move.distance
+        assert left == 0 and state.is_sorted
+    assert plans >= 150 and positive >= 200 and tight >= 150
+
+
+def test_a_blocker_no_other_lane_takes_makes_gx_positive():
+    """Lane 1's blocker 3 fits no other lane (thresholds 2, one of them
+    full), so no plan of BX = 1 move exists and GX > 0: the distance bound
+    is never asked, and the search and the oracle agree at both stages."""
+    lanes = [(2, (1, 3), 0), (1, (2,), 1), (2, (2,), 2)]
+    config = make_config(lanes, groups=3)
+    assert config.blocking_total == 1 < bounds.lb(config)
+    assert exact.complete_search(config, 1, DMAT, 10_000) is None
+    assert _oracle(lanes, 1, 10_000) is None
+    h0 = bounds.lb(config)
+    assert _as_oracle(exact.complete_search(config, h0, DMAT, 10_000)) \
+        == _oracle(lanes, h0, 10_000)
 
 
 class _RowsRead:
