@@ -12,6 +12,7 @@ produces identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from typing import IO
 
 from .fixing import AccessAssignment, misplaced_count
@@ -87,11 +88,11 @@ def instance_from_json(data: dict) -> WarehouseInstance:
 
 
 def parse_layout_label(label: str) -> tuple[int, int]:
-    """'3x4' -> (3, 4); raises ValueError on anything else."""
-    parts = str(label).lower().split("x")
-    if len(parts) != 2:
+    """'3x4' (or '3X4', ASCII digits only) -> (3, 4); raises ValueError on anything else."""
+    match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", str(label))
+    if match is None:
         raise ValueError(f"layout label {label!r} is not of the form RxC")
-    rows, cols = (int(p) for p in parts)
+    rows, cols = map(int, match.groups())
     if rows < 1 or cols < 1:
         raise ValueError(f"layout label {label!r} must be positive")
     return rows, cols

@@ -92,10 +92,13 @@ it is 0 (``optimal_assignments``):
 3. Path.  Every cost added along a valid row choice is finite (is 0 within
    the zero reaches), so the cost is finite (is 0) exactly when some
    sequence of valid choices ends with every north-band column splittable.
-   A depth-first search looks for the first such path in ``row_choices``
-   order.  It tries each distinct mask H of a row once, as the first
-   (alpha, eps) to give it, since validity and the next state depend on H
-   alone, and it remembers only the states that have no completion.
+   If every column splits within its reaches (``nmax + smax >= J``), the
+   first such path is all (0, 0): mask 0 comes first in every row, is valid
+   from state (0, 0) and keeps it.  Otherwise a depth-first search makes each
+   row's choices as it reaches the row, in ``row_choices`` order, each
+   distinct mask H once, as the first (alpha, eps) to give it, since
+   validity and the next state depend on H alone, and it remembers only
+   the states that have no completion.
 
 At an optimum of 0 the walk takes exactly the choices that add 0 and whose
 state has a cost to go of 0, in ``row_choices`` order, so its first
@@ -601,64 +604,59 @@ def has_hole_free_assignment(bay: BaySpec) -> bool:
 
 def _first_path(I: int, J: int, wmax, emax, nmax, smax) -> list[tuple[int, int]] | None:
     """The first path of valid row choices whose lanes all lie within the
-    given reaches, as the (alpha, eps) of every row, or None if there is none.
+    given reaches, as the (alpha, eps) of every row, or None if there is none
+    (module docstring, points 2 and 3).
 
     ``wmax[j]`` and ``emax[j]`` bound the W and E lanes of row j, ``nmax[i]``
-    and ``smax[i]`` the N and S lanes of column i (0-based).  A bay with a
-    cell that no lane within them reaches has no path.  Each row tries its
-    distinct horizontal masks in ``_row_splits`` order, as the first
-    (alpha, eps) to give each, and a path must end with every column still
-    in its north band splittable within its reaches.
+    and ``smax[i]`` the N and S lanes of column i (0-based).  A path must end
+    with every column still in its north band splittable within its reaches.
     """
-    for j in range(J):
-        for i in range(I):
-            if not (i < wmax[j] or I - i <= emax[j] or j < nmax[i] or J - j <= smax[i]):
-                return None
-    full = (1 << I) - 1
-    rows = []
-    for j in range(J):
-        # mask -> its first (alpha, eps), the masks in that order.  Only the
-        # full mask has several splits (alpha + eps = I), and the first has
-        # the least alpha, I - emax[j]; past it, eps stops short of I - alpha.
-        e = emax[j]
-        splits = {
-            ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1)): (alpha, eps)
-            for alpha in range(wmax[j] + 1)
-            for eps in range(min(e, I - alpha - (alpha > I - e)) + 1)
-        }
-        nbad = sum(1 << i for i in range(I) if j > nmax[i])
-        sbad = sum(1 << i for i in range(I) if J - j > smax[i])
-        rows.append((splits, nbad, sbad))
     nosplit = sum(1 << i for i in range(I) if nmax[i] + smax[i] < J)
-    path = _completion(rows, full, nosplit, 0, 0, 0, set())
+    if not nosplit:
+        return [(0, 0)] * J
+    rows = []
+    for j, (w, e) in enumerate(zip(wmax, emax)):
+        nbad = sbad = 0
+        for i, (n, s) in enumerate(zip(nmax, smax)):
+            if not (i < w or I - i <= e or j < n or J - j <= s):
+                return None
+            nbad |= (j > n) << i
+            sbad |= (J - j > s) << i
+        rows.append((w, e, nbad, sbad))
+    path = _completion(rows, I, nosplit, 0, 0, 0, set())
     return None if path is None else path[::-1]
 
 
 # Not a closure: each of the generator's many probes must free its state at once.
-def _completion(rows, full: int, nosplit: int, j: int, band: int, south: int,
+def _completion(rows, I: int, nosplit: int, j: int, band: int, south: int,
                 dead: set) -> list[tuple[int, int]] | None:
     """The first valid choices of rows ``j``.. from state (band, south),
     bottom row first, or None if they have none.
 
-    ``rows[j]`` holds row j's (alpha, eps) per distinct horizontal mask,
-    ``nbad`` and ``sbad``, and a mask is valid by the tests of
-    ``_BayTables.row_choices``.  ``dead`` collects the (j, band, south)
-    states found to have no completion.
+    ``rows[j]`` holds row j's W and E reaches, ``nbad`` and ``sbad``.  Each
+    distinct horizontal mask is made once, as its first (alpha, eps): only
+    the full mask has several splits (alpha + eps = I), and its first has
+    the least alpha, I - e; past it, eps stops short of I - alpha.  A mask
+    is valid by the tests of ``_BayTables.row_choices``.  ``dead`` collects
+    the (j, band, south) states found to have no completion.
     """
     if j == len(rows):
-        return None if full & ~(band | south) & nosplit else []
+        return None if nosplit & ~(band | south) else []
     if (j, band, south) in dead:
         return None
-    splits, nbad, sbad = rows[j]
-    north = full & ~(band | south)
-    for horizontal, split in splits.items():
-        ended = band & ~horizontal
-        if horizontal & south or horizontal & north & nbad or ended & sbad:
-            continue
-        path = _completion(rows, full, nosplit, j + 1, horizontal, south | ended, dead)
-        if path is not None:
-            path.append(split)
-            return path
+    w, e, nbad, sbad = rows[j]
+    blocked = south | nbad & ~(band | south)  # columns with no horizontal cell here
+    for alpha in range(w + 1):
+        west = (1 << alpha) - 1
+        for eps in range(min(e, I - alpha - (alpha > I - e)) + 1):
+            horizontal = west | ((1 << eps) - 1) << (I - eps)
+            ended = band & ~horizontal
+            if horizontal & blocked or ended & sbad:
+                continue
+            path = _completion(rows, I, nosplit, j + 1, horizontal, south | ended, dead)
+            if path is not None:
+                path.append((alpha, eps))
+                return path
     dead.add((j, band, south))
     return None
 

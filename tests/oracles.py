@@ -550,7 +550,60 @@ def full_scan_select(candidates, bay):
     return best if best is not None else candidates[0]
 
 
-_INWARD = {"W": (1, 0), "E": (-1, 0), "N": (0, 1), "S": (0, -1)}
+def table_first_path(I, J, wmax, emax, nmax, smax):
+    """``fixing._first_path`` as it was before its all-vertical shortcut and
+    in-place row choices: it builds every row's table of (alpha, eps) per
+    distinct horizontal mask, then searches the rows depth first.
+
+    Returns the (alpha, eps) of every row of the first path whose lanes lie
+    within the reaches, or None.
+    """
+    for j in range(J):
+        for i in range(I):
+            if not (i < wmax[j] or I - i <= emax[j] or j < nmax[i] or J - j <= smax[i]):
+                return None
+    full = (1 << I) - 1
+    rows = []
+    for j in range(J):
+        # mask -> its first (alpha, eps), the masks in that order.  Only the
+        # full mask has several splits (alpha + eps = I), and the first has
+        # the least alpha, I - emax[j]; past it, eps stops short of I - alpha.
+        e = emax[j]
+        splits = {
+            ((1 << alpha) - 1) | (full ^ ((1 << (I - eps)) - 1)): (alpha, eps)
+            for alpha in range(wmax[j] + 1)
+            for eps in range(min(e, I - alpha - (alpha > I - e)) + 1)
+        }
+        nbad = sum(1 << i for i in range(I) if j > nmax[i])
+        sbad = sum(1 << i for i in range(I) if J - j > smax[i])
+        rows.append((splits, nbad, sbad))
+    nosplit = sum(1 << i for i in range(I) if nmax[i] + smax[i] < J)
+    path = _table_completion(rows, full, nosplit, 0, 0, 0, set())
+    return None if path is None else path[::-1]
+
+
+def _table_completion(rows, full, nosplit, j, band, south, dead):
+    """The first valid choices of rows ``j``.. from state (band, south),
+    bottom row first, or None; ``dead`` collects the states without one."""
+    if j == len(rows):
+        return None if full & ~(band | south) & nosplit else []
+    if (j, band, south) in dead:
+        return None
+    splits, nbad, sbad = rows[j]
+    north = full & ~(band | south)
+    for horizontal, split in splits.items():
+        ended = band & ~horizontal
+        if horizontal & south or horizontal & north & nbad or ended & sbad:
+            continue
+        path = _table_completion(rows, full, nosplit, j + 1, horizontal, south | ended, dead)
+        if path is not None:
+            path.append(split)
+            return path
+    dead.add((j, band, south))
+    return None
+
+
+_INWARD ={"W": (1, 0), "E": (-1, 0), "N": (0, 1), "S": (0, -1)}
 
 
 def reconstruct_occupancy(config, layout, assignments):

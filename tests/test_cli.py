@@ -50,6 +50,17 @@ def test_generate_rejects_off_grid_configs(tmp_path, capsys):
     assert "premarshal:" in capsys.readouterr().err
 
 
+def test_a_malformed_layout_label_is_a_usage_error(tmp_path):
+    """'3_0x3' is no 30x3 bay, even where --unrestricted admits one."""
+    out = tmp_path / "x.json"
+    run = _run_cli(["generate", "--bay", "3_0x3", "--warehouse", "1x1", "--fill", "0.4",
+                    "--classes", "5", "--seed", "1", "--unrestricted", "-o", str(out)])
+    assert run.returncode == cli.EXIT_USAGE
+    assert "is not of the form RxC" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_a_bay_that_cannot_be_grown_exits_3(tmp_path):
     """6x6/6x6/0.9/s1 exhausts its retry budget, every probe real."""
     out = tmp_path / "x.json"

@@ -152,6 +152,10 @@ def test_parse_layout_label():
     for bad in ("3", "3x4x5", "0x2", "ax2", "-1x2", "x", ""):
         with pytest.raises(ValueError):
             files.parse_layout_label(bad)
+    # int() reads each of these, as 30, 3 or 3, or fails with its own message.
+    for bad in ("3_0x3", "\u0663x3", "+3x3", " 3x3", "3x3\n", "3x", "x3", "3 x 3"):
+        with pytest.raises(ValueError, match="is not of the form RxC"):
+            files.parse_layout_label(bad)
 
 
 def test_solution_round_trip(tmp_path):

@@ -192,6 +192,45 @@ def test_probe_agrees_with_the_cost_dp():
     assert 500 < feasible < 1500  # both answers are well exercised
 
 
+REACHES = {"hole-free": fixing._reach, "zero": fixing._zero_reach}
+
+
+def _random_reaches(rng, reach):
+    """(I, J, reaches) of a random bay up to 7x7 with random sides."""
+    I, J = rng.randint(1, 7), rng.randint(1, 7)
+    sides = frozenset(rng.sample("NESW", rng.randint(1, 4)))
+    grid = fixing._grid(_bay(I, J, _random_occ(rng, I, J, rng.randint(0, I * J)), sides))
+    return I, J, fixing._reaches(grid, list(zip(*grid)), sides, reach)
+
+
+@pytest.mark.parametrize("reach", sorted(REACHES))
+def test_the_first_path_is_all_vertical_exactly_when_every_column_splits(reach):
+    rng = random.Random(f"all-vertical {reach}")
+    vertical = 0
+    for _ in range(2000):
+        I, J, reaches = _random_reaches(rng, REACHES[reach])
+        _, _, nmax, smax = reaches
+        splits = all(n + s >= J for n, s in zip(nmax, smax))
+        assert (fixing._first_path(I, J, *reaches) == [(0, 0)] * J) == splits, (I, J, reaches)
+        vertical += splits
+    assert 400 < vertical < 1600  # both answers are well exercised
+
+
+@pytest.mark.parametrize("reach", sorted(REACHES))
+def test_the_first_path_equals_the_table_search(reach):
+    """Choices made in place find the path that per-row tables of every
+    distinct mask found, or none where they found none."""
+    rng = random.Random(f"table search {reach}")
+    outcomes = {"none": 0, "all vertical": 0, "searched": 0}
+    for _ in range(2000):
+        I, J, reaches = _random_reaches(rng, REACHES[reach])
+        path = fixing._first_path(I, J, *reaches)
+        assert path == oracles.table_first_path(I, J, *reaches), (I, J, reaches)
+        outcomes["none" if path is None else
+                 "all vertical" if path == [(0, 0)] * J else "searched"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
 def test_pruned_dp_lists_what_the_unpruned_one_lists():
     """Skipping row choices that cannot beat the best changes no list and no error."""
     rng = random.Random("pruned against unpruned DP")

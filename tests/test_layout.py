@@ -110,7 +110,7 @@ def _aisle_graph(instance):
 
 
 @pytest.mark.parametrize("shape,wh", [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((4, 4), (2, 1))])
-def test_bfs_matches_floyd_warshall(shape, wh):
+def test_closed_form_matches_floyd_warshall(shape, wh):
     instance = _instance(shape, *wh)
     layout = build_layout(instance)
     matrix = all_pairs_distances(layout)
