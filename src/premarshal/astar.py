@@ -34,7 +34,8 @@ duplicate detection: Korf, IJCAI 2003).  An offer is the queue entry
 ``apply_move``, and the child is skipped if its ``state_key`` is in the
 closed set, or else closed, counted and given its surplus and profiles by
 ``bounds.lb_incremental``, which computes its two lane changes through
-the search's lane-change memo.  h depends only on
+the search's lane-change memo and no GX: the child's h came with its
+offer.  h depends only on
 the state and every tie is unique, so the first offer of a state to pop is
 the least (f, dist, tie) offered for it so far: the record that a
 store-every-child A* offering children in ``legal_moves`` order keeps (new,
@@ -125,8 +126,7 @@ def solve_astar(
                 if key in closed:
                     continue
                 closed.add(key)
-                surplus, profiles, _h = bounds.lb_incremental(node[5], node[6], move, config,
-                                                              touched)
+                surplus, profiles = bounds.lb_incremental(node[5], node[6], move, config, touched)
                 node = (node, move, node[2] + 1, dist, config, surplus, profiles)
             _parent, _move, g, dist, config, surplus, profiles = node
             if h < 0:

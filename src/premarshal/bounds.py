@@ -63,13 +63,21 @@ In every case h = BX + GX <= BX' + GX' + 1 = h' + 1.
 capacity and the group count G, as a state holds them.  ``lane_change``
 re-profiles one lane that comes to hold new contents and gives its BX
 change and surplus change.  ``lb_incremental`` applies it to the two lanes
-a move touches and adds both surplus changes to the parent's surplus; its
-result is identical to the from-scratch computation.  ``cached_lane_change``
+a move touches and adds both surplus changes to the parent's surplus; the
+surplus and profiles it gives are identical to the from-scratch ones.  It
+computes no GX: A* reads a popped child's h off its offer, and the exact
+search asks ``gx_bound`` for its children's.  ``cached_lane_change``
 memoises ``lane_change`` by (capacity, old contents, new contents), which
 fix its result for one G.  A search keeps one such memo and passes it to
 every ``lb_incremental`` and ``Siblings`` call, so each lane transition is
 profiled once per search.  An A* pop computes its two transitions through
 it; ``Siblings`` adds only those of the children whose h needs GX.
+
+``gx_bound``, ``lb`` and ``_cover`` take an optional cap and are then
+exact up to it and answer cap + 1 above it: a caller that asks only
+whether the bound is at most the cap gets its answer without the rest of
+the covering search.  Access-fixing selection asks every candidate after
+its first whether its h is below the best so far.
 
 ``Siblings.select`` lists the children of one parent whose h is at most a
 limit, and the least h above it, the way A* asks for them, reading their
@@ -190,16 +198,19 @@ def _removal_options(
     return tuple(options)
 
 
-def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
-    """Fewest removals whose gains reach ``needs`` at every level.
+def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: int | None = None):
+    """Fewest removals whose gains reach ``needs`` at every level, exact up
+    to ``cap`` and ``cap + 1`` above it: min(GX, cap + 1).
 
     ``lane_options`` holds one ``_removal_options`` result per lane, each in
     ascending r; one option is taken per lane.  The program runs lane by lane:
     ``frontier`` maps each residual need, clipped at 0, to the fewest
     removals that leave it after the lanes so far.  A residual that the
     remaining lanes cannot cover at full clearing is dropped, and so is a
-    cost that cannot beat the best cover found (full clearing to start,
-    which always covers: see the module docstring).
+    cost that cannot beat the best cover found.  ``best`` starts at full
+    clearing, which always covers (see the module docstring), or at
+    ``cap + 1`` when that is less: then a cover is found only if it costs at
+    most ``cap``, and ``cap + 1`` is returned when none does.
     """
     zero = (0,) * len(needs)
     # reach[idx]: the gain of clearing every lane from idx on.
@@ -209,6 +220,8 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
     reach.reverse()
 
     best = sum(options[-1][0] for options in lane_options)
+    if cap is not None:
+        best = min(best, cap + 1)
     frontier = {needs: 0}
     for idx, options in enumerate(lane_options):
         later = reach[idx + 1]
@@ -232,11 +245,20 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...]):
     return best
 
 
-def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile]) -> int:
-    """Exact minimum of the covering problem; 0 when supply already covers."""
+def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile],
+             cap: int | None = None) -> int:
+    """Minimum of the covering problem; 0 when supply already covers.
+
+    Exact with no ``cap``.  With one, the answer is exact up to the cap and
+    ``cap + 1`` above it, that is min(GX, cap + 1): enough to decide whether
+    GX <= cap.  When some level is positive GX is at least 1, so a cap
+    below 1 is answered with ``cap + 1`` at once.
+    """
     levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
     if not levels:
-        return 0
+        return 0 if cap is None else min(0, cap + 1)
+    if cap is not None and cap < 1:
+        return cap + 1
 
     needs = tuple(x for x in surplus if x > 0)
     lane_options = []
@@ -247,11 +269,11 @@ def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile]) -> int:
                                    len(surplus))
         if len(options) > 1:
             lane_options.append(options)
-    return _cover(lane_options, needs)
+    return _cover(lane_options, needs, cap)
 
 
-def lb_state(config: LaneConfiguration):
-    """Full evaluation: (surplus, profiles, h) for incremental updates later."""
+def _summary(config: LaneConfiguration):
+    """(surplus, profiles) of a configuration, from scratch."""
     profiles = tuple(lane_profile(loads, capacity, config.groups)
                      for loads, capacity in zip(config.contents, config.capacities))
     per_group = [0] * config.groups
@@ -259,19 +281,29 @@ def lb_state(config: LaneConfiguration):
         for g in prof.blocking_suffix:
             per_group[g - 1] += 1
         per_group[prof.threshold - 1] -= prof.free_after_clear
-    surplus = _cumulate(per_group)
+    return _cumulate(per_group), profiles
+
+
+def lb_state(config: LaneConfiguration):
+    """Full evaluation: (surplus, profiles, h) for incremental updates later."""
+    surplus, profiles = _summary(config)
     return surplus, profiles, config.blocking_total + gx_bound(surplus, profiles)
 
 
-def lb(config: LaneConfiguration):
+def lb(config: LaneConfiguration, cap: int | None = None):
     """h = BX + gx_bound; admissible for the remaining move count.
 
-    A config with no blocker gets h = 0 at once: with no blocking load there
-    is no demand, so no level of the surplus is positive and GX = 0.
+    Exact with no ``cap``.  With one, the answer is exact up to the cap and
+    ``cap + 1`` above it, min(h, cap + 1), as ``gx_bound`` answers for GX
+    with the cap less BX.  A config with no blocker gets h = 0 at once: with
+    no blocking load there is no demand, so no level of the surplus is
+    positive and GX = 0.
     """
-    if config.blocking_total == 0:
-        return 0
-    return lb_state(config)[2]
+    bx = config.blocking_total
+    if bx == 0:
+        return 0 if cap is None else min(0, cap + 1)
+    surplus, profiles = _summary(config)
+    return bx + gx_bound(surplus, profiles, None if cap is None else cap - bx)
 
 
 def cached_lane_change(touched: dict, old: LaneProfile, old_contents: tuple[int, ...],
@@ -294,9 +326,11 @@ def lb_incremental(
     child: LaneConfiguration,
     touched: dict,
 ):
-    """Re-profile only the two lanes touched by ``move`` and add their
-    surplus changes; equal to lb_state(child) from scratch.  ``touched`` is
-    the search's ``cached_lane_change`` memo, the one its ``Siblings`` share."""
+    """The child's (surplus, profiles): re-profile only the two lanes touched
+    by ``move`` and add their surplus changes; equal to those of
+    ``lb_state(child)``.  Its h is ``child.blocking_total + gx_bound(surplus,
+    profiles)``, left to the caller that reads it.  ``touched`` is the
+    search's ``cached_lane_change`` memo, the one its ``Siblings`` share."""
     profiles = list(parent_profiles)
     src, dst = move.from_lane - 1, move.to_lane - 1
     contents, caps, groups = child.contents, child.capacities, child.groups
@@ -307,8 +341,7 @@ def lb_incremental(
         touched, profiles[dst], new_dst[:-1], new_dst, caps[dst], groups)
     surplus = tuple(map(add, parent_surplus, src_change))
     surplus = tuple(map(add, surplus, dst_change))
-    profiles = tuple(profiles)
-    return surplus, profiles, child.blocking_total + gx_bound(surplus, profiles)
+    return surplus, tuple(profiles)
 
 
 class Siblings:

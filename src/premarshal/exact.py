@@ -30,8 +30,9 @@ count (BX) would otherwise exceed the stages left, only the lanes that take
 its front load unblocked.  Since h = BX + GX with GX >= 0, that cuts only
 what the full bound would cut.  The lane the last move filled is no source
 (the relay rule).  ``legal_moves`` then builds the moves of those (source,
-targets) pairs only.  After a child is built, the full h from
-``lb_incremental`` decides; its lane changes come from one memo per search.
+targets) pairs only.  After a child is built, its full h decides: its
+surplus and profiles from ``lb_incremental``, whose lane changes come from
+one memo per search, and its GX from ``gx_bound``.
 
 A source's distances and masks are built the first time it still has
 targets before the bisection, so the search reads the dmat rows of its
@@ -342,8 +343,8 @@ def complete_search(
             if incumbent[0] is not None and c_dist >= incumbent[0]:
                 continue
             child = apply_move(config, move)
-            c_surplus, c_profiles, c_h = bounds.lb_incremental(surplus, profiles, move, child,
-                                                                touched)
+            c_surplus, c_profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
+            c_h = child.blocking_total + bounds.gx_bound(c_surplus, c_profiles)
             if c_h > remaining:
                 continue
             if tight and c_h == child.blocking_total > 0:

@@ -43,18 +43,32 @@ cost is None when the lane would contain a hole or sit on a side without
 access points.  The band costs of a row and the split costs are summed per
 mask the first time that mask is met.
 
-The search is pruned by the best total found so far, branch and bound on
-a DP (Morin & Marsten, Operations Research 24(4), 1976).  Every cost to go
-is >= 0, so a row choice that adds at least the best total of the state's
-earlier choices cannot lower the minimum and is skipped unexpanded.  For
-the same reason a state stops at its first total of 0: nothing can beat
-it, so the choices after it are not even listed.  A state is memoised only
-once all its choices are tried, skipped or cut off by a 0, so the memo
-holds exact minima only and no state is expanded twice; an empty bay
-memoises J states.  The walk that enumerates the optimal assignments skips
-a choice whose spent cost exceeds the optimum before it asks for its cost
-to go, which the memo may lack.  The unpruned walk rejects the same
-choices, so the assignments and their order are unchanged.
+The search is branch and bound on a DP (Morin & Marsten, Operations
+Research 24(4), 1976), and each minimum is asked for only up to a cap:
+``cost_to_go(j, state, cap)`` is the exact cost to go when that is below
+the cap, and otherwise some value >= the cap.  A state starts its best at
+the cap and tries its row's choices by ascending W and E lane cost.  Every
+band cost and cost to go is >= 0, so it stops at the first choice whose
+lane cost is >= best, skips one whose added cost is, and asks each other
+child with the cap best - added.  By induction on the rows below, a
+child's answer below its cap is exact, and its total is the new best; an
+answer at or above its cap gives a total >= best, as the exact value,
+also >= that cap, would, and changes nothing.  So best ends at the lesser
+of the cap and the state's minimum: exact when below the cap, and the cap,
+a lower bound, otherwise.  The order in which the choices are tried changes
+which states are expanded, never a value below a cap.  The memo keeps
+(value, exact): an exact value answers every cap, and a lower bound
+answers any cap at or below it, since the minimum is then at or above that
+cap as well; a state whose bound is below a later cap is expanded again.
+Uncapped (cap = inf), the call is exact; an empty bay memoises J states.
+
+The walk that enumerates the optimal assignments tries the choices in
+``row_choices`` order and keeps those that stay on the optimum: with
+``left`` the optimum less the cost spent and added so far, a child's
+minimum is ``left`` exactly when ``cost_to_go(j + 1, child, left + 1)``
+answers ``left``, since a minimum below ``left`` would beat the optimum.
+The unpruned walk keeps the same choices, so the assignments and their
+order are unchanged.
 
 Each assignment the walk yields carries its lanes.  At a leaf it holds
 every row's (alpha, eps) and every north-band column's split, so one pass
@@ -322,6 +336,8 @@ class _BayTables:
              if wc[alpha] is not None and ec[eps] is not None]
             for wc, ec in zip(wcost, ecost)
         ]
+        # by_cost[j]: (W and E lane cost, mask) of row j's choices, cheapest first.
+        self.by_cost = [sorted((cost, mask) for _, _, cost, mask in row) for row in self.choices]
         # nbad[j]: columns whose north band cannot end above row j;
         # sbad[j]: columns whose south band cannot start at row j.
         nbad, sbad = [0] * J, [0] * J
@@ -339,40 +355,51 @@ class _BayTables:
         self.north_sums = [_MaskSums(row) for row in itertools.islice(zip(*ncost), J)]
         self.south_sums = [_MaskSums(row) for row in itertools.islice(zip(*scost), J)]
         self.split_sums = _MaskSums(self.split_best)
-        self._memo: list[dict[tuple[int, int], float]] = [{} for _ in range(J)]
+        # _memo[j][state]: (value, exact); a value that is not exact is a
+        # lower bound, at least the cap it was asked with.
+        self._memo: list[dict[tuple[int, int], tuple[float, bool]]] = [{} for _ in range(J)]
 
     def row_choices(self, j: int, state: tuple[int, int]):
         """Yield (alpha, eps, added_cost, new_state) for row j, valid only."""
         band, south = state
         north = self.full & ~(band | south)
-        nbad, sbad = self.nbad[j], self.sbad[j]
+        forbid = south | north & self.nbad[j]  # columns with no horizontal cell here
+        need = band & self.sbad[j]  # columns whose band cannot end here
         north_sums, south_sums = self.north_sums[j], self.south_sums[j]
         for alpha, eps, cost, horizontal in self.choices[j]:
-            ended = band & ~horizontal
-            if horizontal & south or horizontal & north & nbad or ended & sbad:
+            if horizontal & forbid or need & ~horizontal:
                 continue
+            ended = band & ~horizontal
             cost += north_sums[horizontal & north] + south_sums[ended]
             yield alpha, eps, cost, (horizontal, south | ended)
 
-    def cost_to_go(self, j: int, state: tuple[int, int]) -> float:
-        """Minimum cost of rows j.. plus terminal column costs (0-based j)."""
+    def cost_to_go(self, j: int, state: tuple[int, int], cap: float = math.inf) -> float:
+        """Minimum cost of rows j.. plus terminal column costs (0-based j),
+        exact when below ``cap`` and otherwise some value >= ``cap``."""
+        band, south = state
         if j == self.J:
-            band, south = state
             return self.split_sums[self.full & ~(band | south)]
         memo = self._memo[j]
-        best = memo.get(state)
-        if best is None:
-            best = math.inf
-            for _, _, added, new_state in self.row_choices(j, state):
-                # The rows below add >= 0, so this choice cannot beat best.
-                if added >= best:
-                    continue
-                total = added + self.cost_to_go(j + 1, new_state)
+        hit = memo.get(state)
+        if hit is not None and (hit[1] or hit[0] >= cap):
+            return hit[0]
+        north = self.full & ~(band | south)
+        forbid = south | north & self.nbad[j]  # columns with no horizontal cell here
+        need = band & self.sbad[j]  # columns whose band cannot end here
+        north_sums, south_sums = self.north_sums[j], self.south_sums[j]
+        best = cap
+        for cost, horizontal in self.by_cost[j]:
+            if cost >= best:
+                break  # the rows below add >= 0, so no choice from here on beats best
+            if horizontal & forbid or need & ~horizontal:
+                continue
+            ended = band & ~horizontal
+            added = cost + north_sums[horizontal & north] + south_sums[ended]
+            if added < best:
+                total = added + self.cost_to_go(j + 1, (horizontal, south | ended), best - added)
                 if total < best:
                     best = total
-                    if not best:
-                        break  # no cost is negative, so nothing beats 0
-            memo[state] = best
+        memo[state] = (best, best < cap)
         return best
 
 
@@ -406,11 +433,10 @@ def _assignment(grid, columns, row_splits, col_splits, misplaced: int) -> Access
             lanes.append(InducedLane("N", (i + 1, 1), n, tuple(filter(None, col[n - 1::-1]))))
         if s < J:
             lanes.append(InducedLane("S", (i + 1, J), J - s, tuple(filter(None, col[s:]))))
-    rows = tuple(
-        "W" * alpha + "".join("N" if j < north[i] else "S" for i in range(alpha, I - eps))
-        + "E" * eps
-        for j, (alpha, eps) in enumerate(row_splits)
-    )
+    # Row j's vertical cells read the j-th letters of their columns' N/S strings.
+    vertical = list(map("".join, zip(*("N" * n + "S" * (J - n) for n in north))))
+    rows = tuple("W" * alpha + vertical[j][alpha:I - eps] + "E" * eps
+                 for j, (alpha, eps) in enumerate(row_splits))
     return AccessAssignment(rows, misplaced, tuple(lanes))
 
 
@@ -498,9 +524,8 @@ def _walk(
             yield _assignment(tables.grid, tables.columns, row_splits, col_splits, opt)
         return
     for alpha, eps, added, new_state in tables.row_choices(j, state):
-        if spent + added > opt:  # its cost to go may not be memoised
-            continue
-        if spent + added + tables.cost_to_go(j + 1, new_state) == opt:
+        left = opt - spent - added
+        if left >= 0 and tables.cost_to_go(j + 1, new_state, left + 1) == left:
             row_splits.append((alpha, eps))
             yield from _walk(tables, opt, j + 1, new_state, spent + added, row_splits)
             row_splits.pop()
@@ -526,7 +551,11 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
     with GX >= 0, so no candidate's h is below the floor.  A candidate that
     reaches it cannot be beaten, and as the first one found it also wins
     every tie.  At a floor of 0 the first candidate has no blocker, so no
-    demand and GX = 0: it wins with no bound evaluated.  Candidates are
+    demand and GX = 0: it wins with no bound evaluated.  Every candidate
+    after the first is asked only whether its h is below the best so far:
+    ``bounds.lb`` with the cap best - 1 is exact below the best and at
+    least the best otherwise, so the choice is the uncapped scan's.
+    Candidates are
     read one at a time, so when they come from ``optimal_assignments`` the
     ones after the stop are never built: on a bay whose first candidate has
     no covering term (GX = 0), one assignment is built.
@@ -539,7 +568,8 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
                 return cand
         elif cand.misplaced != floor:
             raise ValueError("candidate assignments differ in their misplaced count")
-        h = bounds.lb(_bay_config(bay, cand.lanes))
+        # A later candidate matters only if its h is below best_h.
+        h = bounds.lb(_bay_config(bay, cand.lanes), None if best is None else best_h - 1)
         if best is None or h < best_h:
             best, best_h = cand, h
             if h == floor:

@@ -473,17 +473,10 @@ def store_every_child_astar(root, dmat):
     return ("Infeasible", None, None, None, nodes)
 
 
-def unpruned_assignments(bay, limit):
-    """``fixing.optimal_assignments`` with a DP and walk that cost every row choice.
-
-    Runs on the package's cost tables (``_BayTables`` and its
-    ``row_choices``) and memoises the minimum over all valid choices of a
-    row, with no choice skipped by the best found so far.  The direction
-    rows are drawn here, cell by cell, from the row and column splits.
-    Returns the list, or raises ``InfeasibleAssignment`` with the package's
-    message.
-    """
-    tables = fixing._BayTables(bay)
+def unpruned_cost_to_go(tables):
+    """``tables.cost_to_go`` with no cap and no pruning, as a function of
+    (j, state): the memoised minimum over every valid choice of row j
+    (``row_choices``), each costed in full."""
     memo = {}
 
     def cost(j, state):
@@ -495,6 +488,22 @@ def unpruned_assignments(bay, limit):
                 default=math.inf,
             )
         return memo[j, state]
+
+    return cost
+
+
+def unpruned_assignments(bay, limit):
+    """``fixing.optimal_assignments`` with a DP and walk that cost every row choice.
+
+    Runs on the package's cost tables (``_BayTables`` and its
+    ``row_choices``) and memoises the minimum over all valid choices of a
+    row, with no choice skipped by the best found so far.  The direction
+    rows are drawn here, cell by cell, from the row and column splits.
+    Returns the list, or raises ``InfeasibleAssignment`` with the package's
+    message.
+    """
+    tables = fixing._BayTables(bay)
+    cost = unpruned_cost_to_go(tables)
 
     def walk(j, state, spent, row_splits):
         if j == tables.J:

@@ -263,7 +263,8 @@ def test_c07_incremental_lower_bound_equivalence():
                     break
                 move = rng.choice(moves)
                 child = apply_move(state, move)
-                surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child, {})
+                surplus, profiles = bounds.lb_incremental(surplus, profiles, move, child, {})
+                h = child.blocking_total + bounds.gx_bound(surplus, profiles)
                 assert (surplus, profiles, h) == bounds.lb_state(child)
                 assert h == bounds.lb(child)
                 state = child

@@ -137,7 +137,8 @@ def test_incremental_equals_scratch_on_random_walks():
                 break
             move = rng.choice(moves)
             config = apply_move(config, move)
-            surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config, {})
+            surplus, profiles = bounds.lb_incremental(surplus, profiles, move, config, {})
+            h = config.blocking_total + bounds.gx_bound(surplus, profiles)
             s_surplus, s_profiles, s_h = bounds.lb_state(config)
             assert h == s_h
             assert surplus == s_surplus
@@ -168,7 +169,8 @@ def test_incremental_property(lane_specs, rng):
             return
         move = rng.choice(moves)
         config = apply_move(config, move)
-        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, config, {})
+        surplus, profiles = bounds.lb_incremental(surplus, profiles, move, config, {})
+        h = config.blocking_total + bounds.gx_bound(surplus, profiles)
         assert (surplus, profiles, h) == bounds.lb_state(config)
 
 
@@ -201,7 +203,8 @@ def test_incremental_with_the_search_memo(lane_specs, rng):
         bounds.Siblings(config, surplus, profiles, touched).select(math.inf)
         move = rng.choice(moves)
         child = apply_move(config, move)
-        surplus, profiles, h = bounds.lb_incremental(surplus, profiles, move, child, touched)
+        surplus, profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
+        h = child.blocking_total + bounds.gx_bound(surplus, profiles)
         assert (surplus, profiles, h) == bounds.lb_state(child)
         config = child
 
@@ -485,3 +488,18 @@ def _coverable(config, extra):
 def _with_extra_demand(surplus, extra):
     """``surplus`` with one more blocking load of each group in ``extra``."""
     return tuple(x + sum(1 for q in extra if q >= g) for g, x in enumerate(surplus, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_mostly_full_states().map(lambda state: (*state, [])), _wide_states()))
+def test_capped_bounds_are_exact_up_to_the_cap(state):
+    """With a cap, ``gx_bound`` and ``lb`` answer min(exact, cap + 1) at
+    every cap from -1 to 4: exact up to the cap, cap + 1 above it."""
+    groups, lanes, extra = state
+    config = make_config(lanes, groups)
+    surplus, profiles, _h = bounds.lb_state(config)
+    surplus = _with_extra_demand(surplus, _coverable(config, extra))
+    gx, h = bounds.gx_bound(surplus, profiles), bounds.lb(config)
+    for cap in range(-1, 5):
+        assert bounds.gx_bound(surplus, profiles, cap) == min(gx, cap + 1)
+        assert bounds.lb(config, cap) == min(h, cap + 1)

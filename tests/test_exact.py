@@ -482,7 +482,7 @@ def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commutin
             return
         move = rng.choice(moves)
         child = apply_move(config, move)
-        surplus, c_profiles, _h = bounds.lb_incremental(surplus, profiles, move, child, {})
+        surplus, c_profiles = bounds.lb_incremental(surplus, profiles, move, child, {})
         open_mask, clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
         assert (open_mask, clean) == targets.masks(child, c_profiles)
         config, profiles, last = child, c_profiles, move.to_lane - 1

@@ -259,6 +259,46 @@ def test_pruned_dp_lists_what_the_unpruned_one_lists():
     assert 500 < feasible < 1500  # both outcomes are well exercised
 
 
+def test_capped_dp_agrees_with_the_unpruned_one():
+    """Below its cap the DP's answer is the exact minimum, and at or above
+    it the answer is >= the cap; a memo entry marked exact is the exact
+    minimum of its state and one that is not is a lower bound.  Each bay's
+    tables answer several caps in turn, so memo entries from one cap serve
+    the next."""
+    rng = random.Random("capped against unpruned DP")
+    outcomes = {"below": 0, "at or above": 0}
+    for n in range(1500):
+        I, J = rng.randint(1, 7), rng.randint(1, 7)
+        sides = frozenset(rng.sample("NESW", rng.randint(1, 4)))
+        bay = _bay(I, J, _random_occ(rng, I, J, rng.randint(0, I * J)), sides)
+        if n % 4:  # mostly generated bays, which are assignable
+            try:
+                bay = generate._generate_bay(
+                    rng.getrandbits(32), I, J, sides, rng.randint(2, 10),
+                    rng.randint(0, I * J))
+            except generate.GenerationFailed:
+                pass
+        tables = fixing._BayTables(bay)
+        exact = oracles.unpruned_cost_to_go(tables)
+        opt = exact(0, (0, 0))
+        for _ in range(3):
+            cap = rng.choice((math.inf, rng.randint(0, 6)))
+            got = tables.cost_to_go(0, (0, 0), cap)
+            if opt < cap:
+                assert got == opt, (bay, cap)
+                outcomes["below"] += 1
+            else:
+                assert got >= cap, (bay, cap)
+                outcomes["at or above"] += 1
+            for j, memo in enumerate(tables._memo):
+                for state, (value, is_exact) in memo.items():
+                    if is_exact:
+                        assert value == exact(j, state), (bay, j, state)
+                    else:
+                        assert value <= exact(j, state), (bay, j, state)
+    assert min(outcomes.values()) > 500, outcomes
+
+
 def test_lane_costs_recount_blocking_loads():
     rng = random.Random("lane costs")
     for _ in range(2000):
