@@ -86,8 +86,8 @@ def suite_runs(suite) -> list[SuiteRun]:
     algos among ``ALGOS``), a seed or algo given twice, two configs that
     parse to the same (bay, warehouse, fill, classes), a fill that is no
     int or float, a ``timeout_s`` that is no object keyed by algos, or a
-    value of it that ``budget_seconds`` rejects raise ValueError; a config
-    without one of its keys raises KeyError.
+    value of it that is no int or float or that ``budget_seconds`` rejects
+    raise ValueError; a config without one of its keys raises KeyError.
     """
     from .files import parse_layout_label
 
@@ -101,9 +101,11 @@ def suite_runs(suite) -> list[SuiteRun]:
         if len(set(values)) < len(values):  # a repeat would run the same rows twice
             raise ValueError(f"{key!r} must not repeat an item, not {values!r}")
     timeout_s = suite.get("timeout_s", {})
-    if not isinstance(timeout_s, dict) or not set(timeout_s) <= set(ALGOS):
-        raise ValueError(f"'timeout_s' must map algorithms of {ALGOS} to budgets, "
-                         f"not {timeout_s!r}")
+    # float() in budget_seconds would take a bool or a numeric string.
+    if (not isinstance(timeout_s, dict) or not set(timeout_s) <= set(ALGOS)
+            or not all(type(value) in (int, float) for value in timeout_s.values())):
+        raise ValueError(f"'timeout_s' must map algorithms of {ALGOS} to numbers of "
+                         f"seconds, not {timeout_s!r}")
     unrestricted = suite.get("unrestricted", False)
     if not isinstance(unrestricted, bool):
         raise ValueError(f"'unrestricted' must be true or false, not {unrestricted!r}")
@@ -184,10 +186,8 @@ def run_group(runs: list[SuiteRun]) -> list[dict]:
                 solve_s=f"{result.stats.wall_time:.6f}",
             )
         elif isinstance(result, TimedOut):
-            row["timed_out"] = True
-            if result.stats is not None:
-                row["nodes_evaluated"] = result.stats.nodes_evaluated
-                row["solve_s"] = f"{result.stats.wall_time:.6f}"
+            row.update(timed_out=True, nodes_evaluated=result.stats.nodes_evaluated,
+                       solve_s=f"{result.stats.wall_time:.6f}")
     return rows
 
 

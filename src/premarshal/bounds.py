@@ -61,8 +61,8 @@ In every case h = BX + GX <= BX' + GX' + 1 = h' + 1.
 
 ``lane_profile`` and ``lane_change`` take a lane as its contents, its
 capacity and the group count G, as a state holds them.  ``lane_change``
-re-profiles one lane that comes to hold new contents and gives its BX
-change and surplus change.  ``lb_incremental`` applies it to the two lanes
+re-profiles one lane that comes to hold new contents and gives its surplus
+change with the new profile.  ``lb_incremental`` applies it to the two lanes
 a move touches and adds both surplus changes to the parent's surplus; the
 surplus and profiles it gives are identical to the from-scratch ones.  It
 computes no GX: A* reads a popped child's h off its offer, and the exact
@@ -145,8 +145,8 @@ def lane_profile(contents: tuple[int, ...], capacity: int, groups: int) -> LaneP
 
 def lane_change(old: LaneProfile, contents: tuple[int, ...], capacity: int,
                 groups: int) -> tuple:
-    """BX change, surplus change and new profile when the lane of
-    ``capacity`` slots profiled by ``old`` comes to hold ``contents``."""
+    """Surplus change and new profile when the lane of ``capacity`` slots
+    profiled by ``old`` comes to hold ``contents``."""
     new = lane_profile(contents, capacity, groups)
     per_group = [0] * groups
     for g in new.blocking_suffix:
@@ -155,8 +155,7 @@ def lane_change(old: LaneProfile, contents: tuple[int, ...], capacity: int,
         per_group[g - 1] -= 1
     per_group[old.threshold - 1] += old.free_after_clear
     per_group[new.threshold - 1] -= new.free_after_clear
-    bx_change = len(new.blocking_suffix) - len(old.blocking_suffix)
-    return bx_change, _cumulate(per_group), new
+    return _cumulate(per_group), new
 
 
 def _cumulate(per_group: Sequence[int]) -> tuple[int, ...]:
@@ -335,9 +334,9 @@ def lb_incremental(
     src, dst = move.from_lane - 1, move.to_lane - 1
     contents, caps, groups = child.contents, child.capacities, child.groups
     new_src, new_dst = contents[src], contents[dst]
-    _bx, src_change, profiles[src] = cached_lane_change(
+    src_change, profiles[src] = cached_lane_change(
         touched, profiles[src], new_src + new_dst[-1:], new_src, caps[src], groups)
-    _bx, dst_change, profiles[dst] = cached_lane_change(
+    dst_change, profiles[dst] = cached_lane_change(
         touched, profiles[dst], new_dst[:-1], new_dst, caps[dst], groups)
     surplus = tuple(map(add, parent_surplus, src_change))
     surplus = tuple(map(add, surplus, dst_change))
@@ -355,13 +354,13 @@ class Siblings:
     """
 
     def __init__(self, config: LaneConfiguration, surplus: tuple[int, ...], profiles,
-                 touched: dict | None = None):
+                 touched: dict):
         self.config = config
         self.surplus = surplus
         self.profiles = profiles
         #: the ``cached_lane_change`` memo; one search shares it between its
         #: parents and with ``lb_incremental``
-        self._touched = {} if touched is None else touched
+        self._touched = touched
         #: levels -> removal options of each parent lane, None where trivial
         self._options: dict[tuple[int, ...], list] = {}
         #: (prefix groups, free slots, levels) -> removal options, None if trivial
@@ -369,7 +368,7 @@ class Siblings:
         #: (levels, needs, options out, options in) -> GX
         self._minima: dict[tuple, int] = {}
 
-    def select(self, limit, expired=None):
+    def select(self, limit, expired):
         """The children whose h is at most ``limit``, and the least h above it.
 
         Returns ``(groups, above)``.  ``groups`` holds the kept children as
@@ -399,7 +398,7 @@ class Siblings:
                     key = (prof.threshold, prof.free_after_clear)
                     clean[key] = clean.get(key, 0) | bit
             if loads:
-                if expired is not None and expired():
+                if expired():
                     return None
                 if prof.blocking_suffix:
                     key = (loads[-1], 0, 0)
@@ -445,7 +444,7 @@ class Siblings:
         for bx, from_mask, to_mask, level, p in slow:
             if above is not None and bx + 1 >= above:
                 break  # every pair left has h >= bx + 1 >= above > limit
-            if expired is not None and expired():
+            if expired():
                 return None
             for low in _bits(from_mask):
                 s = low.bit_length() - 1
@@ -464,7 +463,7 @@ class Siblings:
         the memoised ``lane_change``."""
         config = self.config
         return cached_lane_change(self._touched, self.profiles[idx], config.contents[idx],
-                                  contents, config.capacities[idx], config.groups)[2]
+                                  contents, config.capacities[idx], config.groups)[1]
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
         """Removal options of one lane at ``levels``, None when trivial."""

@@ -290,12 +290,14 @@ def complete_search(
     dmat,
     c_ub: int,
     *,
-    deadline: float | None = None,
-    counters: SolveStats | None = None,
-) -> tuple[list[Move], int, int] | None:
-    """(moves, distance, nodes) of the least-distance plan of exactly
-    ``k_bar`` moves within ``c_ub``, by exhaustive DFS; None when there is
-    none.
+    deadline: float,
+    counters: SolveStats,
+) -> tuple[list[Move], int] | None:
+    """(moves, distance) of the least-distance plan of exactly ``k_bar``
+    moves within ``c_ub``, by exhaustive DFS; None when there is none.
+    Each node visited adds 1 to ``counters.nodes_evaluated``, and the search
+    raises ``DeadlineReached`` once ``time.perf_counter()`` reaches
+    ``deadline`` (``math.inf`` for none).
 
     The memo, the distance budget and the bound cut every node; the
     tight-stage cuts, the distance bound at GX = 0 among them, apply when
@@ -309,7 +311,6 @@ def complete_search(
         raise ValueError("c_ub must be nonnegative")
     incumbent: list[int | None] = [None]
     best_moves: list[Move] = []
-    nodes = [0]
     memo: dict[tuple, int] = {}
     # The lane-change memo of ``bounds.cached_lane_change``.  Its keys hold for
     # this instance's G only, so it lives no longer than this search.
@@ -320,8 +321,8 @@ def complete_search(
     trail: list[Move] = []
 
     def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean) -> None:
-        nodes[0] += 1
-        if deadline is not None and time.perf_counter() >= deadline:
+        counters.nodes_evaluated += 1
+        if time.perf_counter() >= deadline:
             raise DeadlineReached
         if stage == k_bar:
             if config.blocking_total == 0 and dist <= c_ub:
@@ -364,14 +365,12 @@ def complete_search(
             root_masks = targets.masks(initial, root_profiles)
             dfs(initial, 0, 0, None, None, root_surplus, root_profiles, *root_masks)
     finally:
-        if counters is not None:
-            counters.nodes_evaluated += nodes[0]
         # dfs reaches itself through its closure: without this the memo
         # would wait for the cyclic collector instead of dying here.
         del dfs
     if incumbent[0] is None:
         return None
-    return list(best_moves), incumbent[0], nodes[0]
+    return list(best_moves), incumbent[0]
 
 
 def solve_exact(
@@ -397,7 +396,7 @@ def solve_exact(
             except DeadlineReached:
                 return TimedOut(stats, k_bar_reached=k_bar)
             if result is not None:
-                moves, distance, _nodes = result
+                moves, distance = result
                 return Solution(algo="exact", moves=tuple(moves), k=k_bar,
                                 total_distance=distance, stats=stats)
         # Unreachable when the bound plan replays: with no relay it is a

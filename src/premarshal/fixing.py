@@ -112,7 +112,10 @@ it is 0 (``optimal_assignments``):
    row's choices as it reaches the row, in ``row_choices`` order, each
    distinct mask H once, as the first (alpha, eps) to give it, since
    validity and the next state depend on H alone, and it remembers only
-   the states that have no completion.
+   the states that have no completion.  It gives up a state at once when
+   a north-band column without a full-column split is in the row's
+   ``nbad``: ``nbad`` only grows down the rows, so that column never gets
+   a horizontal cell and ends in its north band unsplittable.
 
 At an optimum of 0 the walk takes exactly the choices that add 0 and whose
 state has a cost to go of 0, in ``row_choices`` order, so its first
@@ -440,7 +443,7 @@ def _assignment(grid, columns, row_splits, col_splits, misplaced: int) -> Access
     return AccessAssignment(rows, misplaced, tuple(lanes))
 
 
-def optimal_assignments(bay: BaySpec, limit: int = 10) -> Iterator[AccessAssignment]:
+def optimal_assignments(bay: BaySpec, limit: int) -> Iterator[AccessAssignment]:
     """The minimum-misplaced hole-free assignments, up to ``limit``, on demand.
 
     The bay first gets the cost-free path search within its zero reaches
@@ -675,7 +678,10 @@ def _completion(rows, I: int, nosplit: int, j: int, band: int, south: int,
     if (j, band, south) in dead:
         return None
     w, e, nbad, sbad = rows[j]
-    blocked = south | nbad & ~(band | south)  # columns with no horizontal cell here
+    stuck = nbad & ~(band | south)  # in the north band for good (docstring point 3)
+    if stuck & nosplit:
+        return None
+    blocked = south | stuck  # columns with no horizontal cell here
     for alpha in range(w + 1):
         west = (1 << alpha) - 1
         for eps in range(min(e, I - alpha - (alpha > I - e)) + 1):

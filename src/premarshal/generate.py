@@ -1,12 +1,14 @@
 """Seeded instance generator over the benchmark configuration grid.
 
-Occupancy is built per bay by boundary-anchored lane growth: every allowed
-side contributes one frontier per row or column, and each step claims the
-next inward cell of a uniformly random still-extendable frontier.  Growth
-can finish in a shape no hole-free assignment covers (frontiers of different
-sides can interleave), so each bay is checked with the access-fixing
-feasibility probe ``has_hole_free_assignment``, which sums no cost, and
-regrown from a derived sub-seed when the check fails or growth deadlocks.
+Generated bays open all four sides; instance files may restrict them per
+bay.  Occupancy is built per bay by boundary-anchored lane growth: every
+open side contributes one frontier per row or column, and each step claims
+the next inward cell of a uniformly random still-extendable frontier.
+Growth can finish in a shape no hole-free assignment covers (frontiers of
+different sides can interleave), so each bay is checked with the
+access-fixing feasibility probe ``has_hole_free_assignment``, which sums no
+cost, and regrown from a derived sub-seed when the check fails or growth
+deadlocks.
 
 Priority groups are drawn only after a bay's shape is final, in canonical
 cell order, so two configs differing only in the group count produce
@@ -45,11 +47,9 @@ class GenConfig:
     fill: float
     groups: int
     seed: int
-    access_sides: frozenset[str] = frozenset(SIDES)
     unrestricted: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "access_sides", frozenset(self.access_sides))
         bi, bj = self.bay
         wr, wc = self.warehouse
         if min(bi, bj, wr, wc) < 1:
@@ -58,8 +58,6 @@ class GenConfig:
             raise ValueError("fill must lie in [0, 1]")
         if self.groups < 1:
             raise ValueError("need at least one priority group")
-        if not self.access_sides or not self.access_sides <= set(SIDES):
-            raise ValueError("access_sides must be a non-empty subset of NESW")
         if self.unrestricted:
             return
         if bi != bj or bi not in WAREHOUSE_RANGE:
@@ -72,8 +70,6 @@ class GenConfig:
             raise ValueError(f"fill {self.fill} not one of {FILLS}")
         if self.groups not in GROUP_COUNTS:
             raise ValueError(f"group count {self.groups} not one of {GROUP_COUNTS}")
-        if self.access_sides != set(SIDES):
-            raise ValueError("benchmark instances use all four access sides")
 
     @property
     def bay_label(self) -> str:
@@ -82,12 +78,6 @@ class GenConfig:
     @property
     def warehouse_label(self) -> str:
         return f"{self.warehouse[0]}x{self.warehouse[1]}"
-
-
-def slot_count(config: GenConfig) -> int:
-    bi, bj = config.bay
-    wr, wc = config.warehouse
-    return bi * bj * wr * wc
 
 
 def target_loads(fill: float, slots: int) -> int:
@@ -150,17 +140,16 @@ def _generate_bay(bay_seed: int, I, J, sides, groups, target) -> BaySpec:
 
 
 def generate(config: GenConfig) -> WarehouseInstance:
-    """Deterministic instance for the config; identical seeds, identical bytes."""
+    """Deterministic instance for the config, every bay open to all four
+    sides; identical seeds, identical bytes."""
     I, J = config.bay
     rows, cols = config.warehouse
     target = target_loads(config.fill, I * J)
     main = random.Random(config.seed)
-    bays = []
-    for _ in range(rows * cols):
-        bay_seed = main.getrandbits(64)
-        bays.append(
-            _generate_bay(bay_seed, I, J, config.access_sides, config.groups, target)
-        )
+    bays = [
+        _generate_bay(main.getrandbits(64), I, J, SIDES, config.groups, target)
+        for _ in range(rows * cols)
+    ]
     meta = {
         "seed": config.seed,
         "fill": config.fill,

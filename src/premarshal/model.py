@@ -105,10 +105,6 @@ class LaneConfiguration(NamedTuple):
         total = sum(map(blocking_of, contents))
         return cls(tuple(contents), tuple(points), tuple(capacities), groups, total)
 
-    @property
-    def is_sorted(self) -> bool:
-        return self.blocking_total == 0
-
 
 def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
     """Canonical key: two states compare equal iff every lane's contents match.
@@ -283,4 +279,4 @@ class TimedOut:
 class Infeasible:
     """The search space was exhausted without reaching a sorted state."""
 
-    stats: SolveStats | None = None
+    stats: SolveStats

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import astar, exact, fixing
 from .fixing import AccessAssignment
 from .layout import DistanceMatrix, all_pairs_distances, build_layout
-from .model import Infeasible, LaneConfiguration, Solution, TimedOut, WarehouseInstance
+from .model import LaneConfiguration, Solution, WarehouseInstance
 
 ASSIGNMENT_CANDIDATES = 10
 
@@ -29,7 +29,7 @@ def prepare(instance: WarehouseInstance) -> Prepared:
     layout = build_layout(instance)
     dmat = all_pairs_distances(layout)
     assignments = [
-        fixing.select_assignment(fixing.optimal_assignments(bay, limit=ASSIGNMENT_CANDIDATES), bay)
+        fixing.select_assignment(fixing.optimal_assignments(bay, ASSIGNMENT_CANDIDATES), bay)
         for bay in instance.bays
     ]
     config = fixing.number_lanes([a.lanes for a in assignments], layout, instance.groups)
@@ -92,8 +92,6 @@ def solve_instance(
 
 
 def _attach(result, prepared: Prepared) -> None:
+    result.stats.preprocessing_time = prepared.preprocessing_time
     if isinstance(result, Solution):
-        result.stats.preprocessing_time = prepared.preprocessing_time
         result.assignments = prepared.assignments
-    elif isinstance(result, (TimedOut, Infeasible)) and result.stats is not None:
-        result.stats.preprocessing_time = prepared.preprocessing_time

@@ -28,7 +28,7 @@ def test_suite_runs_expand_in_config_seed_algo_order():
     assert runs[0].config.fill == 0.6 and runs[4].config.groups == 10
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1, float("inf"), "soon"])
+@pytest.mark.parametrize("budget", [float("nan"), -1, float("inf"), "soon", True, "5"])
 def test_suite_runs_reject_budgets_that_are_no_finite_number_of_seconds(budget):
     with pytest.raises(ValueError):
         bench.suite_runs({**SUITE, "timeout_s": {"exact": 120, "astar": budget}})

@@ -12,6 +12,11 @@ from premarshal.model import apply_move, legal_moves, state_key
 DMAT = FakeDmat()
 
 
+def _never() -> bool:
+    """An ``expired`` for ``Siblings.select`` that never expires."""
+    return False
+
+
 def test_lane_profile_frozen():
     empty = bounds.lane_profile((), 3, groups=5)
     assert (empty.prefix_len, empty.threshold, empty.blocking_suffix) == (0, 5, ())
@@ -200,7 +205,7 @@ def test_incremental_with_the_search_memo(lane_specs, rng):
         moves = legal_moves(config, DMAT)
         if not moves:
             return
-        bounds.Siblings(config, surplus, profiles, touched).select(math.inf)
+        bounds.Siblings(config, surplus, profiles, touched).select(math.inf, _never)
         move = rng.choice(moves)
         child = apply_move(config, move)
         surplus, profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
@@ -267,7 +272,7 @@ def test_h_is_consistent():
 
 def test_h_zero_iff_sorted_and_covered():
     config = make_config([(2, (1, 1), 0), (3, (5, 4, 2), 1)], groups=5)
-    assert config.is_sorted
+    assert config.blocking_total == 0
     assert bounds.lb(config) == 0
 
 
@@ -341,8 +346,8 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     config = make_config(lanes, groups=5)
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
-    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
-    groups, above = siblings.select(math.inf)
+    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
+    groups, above = siblings.select(math.inf, _never)
     moves = legal_moves(config, DMAT, [group[:2] for group in groups])
     hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
     assert moves == legal_moves(config, DMAT)
@@ -446,7 +451,7 @@ def test_select_reads_the_clock_before_pairs_that_need_gx():
     surplus, profiles, _h = bounds.lb_state(config)
     reads = iter(range(100))
     # False for the 16 source lanes, True at the first pair that needs GX.
-    listed = bounds.Siblings(config, surplus, profiles).select(100, lambda: next(reads) >= 16)
+    listed = bounds.Siblings(config, surplus, profiles, {}).select(100, lambda: next(reads) >= 16)
     assert listed is None
     assert next(reads) == 17
 
@@ -465,13 +470,13 @@ def _check_select_at_every_limit(config, extra):
     the greatest; returns the loop's (move, h) list."""
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
-    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles)
+    siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
     every = [(move, _child_h(config, move, extra)) for move in legal_moves(config, DMAT)]
     hs = [h for _m, h in every] or [0]
     for limit in range(min(hs) - 1, max(hs) + 2):
         want = [(m, h) for m, h in every if h <= limit]
         above = min((h for _m, h in every if h > limit), default=None)
-        groups, got_above = siblings.select(limit)
+        groups, got_above = siblings.select(limit, _never)
         moves = legal_moves(config, DMAT, [group[:2] for group in groups])
         got = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
         assert list(zip(moves, got)) == want

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -23,31 +24,37 @@ def _oracle(lanes, k_bar, c_ub):
     return oracles.staged_optimum([l[:2] for l in lanes], _dist_fn(lanes), k_bar, c_ub)
 
 
+def _search(config, k_bar, dmat, c_ub):
+    """``complete_search`` with no deadline."""
+    return exact.complete_search(config, k_bar, dmat, c_ub, deadline=math.inf,
+                                 counters=SolveStats())
+
+
 def _as_oracle(result):
     """``complete_search``'s result as the staged oracle gives it."""
     if result is None:
         return None
-    moves, distance, _nodes = result
+    moves, distance = result
     return distance, [(m.from_lane - 1, m.to_lane - 1) for m in moves]
 
 
 def test_model_rejects_negative_parameters():
     config = make_config([(2, (1,), 0)], groups=1)
     with pytest.raises(ValueError):
-        exact.complete_search(config, -1, DMAT, c_ub=5)
+        _search(config, -1, DMAT, c_ub=5)
     with pytest.raises(ValueError):
-        exact.complete_search(config, 1, DMAT, c_ub=-1)
+        _search(config, 1, DMAT, c_ub=-1)
 
 
 def test_relay_rule_forbids_immediate_bounce():
     """A single load cannot fill two stages: moving it twice in a row is banned."""
     lanes = [(1, (1,), 0), (1, (), 1)]
     config = make_config(lanes, groups=1)
-    zero = exact.complete_search(config, 0, DMAT, c_ub=0)
-    assert zero is not None and zero[:2] == ([], 0)
-    one = exact.complete_search(config, 1, DMAT, c_ub=10)
+    zero = _search(config, 0, DMAT, c_ub=0)
+    assert zero == ([], 0)
+    one = _search(config, 1, DMAT, c_ub=10)
     assert one is not None and one[1] == 1
-    assert exact.complete_search(config, 2, DMAT, c_ub=10) is None
+    assert _search(config, 2, DMAT, c_ub=10) is None
     assert _oracle(lanes, 2, 10) is None
 
 
@@ -56,9 +63,9 @@ def test_two_loads_relay_through_each_other():
     # lane 1's load can land in the freed slot.
     lanes = [(1, (1,), 0), (1, (2,), 1), (2, (), 2)]
     config = make_config(lanes, groups=2)
-    result = exact.complete_search(config, 2, DMAT, c_ub=100)
+    result = _search(config, 2, DMAT, c_ub=100)
     assert result is not None
-    moves, distance, _nodes = result
+    moves, distance = result
     assert distance == 2
     assert [(m.from_lane, m.to_lane) for m in moves] == [(2, 3), (1, 2)]
     assert _oracle(lanes, 2, 100) == (2, [(1, 2), (0, 1)])
@@ -67,10 +74,10 @@ def test_two_loads_relay_through_each_other():
 def test_distance_cap_is_part_of_the_goal():
     lanes = [(2, (1, 3), 0), (1, (), 5)]
     config = make_config(lanes, groups=3)
-    assert exact.complete_search(config, 0, DMAT, c_ub=100) is None
-    assert exact.complete_search(config, 1, DMAT, c_ub=4) is None
+    assert _search(config, 0, DMAT, c_ub=100) is None
+    assert _search(config, 1, DMAT, c_ub=4) is None
     assert _oracle(lanes, 1, 4) is None
-    exactly = exact.complete_search(config, 1, DMAT, c_ub=5)
+    exactly = _search(config, 1, DMAT, c_ub=5)
     assert _as_oracle(exactly) == _oracle(lanes, 1, 5) == (5, [(0, 1)])
 
 
@@ -90,11 +97,11 @@ def test_search_returns_the_oracles_plan():
         h0 = bounds.lb(config)
         for k_bar in (rng.randint(0, 2), h0, h0 + 1, 3):
             expected = _oracle(lanes, k_bar, 10_000)
-            assert _as_oracle(exact.complete_search(config, k_bar, DMAT, 10_000)) == expected
+            assert _as_oracle(_search(config, k_bar, DMAT, 10_000)) == expected
             if expected is None:
                 continue
             # boundary: the cap is attainable at equality and not below it
-            tight = exact.complete_search(config, k_bar, DMAT, expected[0])
+            tight = _search(config, k_bar, DMAT, expected[0])
             assert _as_oracle(tight) == expected
             moves = tight[0]
             assert len(moves) == k_bar
@@ -104,9 +111,9 @@ def test_search_returns_the_oracles_plan():
             state = config
             for move in moves:
                 state = apply_move(state, move)
-            assert state.is_sorted
+            assert state.blocking_total == 0
             if expected[0] > 0:
-                assert exact.complete_search(config, k_bar, DMAT, expected[0] - 1) is None
+                assert _search(config, k_bar, DMAT, expected[0] - 1) is None
 
 
 def _relay_free_nodes(config, depth, last=None):
@@ -122,10 +129,9 @@ def test_counters_and_prunes_only_save_work():
     lanes = [(3, (1, 3), 0), (3, (2, 4), 1), (3, (), 2)]
     config = make_config(lanes, groups=4)
     counters = SolveStats()
-    fast = exact.complete_search(config, 2, DMAT, c_ub=1_000, counters=counters)
+    fast = exact.complete_search(config, 2, DMAT, 1_000, deadline=math.inf, counters=counters)
     assert _as_oracle(fast) == _oracle(lanes, 2, 1_000)
-    assert counters.nodes_evaluated == fast[2]
-    assert fast[2] < _relay_free_nodes(config, 2)
+    assert 0 < counters.nodes_evaluated < _relay_free_nodes(config, 2)
 
 
 def test_solve_exact_matches_lexicographic_oracle():
@@ -154,7 +160,7 @@ def test_solve_exact_matches_lexicographic_oracle():
         state = config
         for move in result.moves:
             state = apply_move(state, move)
-        assert state.is_sorted
+        assert state.blocking_total == 0
         checked += 1
     assert checked == 30
 
@@ -166,7 +172,7 @@ def _bound_plan(config, pairs):
         moves.append(next(m for m in legal_moves(config, DMAT)
                           if (m.from_lane - 1, m.to_lane - 1) == (src, dst)))
         config = apply_move(config, moves[-1])
-    assert config.is_sorted
+    assert config.blocking_total == 0
     return Solution(algo="astar", moves=tuple(moves), k=len(moves),
                     total_distance=sum(m.distance for m in moves), stats=SolveStats())
 
@@ -294,10 +300,12 @@ def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     prep = _pinned_instance(spec)
     k_bar = bounds.lb(prep.config) + 1
     warm = astar.solve_astar(prep.config, prep.dmat)
-    result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance)
+    counters = SolveStats()
+    result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance,
+                                   deadline=math.inf, counters=counters)
     assert result is not None
-    moves, distance, nodes = result
-    assert (distance, nodes, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
+    moves, distance = result
+    assert (distance, counters.nodes_evaluated, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
 
 
 # (bay, warehouse, fill, G, seed) -> (k, distance, nodes) of ``solve_exact``
@@ -341,7 +349,7 @@ def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
         if not 0 < h0 == config.blocking_total <= 9 - len(lanes):
             continue
         expected = _oracle(lanes, h0, 10_000)
-        assert _as_oracle(exact.complete_search(config, h0, DMAT, 10_000)) == expected
+        assert _as_oracle(_search(config, h0, DMAT, 10_000)) == expected
         if expected is None:
             continue
         plans += 1
@@ -359,7 +367,7 @@ def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
             move = next(m for m in legal_moves(state, DMAT)
                         if (m.from_lane - 1, m.to_lane - 1) == pair)
             state, left = apply_move(state, move), left - move.distance
-        assert left == 0 and state.is_sorted
+        assert left == 0 and state.blocking_total == 0
     assert plans >= 150 and positive >= 200 and tight >= 150
 
 
@@ -370,11 +378,10 @@ def test_a_blocker_no_other_lane_takes_makes_gx_positive():
     lanes = [(2, (1, 3), 0), (1, (2,), 1), (2, (2,), 2)]
     config = make_config(lanes, groups=3)
     assert config.blocking_total == 1 < bounds.lb(config)
-    assert exact.complete_search(config, 1, DMAT, 10_000) is None
+    assert _search(config, 1, DMAT, 10_000) is None
     assert _oracle(lanes, 1, 10_000) is None
     h0 = bounds.lb(config)
-    assert _as_oracle(exact.complete_search(config, h0, DMAT, 10_000)) \
-        == _oracle(lanes, h0, 10_000)
+    assert _as_oracle(_search(config, h0, DMAT, 10_000)) == _oracle(lanes, h0, 10_000)
 
 
 class _RowsRead:
@@ -401,8 +408,7 @@ def test_tight_stage_reads_only_the_rows_of_lanes_blocked_at_the_root(spec):
     blocked = {p for p, prof in zip(config.points, profiles) if prof.blocking_suffix}
     warm = astar.solve_astar(config, prep.dmat)
     rows = _RowsRead(prep.dmat.rows)
-    result = exact.complete_search(config, h0, DistanceMatrix(prep.dmat.n, rows),
-                                   warm.total_distance)
+    result = _search(config, h0, DistanceMatrix(prep.dmat.n, rows), warm.total_distance)
     assert result is not None
     assert rows.read and rows.read <= blocked
 
@@ -432,7 +438,7 @@ def test_tight_stage_and_the_next_return_the_oracles_plan():
                 if c_ub < 0:
                     continue
                 expected = _oracle(lanes, k_bar, c_ub)
-                assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub)) == expected
+                assert _as_oracle(_search(config, k_bar, DMAT, c_ub)) == expected
                 found += expected is not None
                 empty += expected is None
     assert tight >= 100
@@ -509,5 +515,4 @@ def test_bound_prunes_never_change_the_plan(lane_specs, k_bar, c_ub):
     plan found is the staged oracle's, which nothing cuts."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    assert _as_oracle(exact.complete_search(config, k_bar, DMAT, c_ub)) \
-        == _oracle(lanes, k_bar, c_ub)
+    assert _as_oracle(_search(config, k_bar, DMAT, c_ub)) == _oracle(lanes, k_bar, c_ub)

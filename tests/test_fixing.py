@@ -231,6 +231,20 @@ def test_the_first_path_equals_the_table_search(reach):
     assert min(outcomes.values()) > 300, outcomes
 
 
+def test_the_path_search_drops_a_state_whose_unsplittable_column_is_stuck():
+    """Column 2 has no full-column split, and from row 3 on its north lane
+    would hold a hole, so it can get no horizontal cell there or below.  A
+    state that leaves it in its north band at row 3 is dropped at once, not
+    carried down to the last row; the bay still has a path, which gives
+    column 2 its horizontal cell in row 2."""
+    grid = ["0131", "0032", "3211", "2222"]  # rows top to bottom, 0 empty
+    bay = _bay(4, 4, {(i, j): int(g) for j, row in enumerate(grid, 1)
+                      for i, g in enumerate(row, 1) if g != "0"}, G=3)
+    with mock.patch.object(fixing, "_completion", wraps=fixing._completion) as completion:
+        assert fixing.has_hole_free_assignment(bay)
+    assert completion.call_count == 11
+
+
 def test_pruned_dp_lists_what_the_unpruned_one_lists():
     """Skipping row choices that cannot beat the best changes no list and no error."""
     rng = random.Random("pruned against unpruned DP")

@@ -5,7 +5,7 @@ import pytest
 
 from premarshal import files, generate
 from premarshal.fixing import has_hole_free_assignment
-from premarshal.generate import GenConfig, GenerationFailed, slot_count, target_loads
+from premarshal.generate import GenConfig, GenerationFailed, target_loads
 
 
 def _cfg(**overrides):
@@ -25,12 +25,6 @@ def test_target_loads_rounds_half_up():
     assert target_loads(1.0, 9) == 9
 
 
-def test_slot_counts_for_known_layouts():
-    assert slot_count(_cfg()) == 36
-    assert slot_count(_cfg(warehouse=(12, 12))) == 1296
-    assert slot_count(_cfg(bay=(5, 5), warehouse=(4, 4), fill=0.8, groups=10)) == 400
-
-
 def test_config_enforces_the_benchmark_grid():
     for bad in (
         dict(bay=(3, 4)),
@@ -40,7 +34,6 @@ def test_config_enforces_the_benchmark_grid():
         dict(bay=(6, 6), warehouse=(12, 12)),
         dict(fill=0.5),
         dict(groups=7),
-        dict(access_sides=frozenset("NW")),
     ):
         with pytest.raises(ValueError):
             _cfg(**bad)
@@ -55,8 +48,6 @@ def test_config_rejects_nonsense_even_unrestricted():
         dict(fill=-0.1),
         dict(fill=1.5),
         dict(groups=0),
-        dict(access_sides=frozenset()),
-        dict(access_sides=frozenset("NX")),
     ):
         with pytest.raises(ValueError):
             _cfg(unrestricted=True, **bad)
