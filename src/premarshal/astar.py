@@ -48,6 +48,9 @@ offer and is skipped as closed.  Offers of different parents compare
 expansion numbers first.  So the plan, k, distance and node count are
 those of the store-every-child search.
 
+The search stops at one absolute ``time.perf_counter()`` deadline,
+``math.inf`` for none, which ``pipeline`` derives from a budget.
+
 The returned move count is provably minimal; the distance is only the
 tie-broken heuristic value.  h is consistent (proved in the ``bounds``
 docstring), so popped f never falls and a closed node stays closed.
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import time
 from heapq import heappop, heappush
 
@@ -73,15 +77,12 @@ from .model import (
     state_key,
 )
 
-DEFAULT_TIMEOUT_S = 600.0
-
-
-def solve_astar(
-    config: LaneConfiguration,
-    dmat,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-):
+def solve_astar(config: LaneConfiguration, dmat, deadline: float = math.inf):
     """Solve for the minimal move count; Solution, TimedOut or Infeasible.
+
+    The search stops with TimedOut once ``time.perf_counter()`` reaches
+    ``deadline``, ``math.inf`` for none.  The clock is read before each pop
+    and, inside an expansion, by ``Siblings.select``.
 
     The cyclic garbage collector is paused for the search and put back as
     the caller had it.  Nodes link only to their parents, so the search
@@ -112,12 +113,8 @@ def solve_astar(
         # with the search.
         touched: dict[tuple, tuple] = {}
         offered = itertools.count(1)
-
-        def expired():
-            return time.perf_counter() - started >= timeout_s
-
         while open_heap:
-            if expired():
+            if time.perf_counter() >= deadline:
                 return TimedOut(stats)
             f, h, dist, tie, node, move = heappop(open_heap)
             if move is not None:
@@ -142,7 +139,7 @@ def solve_astar(
             c_g = g + 1
             # One expansion of a large instance can take a while: the listing
             # looks at the clock inside it too.
-            listed = siblings.select(f - c_g, expired)
+            listed = siblings.select(f - c_g, deadline)
             if listed is None:
                 return TimedOut(stats)
             groups, above = listed
@@ -152,7 +149,7 @@ def solve_astar(
                 for move, c_h in zip(moves, hs):
                     heappush(open_heap, (c_g + c_h, c_h, dist + move.distance,
                                          (expansion, next(offered)), node, move))
-            if above is not None:
+            if above < math.inf:
                 heappush(open_heap, (c_g + above, -1, 0, (expansion, 0), node, None))
 
         return Infeasible(stats)

@@ -59,22 +59,22 @@ maps a cover of the child to a cover of the parent that costs at most
 
 In every case h = BX + GX <= BX' + GX' + 1 = h' + 1.
 
-``lane_profile`` and ``lane_change`` take a lane as its contents, its
-capacity and the group count G, as a state holds them.  ``lane_change``
-re-profiles one lane that comes to hold new contents and gives its surplus
-change with the new profile.  ``lb_incremental`` applies it to the two lanes
-a move touches and adds both surplus changes to the parent's surplus; the
-surplus and profiles it gives are identical to the from-scratch ones.  It
-computes no GX: A* reads a popped child's h off its offer, and the exact
-search asks ``gx_bound`` for its children's.  ``cached_lane_change``
-memoises ``lane_change`` by (capacity, old contents, new contents), which
-fix its result for one G.  A search keeps one such memo and passes it to
-every ``lb_incremental`` and ``Siblings`` call, so each lane transition is
+``lane_profile`` and ``cached_lane_change`` take a lane as its contents,
+its capacity and the group count G, as a state holds them.
+``cached_lane_change`` re-profiles one lane that comes to hold new contents
+and gives its surplus change with the new profile, memoised by (capacity,
+old contents, new contents), which fix its result for one G.
+``lb_incremental`` applies it to the two lanes a move touches and adds both
+surplus changes to the parent's surplus; the surplus and profiles it gives
+are identical to the from-scratch ones.  It computes no GX: A* reads a
+popped child's h off its offer, and the exact search asks ``gx_bound`` for
+its children's.  A search keeps one memo and passes it to every
+``lb_incremental`` and ``Siblings`` call, so each lane transition is
 profiled once per search.  An A* pop computes its two transitions through
 it; ``Siblings`` adds only those of the children whose h needs GX.
 
-``gx_bound``, ``lb`` and ``_cover`` take an optional cap and are then
-exact up to it and answer cap + 1 above it: a caller that asks only
+``gx_bound``, ``lb`` and ``_cover`` take a cap, ``math.inf`` for none, and
+are exact up to it and answer cap + 1 above it: a caller that asks only
 whether the bound is at most the cap gets its answer without the rest of
 the covering search.  Access-fixing selection asks every candidate after
 its first whether its h is below the best so far.
@@ -112,6 +112,8 @@ is.
 
 from __future__ import annotations
 
+import math
+import time
 from itertools import accumulate, groupby
 from operator import add, gt, itemgetter
 from typing import NamedTuple, Sequence
@@ -126,7 +128,6 @@ class LaneProfile(NamedTuple):
     removal model needs it to know which thresholds a lane can reach.
     """
 
-    prefix_len: int
     threshold: int
     blocking_suffix: tuple[int, ...]
     free_after_clear: int
@@ -134,28 +135,13 @@ class LaneProfile(NamedTuple):
 
 
 def lane_profile(contents: tuple[int, ...], capacity: int, groups: int) -> LaneProfile:
-    """Profile a lane of ``capacity`` slots holding ``contents``: sorted-prefix
-    length, its front group, the blocking groups behind it, and the slots
-    left once the blockers are gone."""
+    """Profile a lane of ``capacity`` slots holding ``contents``: the front
+    group of its sorted prefix, the blocking groups behind it, the slots
+    left once the blockers are gone, and the prefix."""
     prefix = non_increasing_prefix_len(contents)
     threshold = contents[prefix - 1] if prefix else groups
-    return LaneProfile(prefix, threshold, tuple(sorted(contents[prefix:])), capacity - prefix,
+    return LaneProfile(threshold, tuple(sorted(contents[prefix:])), capacity - prefix,
                        tuple(contents[:prefix]))
-
-
-def lane_change(old: LaneProfile, contents: tuple[int, ...], capacity: int,
-                groups: int) -> tuple:
-    """Surplus change and new profile when the lane of ``capacity`` slots
-    profiled by ``old`` comes to hold ``contents``."""
-    new = lane_profile(contents, capacity, groups)
-    per_group = [0] * groups
-    for g in new.blocking_suffix:
-        per_group[g - 1] += 1
-    for g in old.blocking_suffix:
-        per_group[g - 1] -= 1
-    per_group[old.threshold - 1] += old.free_after_clear
-    per_group[new.threshold - 1] -= new.free_after_clear
-    return _cumulate(per_group), new
 
 
 def _cumulate(per_group: Sequence[int]) -> tuple[int, ...]:
@@ -197,7 +183,7 @@ def _removal_options(
     return tuple(options)
 
 
-def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: int | None = None):
+def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: float = math.inf):
     """Fewest removals whose gains reach ``needs`` at every level, exact up
     to ``cap`` and ``cap + 1`` above it: min(GX, cap + 1).
 
@@ -209,7 +195,8 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: int | Non
     cost that cannot beat the best cover found.  ``best`` starts at full
     clearing, which always covers (see the module docstring), or at
     ``cap + 1`` when that is less: then a cover is found only if it costs at
-    most ``cap``, and ``cap + 1`` is returned when none does.
+    most ``cap``, and ``cap + 1`` is returned when none does.  With no cap,
+    ``math.inf``, the answer is exact.
     """
     zero = (0,) * len(needs)
     # reach[idx]: the gain of clearing every lane from idx on.
@@ -218,9 +205,7 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: int | Non
         reach.append(tuple(map(add, reach[-1], options[-1][1])))
     reach.reverse()
 
-    best = sum(options[-1][0] for options in lane_options)
-    if cap is not None:
-        best = min(best, cap + 1)
+    best = min(sum(options[-1][0] for options in lane_options), cap + 1)
     frontier = {needs: 0}
     for idx, options in enumerate(lane_options):
         later = reach[idx + 1]
@@ -245,24 +230,24 @@ def _cover(lane_options: Sequence[tuple], needs: tuple[int, ...], cap: int | Non
 
 
 def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile],
-             cap: int | None = None) -> int:
+             cap: float = math.inf) -> int:
     """Minimum of the covering problem; 0 when supply already covers.
 
-    Exact with no ``cap``.  With one, the answer is exact up to the cap and
-    ``cap + 1`` above it, that is min(GX, cap + 1): enough to decide whether
-    GX <= cap.  When some level is positive GX is at least 1, so a cap
-    below 1 is answered with ``cap + 1`` at once.
+    The answer is exact up to ``cap`` and ``cap + 1`` above it, that is
+    min(GX, cap + 1): enough to decide whether GX <= cap, and exact with no
+    cap, ``math.inf``.  When some level is positive GX is at least 1, so a
+    cap below 1 is answered with ``cap + 1`` at once.
     """
     levels = tuple(g for g, x in enumerate(surplus, 1) if x > 0)
     if not levels:
-        return 0 if cap is None else min(0, cap + 1)
-    if cap is not None and cap < 1:
+        return min(0, cap + 1)
+    if cap < 1:
         return cap + 1
 
     needs = tuple(x for x in surplus if x > 0)
     lane_options = []
     for prof in profiles:
-        if prof.prefix_len == 0:
+        if not prof.prefix_groups:
             continue
         options = _removal_options(prof.prefix_groups, prof.free_after_clear, levels,
                                    len(surplus))
@@ -289,32 +274,41 @@ def lb_state(config: LaneConfiguration):
     return surplus, profiles, config.blocking_total + gx_bound(surplus, profiles)
 
 
-def lb(config: LaneConfiguration, cap: int | None = None):
+def lb(config: LaneConfiguration, cap: float = math.inf):
     """h = BX + gx_bound; admissible for the remaining move count.
 
-    Exact with no ``cap``.  With one, the answer is exact up to the cap and
-    ``cap + 1`` above it, min(h, cap + 1), as ``gx_bound`` answers for GX
-    with the cap less BX.  A config with no blocker gets h = 0 at once: with
-    no blocking load there is no demand, so no level of the surplus is
-    positive and GX = 0.
+    The answer is exact up to ``cap`` and ``cap + 1`` above it,
+    min(h, cap + 1), as ``gx_bound`` answers for GX with the cap less BX,
+    and exact with no cap, ``math.inf``.  A config with no blocker gets
+    h = 0 at once: with no blocking load there is no demand, so no level of
+    the surplus is positive and GX = 0.
     """
     bx = config.blocking_total
     if bx == 0:
-        return 0 if cap is None else min(0, cap + 1)
+        return min(0, cap + 1)
     surplus, profiles = _summary(config)
-    return bx + gx_bound(surplus, profiles, None if cap is None else cap - bx)
+    return bx + gx_bound(surplus, profiles, cap - bx)
 
 
 def cached_lane_change(touched: dict, old: LaneProfile, old_contents: tuple[int, ...],
                        contents: tuple[int, ...], capacity: int, groups: int) -> tuple:
-    """``lane_change(old, contents, capacity, groups)``, memoised in ``touched``
+    """Surplus change and new profile when the lane of ``capacity`` slots
+    profiled by ``old`` comes to hold ``contents``, memoised in ``touched``
     under (capacity, old contents, contents).  ``old`` profiles the old
     contents, so the key fixes the result for one ``groups``: a memo must
     serve the states of one search only."""
     key = (capacity, old_contents, contents)
     change = touched.get(key)
     if change is None:
-        change = touched[key] = lane_change(old, contents, capacity, groups)
+        new = lane_profile(contents, capacity, groups)
+        per_group = [0] * groups
+        for g in new.blocking_suffix:
+            per_group[g - 1] += 1
+        for g in old.blocking_suffix:
+            per_group[g - 1] -= 1
+        per_group[old.threshold - 1] += old.free_after_clear
+        per_group[new.threshold - 1] -= new.free_after_clear
+        change = touched[key] = _cumulate(per_group), new
     return change
 
 
@@ -368,16 +362,17 @@ class Siblings:
         #: (levels, needs, options out, options in) -> GX
         self._minima: dict[tuple, int] = {}
 
-    def select(self, limit, expired):
+    def select(self, limit, deadline: float):
         """The children whose h is at most ``limit``, and the least h above it.
 
         Returns ``(groups, above)``.  ``groups`` holds the kept children as
         (source lane index, target mask, h), bit i of a mask standing for
         lane index i, in the order ``legal_moves`` gives their moves, which
         is the order A* offers them in and ties siblings by;
-        ``above`` is the least h above ``limit``, or None.  Returns
-        None once ``expired()`` is true; it is read before each source lane
-        and before each (source class, target class) pair that needs GX.
+        ``above`` is the least h above ``limit``, ``math.inf`` when no child
+        has one.  Returns None once ``time.perf_counter()`` reaches
+        ``deadline``; the clock is read before each source lane and before
+        each (source class, target class) pair that needs GX.
         The module docstring says how the children are listed; the pairs
         that need GX come last, by ascending BX, so that the skip cuts the
         most.
@@ -398,7 +393,7 @@ class Siblings:
                     key = (prof.threshold, prof.free_after_clear)
                     clean[key] = clean.get(key, 0) | bit
             if loads:
-                if expired():
+                if time.perf_counter() >= deadline:
                     return None
                 if prof.blocking_suffix:
                     key = (loads[-1], 0, 0)
@@ -409,7 +404,7 @@ class Siblings:
 
         kept: dict[tuple[int, int], int] = {}  # (source index, h) -> target mask
         slow = []  # (child BX, source mask, target mask, child surplus, load)
-        above = None
+        above = math.inf
         targets: dict[int, list] = {}  # load -> [(BX change, surplus change, target mask)]
         for (p, after, free), from_mask in sources.items():
             if after:
@@ -424,7 +419,7 @@ class Siblings:
                 classes = targets[p] = _target_classes(p, blocked, clean, groups)
             for bx_change, change, to_mask in classes:
                 c_bx = bx + bx_change
-                if c_bx > limit and above is not None and c_bx >= above:
+                if c_bx > limit and c_bx >= above:
                     continue  # h >= BX >= above > limit
                 lanes = from_mask | to_mask
                 if not lanes & (lanes - 1):
@@ -442,9 +437,9 @@ class Siblings:
 
         slow.sort(key=itemgetter(0))
         for bx, from_mask, to_mask, level, p in slow:
-            if above is not None and bx + 1 >= above:
+            if bx + 1 >= above:
                 break  # every pair left has h >= bx + 1 >= above > limit
-            if expired():
+            if time.perf_counter() >= deadline:
                 return None
             for low in _bits(from_mask):
                 s = low.bit_length() - 1
@@ -454,20 +449,20 @@ class Siblings:
                     h = bx + self._gx(level, s, src, t, self._touch(t, config.contents[t] + (p,)))
                     if h <= limit:
                         kept[s, h] = kept.get((s, h), 0) | t_low
-                    elif above is None or h < above:
+                    elif h < above:
                         above = h
         return _in_move_order(kept), above
 
     def _touch(self, idx: int, contents: tuple[int, ...]) -> LaneProfile:
         """The profile of lane ``idx`` coming to hold ``contents``, through
-        the memoised ``lane_change``."""
+        ``cached_lane_change``."""
         config = self.config
         return cached_lane_change(self._touched, self.profiles[idx], config.contents[idx],
                                   contents, config.capacities[idx], config.groups)[1]
 
     def _lane_options(self, prof: LaneProfile, levels: tuple[int, ...]):
         """Removal options of one lane at ``levels``, None when trivial."""
-        if not prof.prefix_len:
+        if not prof.prefix_groups:
             return None
         key = (prof.prefix_groups, prof.free_after_clear, levels)
         if key not in self._shapes:

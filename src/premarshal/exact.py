@@ -23,11 +23,13 @@ distances of its dmat row, each with the mask of the lanes at that
 distance or less; one bisection gives the targets within a distance
 budget.  Each node carries the mask of lanes with room and, per threshold,
 the mask of lanes without blockers, patched from its parent's at the two
-lanes a move touches.  A source's targets are then one mask expression:
-the lanes with room other than itself, within the budget, min(c_ub,
-incumbent - 1) minus the distance so far, and, when the child's blocking
-count (BX) would otherwise exceed the stages left, only the lanes that take
-its front load unblocked.  Since h = BX + GX with GX >= 0, that cuts only
+lanes a move touches.  The incumbent is the distance of the best plan
+found so far, c_ub + 1 until one is found, so a plan counts only if it is
+shorter.  A source's targets are then one mask expression: the lanes with
+room other than itself, within the budget, incumbent - 1 minus the
+distance so far, and, when the child's blocking count (BX) would otherwise
+exceed the stages left, only the lanes that take its front load
+unblocked.  Since h = BX + GX with GX >= 0, that cuts only
 what the full bound would cut.  The lane the last move filled is no source
 (the relay rule).  ``legal_moves`` then builds the moves of those (source,
 targets) pairs only.  After a child is built, its full h decides: its
@@ -63,9 +65,9 @@ lowers h by exactly 1:
   1032, 1996).  For a source c < a other than b, that leaves only the
   targets a and b.
 * A child with GX = 0, whose BX = h is the number of moves left, is cut
-  when its distance plus ``Targets.distance_bound`` exceeds the cap,
-  min(c_ub, incumbent - 1).  A move changes BX by at most 1, so each move
-  left lowers it by exactly 1.  Only one kind of move does: it takes a
+  when its distance plus ``Targets.distance_bound`` reaches the
+  incumbent.  A move changes BX by at most 1, so each move left lowers it
+  by exactly 1.  Only one kind of move does: it takes a
   blocker p from its lane s to a lane t != s that p joins unblocked, one
   with no blocker, a threshold >= p and a free slot.  So no prefix load
   moves, and each blocker moves exactly once.  A move lowers or keeps its target's threshold and free
@@ -88,7 +90,7 @@ it reaches after s moves: an earlier visit of S came by a prefix Q that
 precedes P*'s in DFS order, has the same length s (the stage is a function
 of the state) and no higher distance, so Q followed by the rest of P*
 would be a smaller optimal plan.  The distance cut drops only subtrees
-that hold no plan within the cap, and the cap only falls, so a memo entry
+that hold no plan below the incumbent, and it only falls, so a memo entry
 at distance d still stands for every later visit at d or more.  Outside
 the tight stage a swap can make a relay and a state is met at several
 stages, so the first two cuts do not apply there.
@@ -106,6 +108,7 @@ stage, and its search stays as it was.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from bisect import bisect_right
@@ -122,9 +125,6 @@ from .model import (
     legal_moves,
     state_key,
 )
-
-DEFAULT_TIMEOUT_S = 3600.0
-
 
 class DeadlineReached(Exception):
     """Internal signal: the search hit its wall-clock deadline."""
@@ -299,6 +299,9 @@ def complete_search(
     raises ``DeadlineReached`` once ``time.perf_counter()`` reaches
     ``deadline`` (``math.inf`` for none).
 
+    The incumbent, the distance of the best plan found so far, starts at
+    ``c_ub + 1``; none was found while it stays above ``c_ub``.
+
     The memo, the distance budget and the bound cut every node; the
     tight-stage cuts, the distance bound at GX = 0 among them, apply when
     the root's h equals ``k_bar``.  None of them changes the plan: child
@@ -309,7 +312,7 @@ def complete_search(
         raise ValueError("k_bar must be nonnegative")
     if c_ub < 0:
         raise ValueError("c_ub must be nonnegative")
-    incumbent: list[int | None] = [None]
+    incumbent = c_ub + 1
     best_moves: list[Move] = []
     memo: dict[tuple, int] = {}
     # The lane-change memo of ``bounds.cached_lane_change``.  Its keys hold for
@@ -321,14 +324,14 @@ def complete_search(
     trail: list[Move] = []
 
     def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean) -> None:
+        nonlocal incumbent
         counters.nodes_evaluated += 1
         if time.perf_counter() >= deadline:
             raise DeadlineReached
         if stage == k_bar:
-            if config.blocking_total == 0 and dist <= c_ub:
-                if incumbent[0] is None or dist < incumbent[0]:
-                    incumbent[0] = dist
-                    best_moves[:] = trail
+            if config.blocking_total == 0 and dist < incumbent:
+                incumbent = dist
+                best_moves[:] = trail
             return
         key = state_key(config) if tight else (state_key(config), stage, last)
         known = memo.get(key)
@@ -336,12 +339,12 @@ def complete_search(
             return
         memo[key] = dist
         remaining = k_bar - (stage + 1)
-        budget = (c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)) - dist
+        budget = incumbent - 1 - dist
         for move in targets.moves(config, open_mask, clean, last, budget, remaining, commute):
             c_dist = dist + move.distance
             # The incumbent can fall while this node's children are searched,
             # so the budget may be stale by now.
-            if incumbent[0] is not None and c_dist >= incumbent[0]:
+            if c_dist >= incumbent:
                 continue
             child = apply_move(config, move)
             c_surplus, c_profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
@@ -349,8 +352,7 @@ def complete_search(
             if c_h > remaining:
                 continue
             if tight and c_h == child.blocking_total > 0:
-                cap = c_ub if incumbent[0] is None else min(c_ub, incumbent[0] - 1)
-                if c_dist + targets.distance_bound(c_profiles) > cap:
+                if c_dist + targets.distance_bound(c_profiles) >= incumbent:
                     continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
             trail.append(move)
@@ -368,31 +370,31 @@ def complete_search(
         # dfs reaches itself through its closure: without this the memo
         # would wait for the cyclic collector instead of dying here.
         del dfs
-    if incumbent[0] is None:
+    if incumbent > c_ub:
         return None
-    return list(best_moves), incumbent[0]
+    return list(best_moves), incumbent
 
 
-def solve_exact(
-    config: LaneConfiguration,
-    dmat,
-    astar_solution: Solution,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-):
+def solve_exact(config: LaneConfiguration, dmat, astar_solution: Solution,
+                deadline: float = math.inf):
     """Minimal moves, then minimal total loaded distance; exact on both.
 
     Deepens k-bar from the root lower bound up to the move count of
     ``astar_solution``, any replay-valid plan, whose distance caps that last
-    stage only (module docstring).
+    stage only (module docstring).  Every stage stops at one ``deadline``, a
+    ``time.perf_counter()`` reading (``math.inf`` for none), and the solve
+    then returns TimedOut.
     """
     started = time.perf_counter()
     stats = SolveStats(optimal_moves=True, optimal_distance=True)
     try:
         for k_bar in range(bounds.lb(config), astar_solution.k + 1):
+            # An int, not math.inf: ``complete_search`` finds no plan when its
+            # incumbent, c_ub + 1, stays above c_ub.
             c_ub = astar_solution.total_distance if k_bar == astar_solution.k else sys.maxsize
             try:
                 result = complete_search(config, k_bar, dmat, c_ub,
-                                         deadline=started + timeout_s, counters=stats)
+                                         deadline=deadline, counters=stats)
             except DeadlineReached:
                 return TimedOut(stats, k_bar_reached=k_bar)
             if result is not None:

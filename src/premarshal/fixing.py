@@ -557,13 +557,14 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
     demand and GX = 0: it wins with no bound evaluated.  Every candidate
     after the first is asked only whether its h is below the best so far:
     ``bounds.lb`` with the cap best - 1 is exact below the best and at
-    least the best otherwise, so the choice is the uncapped scan's.
-    Candidates are
-    read one at a time, so when they come from ``optimal_assignments`` the
-    ones after the stop are never built: on a bay whose first candidate has
-    no covering term (GX = 0), one assignment is built.
+    least the best otherwise, so the choice is the uncapped scan's.  The
+    best starts at ``math.inf``, so the first candidate's h is exact.
+    Candidates are read one at a time, so when they come from
+    ``optimal_assignments`` the ones after the stop are never built: on a
+    bay whose first candidate has no covering term (GX = 0), one assignment
+    is built.
     """
-    best = None
+    best, best_h = None, math.inf
     for cand in candidates:
         if best is None:
             floor = cand.misplaced
@@ -572,8 +573,8 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
         elif cand.misplaced != floor:
             raise ValueError("candidate assignments differ in their misplaced count")
         # A later candidate matters only if its h is below best_h.
-        h = bounds.lb(_bay_config(bay, cand.lanes), None if best is None else best_h - 1)
-        if best is None or h < best_h:
+        h = bounds.lb(_bay_config(bay, cand.lanes), best_h - 1)
+        if h < best_h:
             best, best_h = cand, h
             if h == floor:
                 break

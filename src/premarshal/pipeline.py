@@ -1,4 +1,10 @@
-"""End-to-end orchestration: preprocessing, then one of the two solvers."""
+"""End-to-end orchestration: preprocessing, then one of the two solvers.
+
+The solvers stop at an absolute ``time.perf_counter()`` deadline, ``math.inf``
+for none.  ``solve_instance`` is the one place that derives it from a budget
+in seconds, and ``ASTAR_BUDGET_S`` and ``EXACT_BUDGET_S`` are the defaults it
+takes when the caller gives none.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +17,8 @@ from .layout import DistanceMatrix, all_pairs_distances, build_layout
 from .model import LaneConfiguration, Solution, WarehouseInstance
 
 ASSIGNMENT_CANDIDATES = 10
+ASTAR_BUDGET_S = 600.0
+EXACT_BUDGET_S = 3600.0
 
 
 @dataclass
@@ -54,37 +62,27 @@ def solve_instance(
     ``ub_solution`` is absent, a standard A* run supplies it first.  The
     result is a Solution, TimedOut or Infeasible; solutions carry the
     selected assignments and the preprocessing time.
+
+    ``timeout_s`` counts from the end of preprocessing and covers both
+    phases of an exact solve: the A* bootstrap and the search share one
+    deadline.  With none, A* gets ``ASTAR_BUDGET_S`` and the exact search
+    ``EXACT_BUDGET_S`` from when A* returns.
     """
     if prepared is None:
         prepared = prepare(instance)
+    deadline = time.perf_counter() + (ASTAR_BUDGET_S if timeout_s is None else timeout_s)
     if algo == "astar":
-        result = astar.solve_astar(
-            prepared.config,
-            prepared.dmat,
-            timeout_s if timeout_s is not None else astar.DEFAULT_TIMEOUT_S,
-        )
+        result = astar.solve_astar(prepared.config, prepared.dmat, deadline)
     elif algo == "exact":
-        # One deadline for both phases: the A* bootstrap may use all of
-        # ``timeout_s``, and the exact search gets what is left of it.
-        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         ub = ub_solution
         if ub is None:
-            ub = astar.solve_astar(
-                prepared.config,
-                prepared.dmat,
-                astar.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s,
-            )
+            ub = astar.solve_astar(prepared.config, prepared.dmat, deadline)
             if not isinstance(ub, Solution):
                 _attach(ub, prepared)
                 return ub, prepared
-        result = exact.solve_exact(
-            prepared.config,
-            prepared.dmat,
-            ub,
-            exact.DEFAULT_TIMEOUT_S
-            if deadline is None
-            else max(0.0, deadline - time.perf_counter()),
-        )
+        if timeout_s is None:
+            deadline = time.perf_counter() + EXACT_BUDGET_S
+        result = exact.solve_exact(prepared.config, prepared.dmat, ub, deadline)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     _attach(result, prepared)

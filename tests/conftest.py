@@ -24,6 +24,18 @@ class FakeDmat:
         return abs(p - q)
 
 
+class FakeClock:
+    """A ``time`` stand-in whose clock reads 0, 1, 2, ... and counts its
+    reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return self.reads - 1
+
+
 def make_config(lanes, groups):
     """lanes: list of (capacity, contents tuple, access_point)."""
     return LaneConfiguration.build([(ap, cap, contents) for cap, contents, ap in lanes], groups)

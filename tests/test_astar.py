@@ -1,10 +1,11 @@
 import gc
 import random
+import time
 
 import pytest
 
 import oracles
-from conftest import FakeDmat, make_config
+from conftest import FakeClock, FakeDmat, make_config
 from premarshal import astar, bounds
 from premarshal.generate import GenConfig, generate
 from premarshal.model import Infeasible, Solution, TimedOut, apply_move
@@ -40,7 +41,7 @@ def test_unsorted_without_moves_is_infeasible():
 
 def test_timeout_zero_budget():
     config = make_config([(2, (1, 2), 0), (2, (), 1)], groups=2)
-    result = astar.solve_astar(config, DMAT, timeout_s=0.0)
+    result = astar.solve_astar(config, DMAT, deadline=time.perf_counter())
     assert isinstance(result, TimedOut)
 
 
@@ -147,29 +148,18 @@ def test_moves_replay_to_sorted():
         assert sum(m.distance for m in result.moves) == result.total_distance
 
 
-class _Clock:
-    """A ``time`` stand-in whose clock reads 0, 1, 2, ... and counts its
-    reads."""
-
-    def __init__(self):
-        self.reads = 0
-
-    def perf_counter(self):
-        self.reads += 1
-        return self.reads - 1
-
-
 def test_deadline_holds_inside_one_expansion(monkeypatch):
     """The clock is read before each source lane of the listing, not only
     between pops, and in a re-entry as in a first expansion."""
-    clock = _Clock()
+    clock = FakeClock()
     monkeypatch.setattr(astar, "time", clock)
+    monkeypatch.setattr(bounds, "time", clock)
     # One blocker and 40 sorted lanes with room: 41 sources and 1,640
     # children at the root, none of whose h needs GX.  The start reads 0
-    # and the first pop 1; sources 1-9 read 2-10, inside the budget, and
+    # and the first pop 1; sources 1-9 read 2-10, before the deadline, and
     # source 10 reads 11, past it; the stats read 12.
     lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
-    result = astar.solve_astar(make_config(lanes, groups=2), DMAT, timeout_s=10.5)
+    result = astar.solve_astar(make_config(lanes, groups=2), DMAT, deadline=10.5)
     assert isinstance(result, TimedOut)
     assert result.stats.nodes_evaluated == 1
     assert clock.reads == 13
@@ -177,17 +167,17 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     # The root bound of REENTERING_LANES is below k, so some parent comes
     # back as a re-entry.  A state is expanded once, so a listing of a
     # configuration listed before is a re-entry's.  Find the first, and the
-    # clock reading it starts at, in a run with no deadline; then end the
-    # budget between its second and third sources.
+    # clock reading it starts at, in a run with no deadline; then put the
+    # deadline between its second and third sources.
     config = make_config(REENTERING_LANES, 3)
     listed, starts = set(), []
     real_select = bounds.Siblings.select
 
-    def select(self, limit, expired=None):
+    def select(self, limit, deadline):
         if self.config.contents in listed:
             starts.append((clock.reads, self.config))
         listed.add(self.config.contents)
-        return real_select(self, limit, expired)
+        return real_select(self, limit, deadline)
 
     monkeypatch.setattr(bounds.Siblings, "select", select)
     clock.reads = 0
@@ -197,11 +187,11 @@ def test_deadline_holds_inside_one_expansion(monkeypatch):
     clock.reads = 0
     listed.clear()
     starts.clear()
-    result = astar.solve_astar(config, DMAT, timeout_s=start + 1.5)
+    result = astar.solve_astar(config, DMAT, deadline=start + 1.5)
     assert isinstance(result, TimedOut)
     assert starts[0][0] == start
     # Sources 1 and 2 read start and start + 1, source 3 start + 2, past
-    # the budget; the stats read start + 3.
+    # the deadline; the stats read start + 3.
     assert clock.reads == start + 4
 
 
@@ -228,11 +218,11 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
     seen = []
     real_select = bounds.Siblings.select
 
-    def watching_select(self, limit, expired=None):
+    def watching_select(self, limit, deadline):
         seen.append(gc.isenabled())
-        return real_select(self, limit, expired)
+        return real_select(self, limit, deadline)
 
-    def failing_select(self, limit, expired=None):
+    def failing_select(self, limit, deadline):
         raise RuntimeError("h failed")
 
     was_enabled = gc.isenabled()
@@ -247,9 +237,11 @@ def test_collector_is_paused_and_given_back(monkeypatch, enabled):
 
         with monkeypatch.context() as patch:
             # The clock of test_deadline_holds_inside_one_expansion.
-            patch.setattr(astar, "time", _Clock())
+            clock = FakeClock()
+            patch.setattr(astar, "time", clock)
+            patch.setattr(bounds, "time", clock)
             lanes = [(3, (1, 2), 0)] + [(3, (2,), idx) for idx in range(1, 41)]
-            result = astar.solve_astar(make_config(lanes, groups=2), DMAT, timeout_s=1.5)
+            result = astar.solve_astar(make_config(lanes, groups=2), DMAT, deadline=1.5)
             assert isinstance(result, TimedOut)
         assert gc.isenabled() == enabled
 

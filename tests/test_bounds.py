@@ -5,40 +5,35 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import oracles
-from conftest import FakeDmat, make_config
+from conftest import FakeClock, FakeDmat, make_config
 from premarshal import bounds
 from premarshal.model import apply_move, legal_moves, state_key
 
 DMAT = FakeDmat()
 
 
-def _never() -> bool:
-    """An ``expired`` for ``Siblings.select`` that never expires."""
-    return False
-
-
 def test_lane_profile_frozen():
     empty = bounds.lane_profile((), 3, groups=5)
-    assert (empty.prefix_len, empty.threshold, empty.blocking_suffix) == (0, 5, ())
+    assert (len(empty.prefix_groups), empty.threshold, empty.blocking_suffix) == (0, 5, ())
     assert empty.free_after_clear == 3
 
     sorted_lane = bounds.lane_profile((5, 3, 1), 3, groups=5)
-    assert (sorted_lane.prefix_len, sorted_lane.threshold) == (3, 1)
+    assert (len(sorted_lane.prefix_groups), sorted_lane.threshold) == (3, 1)
     assert sorted_lane.blocking_suffix == ()
 
     mixed = bounds.lane_profile((2, 5, 1), 4, groups=5)
-    assert mixed.prefix_len == 1
+    assert len(mixed.prefix_groups) == 1
     assert mixed.threshold == 2
     assert mixed.blocking_suffix == (1, 5)
     assert mixed.free_after_clear == 3
-    assert mixed.prefix_len + len(mixed.blocking_suffix) == 3
+    assert len(mixed.prefix_groups) + len(mixed.blocking_suffix) == 3
 
 
 def test_profile_counts_blocking():
     contents = (3, 3, 2, 4, 1)
     prof = bounds.lane_profile(contents, 5, groups=5)
     assert len(prof.blocking_suffix) == 2
-    assert prof.prefix_len + len(prof.blocking_suffix) == len(contents)
+    assert len(prof.prefix_groups) + len(prof.blocking_suffix) == len(contents)
 
 
 def test_bx_bound_frozen():
@@ -205,7 +200,7 @@ def test_incremental_with_the_search_memo(lane_specs, rng):
         moves = legal_moves(config, DMAT)
         if not moves:
             return
-        bounds.Siblings(config, surplus, profiles, touched).select(math.inf, _never)
+        bounds.Siblings(config, surplus, profiles, touched).select(math.inf, math.inf)
         move = rng.choice(moves)
         child = apply_move(config, move)
         surplus, profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
@@ -310,7 +305,7 @@ def test_gx_never_exceeds_full_clearing(state):
     docstring), so GX is at most the total prefix length."""
     groups, lanes = state
     surplus, profiles, _h = bounds.lb_state(make_config(lanes, groups))
-    assert bounds.gx_bound(surplus, profiles) <= sum(p.prefix_len for p in profiles)
+    assert bounds.gx_bound(surplus, profiles) <= sum(len(p.prefix_groups) for p in profiles)
 
 
 @pytest.mark.parametrize("n, gx", [(16, 6), (20, 7), (40, 14)])
@@ -347,12 +342,12 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
-    groups, above = siblings.select(math.inf, _never)
+    groups, above = siblings.select(math.inf, math.inf)
     moves = legal_moves(config, DMAT, [group[:2] for group in groups])
     hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
     assert moves == legal_moves(config, DMAT)
     assert hs == [_child_h(config, move, extra) for move in moves]
-    assert above is None
+    assert above == math.inf
 
 
 @settings(max_examples=150, deadline=None)
@@ -441,19 +436,21 @@ def test_select_on_wide_states():
     assert seen == {"shared": True, "gx": True}
 
 
-def test_select_reads_the_clock_before_pairs_that_need_gx():
-    """``expired`` is read before each source lane and again before each
+def test_select_reads_the_clock_before_pairs_that_need_gx(monkeypatch):
+    """The clock is read before each source lane and again before each
     (source class, target class) pair that needs GX, so that an expansion
     whose time goes to GX stops too.  Every child of these 16 equal lanes
     needs GX (6 at the root): they make one pair, and with no limit it is
     not skipped."""
     config = make_config([(3, (1, 2), idx) for idx in range(16)], groups=2)
     surplus, profiles, _h = bounds.lb_state(config)
-    reads = iter(range(100))
-    # False for the 16 source lanes, True at the first pair that needs GX.
-    listed = bounds.Siblings(config, surplus, profiles, {}).select(100, lambda: next(reads) >= 16)
+    clock = FakeClock()
+    monkeypatch.setattr(bounds, "time", clock)
+    # Before the deadline for the 16 source lanes, at it for the first pair
+    # that needs GX.
+    listed = bounds.Siblings(config, surplus, profiles, {}).select(100, 16)
     assert listed is None
-    assert next(reads) == 17
+    assert clock.reads == 17
 
 
 def _child_h(config, move, extra):
@@ -475,8 +472,8 @@ def _check_select_at_every_limit(config, extra):
     hs = [h for _m, h in every] or [0]
     for limit in range(min(hs) - 1, max(hs) + 2):
         want = [(m, h) for m, h in every if h <= limit]
-        above = min((h for _m, h in every if h > limit), default=None)
-        groups, got_above = siblings.select(limit, _never)
+        above = min((h for _m, h in every if h > limit), default=math.inf)
+        groups, got_above = siblings.select(limit, math.inf)
         moves = legal_moves(config, DMAT, [group[:2] for group in groups])
         got = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
         assert list(zip(moves, got)) == want

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +250,7 @@ def test_timeout_reports_the_stage_reached():
     config = make_config([(2, (1, 3), 0), (2, (), 1)], groups=3)
     warm = astar.solve_astar(config, DMAT)
     assert isinstance(warm, Solution)
-    result = exact.solve_exact(config, DMAT, warm, timeout_s=0.0)
+    result = exact.solve_exact(config, DMAT, warm, deadline=time.perf_counter())
     assert isinstance(result, TimedOut)
     assert result.k_bar_reached == 1
     assert result.stats is not None and result.stats.nodes_evaluated >= 1
@@ -325,7 +326,7 @@ def test_hard_tight_instances_solve_within_budget(spec):
     _surplus, profiles, h0 = bounds.lb_state(config)
     assert h0 == config.blocking_total
     warm = astar.solve_astar(config, prep.dmat)
-    result = exact.solve_exact(config, prep.dmat, warm, timeout_s=20)
+    result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 20)
     assert isinstance(result, Solution)
     assert (result.k, result.total_distance, result.stats.nodes_evaluated) == PINNED_HARD[spec]
     assert exact.Targets(config, prep.dmat).distance_bound(profiles) == result.total_distance

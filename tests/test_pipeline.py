@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -11,26 +12,54 @@ from premarshal.model import Solution
 from premarshal.pipeline import prepare, solve_instance
 
 
-def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
-    """A* gets the whole timeout and exact what is left, never more."""
+def _record_deadlines(monkeypatch):
+    """Wrap both solvers; the returned dict gets each one's deadline and
+    the clock when A* returns and when the exact search starts."""
     got = {}
     real_astar, real_exact = astar.solve_astar, exact.solve_exact
 
-    def recording_astar(config, dmat, timeout_s):
-        got["astar"] = timeout_s
-        return real_astar(config, dmat, timeout_s)
+    def recording_astar(config, dmat, deadline):
+        got["astar"] = deadline
+        result = real_astar(config, dmat, deadline)
+        got["astar_returned"] = time.perf_counter()
+        return result
 
-    def recording_exact(config, dmat, ub, timeout_s):
-        got["exact"] = timeout_s
-        return real_exact(config, dmat, ub, timeout_s)
+    def recording_exact(config, dmat, ub, deadline):
+        got["exact_started"] = time.perf_counter()
+        got["exact"] = deadline
+        return real_exact(config, dmat, ub, deadline)
 
     monkeypatch.setattr(astar, "solve_astar", recording_astar)
     monkeypatch.setattr(exact, "solve_exact", recording_exact)
-    instance = generate(GenConfig(bay=(4, 4), warehouse=(2, 2), fill=0.8, groups=10, seed=3))
+    return got
+
+
+BUDGET_INSTANCE = GenConfig(bay=(4, 4), warehouse=(2, 2), fill=0.8, groups=10, seed=3)
+
+
+def test_exact_bootstrap_shares_the_callers_budget(monkeypatch):
+    """A* and the exact search get one deadline, the timeout after a clock
+    read within the call."""
+    got = _record_deadlines(monkeypatch)
+    instance = generate(BUDGET_INSTANCE)
+    started = time.perf_counter()
     result, _prepared = solve_instance(instance, "exact", timeout_s=5.0)
+    ended = time.perf_counter()
     assert isinstance(result, Solution)
-    assert got["astar"] <= 5.0
-    assert 0.0 <= got["exact"] <= 5.0
+    assert got["astar"] == got["exact"]
+    assert started + 5.0 <= got["astar"] <= ended + 5.0
+
+
+def test_default_budgets_are_the_commands(monkeypatch):
+    """With no timeout, A* gets 600 s from a clock read within the call
+    and the exact search 3,600 s from when A* returns."""
+    got = _record_deadlines(monkeypatch)
+    instance = generate(BUDGET_INSTANCE)
+    started = time.perf_counter()
+    result, _prepared = solve_instance(instance, "exact")
+    assert isinstance(result, Solution)
+    assert started + 600.0 <= got["astar"] <= got["astar_returned"] + 600.0
+    assert got["astar_returned"] + 3600.0 <= got["exact"] <= got["exact_started"] + 3600.0
 
 
 def test_prepare_builds_each_bays_lanes_once():
