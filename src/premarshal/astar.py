@@ -18,15 +18,17 @@ the parent's lane profiles, and gives one h to all children of a (source
 class, target class) pair; it computes an h per child only where GX may be
 positive.  The other children are not offered, and most never get an h
 of their own.
-The offered children's moves are built by ``legal_moves`` for the listed
-(source, target mask) pairs and pushed in that order, each with the next
-number of one counter that the search keeps for its offers.  If some child has
-f > F, the parent goes back on the queue as a re-entry with key
-(F', -1, 0, (expansion number, 0)), F' the least such f.  h >= 0 for every
-node, so the re-entry pops before any node of f = F'; popping it lists the
-children again from the parent's configuration, surplus and profiles and
-offers those with f <= F'.  A re-entry is not counted in
-``nodes_evaluated``, closes nothing and is not goal-tested.
+The listing gives the offered children as (source, h) classes, each with
+a mask of its targets, in ascending (source, h).  Each class's moves are
+built by one ``legal_moves`` call, in ascending target, and pushed in that
+order, each with the next number of one counter that the search keeps for
+its offers.  If some child has f > F, the parent goes back on the queue as
+a re-entry with key (F', -1, 0, (expansion number, 0)), F' the least such
+f.  h >= 0 for every node, so the re-entry pops before any node of
+f = F'; popping it lists the children again from the parent's
+configuration, surplus and profiles and offers those with f <= F'.  A
+re-entry is not counted in ``nodes_evaluated``, closes nothing and is not
+goal-tested.
 
 Duplicates are detected when a child pops, not when it is offered (delayed
 duplicate detection: Korf, IJCAI 2003).  An offer is the queue entry
@@ -38,11 +40,15 @@ the search's lane-change memo and no GX: the child's h came with its
 offer.  h depends only on
 the state and every tie is unique, so the first offer of a state to pop is
 the least (f, dist, tie) offered for it so far: the record that a
-store-every-child A* offering children in ``legal_moves`` order keeps (new,
-better f, or the same f with a smaller dist).  The counter ties siblings as
-their moves' order in ``legal_moves`` would: two children of one parent
-with equal (f, h, dist) have the same h, so the first listing whose limit
-reaches it offers both, in that order.  A child that a re-entry offers
+store-every-child A* offering children in ``legal_moves`` (source, target)
+order keeps (new, better f, or the same f with a smaller dist).  The
+counter ties siblings as that order would.  Two children of one parent
+compare ties only at equal (f, h, dist), and f = g + h with g shared, so
+only at equal h.  The first listing whose limit reaches that h offers
+both: from one class in ascending target when they share a source, else
+from two classes in ascending source, so in (source, target) order.
+Siblings of different h may come in another order, but their keys differ
+in f, so their ties are never compared.  A child that a re-entry offers
 again is an equal state with a larger counter, so it pops after its first
 offer and is skipped as closed.  Offers of different parents compare
 expansion numbers first.  So the plan, k, distance and node count are
@@ -142,11 +148,9 @@ def solve_astar(config: LaneConfiguration, dmat, deadline: float = math.inf):
             listed = siblings.select(f - c_g, deadline)
             if listed is None:
                 return TimedOut(stats)
-            groups, above = listed
-            if groups:
-                moves = legal_moves(config, dmat, [group[:2] for group in groups])
-                hs = [c_h for _src, mask, c_h in groups for _ in range(mask.bit_count())]
-                for move, c_h in zip(moves, hs):
+            classes, above = listed
+            for (src, c_h), mask in classes:
+                for move in legal_moves(config, dmat, [(src, mask)]):
                     heappush(open_heap, (c_g + c_h, c_h, dist + move.distance,
                                          (expansion, next(offered)), node, move))
             if above < math.inf:

@@ -77,7 +77,8 @@ it; ``Siblings`` adds only those of the children whose h needs GX.
 are exact up to it and answer cap + 1 above it: a caller that asks only
 whether the bound is at most the cap gets its answer without the rest of
 the covering search.  Access-fixing selection asks every candidate after
-its first whether its h is below the best so far.
+its first whether its h is below the best so far, and the exact search
+asks every child whether its h is at most the moves it has left.
 
 ``Siblings.select`` lists the children of one parent whose h is at most a
 limit, and the least h above it, the way A* asks for them, reading their
@@ -114,7 +115,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import add, gt, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -365,12 +366,14 @@ class Siblings:
     def select(self, limit, deadline: float):
         """The children whose h is at most ``limit``, and the least h above it.
 
-        Returns ``(groups, above)``.  ``groups`` holds the kept children as
-        (source lane index, target mask, h), bit i of a mask standing for
-        lane index i, in the order ``legal_moves`` gives their moves, which
-        is the order A* offers them in and ties siblings by;
-        ``above`` is the least h above ``limit``, ``math.inf`` when no child
-        has one.  Returns None once ``time.perf_counter()`` reaches
+        Returns ``(classes, above)``.  ``classes`` holds the kept children
+        as ((source lane index, h), target mask) pairs, bit i of a mask
+        standing for lane index i, in ascending (source, h); ``above`` is
+        the least h above ``limit``, ``math.inf`` when no child has one.
+        A* offers the classes in this order, each class's moves as
+        ``legal_moves`` gives them, by ascending target.  So two children
+        of equal h, the only siblings its queue ties, come in (source,
+        target) order.  Returns None once ``time.perf_counter()`` reaches
         ``deadline``; the clock is read before each source lane and before
         each (source class, target class) pair that needs GX.
         The module docstring says how the children are listed; the pairs
@@ -451,7 +454,7 @@ class Siblings:
                         kept[s, h] = kept.get((s, h), 0) | t_low
                     elif h < above:
                         above = h
-        return _in_move_order(kept), above
+        return sorted(kept.items()), above
 
     def _touch(self, idx: int, contents: tuple[int, ...]) -> LaneProfile:
         """The profile of lane ``idx`` coming to hold ``contents``, through
@@ -528,17 +531,3 @@ def _bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _in_move_order(kept: dict) -> list:
-    """``kept``, (source, h) -> target mask, as (source, target mask, h)
-    groups in (source, target) order: a source whose children differ in h
-    is split per target."""
-    groups = []
-    for s, keys in groupby(sorted(kept), itemgetter(0)):
-        run = [(s, kept[key], key[1]) for key in keys]
-        if len(run) > 1:
-            run = sorted(((s, low, h) for _s, mask, h in run for low in _bits(mask)),
-                         key=itemgetter(1))
-        groups += run
-    return groups

@@ -157,7 +157,7 @@ def _cmd_solve(args) -> int:
         raise _Failure(EXIT_INVALID, "instance admits no sorting plan")
     assert isinstance(result, Solution)
     with _writing(args.out):
-        files.write_solution(result, prepared.config, args.out)
+        files.write_solution(result, prepared, args.out)
     print(f"{result.algo}: k={result.k} distance={result.total_distance} "
           f"nodes={result.stats.nodes_evaluated}")
     return EXIT_OK

@@ -32,9 +32,11 @@ exceed the stages left, only the lanes that take its front load
 unblocked.  Since h = BX + GX with GX >= 0, that cuts only
 what the full bound would cut.  The lane the last move filled is no source
 (the relay rule).  ``legal_moves`` then builds the moves of those (source,
-targets) pairs only.  After a child is built, its full h decides: its
-surplus and profiles from ``lb_incremental``, whose lane changes come from
-one memo per search, and its GX from ``gx_bound``.
+targets) pairs only.  After a child is built, its h decides: its surplus
+and profiles from ``lb_incremental``, whose lane changes come from one memo
+per search, and its GX from ``gx_bound`` capped at the stages left less its
+BX.  That gives min(h, stages left + 1), so a child it does not cut has its
+exact h.
 
 A source's distances and masks are built the first time it still has
 targets before the bisection, so the search reads the dmat rows of its
@@ -348,7 +350,8 @@ def complete_search(
                 continue
             child = apply_move(config, move)
             c_surplus, c_profiles = bounds.lb_incremental(surplus, profiles, move, child, touched)
-            c_h = child.blocking_total + bounds.gx_bound(c_surplus, c_profiles)
+            c_h = child.blocking_total + bounds.gx_bound(
+                c_surplus, c_profiles, remaining - child.blocking_total)
             if c_h > remaining:
                 continue
             if tight and c_h == child.blocking_total > 0:

@@ -16,7 +16,8 @@ import re
 from typing import IO
 
 from .fixing import AccessAssignment, misplaced_count
-from .model import SIDES, BaySpec, LaneConfiguration, Solution, WarehouseInstance
+from .model import SIDES, BaySpec, Solution, WarehouseInstance
+from .pipeline import Prepared
 
 
 def _ordered_sides(sides) -> list[str]:
@@ -132,14 +133,16 @@ def assignments_from_json(data: list[dict], instance: WarehouseInstance) -> list
     return out
 
 
-def solution_to_json(solution: Solution, initial: LaneConfiguration) -> dict:
-    """Serialize; the initial configuration supplies lane -> access point ids."""
+def solution_to_json(solution: Solution, prepared: Prepared) -> dict:
+    """Serialize ``solution``, solved on ``prepared``, which supplies lane ->
+    access point ids, the assignments and the preprocessing time."""
+    points = prepared.config.points
     moves = [
         {
             "from_lane": m.from_lane,
             "to_lane": m.to_lane,
-            "from_access_point": initial.points[m.from_lane - 1],
-            "to_access_point": initial.points[m.to_lane - 1],
+            "from_access_point": points[m.from_lane - 1],
+            "to_access_point": points[m.to_lane - 1],
             "distance": m.distance,
         }
         for m in solution.moves
@@ -147,20 +150,18 @@ def solution_to_json(solution: Solution, initial: LaneConfiguration) -> dict:
     stats = {
         "nodes_evaluated": solution.stats.nodes_evaluated,
         "wall_time": solution.stats.wall_time,
-        "preprocessing_time": solution.stats.preprocessing_time,
+        "preprocessing_time": prepared.preprocessing_time,
         "optimal_moves": solution.stats.optimal_moves,
         "optimal_distance": solution.stats.optimal_distance,
     }
-    data = {
+    return {
         "algo": solution.algo,
         "k": solution.k,
         "total_distance": solution.total_distance,
         "moves": moves,
         "stats": stats,
+        "assignments": assignments_to_json(prepared.assignments),
     }
-    if solution.assignments is not None:
-        data["assignments"] = assignments_to_json(solution.assignments)
-    return data
 
 
 def dump(data: dict, fileobj: IO[str]) -> None:
@@ -178,9 +179,9 @@ def read_instance(path) -> WarehouseInstance:
         return instance_from_json(json.load(f))
 
 
-def write_solution(solution: Solution, initial: LaneConfiguration, path) -> None:
+def write_solution(solution: Solution, prepared: Prepared, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        dump(solution_to_json(solution, initial), f)
+        dump(solution_to_json(solution, prepared), f)
 
 
 def read_solution(path) -> dict:

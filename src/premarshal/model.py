@@ -244,7 +244,6 @@ class WarehouseInstance:
 class SolveStats:
     nodes_evaluated: int = 0
     wall_time: float = 0.0
-    preprocessing_time: float = 0.0
     optimal_moves: bool = False
     optimal_distance: bool = False
 
@@ -258,7 +257,6 @@ class Solution:
     k: int
     total_distance: int
     stats: SolveStats
-    assignments: list | None = None
 
     def __post_init__(self) -> None:
         if self.k != len(self.moves):

@@ -60,8 +60,9 @@ def solve_instance(
 
     The exact solver needs a move-optimal solution for its bounds; when
     ``ub_solution`` is absent, a standard A* run supplies it first.  The
-    result is a Solution, TimedOut or Infeasible; solutions carry the
-    selected assignments and the preprocessing time.
+    result is a Solution, TimedOut or Infeasible; ``prepared`` holds the
+    selected assignments and the preprocessing time, which a solution file
+    records with the plan.
 
     ``timeout_s`` counts from the end of preprocessing and covers both
     phases of an exact solve: the A* bootstrap and the search share one
@@ -78,18 +79,10 @@ def solve_instance(
         if ub is None:
             ub = astar.solve_astar(prepared.config, prepared.dmat, deadline)
             if not isinstance(ub, Solution):
-                _attach(ub, prepared)
                 return ub, prepared
         if timeout_s is None:
             deadline = time.perf_counter() + EXACT_BUDGET_S
         result = exact.solve_exact(prepared.config, prepared.dmat, ub, deadline)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    _attach(result, prepared)
     return result, prepared
-
-
-def _attach(result, prepared: Prepared) -> None:
-    result.stats.preprocessing_time = prepared.preprocessing_time
-    if isinstance(result, Solution):
-        result.assignments = prepared.assignments

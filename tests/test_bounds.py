@@ -342,11 +342,9 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
-    groups, above = siblings.select(math.inf, math.inf)
-    moves = legal_moves(config, DMAT, [group[:2] for group in groups])
-    hs = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
-    assert moves == legal_moves(config, DMAT)
-    assert hs == [_child_h(config, move, extra) for move in moves]
+    classes, above = siblings.select(math.inf, math.inf)
+    every = [(move, _child_h(config, move, extra)) for move in legal_moves(config, DMAT)]
+    assert _offered(config, classes) == _in_offer_order(every)
     assert above == math.inf
 
 
@@ -368,7 +366,7 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
 @example([(2, [2]), (3, [1, 2])], [])
 def test_select_lists_what_a_loop_over_every_move_keeps(lane_specs, extra):
     """At every limit, ``Siblings.select`` gives the (move, h) of the
-    children with h <= limit, in ``legal_moves`` order, and the least h
+    children with h <= limit, in (source, h, target) order, and the least h
     above the limit, as a loop over every move and the built child's
     ``lb_state`` does.  ``extra`` adds demand, at most one load per free
     slot, so that GX > 0 occurs."""
@@ -473,12 +471,22 @@ def _check_select_at_every_limit(config, extra):
     for limit in range(min(hs) - 1, max(hs) + 2):
         want = [(m, h) for m, h in every if h <= limit]
         above = min((h for _m, h in every if h > limit), default=math.inf)
-        groups, got_above = siblings.select(limit, math.inf)
-        moves = legal_moves(config, DMAT, [group[:2] for group in groups])
-        got = [h for _src, mask, h in groups for _ in range(mask.bit_count())]
-        assert list(zip(moves, got)) == want
+        classes, got_above = siblings.select(limit, math.inf)
+        assert _offered(config, classes) == _in_offer_order(want)
         assert got_above == above
     return every
+
+
+def _offered(config, classes):
+    """The (move, h) of each child of ``select``'s ``classes``, in the order
+    A* offers them: class by class, each by target."""
+    return [(move, h) for (src, h), mask in classes
+            for move in legal_moves(config, DMAT, [(src, mask)])]
+
+
+def _in_offer_order(children):
+    """(move, h) pairs sorted by (source, h, target)."""
+    return sorted(children, key=lambda child: (child[0].from_lane, child[1], child[0].to_lane))
 
 
 def _coverable(config, extra):

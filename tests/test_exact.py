@@ -332,6 +332,21 @@ def test_hard_tight_instances_solve_within_budget(spec):
     assert exact.Targets(config, prep.dmat).distance_bound(profiles) == result.total_distance
 
 
+def test_tight_stage_with_gx_at_the_root_solves_within_budget():
+    """5x5/2x2/0.9/G10/s1: the root has GX = 1 (h = 7, BX = 6), so the
+    distance bound is not asked there.  292 nodes find the plan, 10 shorter
+    than A*'s (7, 36)."""
+    prep = _pinned_instance(((5, 5), (2, 2), 0.9, 10, 1))
+    config = prep.config
+    _surplus, _profiles, h0 = bounds.lb_state(config)
+    assert (h0, config.blocking_total) == (7, 6)
+    warm = astar.solve_astar(config, prep.dmat)
+    assert (warm.k, warm.total_distance) == (7, 36)
+    result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 20)
+    assert isinstance(result, Solution)
+    assert (result.k, result.total_distance, result.stats.nodes_evaluated) == (7, 26, 292)
+
+
 def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
     """On random states whose root is tight with GX = 0, the distance bound
     at the root and at every state along the staged oracle's plan is at most

@@ -163,7 +163,7 @@ def test_solution_round_trip(tmp_path):
     result, prepared = solve_instance(instance, "astar")
     assert isinstance(result, Solution)
     path = tmp_path / "solution.json"
-    files.write_solution(result, prepared.config, path)
+    files.write_solution(result, prepared, path)
     data = files.read_solution(path)
     assert data["algo"] == "astar"
     assert data["k"] == result.k == len(data["moves"])
@@ -182,7 +182,7 @@ def test_solution_round_trip(tmp_path):
         "optimal_moves", "optimal_distance",
     }
     again = tmp_path / "again.json"
-    files.write_solution(result, prepared.config, again)
+    files.write_solution(result, prepared, again)
     assert path.read_bytes() == again.read_bytes()
     assert path.read_bytes().endswith(b"\n")
 

@@ -30,7 +30,7 @@ def _solved_witness():
     instance = _witness_instance()
     result, prepared = solve_instance(instance, "astar")
     assert isinstance(result, Solution) and result.k == 2
-    data = files.solution_to_json(result, prepared.config)
+    data = files.solution_to_json(result, prepared)
     return instance, prepared, result, data
 
 
@@ -46,7 +46,7 @@ def test_replay_accepts_solver_output_both_algos():
             report = verify.replay(instance, prepared.assignments, result)
             assert report.ok and report.violations == []
             # the JSON form replays identically
-            data = files.solution_to_json(result, prepared.config)
+            data = files.solution_to_json(result, prepared)
             assert verify.replay(instance, prepared.assignments, data).ok
 
 
@@ -168,7 +168,7 @@ def test_replay_rejects_a_float_lane_id():
     """12.0 == 12, but a plan naming lane 12.0 is not a plan over lane ids."""
     instance = generate(GenConfig(bay=(4, 4), warehouse=(2, 2), fill=0.9, groups=10, seed=8))
     result, prepared = solve_instance(instance, "astar")
-    data = files.solution_to_json(result, prepared.config)
+    data = files.solution_to_json(result, prepared)
     assert verify.replay(instance, prepared.assignments, data).ok
     first = data["moves"][0]
     first["from_lane"] = float(first["from_lane"])
