@@ -7,8 +7,9 @@ loaded distance may not exceed the upper bound c_ub, and a load may not
 move twice in a row (the relay would collapse into a single cheaper move,
 so the rule never cuts all optima).
 
-Deepening starts at the lower bound of the initial state and stops at the
-move count of the upper-bound plan: A*'s, which is minimal, or a
+Deepening starts at the lower bound of the initial state, evaluated once
+per solve and handed to every stage, and stops at the move count of the
+upper-bound plan: A*'s, which is minimal, or a
 replay-valid plan read from a file, which need not be.  That plan's
 distance caps only its own stage, since a plan of fewer moves beats it at
 any distance.  The first feasible k-bar therefore equals the optimal move
@@ -81,7 +82,13 @@ lowers h by exactly 1:
   exists: GX = 0 means that at the level of the highest blocker of s,
   the free slots of lanes with a threshold at least that high cover the
   blockers, and s is none of them, since its threshold is below its
-  first blocker.
+  first blocker.  The bound reads those lanes off the child's masks.  A
+  clean lane's prefix is all its loads, so it has a free slot once
+  cleared exactly when it has room: at threshold g, the clean mask of g
+  and the open mask.  A blocked lane, one in no clean mask, always has
+  one, since its prefix is shorter than its contents and those fit its
+  capacity.  So the lanes per threshold cost O(G + blocked lanes), not
+  O(L), and the scan per blocker walks the blocked lanes only.
 
 No cut changes the plan.  The search returns P*, the least-distance
 plan of k-bar moves that comes first in the order of its (source, target)
@@ -171,22 +178,32 @@ class Targets:
         self.reach[src] = dists, masks
         return dists, masks
 
-    def distance_bound(self, profiles) -> int:
+    def distance_bound(self, profiles, open_mask: int, clean) -> int:
         """A lower bound on the distance still to come from a tight-stage
-        state with GX = 0 and lane ``profiles``: the sum over its blockers of
-        the least distance from the blocker's lane to another lane with a
-        threshold >= the blocker and a free slot once cleared.  GX = 0
-        gives every blocker such a lane (module docstring)."""
-        accept = [0] * self.groups  # [g - 1]: lanes that could take a load of group g
-        for idx, prof in enumerate(profiles):
-            if prof.free_after_clear:
-                accept[prof.threshold - 1] |= 1 << idx
+        state with GX = 0, lane ``profiles`` and the ``open_mask`` and
+        ``clean`` that ``masks`` gives it: the sum over its blockers of the
+        least distance from the blocker's lane to another lane with a
+        threshold >= the blocker and a free slot once cleared.  GX = 0 gives
+        every blocker such a lane (module docstring).  The masks give those
+        lanes: a clean one has a free slot once cleared when it has room, a
+        blocked one always.
+        """
+        accept = [mask & open_mask for mask in clean]  # [g - 1]: lanes that take group g
+        # A lane without blockers sits in one clean mask, so their sum is
+        # their union.
+        rest = (1 << len(profiles)) - 1 - sum(clean)
+        blocked = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            src = low.bit_length() - 1
+            prof = profiles[src]
+            blocked.append((src, prof))
+            accept[prof.threshold - 1] |= low
         for g in range(self.groups - 1, 0, -1):
             accept[g - 1] |= accept[g]
         total = 0
-        for src, prof in enumerate(profiles):
-            if not prof.blocking_suffix:
-                continue
+        for src, prof in blocked:
             dists, masks = self.reach[src] or self._reach(src)
             others = ~(1 << src)
             at = 0
@@ -294,12 +311,15 @@ def complete_search(
     *,
     deadline: float,
     counters: SolveStats,
+    root: tuple,
 ) -> tuple[list[Move], int] | None:
     """(moves, distance) of the least-distance plan of exactly ``k_bar``
     moves within ``c_ub``, by exhaustive DFS; None when there is none.
     Each node visited adds 1 to ``counters.nodes_evaluated``, and the search
     raises ``DeadlineReached`` once ``time.perf_counter()`` reaches
-    ``deadline`` (``math.inf`` for none).
+    ``deadline`` (``math.inf`` for none).  ``root`` is
+    ``bounds.lb_state(initial)``, (surplus, profiles, h): the root is the
+    same in every stage of a solve, so ``solve_exact`` evaluates it once.
 
     The incumbent, the distance of the best plan found so far, starts at
     ``c_ub + 1``; none was found while it stays above ``c_ub``.
@@ -320,7 +340,7 @@ def complete_search(
     # The lane-change memo of ``bounds.cached_lane_change``.  Its keys hold for
     # this instance's G only, so it lives no longer than this search.
     touched: dict[tuple, tuple] = {}
-    root_surplus, root_profiles, root_h = bounds.lb_state(initial)
+    root_surplus, root_profiles, root_h = root
     tight = root_h == k_bar
     targets = Targets(initial, dmat)
     trail: list[Move] = []
@@ -354,10 +374,10 @@ def complete_search(
                 c_surplus, c_profiles, remaining - child.blocking_total)
             if c_h > remaining:
                 continue
-            if tight and c_h == child.blocking_total > 0:
-                if c_dist + targets.distance_bound(c_profiles) >= incumbent:
-                    continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
+            if tight and c_h == child.blocking_total > 0:
+                if c_dist + targets.distance_bound(c_profiles, c_open, c_clean) >= incumbent:
+                    continue
             trail.append(move)
             c_last = move.to_lane - 1
             c_commute = (move.from_lane - 1, c_last) if tight else None
@@ -384,20 +404,22 @@ def solve_exact(config: LaneConfiguration, dmat, astar_solution: Solution,
 
     Deepens k-bar from the root lower bound up to the move count of
     ``astar_solution``, any replay-valid plan, whose distance caps that last
-    stage only (module docstring).  Every stage stops at one ``deadline``, a
-    ``time.perf_counter()`` reading (``math.inf`` for none), and the solve
-    then returns TimedOut.
+    stage only (module docstring).  The root is evaluated once, by
+    ``bounds.lb_state``, and every stage is handed that (surplus, profiles,
+    h).  Every stage stops at one ``deadline``, a ``time.perf_counter()``
+    reading (``math.inf`` for none), and the solve then returns TimedOut.
     """
     started = time.perf_counter()
     stats = SolveStats(optimal_moves=True, optimal_distance=True)
     try:
-        for k_bar in range(bounds.lb(config), astar_solution.k + 1):
+        root = bounds.lb_state(config)  # (surplus, profiles, h)
+        for k_bar in range(root[2], astar_solution.k + 1):
             # An int, not math.inf: ``complete_search`` finds no plan when its
             # incumbent, c_ub + 1, stays above c_ub.
             c_ub = astar_solution.total_distance if k_bar == astar_solution.k else sys.maxsize
             try:
-                result = complete_search(config, k_bar, dmat, c_ub,
-                                         deadline=deadline, counters=stats)
+                result = complete_search(config, k_bar, dmat, c_ub, deadline=deadline,
+                                         counters=stats, root=root)
             except DeadlineReached:
                 return TimedOut(stats, k_bar_reached=k_bar)
             if result is not None:

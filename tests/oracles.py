@@ -473,6 +473,22 @@ def store_every_child_astar(root, dmat):
     return ("Infeasible", None, None, None, nodes)
 
 
+def distance_bound(points, dmat, profiles):
+    """``exact.Targets.distance_bound`` lane by lane, from the lane
+    ``profiles`` (``bounds.lb_state``) of lanes at access ``points``: the
+    sum over the blockers of the least distance from the blocker's lane to
+    another lane whose threshold is at least the blocker and which has a
+    free slot once cleared.  ``min`` raises when a blocker has no such lane,
+    which GX = 0 rules out."""
+    total = 0
+    for src, prof in enumerate(profiles):
+        for load in prof.blocking_suffix:
+            total += min(dmat.between(points[src], points[dst])
+                         for dst, other in enumerate(profiles)
+                         if dst != src and other.free_after_clear and other.threshold >= load)
+    return total
+
+
 def unpruned_cost_to_go(tables):
     """``tables.cost_to_go`` with no cap and no pruning, as a function of
     (j, state): the memoised minimum over every valid choice of row j

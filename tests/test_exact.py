@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ def _oracle(lanes, k_bar, c_ub):
 def _search(config, k_bar, dmat, c_ub):
     """``complete_search`` with no deadline."""
     return exact.complete_search(config, k_bar, dmat, c_ub, deadline=math.inf,
-                                 counters=SolveStats())
+                                 counters=SolveStats(), root=bounds.lb_state(config))
 
 
 def _as_oracle(result):
@@ -130,7 +131,8 @@ def test_counters_and_prunes_only_save_work():
     lanes = [(3, (1, 3), 0), (3, (2, 4), 1), (3, (), 2)]
     config = make_config(lanes, groups=4)
     counters = SolveStats()
-    fast = exact.complete_search(config, 2, DMAT, 1_000, deadline=math.inf, counters=counters)
+    fast = exact.complete_search(config, 2, DMAT, 1_000, deadline=math.inf, counters=counters,
+                                 root=bounds.lb_state(config))
     assert _as_oracle(fast) == _oracle(lanes, 2, 1_000)
     assert 0 < counters.nodes_evaluated < _relay_free_nodes(config, 2)
 
@@ -303,7 +305,8 @@ def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     warm = astar.solve_astar(prep.config, prep.dmat)
     counters = SolveStats()
     result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance,
-                                   deadline=math.inf, counters=counters)
+                                   deadline=math.inf, counters=counters,
+                                   root=bounds.lb_state(prep.config))
     assert result is not None
     moves, distance = result
     assert (distance, counters.nodes_evaluated, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
@@ -319,17 +322,78 @@ PINNED_HARD = {
 }
 
 
+def _check_distance_bounds(monkeypatch):
+    """Make every ``Targets.distance_bound`` call assert that its bound
+    equals the lane-by-lane oracle's; returns the list of bounds asked."""
+    real = exact.Targets.distance_bound
+    asked = []
+
+    def spy(self, profiles, open_mask, clean):
+        bound = real(self, profiles, open_mask, clean)
+        assert bound == oracles.distance_bound(self.points, self.dmat, profiles)
+        asked.append(bound)
+        return bound
+
+    monkeypatch.setattr(exact.Targets, "distance_bound", spy)
+    return asked
+
+
 @pytest.mark.parametrize("spec", sorted(PINNED_HARD))
-def test_hard_tight_instances_solve_within_budget(spec):
+def test_hard_tight_instances_solve_within_budget(spec, monkeypatch):
     prep = _pinned_instance(spec)
     config = prep.config
     _surplus, profiles, h0 = bounds.lb_state(config)
     assert h0 == config.blocking_total
     warm = astar.solve_astar(config, prep.dmat)
+    asked = _check_distance_bounds(monkeypatch)
     result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 20)
     assert isinstance(result, Solution)
     assert (result.k, result.total_distance, result.stats.nodes_evaluated) == PINNED_HARD[spec]
-    assert exact.Targets(config, prep.dmat).distance_bound(profiles) == result.total_distance
+    assert asked
+    targets = exact.Targets(config, prep.dmat)
+    root_bound = targets.distance_bound(profiles, *targets.masks(config, profiles))
+    assert root_bound == result.total_distance
+
+
+def test_distance_cut_below_a_root_bound_short_of_the_optimum(monkeypatch):
+    """4x4/4x4/0.9/G10/s2: the root has GX = 0, but its distance bound, 26,
+    is below the optimum, 28, so the distance cut decides deep in the tree.
+    Every bound the search asks equals the oracle's."""
+    prep = _pinned_instance(((4, 4), (4, 4), 0.9, 10, 2))
+    config = prep.config
+    _surplus, profiles, h0 = bounds.lb_state(config)
+    assert h0 == config.blocking_total
+    targets = exact.Targets(config, prep.dmat)
+    assert targets.distance_bound(profiles, *targets.masks(config, profiles)) == 26
+    warm = astar.solve_astar(config, prep.dmat)
+    asked = _check_distance_bounds(monkeypatch)
+    result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 20)
+    assert isinstance(result, Solution)
+    assert (result.k, result.total_distance, result.stats.nodes_evaluated) == (9, 28, 710)
+    assert asked
+
+
+def _root_evaluations(config, dmat):
+    """(stages, ``bounds.lb_state`` calls, ``bounds.lb`` calls) of
+    ``solve_exact`` after A*."""
+    warm = astar.solve_astar(config, dmat)
+    with mock.patch.object(exact, "complete_search", wraps=exact.complete_search) as stages, \
+            mock.patch.object(bounds, "lb_state", wraps=bounds.lb_state) as lb_state, \
+            mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
+        result = exact.solve_exact(config, dmat, warm)
+    assert isinstance(result, Solution)
+    return stages.call_count, lb_state.call_count, lb.call_count
+
+
+def test_solve_exact_evaluates_the_root_once():
+    """Every stage searches from the same root, so ``solve_exact`` calls
+    ``bounds.lb_state`` once and ``bounds.lb`` never: on 4x4/2x2/0.9/G10/s8,
+    solved in its one tight stage, and on lanes whose root bound, 2, is two
+    below the optimal move count, 4, so three stages run."""
+    prep = _pinned_instance(((4, 4), (2, 2), 0.9, 10, 8))
+    assert _root_evaluations(prep.config, prep.dmat) == (1, 1, 0)
+    config = make_config([(3, (2, 4), 0), (3, (3, 1), 2), (3, (2, 1), 4)], groups=4)
+    assert _root_evaluations(config, DMAT) == (3, 1, 0)
 
 
 def test_tight_stage_with_gx_at_the_root_solves_within_budget():
@@ -374,7 +438,8 @@ def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
         for pair in expected[1] + [None]:
             _surplus, profiles, h = bounds.lb_state(state)
             assert h == state.blocking_total  # GX = 0 all along the plan
-            bound = targets.distance_bound(profiles)
+            bound = targets.distance_bound(profiles, *targets.masks(state, profiles))
+            assert bound == oracles.distance_bound(config.points, DMAT, profiles)
             assert bound <= left
             positive += bound > 0
             tight += bound == left > 0
