@@ -40,10 +40,10 @@ BX.  That gives min(h, stages left + 1), so a child it does not cut has its
 exact h.
 
 A source's distances and masks are built the first time it still has
-targets before the bisection, so the search reads the dmat rows of its
-sources only, and a row is built only when some search reads it.  In the
-tight stage below, where every move lowers h by exactly 1, GX = 0 at the
-root limits these to rows of lanes blocked at the root.  At a node with
+targets before the bisection, so the search reads distances from its
+sources only, each computed by the dmat when it is read.  In the tight
+stage below, where every move lowers h by exactly 1, GX = 0 at the root
+limits these to the distances from lanes blocked at the root.  At a node with
 GX = 0, BX = h exceeds the moves left after the next one, so only its
 blocked lanes are sources; and a child has h - 1 only if its move takes a
 blocker to a lane that it leaves unblocked, which keeps GX = 0 and blocks
@@ -147,8 +147,8 @@ class Targets:
     distinct distances of its dmat row over the lanes, each with the mask of
     the lanes at that distance or less, hold in every state of the search.
     A source's distances and masks are built the first time ``moves`` or
-    ``distance_bound`` needs them, so the dmat rows of lanes that are never
-    a source or blocked are never read.
+    ``distance_bound`` needs them, so no distance from a lane that is never
+    a source or blocked is read.
     """
 
     def __init__(self, initial: LaneConfiguration, dmat):

@@ -39,19 +39,16 @@ between its vertical aisles xl and xr: the path must leave by one of them,
 so the distance is |y1 - y2| + min(x1 + x2 - 2 xl, 2 xr - x1 - x2).  The
 same holds with x and y swapped for vertical lines of one bay row.
 
-Rows are computed per access tile on first use, as Manhattan distances
-with the detours of the source's own bay column (or row) patched in, and
-every point on that tile shares the row.  The tiles of all points are
-computed with the first row, so a plan that reads no distance computes
-none, and one that reads the distances of a few lanes builds a few rows;
-forcing every row (the ``d`` attribute, as the ``distances`` command does)
-costs O(access points x distinct access tiles) time.
+Each distance is computed from the two points' tiles when it is read;
+nothing is cached but the tiles.  Those are computed, for every point at
+once, on the first read, so a plan that reads no distance computes none.
+Forcing the whole matrix (the ``d`` attribute, as the ``distances``
+command does) costs one closed form per pair, O(access points^2) time.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -138,87 +135,53 @@ class _AccessPoints(Sequence):
 class DistanceMatrix:
     """Symmetric matrix of shortest aisle distances between access points.
 
-    ``between`` indexes ``rows``, a mapping from point id to the point's
-    row; ``all_pairs_distances`` passes one that computes a row the first
-    time it is asked for.  ``d`` is every row in point order.
-    """
-
-    def __init__(self, n: int, rows):
-        self.n = n
-        self.rows = rows
-
-    @cached_property
-    def d(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.rows[p] for p in range(self.n))
-
-    def between(self, p: int, q: int) -> int:
-        return self.rows[p][q]
-
-
-class _RowsOnFirstUse(dict):
-    """Point id -> distance row; a missing row is built for its whole tile.
-
-    The tile coordinates and the bands are built on the first missing row,
-    so a plan that reads no distance pays nothing for them.
+    ``between`` computes a distance by the closed form (module docstring)
+    from the two points' entries in ``tiles``, which is built on the first
+    read.  ``d`` is every row in point order, computed by ``between``.
     """
 
     def __init__(self, layout: GridLayout):
-        super().__init__()
         self.layout = layout
-        self.pitch = layout.aisles
-        self.gaps: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+        self.n = layout.n
 
     @cached_property
-    def coords(self) -> tuple[list[int], list[int]]:
-        """x and y of every point's tile, in point order."""
-        starts = self.layout.starts
-        xs: list[int] = []
-        ys: list[int] = []
+    def tiles(self) -> list[tuple[int, int, int]]:
+        """(x, y, line) of every point's tile, in point order: ``line`` is
+        2c on a horizontal aisle line in bay column c, and 2r + 1 on a
+        vertical one in bay row r."""
+        layout = self.layout
+        starts = layout.starts
+        tiles: list[tuple[int, int, int]] = []
         for slot in range(len(starts) - 1):
             if starts[slot] < starts[slot + 1]:  # the side is open
                 b, s = divmod(slot, 4)
-                edge_xs, edge_ys = self.layout.edge(b, SIDES[s])
-                xs += edge_xs
-                ys += edge_ys
-        return xs, ys
+                r, c = divmod(b, layout.cols)
+                line = 2 * c if SIDES[s] in "NS" else 2 * r + 1
+                tiles += ((x, y, line) for x, y in zip(*layout.edge(b, SIDES[s])))
+        return tiles
 
     @cached_property
-    def bands(self) -> dict[tuple[bool, int], list[int]]:
-        """(on a horizontal line, bay column or row) -> the points there."""
-        pitch_x, pitch_y = self.pitch
-        bands: dict[tuple[bool, int], list[int]] = {}
-        for p, (x, y) in enumerate(zip(*self.coords)):
-            key = (True, x // pitch_x) if y % pitch_y == 0 else (False, y // pitch_y)
-            bands.setdefault(key, []).append(p)
-        return bands
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        between = self.between
+        return tuple(tuple([between(p, q) for q in range(self.n)]) for p in range(self.n))
 
-    def _gaps(self, axis: int, at: int) -> list[int]:
-        """|c - at| for every point's coordinate c on ``axis`` (0 is x, 1 is y)."""
-        gaps = self.gaps[axis].get(at)
-        if gaps is None:
-            gaps = self.gaps[axis][at] = [abs(c - at) for c in self.coords[axis]]
-        return gaps
-
-    def __missing__(self, p: int) -> tuple[int, ...]:
-        xs, ys = self.coords
-        x1, y1 = xs[p], ys[p]
-        row = list(map(operator.add, self._gaps(0, x1), self._gaps(1, y1)))
-        pitch_x, pitch_y = self.pitch
-        horizontal = y1 % pitch_y == 0
-        along, across, pitch = (xs, ys, pitch_x) if horizontal else (ys, xs, pitch_y)
-        u1, v1 = along[p], across[p]
-        low = u1 - u1 % pitch
-        high = low + pitch
-        for q in self.bands[horizontal, u1 // pitch]:
-            u2, v2 = along[q], across[q]
-            if v2 != v1:
-                row[q] = abs(v2 - v1) + min(u1 + u2 - 2 * low, 2 * high - u1 - u2)
-        row = tuple(row)
-        q = -1
-        for _ in range(row.count(0)):  # distance 0 only on the source's own tile
-            q = row.index(0, q + 1)
-            self[q] = row
-        return row
+    def between(self, p: int, q: int) -> int:
+        tiles = self.tiles
+        x1, y1, line = tiles[p]
+        x2, y2, other = tiles[q]
+        if line != other:
+            # abs() spelled out: ``d`` makes this call for every pair.
+            return (x1 - x2 if x1 > x2 else x2 - x1) + (y1 - y2 if y1 > y2 else y2 - y1)
+        # One bay column (row), swapped to run along u for a vertical band:
+        # tiles on different lines leave by the nearer side aisle.
+        pitch_x, pitch_y = self.layout.aisles
+        u1, v1, u2, v2, pitch = (
+            (y1, x1, y2, x2, pitch_y) if line & 1 else (x1, y1, x2, y2, pitch_x)
+        )
+        if v1 == v2:
+            return abs(u1 - u2)
+        low = line // 2 * pitch
+        return abs(v1 - v2) + min(u1 + u2 - 2 * low, 2 * (low + pitch) - u1 - u2)
 
 
 def build_layout(instance: WarehouseInstance) -> GridLayout:
@@ -239,10 +202,10 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
     """Shortest 4-connected paths over aisle tiles between all access points.
 
     Storage tiles are never traversed; shortcuts through storage space are
-    deliberately not considered.  Rows are computed on first use, one per
-    distinct access tile, and every point on that tile shares the row.
+    deliberately not considered.  Each distance is computed when it is
+    read, so a plan pays only for the pairs its moves and bounds read.
     """
-    return DistanceMatrix(layout.n, _RowsOnFirstUse(layout))
+    return DistanceMatrix(layout)
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:

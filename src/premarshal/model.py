@@ -253,7 +253,7 @@ class Solution:
     """An ordered move plan with its move count and total loaded distance."""
 
     algo: str
-    moves: list[Move]
+    moves: tuple[Move, ...]
     k: int
     total_distance: int
     stats: SolveStats

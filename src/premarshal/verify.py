@@ -10,12 +10,13 @@ the lanes that the fixing walk built with each candidate assignment, while
 replay derives them separately, from the assignments' direction strings
 through ``to_virtual_lanes``, so it does not depend on what the walk or
 selection kept.  A claimed move's access points are
-checked against the rebuilt configuration's ``points``.  The rebuild makes
-no per-point object: ``build_layout`` keeps the first point id of each bay
-side and ``number_lanes`` reads a lane's id off it by formula.  Tile
-coordinates are computed with the first distance row, and rows only for
-the access points the claimed moves touch, so an empty plan computes
-neither.
+checked against the rebuilt configuration's ``points``, and a claimed
+distance or point matches only as a plain int.  The rebuild makes no
+per-point object: ``build_layout`` keeps the first point id of each bay
+side and ``number_lanes`` reads a lane's id off it by formula.  Each
+claimed move computes the one distance between its two access points, and
+the tiles of all points are computed with the first, so an empty plan
+computes no tile.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def _solution_fields(solution) -> tuple[int, int, list[dict]]:
     return *claims, moves
 
 
+def _same_int(claim, value: int) -> bool:
+    """Whether ``claim`` is the plain int ``value``: 1.0 and True compare
+    equal to 1, but they are not a distance or a point id."""
+    return type(claim) is int and claim == value
+
+
 def replay(
     instance: WarehouseInstance,
     assignments: list[AccessAssignment],
@@ -116,7 +123,7 @@ def replay(
             )
             return report  # the rest of the plan is not replayable
         [move] = legal_moves(config, dmat, [(src, 1 << dst)])
-        if entry.get("distance") != move.distance:
+        if not _same_int(entry.get("distance"), move.distance):
             report.flag(
                 "distance-mismatch",
                 f"claimed {entry.get('distance')}, recomputed {move.distance}",
@@ -125,7 +132,7 @@ def replay(
         for side, lane in (("from", src), ("to", dst)):
             claimed_point = entry.get(f"{side}_access_point")
             point = config.points[lane]
-            if claimed_point is not None and claimed_point != point:
+            if claimed_point is not None and not _same_int(claimed_point, point):
                 report.flag(
                     "access-point-mismatch",
                     f"{side} lane {lane + 1} uses point {point}, claimed {claimed_point}",

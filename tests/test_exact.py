@@ -11,7 +11,6 @@ import oracles
 from conftest import FakeDmat, make_config
 from premarshal import astar, bounds, exact
 from premarshal.generate import GenConfig, generate
-from premarshal.layout import DistanceMatrix
 from premarshal.pipeline import prepare
 from premarshal.model import Solution, SolveStats, TimedOut, apply_move, legal_moves
 
@@ -465,33 +464,33 @@ def test_a_blocker_no_other_lane_takes_makes_gx_positive():
     assert _as_oracle(_search(config, h0, DMAT, 10_000)) == _oracle(lanes, h0, 10_000)
 
 
-class _RowsRead:
-    """A ``DistanceMatrix`` rows mapping that records the points asked for."""
+class _SourcesRead:
+    """A dmat that records the first point of every distance asked for."""
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, dmat):
+        self.dmat = dmat
         self.read = set()
 
-    def __getitem__(self, p):
+    def between(self, p, q):
         self.read.add(p)
-        return self.rows[p]
+        return self.dmat.between(p, q)
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES) + [((4, 4), (3, 3), 0.9, 10, 1)])
 def test_tight_stage_reads_only_the_rows_of_lanes_blocked_at_the_root(spec):
     """With GX = 0 at the root, the tight stage moves blockers only from
-    lanes blocked at the root, so the search reads the distance rows of
-    those lanes' access points and no other."""
+    lanes blocked at the root, so the search reads the distances from
+    those lanes' access points and no others."""
     prep = _pinned_instance(spec)
     config = prep.config
     _surplus, profiles, h0 = bounds.lb_state(config)
     assert h0 == config.blocking_total
     blocked = {p for p, prof in zip(config.points, profiles) if prof.blocking_suffix}
     warm = astar.solve_astar(config, prep.dmat)
-    rows = _RowsRead(prep.dmat.rows)
-    result = _search(config, h0, DistanceMatrix(prep.dmat.n, rows), warm.total_distance)
+    dmat = _SourcesRead(prep.dmat)
+    result = _search(config, h0, dmat, warm.total_distance)
     assert result is not None
-    assert rows.read and rows.read <= blocked
+    assert dmat.read and dmat.read <= blocked
 
 
 def test_tight_stage_and_the_next_return_the_oracles_plan():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -187,21 +188,26 @@ def test_point_ids_and_points_follow_the_enumeration(instance):
                 assert layout.point_id(b, stack, side) is None
 
 
-def _counting_row_builds(built):
-    """Patch the lazy rows so that each row built appends its point to ``built``."""
-    build = layout_module._RowsOnFirstUse.__missing__
+def _counting_tile_builds(built):
+    """Patch ``DistanceMatrix.tiles`` so that each build appends its matrix
+    to ``built``."""
+    build = DistanceMatrix.tiles.func
 
-    def counted(rows, p):
-        built.append(p)
-        return build(rows, p)
+    def counted(matrix):
+        built.append(matrix)
+        return build(matrix)
 
-    return mock.patch.object(layout_module._RowsOnFirstUse, "__missing__", counted)
+    tiles = cached_property(counted)
+    tiles.__set_name__(DistanceMatrix, "tiles")
+    return mock.patch.object(DistanceMatrix, "tiles", tiles)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_instances(), st.randoms(use_true_random=False))
-def test_rows_on_first_use_equal_the_eager_rows(instance, rng):
-    """Asked in any order, every distance is the oracle's, each tile's row is built once."""
+def test_distances_asked_in_any_order_equal_the_oracle(instance, rng):
+    """Asked in any order, every distance is the oracle's; the tiles are
+    computed at the first one and only then, and ``d`` is the oracle's
+    matrix."""
     layout = build_layout(instance)
     tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
@@ -209,38 +215,33 @@ def test_rows_on_first_use_equal_the_eager_rows(instance, rng):
     pairs = [(p, q) for p in points for q in points]
     rng.shuffle(pairs)
     built = []
-    with _counting_row_builds(built):
+    with _counting_tile_builds(built):
         matrix = all_pairs_distances(layout)
         assert built == []
         for p, q in pairs:
             assert matrix.between(p.point_id, q.point_id) == oracle[index[p.tile]][index[q.tile]]
-    assert sorted(points[p].tile for p in built) == sorted({p.tile for p in points})
-    for p in points:
-        for q in points:
-            if q.tile == p.tile:
-                assert matrix.rows[q.point_id] is matrix.rows[p.point_id]
+        assert built == [matrix]
 
     eager = tuple(tuple(oracle[index[p.tile]][index[q.tile]] for q in points) for p in points)
     assert matrix.d == eager
 
 
-def test_a_sorted_replay_builds_no_distance_row():
+def test_a_sorted_replay_computes_no_tile():
     instance = generate(GenConfig(bay=(3, 3), warehouse=(12, 12), fill=0.6, groups=10, seed=1))
     result, prepared = pipeline.solve_instance(instance, "astar")
     assert result.k == 0
     built = []
-    with _counting_row_builds(built):
+    with _counting_tile_builds(built):
         assert verify.replay(instance, prepared.assignments, result).ok
     assert built == []
 
 
 def test_a_sorted_plan_builds_no_access_point_and_no_tile():
     """Preparing, solving and replaying a k = 0 instance numbers its lanes by
-    formula and reads no distance, so no point object or tile is built (and
-    with no tile, no distance row)."""
+    formula and reads no distance, so no point object or tile is built."""
     instance = generate(GenConfig(bay=(3, 3), warehouse=(12, 12), fill=0.6, groups=10, seed=1))
     with mock.patch.object(layout_module, "AccessPoint", side_effect=AssertionError), \
-            mock.patch.object(layout_module._RowsOnFirstUse, "coords",
+            mock.patch.object(DistanceMatrix, "tiles",
                               new_callable=mock.PropertyMock, side_effect=AssertionError):
         prepared = pipeline.prepare(instance)
         result, _ = pipeline.solve_instance(instance, "astar", prepared=prepared)
@@ -271,9 +272,12 @@ def test_triangle_inequality():
 
 
 def test_csv_export():
-    m = DistanceMatrix(2, {0: (0, 3), 1: (3, 0)})
+    """One 1 x 1 bay open to N and S: its two points sit on different lines
+    of one bay column, two tiles apart, and the path round the bay is 4."""
+    m = all_pairs_distances(build_layout(_instance((1, 1), 1, 1, "NS")))
     buf = io.StringIO()
     write_distances_csv(m, buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0].split(",") == ["ap", "0", "1"]
-    assert lines[1].split(",") == ["0", "0", "3"]
+    assert [line.split(",") for line in lines] == [
+        ["ap", "0", "1"], ["0", "0", "4"], ["1", "4", "0"],
+    ]

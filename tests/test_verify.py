@@ -99,6 +99,25 @@ def test_replay_checks_claimed_access_points(side):
     assert report.violations[0]["detail"].startswith(side.split("_")[0] + " lane")
 
 
+@pytest.mark.parametrize("spell", [float, bool])
+@pytest.mark.parametrize("field,code", [
+    ("distance", "distance-mismatch"),
+    ("from_access_point", "access-point-mismatch"),
+    ("to_access_point", "access-point-mismatch"),
+])
+def test_replay_flags_a_claim_that_is_no_plain_int(field, code, spell):
+    """The witness's first move has distance 1 and points 0 and 1, so 1.0,
+    True, 0.0 and False each compare equal to the value they replace."""
+    instance, prepared, _result, data = _solved_witness()
+    bad = copy.deepcopy(data)
+    first = bad["moves"][0]
+    assert first[field] in (0, 1)
+    first[field] = spell(first[field])
+    report = verify.replay(instance, prepared.assignments, bad)
+    assert [v["code"] for v in report.violations] == [code]
+    assert report.violations[0]["move_index"] == 0
+
+
 def test_replay_reports_setup_failures():
     instance, prepared, _result, data = _solved_witness()
     report = verify.replay(instance, prepared.assignments[:1], data)
