@@ -28,9 +28,10 @@ lanes a move touches.  The incumbent is the distance of the best plan
 found so far, c_ub + 1 until one is found, so a plan counts only if it is
 shorter.  A source's targets are then one mask expression: the lanes with
 room other than itself, within the budget, incumbent - 1 minus the
-distance so far, and, when the child's blocking count (BX) would otherwise
-exceed the stages left, only the lanes that take its front load
-unblocked.  Since h = BX + GX with GX >= 0, that cuts only
+distance so far (at a tight-stage node with GX = 0, less all of its
+distance bound but the source's own term: below), and, when the child's
+blocking count (BX) would otherwise exceed the stages left, only the
+lanes that take its front load unblocked.  Since h = BX + GX with GX >= 0, that cuts only
 what the full bound would cut.  The lane the last move filled is no source
 (the relay rule).  ``legal_moves`` then builds the moves of those (source,
 targets) pairs only.  After a child is built, its h decides: its surplus
@@ -90,6 +91,27 @@ lowers h by exactly 1:
   capacity.  So the lanes per threshold cost O(G + blocked lanes), not
   O(L), and the scan per blocker walks the blocked lanes only.
 
+The distance bound also drops moves before their children are built:
+reduced-cost fixing in its plainest form (Nemhauser & Wolsey, *Integer and
+Combinatorial Optimization*, 1988).  Take a tight-stage node with GX = 0,
+distance so far dist and bound B, and let m_s be B's term for the front
+load p of blocked lane s.  Every move the node lists takes p from s to a
+lane t that takes it unblocked (the narrowed masks of ``Targets.moves``).
+In the child, t's threshold can only fall and its free slots once cleared
+only shrink, s keeps both, and no other lane changes.  So every other
+blocker's set of accepting lanes can only shrink and its term only grow,
+and the child's bound is at least B - m_s.  The distance cut therefore
+drops the child whenever d(s, t) > incumbent - 1 - dist - (B - m_s), and
+``Targets.moves`` bisects the distances of source s by that budget in
+place of the node's.  A node's B and terms are those its parent's
+distance cut computed (the root's are computed once, when it has GX = 0);
+they ride down the DFS path and never enter the memo.  This drops only
+children the search would build and then cut.  A listed child whose h
+exceeds the moves left is cut by h.  Any other has GX = 0, since its BX
+is the moves left, so the distance cut tests it, unless it has no blocker
+left, and then B = m_s and the budget is the node's.  The incumbent only falls after the moves
+are listed.  The DFS counts nodes, not children, so no count changes.
+
 No cut changes the plan.  The search returns P*, the least-distance
 plan of k-bar moves that comes first in the order of its (source, target)
 sequence, the order in which the DFS meets plans.  P* has no adjacent commuting pair out
@@ -135,6 +157,11 @@ from .model import (
     state_key,
 )
 
+#: The (B, fronts) of a node that has no distance bound: one budget for
+#: every source.
+NO_BOUND: tuple[int, dict[int, int]] = (0, {})
+
+
 class DeadlineReached(Exception):
     """Internal signal: the search hit its wall-clock deadline."""
 
@@ -178,15 +205,19 @@ class Targets:
         self.reach[src] = dists, masks
         return dists, masks
 
-    def distance_bound(self, profiles, open_mask: int, clean) -> int:
-        """A lower bound on the distance still to come from a tight-stage
-        state with GX = 0, lane ``profiles`` and the ``open_mask`` and
-        ``clean`` that ``masks`` gives it: the sum over its blockers of the
-        least distance from the blocker's lane to another lane with a
-        threshold >= the blocker and a free slot once cleared.  GX = 0 gives
-        every blocker such a lane (module docstring).  The masks give those
-        lanes: a clean one has a free slot once cleared when it has room, a
-        blocked one always.
+    def distance_bound(self, config: LaneConfiguration, profiles, open_mask: int,
+                       clean) -> tuple[int, dict[int, int]]:
+        """(B, fronts) of a tight-stage state ``config`` with GX = 0, lane
+        ``profiles`` and the ``open_mask`` and ``clean`` that ``masks``
+        gives it.  B, a lower bound on the distance still to come, is the
+        sum over its blockers of the least distance from the blocker's lane
+        to another lane with a threshold >= the blocker and a free slot
+        once cleared; GX = 0 gives every blocker such a lane (module
+        docstring).  ``fronts`` maps each blocked lane's index to the term
+        of its front load, m_s: a move that takes that load to a lane where
+        it blocks nothing leaves a child whose B is at least B - m_s.  The
+        masks give the lanes that take a blocker: a clean one has a free
+        slot once cleared when it has room, a blocked one always.
         """
         accept = [mask & open_mask for mask in clean]  # [g - 1]: lanes that take group g
         # A lane without blockers sits in one clean mask, so their sum is
@@ -203,9 +234,12 @@ class Targets:
         for g in range(self.groups - 1, 0, -1):
             accept[g - 1] |= accept[g]
         total = 0
+        fronts = {}
+        contents = config.contents
         for src, prof in blocked:
             dists, masks = self.reach[src] or self._reach(src)
             others = ~(1 << src)
+            front = contents[src][-1]
             at = 0
             # Ascending blockers accept shrinking lane sets, so each one's
             # least distance is at or after the one before's.
@@ -214,7 +248,9 @@ class Targets:
                 while not masks[at] & lanes:
                     at += 1
                 total += dists[at]
-        return total
+                if load == front:
+                    fronts[src] = dists[at]
+        return total, fronts
 
     def masks(self, config: LaneConfiguration, profiles) -> tuple[int, list[int]]:
         """The mask of lanes with room and, from ``profiles``, the
@@ -246,13 +282,17 @@ class Targets:
         return open_mask, clean
 
     def moves(self, config: LaneConfiguration, open_mask: int, clean, last: int | None,
-              budget: int, remaining: int, commute: tuple[int, int] | None) -> list[Move]:
+              budget: int, fronts: dict[int, int], remaining: int,
+              commute: tuple[int, int] | None) -> list[Move]:
         """The legal moves of ``config`` in (source, target) order, less those
-        from lane index ``last``, those longer than ``budget``, those whose
+        from lane index ``last``, those longer than ``budget`` plus their
+        source's entry in ``fronts`` (0 for a source it lacks), those whose
         child has more than ``remaining`` blocking loads and, unless
         ``commute`` is None, those on two lanes other than its (source,
         target) lane indices that precede it; ``open_mask`` and ``clean`` are
-        ``masks(config, ...)``.
+        ``masks(config, ...)``.  At a tight-stage node with GX = 0 the search
+        passes the node's budget less its distance bound B, and the bound's
+        ``fronts``, so source s bisects by budget - (B - m_s).
         """
         lanes = config.contents
         sources = (1 << len(lanes)) - 1
@@ -296,7 +336,7 @@ class Targets:
             if not targets:
                 continue
             dists, masks = self.reach[src] or self._reach(src)
-            within = bisect_right(dists, budget)
+            within = bisect_right(dists, budget + fronts.get(src, 0))
             targets &= masks[within - 1] if within else 0
             if targets:
                 pairs.append((src, targets))
@@ -325,10 +365,11 @@ def complete_search(
     ``c_ub + 1``; none was found while it stays above ``c_ub``.
 
     The memo, the distance budget and the bound cut every node; the
-    tight-stage cuts, the distance bound at GX = 0 among them, apply when
-    the root's h equals ``k_bar``.  None of them changes the plan: child
-    order is (source lane id, target lane id), and the plan returned is P*
-    of the module docstring, the first least-distance plan in that order.
+    tight-stage cuts, the distance bound at GX = 0 and its per-source
+    budgets among them, apply when the root's h equals ``k_bar``.  None of
+    them changes the plan: child order is (source lane id, target lane id),
+    and the plan returned is P* of the module docstring, the first
+    least-distance plan in that order.
     """
     if k_bar < 0:
         raise ValueError("k_bar must be nonnegative")
@@ -345,7 +386,8 @@ def complete_search(
     targets = Targets(initial, dmat)
     trail: list[Move] = []
 
-    def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean) -> None:
+    def dfs(config, stage, dist, last, commute, surplus, profiles, open_mask, clean,
+            bound) -> None:
         nonlocal incumbent
         counters.nodes_evaluated += 1
         if time.perf_counter() >= deadline:
@@ -361,8 +403,14 @@ def complete_search(
             return
         memo[key] = dist
         remaining = k_bar - (stage + 1)
-        budget = incumbent - 1 - dist
-        for move in targets.moves(config, open_mask, clean, last, budget, remaining, commute):
+        # ``bound`` is the node's (B, fronts) at a tight-stage node with
+        # GX = 0 and NO_BOUND elsewhere.  A move from lane s has a child whose
+        # bound is at least B - fronts[s] (module docstring), so s may spend
+        # budget - (B - fronts[s]).
+        total, fronts = bound
+        budget = incumbent - 1 - dist - total
+        for move in targets.moves(config, open_mask, clean, last, budget, fronts, remaining,
+                                  commute):
             c_dist = dist + move.distance
             # The incumbent can fall while this node's children are searched,
             # so the budget may be stale by now.
@@ -375,20 +423,25 @@ def complete_search(
             if c_h > remaining:
                 continue
             c_open, c_clean = targets.child_masks(open_mask, clean, move, profiles, c_profiles)
+            c_bound = NO_BOUND
             if tight and c_h == child.blocking_total > 0:
-                if c_dist + targets.distance_bound(c_profiles, c_open, c_clean) >= incumbent:
+                c_bound = targets.distance_bound(child, c_profiles, c_open, c_clean)
+                if c_dist + c_bound[0] >= incumbent:
                     continue
             trail.append(move)
             c_last = move.to_lane - 1
             c_commute = (move.from_lane - 1, c_last) if tight else None
             dfs(child, stage + 1, c_dist, c_last, c_commute, c_surplus, c_profiles,
-                c_open, c_clean)
+                c_open, c_clean, c_bound)
             trail.pop()
 
     try:
         if root_h <= k_bar:
             root_masks = targets.masks(initial, root_profiles)
-            dfs(initial, 0, 0, None, None, root_surplus, root_profiles, *root_masks)
+            root_bound = NO_BOUND
+            if tight and root_h == initial.blocking_total > 0:
+                root_bound = targets.distance_bound(initial, root_profiles, *root_masks)
+            dfs(initial, 0, 0, None, None, root_surplus, root_profiles, *root_masks, root_bound)
     finally:
         # dfs reaches itself through its closure: without this the memo
         # would wait for the cyclic collector instead of dying here.

@@ -42,8 +42,9 @@ same holds with x and y swapped for vertical lines of one bay row.
 Each distance is computed from the two points' tiles when it is read;
 nothing is cached but the tiles.  Those are computed, for every point at
 once, on the first read, so a plan that reads no distance computes none.
-Forcing the whole matrix (the ``d`` attribute, as the ``distances``
-command does) costs one closed form per pair, O(access points^2) time.
+Writing the whole matrix (``write_distances_csv``, as the ``distances``
+command does) costs one closed form per pair, O(access points^2) time, and
+holds one row at a time.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class DistanceMatrix:
 
     ``between`` computes a distance by the closed form (module docstring)
     from the two points' entries in ``tiles``, which is built on the first
-    read.  ``d`` is every row in point order, computed by ``between``.
+    read.
     """
 
     def __init__(self, layout: GridLayout):
@@ -160,17 +161,13 @@ class DistanceMatrix:
                 tiles += ((x, y, line) for x, y in zip(*layout.edge(b, SIDES[s])))
         return tiles
 
-    @cached_property
-    def d(self) -> tuple[tuple[int, ...], ...]:
-        between = self.between
-        return tuple(tuple([between(p, q) for q in range(self.n)]) for p in range(self.n))
-
     def between(self, p: int, q: int) -> int:
         tiles = self.tiles
         x1, y1, line = tiles[p]
         x2, y2, other = tiles[q]
         if line != other:
-            # abs() spelled out: ``d`` makes this call for every pair.
+            # abs() spelled out: ``write_distances_csv`` makes this call
+            # for every pair.
             return (x1 - x2 if x1 > x2 else x2 - x1) + (y1 - y2 if y1 > y2 else y2 - y1)
         # One bay column (row), swapped to run along u for a vertical band:
         # tiles on different lines leave by the nearer side aisle.
@@ -209,8 +206,12 @@ def all_pairs_distances(layout: GridLayout) -> DistanceMatrix:
 
 
 def write_distances_csv(matrix: DistanceMatrix, fileobj) -> None:
-    """Dump the matrix with access-point ids as row/column headers."""
+    """Dump the matrix with access-point ids as row/column headers.  Each
+    row is computed by ``between`` as it is written, so one row is held at
+    a time."""
     writer = csv.writer(fileobj)
-    writer.writerow(["ap"] + list(range(matrix.n)))
-    for p, row in enumerate(matrix.d):
-        writer.writerow([p] + list(row))
+    points = range(matrix.n)
+    writer.writerow(["ap", *points])
+    between = matrix.between
+    for p in points:
+        writer.writerow([p] + [between(p, q) for q in points])

@@ -57,6 +57,13 @@ def floyd_warshall(n, edges):
     return d
 
 
+def distance_rows(matrix):
+    """Every row of a ``layout.DistanceMatrix`` in point order, asked pair
+    by pair of ``between``."""
+    return tuple(tuple(matrix.between(p, q) for q in range(matrix.n))
+                 for p in range(matrix.n))
+
+
 def aisle_tiles(instance):
     """Footprint tiles no bay stack covers; bay b sits at grid cell divmod(b, cols).
 
@@ -473,20 +480,31 @@ def store_every_child_astar(root, dmat):
     return ("Infeasible", None, None, None, nodes)
 
 
+def least_distance(points, dmat, profiles, src, load):
+    """The term of ``exact.Targets.distance_bound`` for a blocker ``load``
+    of lane ``src``, lane by lane, from the lane ``profiles``
+    (``bounds.lb_state``) of lanes at access ``points``: the least distance
+    from ``src`` to another lane whose threshold is at least ``load`` and
+    which has a free slot once cleared.  ``min`` raises when there is no
+    such lane, which GX = 0 rules out."""
+    return min(dmat.between(points[src], points[dst])
+               for dst, other in enumerate(profiles)
+               if dst != src and other.free_after_clear and other.threshold >= load)
+
+
 def distance_bound(points, dmat, profiles):
-    """``exact.Targets.distance_bound`` lane by lane, from the lane
-    ``profiles`` (``bounds.lb_state``) of lanes at access ``points``: the
-    sum over the blockers of the least distance from the blocker's lane to
-    another lane whose threshold is at least the blocker and which has a
-    free slot once cleared.  ``min`` raises when a blocker has no such lane,
-    which GX = 0 rules out."""
-    total = 0
-    for src, prof in enumerate(profiles):
-        for load in prof.blocking_suffix:
-            total += min(dmat.between(points[src], points[dst])
-                         for dst, other in enumerate(profiles)
-                         if dst != src and other.free_after_clear and other.threshold >= load)
-    return total
+    """B of ``exact.Targets.distance_bound``: the sum of ``least_distance``
+    over the blockers."""
+    return sum(least_distance(points, dmat, profiles, src, load)
+               for src, prof in enumerate(profiles) for load in prof.blocking_suffix)
+
+
+def front_terms(points, dmat, config, profiles):
+    """The fronts of ``exact.Targets.distance_bound``: each blocked lane's
+    index of ``config`` -> the ``least_distance`` of its front load."""
+    return {src: least_distance(points, dmat, profiles, src, loads[-1])
+            for src, (loads, prof) in enumerate(zip(config.contents, profiles))
+            if prof.blocking_suffix}
 
 
 def unpruned_cost_to_go(tables):

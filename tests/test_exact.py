@@ -322,16 +322,18 @@ PINNED_HARD = {
 
 
 def _check_distance_bounds(monkeypatch):
-    """Make every ``Targets.distance_bound`` call assert that its bound
-    equals the lane-by-lane oracle's; returns the list of bounds asked."""
+    """Make every ``Targets.distance_bound`` call assert that its B and each
+    blocked lane's front term equal the lane-by-lane oracle's; returns the
+    list of bounds B asked."""
     real = exact.Targets.distance_bound
     asked = []
 
-    def spy(self, profiles, open_mask, clean):
-        bound = real(self, profiles, open_mask, clean)
+    def spy(self, config, profiles, open_mask, clean):
+        bound, fronts = real(self, config, profiles, open_mask, clean)
         assert bound == oracles.distance_bound(self.points, self.dmat, profiles)
+        assert fronts == oracles.front_terms(self.points, self.dmat, config, profiles)
         asked.append(bound)
-        return bound
+        return bound, fronts
 
     monkeypatch.setattr(exact.Targets, "distance_bound", spy)
     return asked
@@ -350,7 +352,8 @@ def test_hard_tight_instances_solve_within_budget(spec, monkeypatch):
     assert (result.k, result.total_distance, result.stats.nodes_evaluated) == PINNED_HARD[spec]
     assert asked
     targets = exact.Targets(config, prep.dmat)
-    root_bound = targets.distance_bound(profiles, *targets.masks(config, profiles))
+    root_bound, _fronts = targets.distance_bound(config, profiles,
+                                                 *targets.masks(config, profiles))
     assert root_bound == result.total_distance
 
 
@@ -363,12 +366,32 @@ def test_distance_cut_below_a_root_bound_short_of_the_optimum(monkeypatch):
     _surplus, profiles, h0 = bounds.lb_state(config)
     assert h0 == config.blocking_total
     targets = exact.Targets(config, prep.dmat)
-    assert targets.distance_bound(profiles, *targets.masks(config, profiles)) == 26
+    assert targets.distance_bound(config, profiles, *targets.masks(config, profiles))[0] == 26
     warm = astar.solve_astar(config, prep.dmat)
     asked = _check_distance_bounds(monkeypatch)
     result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 20)
     assert isinstance(result, Solution)
     assert (result.k, result.total_distance, result.stats.nodes_evaluated) == (9, 28, 710)
+    assert asked
+
+
+def test_moves_the_distance_cut_would_drop_are_never_built(monkeypatch):
+    """4x4/8x8/0.9/G10/s2: a tight stage whose root has GX = 0.  Each source
+    of a GX = 0 node bisects its distances by budget - (B - m_s), so the
+    search builds 902 children for its 65 nodes; with one budget for every
+    source it built 31,502, nearly all of them then cut by the distance
+    bound.  Every bound the search asks equals the oracle's."""
+    prep = _pinned_instance(((4, 4), (8, 8), 0.9, 10, 2))
+    config = prep.config
+    _surplus, _profiles, h0 = bounds.lb_state(config)
+    assert h0 == config.blocking_total
+    warm = astar.solve_astar(config, prep.dmat)
+    asked = _check_distance_bounds(monkeypatch)
+    with mock.patch.object(exact, "apply_move", wraps=exact.apply_move) as built:
+        result = exact.solve_exact(config, prep.dmat, warm, deadline=time.perf_counter() + 60)
+    assert isinstance(result, Solution)
+    assert (result.k, result.total_distance, result.stats.nodes_evaluated) == (26, 69, 65)
+    assert built.call_count == 902
     assert asked
 
 
@@ -410,13 +433,10 @@ def test_tight_stage_with_gx_at_the_root_solves_within_budget():
     assert (result.k, result.total_distance, result.stats.nodes_evaluated) == (7, 26, 292)
 
 
-def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
-    """On random states whose root is tight with GX = 0, the distance bound
-    at the root and at every state along the staged oracle's plan is at most
-    the distance that plan has left, and the search returns the oracle's
-    plan."""
+def _tight_plans():
+    """(config, staged oracle's result) of random states whose root is tight
+    with GX = 0; the result is None where the state has no plan."""
     rng = random.Random(11)
-    plans = positive = tight = 0
     for _ in range(400):
         lanes = []
         for _lane in range(rng.randint(4, 6)):
@@ -427,28 +447,76 @@ def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
         h0 = bounds.lb(config)
         if not 0 < h0 == config.blocking_total <= 9 - len(lanes):
             continue
-        expected = _oracle(lanes, h0, 10_000)
-        assert _as_oracle(_search(config, h0, DMAT, 10_000)) == expected
+        yield config, _oracle(lanes, h0, 10_000)
+
+
+def _along(config, pairs):
+    """The states a plan of (source, target) lane indices ``pairs`` passes
+    through from ``config``, its last included, each with its move from
+    there (None for the last)."""
+    for pair in pairs:
+        move = next(m for m in legal_moves(config, DMAT)
+                    if (m.from_lane - 1, m.to_lane - 1) == pair)
+        yield config, move
+        config = apply_move(config, move)
+    yield config, None
+
+
+def test_distance_bound_never_exceeds_the_oracles_remaining_distance():
+    """On random states whose root is tight with GX = 0, the distance bound
+    at the root and at every state along the staged oracle's plan is at most
+    the distance that plan has left, and the search returns the oracle's
+    plan, or none where the oracle finds none."""
+    plans = planless = positive = tight = 0
+    for config, expected in _tight_plans():
+        assert _as_oracle(_search(config, config.blocking_total, DMAT, 10_000)) == expected
         if expected is None:
+            planless += 1
             continue
         plans += 1
         targets = exact.Targets(config, DMAT)
-        left, state = expected[0], config
-        for pair in expected[1] + [None]:
+        left = expected[0]
+        for state, move in _along(config, expected[1]):
             _surplus, profiles, h = bounds.lb_state(state)
             assert h == state.blocking_total  # GX = 0 all along the plan
-            bound = targets.distance_bound(profiles, *targets.masks(state, profiles))
+            bound, _fronts = targets.distance_bound(state, profiles,
+                                                    *targets.masks(state, profiles))
             assert bound == oracles.distance_bound(config.points, DMAT, profiles)
             assert bound <= left
             positive += bound > 0
             tight += bound == left > 0
-            if pair is None:
-                break
-            move = next(m for m in legal_moves(state, DMAT)
-                        if (m.from_lane - 1, m.to_lane - 1) == pair)
-            state, left = apply_move(state, move), left - move.distance
+            if move is not None:
+                left -= move.distance
         assert left == 0 and state.blocking_total == 0
-    assert plans >= 150 and positive >= 200 and tight >= 150
+    assert plans >= 150 and planless >= 3 and positive >= 200 and tight >= 150
+
+
+def test_a_listed_move_leaves_its_child_all_but_the_moved_loads_term():
+    """At every state along the staged oracle's plans of those random
+    states, a tight-stage node with GX = 0, every move the node lists
+    leaves a child whose distance bound is at least B - m_s: B is the
+    node's bound and m_s its term for the load moved, the front load of
+    source s.  Children whose GX exceeds 0 are cut by h and have no bound."""
+    checked = equal = 0
+    for config, expected in _tight_plans():
+        if expected is None:
+            continue
+        targets = exact.Targets(config, DMAT)
+        for state, _move in _along(config, expected[1]):
+            _surplus, profiles, h = bounds.lb_state(state)
+            open_mask, clean = targets.masks(state, profiles)
+            bound, fronts = targets.distance_bound(state, profiles, open_mask, clean)
+            for move in targets.moves(state, open_mask, clean, None, 10_000, {}, h - 1, None):
+                child = apply_move(state, move)
+                _c_surplus, c_profiles, c_h = bounds.lb_state(child)
+                if c_h > child.blocking_total:
+                    continue
+                c_bound = oracles.distance_bound(config.points, DMAT, c_profiles)
+                least = bound - fronts[move.from_lane - 1]
+                assert c_bound >= least
+                checked += 1
+                equal += c_bound == least
+    assert checked >= 900 and equal >= 800
 
 
 def test_a_blocker_no_other_lane_takes_makes_gx_positive():
@@ -545,7 +613,9 @@ def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commutin
     """The mask generator yields the legal moves that the relay rule, the
     distance budget, the child's blocking count and, with ``commuting``, the
     commuting-move cut after the walk's last move leave, in legal-move
-    order, at every state of a walk whose masks are patched move by move."""
+    order, at every state of a walk whose masks are patched move by move.
+    At a state with GX = 0 whose blocking count must fall, each source's
+    budget is the node's less its distance bound but its front term."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
     targets = exact.Targets(config, DMAT)
@@ -554,16 +624,31 @@ def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commutin
     last = commute = None
     for _ in range(6):
         moves = legal_moves(config, DMAT)
-        by_hand = [
+        kept = [  # by the relay rule and the commuting-move cut
             m for m in moves
             if m.from_lane - 1 != last
-            and m.distance <= budget
-            and apply_move(config, m).blocking_total <= remaining
             and (commute is None or not {m.from_lane - 1, m.to_lane - 1}.isdisjoint(commute)
                  or (m.from_lane - 1, m.to_lane - 1) > commute)
         ]
-        got = targets.moves(config, open_mask, clean, last, budget, remaining, commute)
+        by_hand = [m for m in kept
+                   if m.distance <= budget and apply_move(config, m).blocking_total <= remaining]
+        got = targets.moves(config, open_mask, clean, last, budget, {}, remaining, commute)
         assert list(got) == by_hand
+        blocking = config.blocking_total
+        if bounds.lb(config) == blocking > 0:
+            # As at a tight-stage node with GX = 0, whose budget is at least
+            # its bound B: each source s bisects by budget - (B - m_s).
+            bound, fronts = targets.distance_bound(config, profiles, open_mask, clean)
+            terms = oracles.front_terms(config.points, DMAT, config, profiles)
+            node_budget = bound + budget
+            by_source = [
+                m for m in kept
+                if apply_move(config, m).blocking_total < blocking
+                and m.distance <= node_budget - (bound - terms[m.from_lane - 1])
+            ]
+            got = targets.moves(config, open_mask, clean, last, node_budget - bound, fronts,
+                                blocking - 1, commute)
+            assert list(got) == by_source
         if not moves:
             return
         move = rng.choice(moves)

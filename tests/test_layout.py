@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 from functools import cached_property
@@ -153,12 +154,13 @@ def test_distances_equal_floyd_warshall_on_random_layouts(instance):
     oracle = oracles.floyd_warshall(len(tiles), edges)
     points = oracles.access_points(instance)
     assert matrix.n == len(points)
+    rows = oracles.distance_rows(matrix)
     for p in points:
         row = [oracle[index[p.tile]][index[q.tile]] for q in points]
-        assert list(matrix.d[p.point_id]) == row
+        assert list(rows[p.point_id]) == row
         for q in points:
             if q.tile == p.tile:
-                assert matrix.d[q.point_id] == matrix.d[p.point_id]
+                assert rows[q.point_id] == rows[p.point_id]
 
 
 def _side_stacks(bay, side):
@@ -206,8 +208,8 @@ def _counting_tile_builds(built):
 @given(_instances(), st.randoms(use_true_random=False))
 def test_distances_asked_in_any_order_equal_the_oracle(instance, rng):
     """Asked in any order, every distance is the oracle's; the tiles are
-    computed at the first one and only then, and ``d`` is the oracle's
-    matrix."""
+    computed at the first one and only then, and the rows asked in point
+    order are the oracle's matrix."""
     layout = build_layout(instance)
     tiles, index, edges = _aisle_graph(instance)
     oracle = oracles.floyd_warshall(len(tiles), edges)
@@ -223,7 +225,7 @@ def test_distances_asked_in_any_order_equal_the_oracle(instance, rng):
         assert built == [matrix]
 
     eager = tuple(tuple(oracle[index[p.tile]][index[q.tile]] for q in points) for p in points)
-    assert matrix.d == eager
+    assert oracles.distance_rows(matrix) == eager
 
 
 def test_a_sorted_replay_computes_no_tile():
@@ -259,6 +261,32 @@ def test_csv_of_a_large_instance_is_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "74f023f918e43f45a96daddd25efa731c9fea2bdc699568d059168999f41a230"
     )
+
+
+def test_csv_is_written_a_row_at_a_time():
+    """The export computes each row as it writes it: when row p is written,
+    ``between`` has been asked the n distances of rows 0..p and no more,
+    and every row equals ``between``'s."""
+    matrix = all_pairs_distances(build_layout(_instance((3, 3), 2, 2)))
+    n, between = matrix.n, matrix.between
+    asked, asked_at_write = [], []
+
+    def counted(p, q):
+        asked.append((p, q))
+        return between(p, q)
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            asked_at_write.append(len(asked))
+            return super().write(text)
+
+    matrix.between = counted
+    buf = Sink()
+    write_distances_csv(matrix, buf)
+    assert asked_at_write == [n * p for p in range(n + 1)]
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["ap", *map(str, range(n))]
+    assert rows[1:] == [[str(p), *(str(between(p, q)) for q in range(n))] for p in range(n)]
 
 
 def test_triangle_inequality():
