@@ -40,8 +40,8 @@ in one pass over each line: every further cell of a lane adds its new
 deepest load, so the non-increasing prefix of the contents grows by one or
 restarts at that load, and the cost is the loads outside the prefix.  A
 cost is None when the lane would contain a hole or sit on a side without
-access points.  The band costs of a row and the split costs are summed per
-mask the first time that mask is met.
+access points.  The band costs and the floor (below) of a row are summed
+per mask the first time that mask is met.
 
 The search is branch and bound on a DP (Morin & Marsten, Operations
 Research 24(4), 1976), and each minimum is asked for only up to a cap:
@@ -61,6 +61,23 @@ which states are expanded, never a value below a cap.  The memo keeps
 answers any cap at or below it, since the minimum is then at or above that
 cap as well; a state whose bound is below a later cap is expanded again.
 Uncapped (cap = inf), the call is exact; an empty bay memoises J states.
+
+Each state also has a floor, a lower bound on its minimum that needs no
+choice tried, and a state whose floor is at least the cap answers with it
+and memoises it as not exact: a lower bound at least the cap is all the
+contract asks of such an answer, so no value below a cap changes.  Let
+N(i, j) be the cost of column i's N lane over rows 0..j-1 (inf when None)
+and B(i) its best full-column split.  At row j a column i still in its
+north band adds at least f_j(i) = min(N(i, j), B(i)).  Either its band
+starts at some row j' >= j, whose choice is charged N(i, j') >= N(i, j),
+since a lane's blocking count never falls as it grows deeper and a hole
+stays a hole (point 1 below), or it never starts and the column is
+charged a split, at least B(i), after the last row.  Each column is
+charged so once, and every other term of the cost to go is >= 0, so the
+sum of f_j over the north-band columns (``floor_sums``) is at most the
+state's minimum.  After the last row it is that minimum, the terminal
+cost: N(i, J) is the cost of the split with no S lane, at least B(i), so
+f_J(i) = B(i).
 
 The walk that enumerates the optimal assignments tries the choices in
 ``row_choices`` order and keeps those that stay on the optimum: with
@@ -351,13 +368,21 @@ class _BayTables:
                 if sc[j] is None:
                     sbad[j] |= 1 << i
         self.nbad, self.sbad = nbad, sbad
-        # Band costs per (row, column mask) and the terminal cost per mask of
-        # columns left in the north band, summed on first use: a table of
-        # 2^I entries would not pay on the wide bays ``--unrestricted`` admits.
-        # Only rows 0..J-1 choose, so row J of ncost and scost gets no sums.
+        # Band costs per (row, column mask) and the floor per mask of columns
+        # in the north band, summed on first use: a table of 2^I entries
+        # would not pay on the wide bays ``--unrestricted`` admits.  Only
+        # rows 0..J-1 choose, so row J of ncost and scost gets no band sums.
         self.north_sums = [_MaskSums(row) for row in itertools.islice(zip(*ncost), J)]
         self.south_sums = [_MaskSums(row) for row in itertools.islice(zip(*scost), J)]
-        self.split_sums = _MaskSums(self.split_best)
+        # floor_sums[j]: the least a column in the north band at row j can
+        # add to the cost to go, the lesser of its N lane should its band
+        # start at row j and its best split (module docstring).  The N lane
+        # over all J rows is a split, so floor_sums[J] is the terminal cost.
+        self.floor_sums = [
+            _MaskSums([min(math.inf if nc is None else nc, best)
+                       for nc, best in zip(row, self.split_best)])
+            for row in zip(*ncost)
+        ]
         # _memo[j][state]: (value, exact); a value that is not exact is a
         # lower bound, at least the cap it was asked with.
         self._memo: list[dict[tuple[int, int], tuple[float, bool]]] = [{} for _ in range(J)]
@@ -381,12 +406,16 @@ class _BayTables:
         exact when below ``cap`` and otherwise some value >= ``cap``."""
         band, south = state
         if j == self.J:
-            return self.split_sums[self.full & ~(band | south)]
+            return self.floor_sums[j][self.full & ~(band | south)]
         memo = self._memo[j]
         hit = memo.get(state)
         if hit is not None and (hit[1] or hit[0] >= cap):
             return hit[0]
         north = self.full & ~(band | south)
+        floor = self.floor_sums[j][north]
+        if floor >= cap:
+            memo[state] = (floor, False)
+            return floor
         forbid = south | north & self.nbad[j]  # columns with no horizontal cell here
         need = band & self.sbad[j]  # columns whose band cannot end here
         north_sums, south_sums = self.north_sums[j], self.south_sums[j]

@@ -515,7 +515,8 @@ def unpruned_cost_to_go(tables):
 
     def cost(j, state):
         if j == tables.J:
-            return tables.split_sums[tables.full & ~(state[0] | state[1])]
+            occupied = state[0] | state[1]
+            return sum(best for i, best in enumerate(tables.split_best) if not occupied >> i & 1)
         if (j, state) not in memo:
             memo[j, state] = min(
                 (added + cost(j + 1, new) for _, _, added, new in tables.row_choices(j, state)),
