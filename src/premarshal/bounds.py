@@ -73,12 +73,13 @@ its children's.  A search keeps one memo and passes it to every
 profiled once per search.  An A* pop computes its two transitions through
 it; ``Siblings`` adds only those of the children whose h needs GX.
 
-``gx_bound``, ``lb`` and ``_cover`` take a cap, ``math.inf`` for none, and
-are exact up to it and answer cap + 1 above it: a caller that asks only
-whether the bound is at most the cap gets its answer without the rest of
-the covering search.  Access-fixing selection asks every candidate after
-its first whether its h is below the best so far, and the exact search
-asks every child whether its h is at most the moves it has left.
+``gx_bound``, ``lb_state`` and ``_cover`` take a cap, ``math.inf`` for
+none.  Their bound is exact up to it and cap + 1 above it: a caller that
+asks only whether the bound is at most the cap gets its answer without the
+rest of the covering search.  ``lb_state``'s surplus and profiles are exact
+whatever the cap.  Access-fixing selection asks every candidate after its
+first whether its h is below the best so far, and the exact search asks
+every child whether its h is at most the moves it has left.
 
 ``Siblings.select`` lists the children of one parent whose h is at most a
 limit, and the least h above it, the way A* asks for them, reading their
@@ -257,8 +258,14 @@ def gx_bound(surplus: Sequence[int], profiles: Sequence[LaneProfile],
     return _cover(lane_options, needs, cap)
 
 
-def _summary(config: LaneConfiguration):
-    """(surplus, profiles) of a configuration, from scratch."""
+def lb_state(config: LaneConfiguration, cap: float = math.inf):
+    """Full evaluation from scratch: (surplus, profiles, h), the surplus and
+    profiles exact, for incremental updates later.
+
+    h = BX + GX is exact up to ``cap`` and ``cap + 1`` above it,
+    min(h, cap + 1), as ``gx_bound`` answers for GX with the cap less BX,
+    and exact with no cap, ``math.inf``.
+    """
     profiles = tuple(lane_profile(loads, capacity, config.groups)
                      for loads, capacity in zip(config.contents, config.capacities))
     per_group = [0] * config.groups
@@ -266,29 +273,8 @@ def _summary(config: LaneConfiguration):
         for g in prof.blocking_suffix:
             per_group[g - 1] += 1
         per_group[prof.threshold - 1] -= prof.free_after_clear
-    return _cumulate(per_group), profiles
-
-
-def lb_state(config: LaneConfiguration):
-    """Full evaluation: (surplus, profiles, h) for incremental updates later."""
-    surplus, profiles = _summary(config)
-    return surplus, profiles, config.blocking_total + gx_bound(surplus, profiles)
-
-
-def lb(config: LaneConfiguration, cap: float = math.inf):
-    """h = BX + gx_bound; admissible for the remaining move count.
-
-    The answer is exact up to ``cap`` and ``cap + 1`` above it,
-    min(h, cap + 1), as ``gx_bound`` answers for GX with the cap less BX,
-    and exact with no cap, ``math.inf``.  A config with no blocker gets
-    h = 0 at once: with no blocking load there is no demand, so no level of
-    the surplus is positive and GX = 0.
-    """
-    bx = config.blocking_total
-    if bx == 0:
-        return min(0, cap + 1)
-    surplus, profiles = _summary(config)
-    return bx + gx_bound(surplus, profiles, cap - bx)
+    surplus, bx = _cumulate(per_group), config.blocking_total
+    return surplus, profiles, bx + gx_bound(surplus, profiles, cap - bx)
 
 
 def cached_lane_change(touched: dict, old: LaneProfile, old_contents: tuple[int, ...],
@@ -341,7 +327,7 @@ def lb_incremental(
 class Siblings:
     """The children of one parent whose h is at most a limit, listed from
     the parent's surplus and profiles without building them; each h equals
-    lb(apply_move(...)).
+    lb_state(apply_move(...))[2].
 
     Build one per expanded parent: the caches below are shared by all of
     its children and die with it, but for ``touched``, which the parents

@@ -292,7 +292,9 @@ class Targets:
         target) lane indices that precede it; ``open_mask`` and ``clean`` are
         ``masks(config, ...)``.  At a tight-stage node with GX = 0 the search
         passes the node's budget less its distance bound B, and the bound's
-        ``fronts``, so source s bisects by budget - (B - m_s).
+        ``fronts``, so source s bisects by budget - (B - m_s).  ``config``
+        has at most ``remaining`` + 1 blocking loads, as every node the
+        search enters does.
         """
         lanes = config.contents
         sources = (1 << len(lanes)) - 1
@@ -307,10 +309,13 @@ class Targets:
             below = ((1 << a) - 1) & ~(1 << b)
         # A move takes a blocker away only from a lane that has one, and adds
         # one unless its target has no blockers and a threshold >= the load.
+        # Every node the search enters has BX <= remaining + 1: the root
+        # because its h <= k-bar, a child because it is kept only when its h
+        # is at most its parent's remaining, which is its own plus 1.  So at
+        # BX > remaining every child must lower BX, and at BX = remaining
+        # none may raise it.
         narrowed = 0
         if config.blocking_total >= remaining:
-            if config.blocking_total > remaining + 1:
-                return []
             accept = [0] * (self.groups + 1)
             for g in range(self.groups, 0, -1):
                 accept[g - 1] = accept[g] | clean[g - 1]

@@ -59,6 +59,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _sides(value) -> frozenset[str]:
+    """The access sides of a string such as "NESW" or a list of strings;
+    ``BaySpec`` checks the letters."""
+    if not isinstance(value, (str, list)) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"access_sides must be a string or a list of strings, not {value!r}")
+    return frozenset(value)
+
+
 def instance_from_json(data: dict) -> WarehouseInstance:
     data = _checked(data, dict, "an instance")
     meta = _checked(data.get("meta", {}), dict, "meta")
@@ -80,7 +88,7 @@ def instance_from_json(data: dict) -> WarehouseInstance:
             BaySpec(
                 **{key: _integer(entry[key], f"bay {key}") for key in "IJTG"},
                 occupancy=occupancy,
-                access_sides=frozenset(entry["access_sides"]),
+                access_sides=_sides(entry["access_sides"]),
             )
         )
     return WarehouseInstance(
@@ -109,7 +117,9 @@ def assignments_from_json(data: list[dict], instance: WarehouseInstance) -> list
     """Rebuild assignments; the misplaced count is recomputed when possible.
 
     Raises ValueError on an entry whose bay is no integer, not a bay of the
-    instance, or one that an earlier entry already named.
+    instance, or one that an earlier entry already named, and on rows that
+    are no list of strings.  Strings of the wrong shape are kept, for
+    replay to report.
     """
     by_bay = {}
     for entry in data:
@@ -119,7 +129,10 @@ def assignments_from_json(data: list[dict], instance: WarehouseInstance) -> list
                              f"{len(instance.bays)} bays")
         if b in by_bay:
             raise ValueError(f"two assignments for bay {b}")
-        by_bay[b] = tuple(entry["rows"])
+        rows = entry["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+            raise ValueError(f"the rows of bay {b} must be a list of strings, not {rows!r}")
+        by_bay[b] = tuple(rows)
     out = []
     for b, bay in enumerate(instance.bays):
         if b not in by_bay:

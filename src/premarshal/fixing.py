@@ -186,9 +186,6 @@ class AccessAssignment:
     misplaced: int
     lanes: tuple[InducedLane, ...] | None = field(default=None, compare=False, repr=False)
 
-    def direction(self, i: int, j: int) -> str:
-        return self.rows[j - 1][i - 1]
-
 
 def _grid(bay: BaySpec) -> list[list[int]]:
     """The bay's groups as J rows of I cells, 0 for an empty cell.
@@ -585,10 +582,10 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
     every tie.  At a floor of 0 the first candidate has no blocker, so no
     demand and GX = 0: it wins with no bound evaluated.  Every candidate
     after the first is asked only whether its h is below the best so far:
-    ``bounds.lb`` with the cap best - 1 is exact below the best and at
-    least the best otherwise, so the choice is the uncapped scan's.  The
-    best starts at ``math.inf``, so the first candidate's h is exact.
-    Candidates are read one at a time, so when they come from
+    ``bounds.lb_state`` with the cap best - 1 gives an h exact below the
+    best and at least the best otherwise, so the choice is the uncapped
+    scan's.  The best starts at ``math.inf``, so the first candidate's h is
+    exact.  Candidates are read one at a time, so when they come from
     ``optimal_assignments`` the ones after the stop are never built: on a
     bay whose first candidate has no covering term (GX = 0), one assignment
     is built.
@@ -602,7 +599,7 @@ def select_assignment(candidates: Iterable[AccessAssignment], bay: BaySpec) -> A
         elif cand.misplaced != floor:
             raise ValueError("candidate assignments differ in their misplaced count")
         # A later candidate matters only if its h is below best_h.
-        h = bounds.lb(_bay_config(bay, cand.lanes), best_h - 1)
+        h = bounds.lb_state(_bay_config(bay, cand.lanes), best_h - 1)[2]
         if h < best_h:
             best, best_h = cand, h
             if h == floor:

@@ -115,29 +115,17 @@ def state_key(config: LaneConfiguration) -> tuple[tuple[int, ...], ...]:
     return config.contents
 
 
-def legal_moves(
-    config: LaneConfiguration,
-    dmat,
-    targets: Iterable[tuple[int, int]] | None = None,
-) -> list[Move]:
-    """All moves available in ``config``: every (non-empty source, non-full
-    target) ordered pair, taking the source's front load to the target's
-    first empty position.  Ordered by (source lane id, target lane id).
-    A move's distance is the aisle distance between the two lanes' access
-    points; travel within a lane is not counted.
-
-    ``targets``, if given, narrows the moves to those it names: pairs of a
-    source lane index and the mask of its target lane indices (bit i is
-    lane index i, i.e. lane id i + 1), which must be legal; the moves come
-    in the pairs' order, each pair's by target.
+def legal_moves(config: LaneConfiguration, dmat,
+                targets: Iterable[tuple[int, int]]) -> list[Move]:
+    """The moves of ``config`` that ``targets`` names: pairs of a source
+    lane index and the mask of its target lane indices (bit i is lane index
+    i, i.e. lane id i + 1), which must be legal.  Each move takes the
+    source's front load to the target's first empty position.  The moves
+    come in the pairs' order, each pair's by target.  A move's distance is
+    the aisle distance between the two lanes' access points; travel within
+    a lane is not counted.
     """
     contents, points = config.contents, config.points
-    if targets is None:
-        room = 0
-        for idx, (loads, capacity) in enumerate(zip(contents, config.capacities)):
-            if len(loads) < capacity:
-                room |= 1 << idx
-        targets = [(idx, room & ~(1 << idx)) for idx, loads in enumerate(contents) if loads]
     moves = []
     for src, mask in targets:
         fill = len(contents[src])

@@ -3,8 +3,10 @@
 Everything above the "reference searches" section is deliberately naive:
 straight simulations and exhaustive enumerations with no shared code or data
 structures from the package under test (only plain tuples/dicts in, numbers
-out).  The reference searches below run on the package's move semantics and
-bounds; they check a search's order and bookkeeping, not those primitives.
+out).  The reference searches below list their moves with ``all_moves``,
+written here from the move rule, and run on the package's ``apply_move``
+and bounds; they check a search's order and bookkeeping, not those
+primitives.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from heapq import heappop, heappush
 
 from premarshal import bounds, fixing
 from premarshal.layout import AccessPoint
-from premarshal.model import apply_move, legal_moves, state_key
+from premarshal.model import Move, apply_move, state_key
 
 
 def blocking_by_rules(contents):
@@ -391,6 +393,19 @@ def covering_optimum(lanes, groups, extra=()):
 
 # --- reference searches -------------------------------------------------------
 
+def all_moves(config, dmat):
+    """Every move of ``config`` by the move rule alone: the front load of
+    each non-empty source goes to the first free slot of each other lane
+    with room, in (source, target) lane id order, over the aisle distance
+    between the two lanes' access points."""
+    fill = [len(loads) for loads in config.contents]
+    n = len(fill)
+    return [Move(src + 1, dst + 1, fill[src], fill[dst] + 1,
+                 dmat.between(config.points[src], config.points[dst]))
+            for src in range(n) if fill[src]
+            for dst in range(n) if dst != src and fill[dst] < config.capacities[dst]]
+
+
 class NoSolutionWithin(Exception):
     """``brute_force_optimum`` exhausted its depth budget."""
 
@@ -424,7 +439,7 @@ def brute_force_optimum(config, dmat, max_k):
                     return
             seen[:] = [(sg, sd) for sg, sd in seen if not (g <= sg and dist <= sd)]
             seen.append((g, dist))
-            for move in legal_moves(cfg, dmat):
+            for move in all_moves(cfg, dmat):
                 dfs(apply_move(cfg, move), g + 1, dist + move.distance)
 
         dfs(config, 0, 0)
@@ -466,7 +481,7 @@ def store_every_child_astar(root, dmat):
                 moves.append(rec[1])
                 rec = rec[0]
             return ("Solution", g, dist, tuple(reversed(moves)), nodes)
-        for move in legal_moves(rec[6], dmat):
+        for move in all_moves(rec[6], dmat):
             child = apply_move(rec[6], move)
             c_h = bounds.lb_state(child)[2]
             c_key = state_key(child)
@@ -582,13 +597,14 @@ def _directions(row_splits, col_splits):
 
 
 def full_scan_select(candidates, bay):
-    """The candidate with the least ``bounds.lb``, scanning every candidate.
+    """The candidate with the least h of ``bounds.lb_state``, scanning every
+    candidate.
 
     Ties fall to the first one found; with no finite bound, the first.
     """
     best, best_h = None, math.inf
     for cand in candidates:
-        h = bounds.lb(fixing._bay_config(bay, fixing.induced_lanes(bay, cand)))
+        h = bounds.lb_state(fixing._bay_config(bay, fixing.induced_lanes(bay, cand)))[2]
         if h < best_h:
             best, best_h = cand, h
     return best if best is not None else candidates[0]

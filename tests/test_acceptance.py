@@ -20,7 +20,6 @@ from premarshal.model import (
     Solution,
     WarehouseInstance,
     apply_move,
-    legal_moves,
     state_key,
 )
 from premarshal.pipeline import prepare
@@ -221,12 +220,12 @@ def test_c06_lower_bound_admissibility(small_suite):
     rng = random.Random(606)
     states = 0
     for row in small_suite:
-        assert bounds.lb(row.prep.config) <= row.brute[0]
+        assert bounds.lb_state(row.prep.config)[2] <= row.brute[0]
         seen = set()
         for _ in range(100):
             state = row.prep.config
             for _ in range(rng.randint(0, 5)):
-                moves = list(legal_moves(state, row.prep.dmat))
+                moves = list(oracles.all_moves(state, row.prep.dmat))
                 if not moves:
                     break
                 state = apply_move(state, rng.choice(moves))
@@ -239,7 +238,7 @@ def test_c06_lower_bound_admissibility(small_suite):
             optimal, _d = oracles.brute_force_optimum(
                 state, row.prep.dmat, max_k=plan.k
             )
-            assert bounds.lb(state) <= optimal
+            assert bounds.lb_state(state)[2] <= optimal
             states += 1
     assert states >= 100 * len(small_suite) // 4  # dedup keeps plenty of coverage
     print(f"C6: PASS (root + {states} reachable states, 0 violations)")
@@ -258,7 +257,7 @@ def test_c07_incremental_lower_bound_equivalence():
             state = prep.config
             surplus, profiles, h = bounds.lb_state(state)
             for _ in range(1000):
-                moves = list(legal_moves(state, prep.dmat))
+                moves = list(oracles.all_moves(state, prep.dmat))
                 if not moves:
                     break
                 move = rng.choice(moves)
@@ -266,7 +265,7 @@ def test_c07_incremental_lower_bound_equivalence():
                 surplus, profiles = bounds.lb_incremental(surplus, profiles, move, child, {})
                 h = child.blocking_total + bounds.gx_bound(surplus, profiles)
                 assert (surplus, profiles, h) == bounds.lb_state(child)
-                assert h == bounds.lb(child)
+                assert h == bounds.lb_state(child)[2]
                 state = child
                 steps_done += 1
     assert steps_done == 10 * 1000

@@ -80,13 +80,14 @@ def test_gx_removal_when_no_threshold_high_enough():
 
 def test_lb_sorted_is_zero():
     config = make_config([(3, (4, 2, 2), 0), (2, (), 1)], groups=4)
-    assert bounds.lb(config) == 0
+    assert bounds.lb_state(config)[2] == 0
 
 
 def test_lb_empty_lane_never_raises_h():
     base = [(3, (2, 5, 1), 0), (2, (3,), 1)]
     with_free = base + [(2, (), 2)]
-    assert bounds.lb(make_config(with_free, groups=5)) <= bounds.lb(make_config(base, groups=5))
+    assert (bounds.lb_state(make_config(with_free, groups=5))[2]
+            <= bounds.lb_state(make_config(base, groups=5))[2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,17 +105,24 @@ def test_lb_empty_lane_never_raises_h():
 @example([(2, [5, 3], True), (1, [], False), (3, [4, 4, 1], True)])
 @example([(1, [2], True), (3, [1, 2], False)])
 def test_lb_equals_the_full_evaluation(lane_specs):
-    """``lb``'s shortcut for a config without blockers gives ``lb_state``'s h.
+    """``lb_state``'s h is BX + GX of its own surplus and profiles, and 0
+    for a config without blockers: with no blocking load there is no
+    demand, so no level of the surplus is positive and GX = 0.
 
     A lane drawn with its flag set holds its loads deepest first in
-    non-increasing order, so it has no blocker; a config of such lanes only
-    takes the shortcut.
+    non-increasing order, so it has no blocker; a config of such lanes has
+    h = 0.
     """
     lanes = [(max(cap, len(contents)), sorted(contents, reverse=True) if ordered else contents,
               idx)
              for idx, (cap, contents, ordered) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
-    assert bounds.lb(config) == bounds.lb_state(config)[2]
+    surplus, profiles, h = bounds.lb_state(config)
+    assert h == config.blocking_total + bounds.gx_bound(surplus, profiles)
+    if all(ordered for _cap, _contents, ordered in lane_specs):
+        assert config.blocking_total == 0
+    if config.blocking_total == 0:
+        assert h == 0
 
 
 def _random_config(rng, n_lanes=4, cap=3, groups=5):
@@ -130,9 +138,9 @@ def test_incremental_equals_scratch_on_random_walks():
     for _ in range(25):
         config = _random_config(rng)
         surplus, profiles, h = bounds.lb_state(config)
-        assert h == bounds.lb(config)
+        assert h == bounds.lb_state(config)[2]
         for _step in range(40):
-            moves = legal_moves(config, DMAT)
+            moves = oracles.all_moves(config, DMAT)
             if not moves:
                 break
             move = rng.choice(moves)
@@ -164,7 +172,7 @@ def test_incremental_property(lane_specs, rng):
     config = make_config(lanes, groups=5)
     surplus, profiles, h = bounds.lb_state(config)
     for _ in range(6):
-        moves = legal_moves(config, DMAT)
+        moves = oracles.all_moves(config, DMAT)
         if not moves:
             return
         move = rng.choice(moves)
@@ -197,7 +205,7 @@ def test_incremental_with_the_search_memo(lane_specs, rng):
     surplus, profiles, h = bounds.lb_state(config)
     touched = {}
     for _ in range(6):
-        moves = legal_moves(config, DMAT)
+        moves = oracles.all_moves(config, DMAT)
         if not moves:
             return
         bounds.Siblings(config, surplus, profiles, touched).select(math.inf, math.inf)
@@ -243,7 +251,7 @@ def test_h_is_consistent():
         groups, lanes = state
         config = make_config(lanes, groups)
         surplus, profiles, h = bounds.lb_state(config)
-        for move in legal_moves(config, DMAT):
+        for move in oracles.all_moves(config, DMAT):
             c_h = bounds.lb_state(apply_move(config, move))[2]
             assert h <= c_h + 1
             t = move.to_lane - 1
@@ -268,7 +276,7 @@ def test_h_is_consistent():
 def test_h_zero_iff_sorted_and_covered():
     config = make_config([(2, (1, 1), 0), (3, (5, 4, 2), 1)], groups=5)
     assert config.blocking_total == 0
-    assert bounds.lb(config) == 0
+    assert bounds.lb_state(config)[2] == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,7 +324,7 @@ def test_gx_of_many_equal_lanes(n, gx):
     config = make_config([(3, (1, 2), idx) for idx in range(n)], groups=2)
     surplus, profiles, h = bounds.lb_state(config)
     assert bounds.gx_bound(surplus, profiles) == gx
-    assert h == bounds.lb(config) == n + gx
+    assert h == bounds.lb_state(config)[2] == n + gx
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,14 +344,14 @@ def test_sibling_h_equals_the_built_child(lane_specs, extra):
     ``Siblings.select`` lists every legal move with the h of the built
     child.  ``extra`` adds demand that no move touches, at most one load per
     free slot, so that GX > 0 is reached more often; without it the h is
-    lb(child)."""
+    the child's ``lb_state``."""
     lanes = [(max(cap, len(c)), tuple(c), idx) for idx, (cap, c) in enumerate(lane_specs)]
     config = make_config(lanes, groups=5)
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
     classes, above = siblings.select(math.inf, math.inf)
-    every = [(move, _child_h(config, move, extra)) for move in legal_moves(config, DMAT)]
+    every = [(move, _child_h(config, move, extra)) for move in oracles.all_moves(config, DMAT)]
     assert _offered(config, classes) == _in_offer_order(every)
     assert above == math.inf
 
@@ -466,7 +474,7 @@ def _check_select_at_every_limit(config, extra):
     extra = _coverable(config, extra)
     surplus, profiles, _h = bounds.lb_state(config)
     siblings = bounds.Siblings(config, _with_extra_demand(surplus, extra), profiles, {})
-    every = [(move, _child_h(config, move, extra)) for move in legal_moves(config, DMAT)]
+    every = [(move, _child_h(config, move, extra)) for move in oracles.all_moves(config, DMAT)]
     hs = [h for _m, h in every] or [0]
     for limit in range(min(hs) - 1, max(hs) + 2):
         want = [(m, h) for m, h in every if h <= limit]
@@ -503,13 +511,16 @@ def _with_extra_demand(surplus, extra):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_mostly_full_states().map(lambda state: (*state, [])), _wide_states()))
 def test_capped_bounds_are_exact_up_to_the_cap(state):
-    """With a cap, ``gx_bound`` and ``lb`` answer min(exact, cap + 1) at
-    every cap from -1 to 4: exact up to the cap, cap + 1 above it."""
+    """With a cap, ``gx_bound`` and ``lb_state`` answer min(exact, cap + 1) at
+    every cap from -1 to 4: exact up to the cap, cap + 1 above it.
+    ``lb_state``'s surplus and profiles are exact at every cap."""
     groups, lanes, extra = state
     config = make_config(lanes, groups)
-    surplus, profiles, _h = bounds.lb_state(config)
+    full = bounds.lb_state(config)
+    surplus, profiles, h = full
     surplus = _with_extra_demand(surplus, _coverable(config, extra))
-    gx, h = bounds.gx_bound(surplus, profiles), bounds.lb(config)
+    gx = bounds.gx_bound(surplus, profiles)
     for cap in range(-1, 5):
         assert bounds.gx_bound(surplus, profiles, cap) == min(gx, cap + 1)
-        assert bounds.lb(config, cap) == min(h, cap + 1)
+        capped = bounds.lb_state(config, cap)
+        assert capped[:2] == full[:2] and capped[2] == min(h, cap + 1)

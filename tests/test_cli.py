@@ -409,6 +409,43 @@ def test_a_plan_with_forged_assignments_exits_3_without_a_traceback(probe_plan, 
     assert "bad assignments" in run.stderr
 
 
+def test_a_plan_whose_rows_are_lists_exits_3_without_a_traceback(probe_plan, tmp_path):
+    """Rows of bay 0 given as lists of letters, not strings: verify reports
+    the assignments and --ub-from rejects them, naming the bay."""
+    inst, plan = probe_plan
+    data = json.loads(plan.read_text())
+    data["assignments"][0]["rows"] = [list(row) for row in data["assignments"][0]["rows"]]
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(data))
+    run = _run_cli(["verify", "--in", str(inst), "--sol", str(listed)])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    report = json.loads(run.stdout)
+    assert report["ok"] is False
+    assert [v["code"] for v in report["violations"]] == ["assignments"]
+    assert "bay 0" in report["violations"][0]["detail"]
+    run = _run_cli(["solve", "--algo", "exact", "--in", str(inst), "--ub-from", str(listed),
+                    "-o", str(tmp_path / "exact.json")])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "bad assignments" in run.stderr and "bay 0" in run.stderr
+
+
+@pytest.mark.parametrize("sides", [{"N": 0, "E": 0, "S": 0, "W": 0}, [["N"]]])
+def test_access_sides_of_no_string_or_list_of_strings_exit_3(probe_plan, tmp_path, sides):
+    """An object is no list of its keys, and a nested list no list of sides."""
+    inst, _plan = probe_plan
+    data = json.loads(inst.read_text())
+    data["bays"][0]["access_sides"] = sides
+    bad = tmp_path / "sides.json"
+    bad.write_text(json.dumps(data))
+    run = _run_cli(["solve", "--algo", "astar", "--in", str(bad),
+                    "-o", str(tmp_path / "astar.json")])
+    assert run.returncode == cli.EXIT_INVALID, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "access_sides must be a string or a list of strings" in run.stderr
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "distances", "bench"])
 def test_unwritable_output_exits_3_without_a_traceback(instance_path, tmp_path, capsys,
                                                        command):

@@ -12,7 +12,7 @@ from conftest import FakeDmat, make_config
 from premarshal import astar, bounds, exact
 from premarshal.generate import GenConfig, generate
 from premarshal.pipeline import prepare
-from premarshal.model import Solution, SolveStats, TimedOut, apply_move, legal_moves
+from premarshal.model import Solution, SolveStats, TimedOut, apply_move
 
 DMAT = FakeDmat()
 
@@ -95,7 +95,7 @@ def test_search_returns_the_oracles_plan():
             for idx in range(3)
         ]
         config = make_config(lanes, groups=4)
-        h0 = bounds.lb(config)
+        h0 = bounds.lb_state(config)[2]
         for k_bar in (rng.randint(0, 2), h0, h0 + 1, 3):
             expected = _oracle(lanes, k_bar, 10_000)
             assert _as_oracle(_search(config, k_bar, DMAT, 10_000)) == expected
@@ -123,7 +123,7 @@ def _relay_free_nodes(config, depth, last=None):
     if depth == 0:
         return 1
     return 1 + sum(_relay_free_nodes(apply_move(config, m), depth - 1, m.to_lane)
-                   for m in legal_moves(config, DMAT) if m.from_lane != last)
+                   for m in oracles.all_moves(config, DMAT) if m.from_lane != last)
 
 
 def test_counters_and_prunes_only_save_work():
@@ -171,7 +171,7 @@ def _bound_plan(config, pairs):
     """The replay-valid plan of the (source, target) lane indices ``pairs``."""
     moves = []
     for src, dst in pairs:
-        moves.append(next(m for m in legal_moves(config, DMAT)
+        moves.append(next(m for m in oracles.all_moves(config, DMAT)
                           if (m.from_lane - 1, m.to_lane - 1) == (src, dst)))
         config = apply_move(config, moves[-1])
     assert config.blocking_total == 0
@@ -182,7 +182,7 @@ def _bound_plan(config, pairs):
 def _detour(config, plan):
     """``plan`` with its first legal move in ``config`` and that move's
     reverse put in front: a replay-valid plan two moves longer."""
-    first = legal_moves(config, DMAT)[0]
+    first = oracles.all_moves(config, DMAT)[0]
     src, dst = first.from_lane - 1, first.to_lane - 1
     return _bound_plan(config, [(src, dst), (dst, src),
                                 *((m.from_lane - 1, m.to_lane - 1) for m in plan.moves)])
@@ -209,7 +209,7 @@ def test_solve_exact_finds_the_minimal_k_under_a_longer_bound():
         assert isinstance(result, Solution)
         best = oracles.plain_optimum([l[:2] for l in lanes], _dist_fn(lanes), max_k=warm.k)
         assert (result.k, result.total_distance) == best
-        below_k += bounds.lb(config) < result.k
+        below_k += bounds.lb_state(config)[2] < result.k
     assert below_k >= 10
 
 
@@ -292,7 +292,7 @@ def test_pinned_node_counts_with_tight_cuts(spec):
     warm = astar.solve_astar(prep.config, prep.dmat)
     result = exact.solve_exact(prep.config, prep.dmat, warm)
     assert isinstance(result, Solution)
-    assert bounds.lb(prep.config) == result.k
+    assert bounds.lb_state(prep.config)[2] == result.k
     assert (result.k, result.total_distance, result.stats.nodes_evaluated,
             _pairs(result.moves)) == PINNED_SEARCHES[spec]
 
@@ -300,7 +300,7 @@ def test_pinned_node_counts_with_tight_cuts(spec):
 @pytest.mark.parametrize("spec", sorted(PINNED_NEXT_STAGE))
 def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     prep = _pinned_instance(spec)
-    k_bar = bounds.lb(prep.config) + 1
+    k_bar = bounds.lb_state(prep.config)[2] + 1
     warm = astar.solve_astar(prep.config, prep.dmat)
     counters = SolveStats()
     result = exact.complete_search(prep.config, k_bar, prep.dmat, warm.total_distance,
@@ -309,6 +309,34 @@ def test_pinned_node_counts_one_stage_above_the_root_bound(spec):
     assert result is not None
     moves, distance = result
     assert (distance, counters.nodes_evaluated, _pairs(moves)) == PINNED_NEXT_STAGE[spec]
+
+
+def test_every_node_the_search_enters_has_bx_at_most_remaining_plus_1(monkeypatch):
+    """``Targets.moves`` is asked only at nodes with BX <= remaining + 1:
+    the root has h <= k-bar, and a child is kept only when its h is at most
+    its parent's remaining, its own plus 1.  Checked at every call of the
+    pinned tight-stage solves and of their next stages, where tight-stage
+    nodes with GX = 0 reach it."""
+    real = exact.Targets.moves
+    asked = []
+
+    def spy(self, config, open_mask, clean, last, budget, fronts, remaining, commute):
+        asked.append(config.blocking_total - remaining)
+        return real(self, config, open_mask, clean, last, budget, fronts, remaining, commute)
+
+    monkeypatch.setattr(exact.Targets, "moves", spy)
+    for spec in sorted(PINNED_SEARCHES):
+        prep = _pinned_instance(spec)
+        warm = astar.solve_astar(prep.config, prep.dmat)
+        assert isinstance(exact.solve_exact(prep.config, prep.dmat, warm), Solution)
+    for spec in sorted(PINNED_NEXT_STAGE):
+        prep = _pinned_instance(spec)
+        warm = astar.solve_astar(prep.config, prep.dmat)
+        root = bounds.lb_state(prep.config)
+        assert exact.complete_search(prep.config, root[2] + 1, prep.dmat, warm.total_distance,
+                                     deadline=math.inf, counters=SolveStats(),
+                                     root=root) is not None
+    assert max(asked) == 1
 
 
 # (bay, warehouse, fill, G, seed) -> (k, distance, nodes) of ``solve_exact``
@@ -396,26 +424,24 @@ def test_moves_the_distance_cut_would_drop_are_never_built(monkeypatch):
 
 
 def _root_evaluations(config, dmat):
-    """(stages, ``bounds.lb_state`` calls, ``bounds.lb`` calls) of
-    ``solve_exact`` after A*."""
+    """(stages, ``bounds.lb_state`` calls) of ``solve_exact`` after A*."""
     warm = astar.solve_astar(config, dmat)
     with mock.patch.object(exact, "complete_search", wraps=exact.complete_search) as stages, \
-            mock.patch.object(bounds, "lb_state", wraps=bounds.lb_state) as lb_state, \
-            mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
+            mock.patch.object(bounds, "lb_state", wraps=bounds.lb_state) as lb_state:
         result = exact.solve_exact(config, dmat, warm)
     assert isinstance(result, Solution)
-    return stages.call_count, lb_state.call_count, lb.call_count
+    return stages.call_count, lb_state.call_count
 
 
 def test_solve_exact_evaluates_the_root_once():
     """Every stage searches from the same root, so ``solve_exact`` calls
-    ``bounds.lb_state`` once and ``bounds.lb`` never: on 4x4/2x2/0.9/G10/s8,
-    solved in its one tight stage, and on lanes whose root bound, 2, is two
-    below the optimal move count, 4, so three stages run."""
+    ``bounds.lb_state`` once: on 4x4/2x2/0.9/G10/s8, solved in its one
+    tight stage, and on lanes whose root bound, 2, is two below the optimal
+    move count, 4, so three stages run."""
     prep = _pinned_instance(((4, 4), (2, 2), 0.9, 10, 8))
-    assert _root_evaluations(prep.config, prep.dmat) == (1, 1, 0)
+    assert _root_evaluations(prep.config, prep.dmat) == (1, 1)
     config = make_config([(3, (2, 4), 0), (3, (3, 1), 2), (3, (2, 1), 4)], groups=4)
-    assert _root_evaluations(config, DMAT) == (3, 1, 0)
+    assert _root_evaluations(config, DMAT) == (3, 1)
 
 
 def test_tight_stage_with_gx_at_the_root_solves_within_budget():
@@ -444,7 +470,7 @@ def _tight_plans():
             contents = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, cap)))
             lanes.append((cap, contents, rng.randrange(8)))
         config = make_config(lanes, groups=4)
-        h0 = bounds.lb(config)
+        h0 = bounds.lb_state(config)[2]
         if not 0 < h0 == config.blocking_total <= 9 - len(lanes):
             continue
         yield config, _oracle(lanes, h0, 10_000)
@@ -455,7 +481,7 @@ def _along(config, pairs):
     through from ``config``, its last included, each with its move from
     there (None for the last)."""
     for pair in pairs:
-        move = next(m for m in legal_moves(config, DMAT)
+        move = next(m for m in oracles.all_moves(config, DMAT)
                     if (m.from_lane - 1, m.to_lane - 1) == pair)
         yield config, move
         config = apply_move(config, move)
@@ -525,10 +551,10 @@ def test_a_blocker_no_other_lane_takes_makes_gx_positive():
     is never asked, and the search and the oracle agree at both stages."""
     lanes = [(2, (1, 3), 0), (1, (2,), 1), (2, (2,), 2)]
     config = make_config(lanes, groups=3)
-    assert config.blocking_total == 1 < bounds.lb(config)
+    assert config.blocking_total == 1 < bounds.lb_state(config)[2]
     assert _search(config, 1, DMAT, 10_000) is None
     assert _oracle(lanes, 1, 10_000) is None
-    h0 = bounds.lb(config)
+    h0 = bounds.lb_state(config)[2]
     assert _as_oracle(_search(config, h0, DMAT, 10_000)) == _oracle(lanes, h0, 10_000)
 
 
@@ -576,7 +602,7 @@ def test_tight_stage_and_the_next_return_the_oracles_plan():
             contents = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, cap)))
             lanes.append((cap, contents, rng.randrange(8)))
         config = make_config(lanes, groups=4)
-        h0 = bounds.lb(config)
+        h0 = bounds.lb_state(config)[2]
         warm = astar.solve_astar(config, DMAT)
         if not isinstance(warm, Solution) or warm.k != h0 or not 0 < h0 <= 9 - len(lanes):
             continue
@@ -615,7 +641,9 @@ def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commutin
     commuting-move cut after the walk's last move leave, in legal-move
     order, at every state of a walk whose masks are patched move by move.
     At a state with GX = 0 whose blocking count must fall, each source's
-    budget is the node's less its distance bound but its front term."""
+    budget is the node's less its distance bound but its front term.
+    ``remaining`` is raised at each state to at least its blocking count
+    less 1, as at every node the search enters (``Targets.moves``)."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
     targets = exact.Targets(config, DMAT)
@@ -623,19 +651,20 @@ def test_targets_equal_filtering_by_hand(lane_specs, budget, remaining, commutin
     open_mask, clean = targets.masks(config, profiles)
     last = commute = None
     for _ in range(6):
-        moves = legal_moves(config, DMAT)
+        moves = oracles.all_moves(config, DMAT)
         kept = [  # by the relay rule and the commuting-move cut
             m for m in moves
             if m.from_lane - 1 != last
             and (commute is None or not {m.from_lane - 1, m.to_lane - 1}.isdisjoint(commute)
                  or (m.from_lane - 1, m.to_lane - 1) > commute)
         ]
+        least = max(remaining, config.blocking_total - 1)
         by_hand = [m for m in kept
-                   if m.distance <= budget and apply_move(config, m).blocking_total <= remaining]
-        got = targets.moves(config, open_mask, clean, last, budget, {}, remaining, commute)
+                   if m.distance <= budget and apply_move(config, m).blocking_total <= least]
+        got = targets.moves(config, open_mask, clean, last, budget, {}, least, commute)
         assert list(got) == by_hand
         blocking = config.blocking_total
-        if bounds.lb(config) == blocking > 0:
+        if bounds.lb_state(config)[2] == blocking > 0:
             # As at a tight-stage node with GX = 0, whose budget is at least
             # its bound B: each source s bisects by budget - (B - m_s).
             bound, fronts = targets.distance_bound(config, profiles, open_mask, clean)

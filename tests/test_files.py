@@ -38,6 +38,22 @@ def test_instance_json_shape_is_frozen():
     assert data["bays"][1]["loads"] == []
 
 
+@pytest.mark.parametrize("sides, read", [("NESW", frozenset("NESW")), ("W", frozenset("W")),
+                                         (["N", "S"], frozenset("NS")),
+                                         ({"N": 0, "E": 0, "S": 0, "W": 0}, None),
+                                         ([["N"]], None), (["N", 1], None), (7, None)])
+def test_instance_from_json_reads_access_sides_of_a_string_or_a_list(sides, read):
+    """A string and a list of strings are read; any other value, an object
+    among them, raises a ValueError that names ``access_sides``."""
+    data = files.instance_to_json(_witness_instance())
+    data["bays"][0]["access_sides"] = sides
+    if read is None:
+        with pytest.raises(ValueError, match="access_sides must be a string or a list"):
+            files.instance_from_json(data)
+    else:
+        assert files.instance_from_json(data).bays[0].access_sides == read
+
+
 def test_instance_round_trip(tmp_path):
     instance = generate(
         GenConfig(bay=(3, 3), warehouse=(2, 2), fill=0.6, groups=5, seed=11)
@@ -222,6 +238,15 @@ def test_assignments_from_json_tolerates_invalid_rows():
     rebuilt = files.assignments_from_json(data, instance)
     assert rebuilt[0].rows == ("EEE", "EEE", "EEE")
     assert rebuilt[0].misplaced == 0  # unscored; replay reports the failure
+
+
+@pytest.mark.parametrize("rows", [[list("WWW")] * 3, "WWW", [["W", "W", "W"], "WWW", "WWW"],
+                                  None, [3, 3, 3]])
+def test_assignments_from_json_requires_a_list_of_strings(rows):
+    """Rows must be a JSON list of strings; anything else names its bay."""
+    data = [{"bay": 0, "rows": ["WWW"] * 3}, {"bay": 1, "rows": rows}]
+    with pytest.raises(ValueError, match="the rows of bay 1 must be a list of strings"):
+        files.assignments_from_json(data, _witness_instance())
 
 
 def test_assignments_from_json_requires_every_bay():

@@ -102,13 +102,6 @@ def test_induced_lanes_validate_anchoring():
         fixing.induced_lanes(bay, fixing.AccessAssignment(rows=("WX",), misplaced=0))
 
 
-def test_direction_accessor():
-    assignment = fixing.AccessAssignment(rows=("WNE", "SSS"), misplaced=0)
-    assert assignment.direction(1, 1) == "W"
-    assert assignment.direction(2, 1) == "N"
-    assert assignment.direction(3, 2) == "S"
-
-
 def _random_occ(rng, I, J, n):
     cells = rng.sample([(i, j) for i in range(1, I + 1) for j in range(1, J + 1)], n)
     return {c: rng.randint(1, 9) for c in cells}
@@ -436,7 +429,7 @@ def test_oracle_formulation_against_direction_grid():
 
 def _h(bay, assignment):
     """The bound selection reads for one candidate."""
-    return bounds.lb(fixing._bay_config(bay, fixing.induced_lanes(bay, assignment)))
+    return bounds.lb_state(fixing._bay_config(bay, fixing.induced_lanes(bay, assignment)))[2]
 
 
 def test_select_assignment_minimizes_h():
@@ -481,13 +474,13 @@ def test_select_stops_at_the_first_candidate_on_the_floor(drawn):
     assert all(h >= floor for h in hs)
     first = next((n for n, h in enumerate(hs) if h == floor), None)
 
-    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb, \
+    with mock.patch.object(bounds, "lb_state", wraps=bounds.lb_state) as lb_state, \
             mock.patch.object(fixing, "_bay_config", wraps=fixing._bay_config) as configs:
         chosen = fixing.select_assignment(cands, bay)
     assert chosen is oracles.full_scan_select(cands, bay)
     # At a floor of 0 the first candidate is on it, with no bound evaluated.
     read = 0 if floor == 0 else len(cands) if first is None else first + 1
-    assert lb.call_count == configs.call_count == read
+    assert lb_state.call_count == configs.call_count == read
 
 
 def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
@@ -495,10 +488,10 @@ def test_select_reads_bounds_up_to_the_first_candidate_on_the_floor():
     bay = _bay(3, 2, {(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 4}, frozenset("EW"), G=4)
     cands = list(fixing.optimal_assignments(bay, limit=10))
     assert [_h(bay, c) for c in cands] == [2, 1] * 4
-    with mock.patch.object(bounds, "lb", wraps=bounds.lb) as lb:
+    with mock.patch.object(bounds, "lb_state", wraps=bounds.lb_state) as lb_state:
         chosen = fixing.select_assignment(cands, bay)
     assert chosen is cands[1] is oracles.full_scan_select(cands, bay)
-    assert lb.call_count == 2
+    assert lb_state.call_count == 2
 
 
 def test_select_builds_only_the_candidates_it_reads():
@@ -621,7 +614,7 @@ def test_select_reads_nothing_past_a_first_candidate_of_floor_0():
         yield first
         raise AssertionError("a candidate after one of floor 0 was read")
 
-    with mock.patch.object(bounds, "lb", side_effect=AssertionError("bound evaluated")):
+    with mock.patch.object(bounds, "lb_state", side_effect=AssertionError("bound evaluated")):
         assert fixing.select_assignment(candidates(), bay) is first
 
 

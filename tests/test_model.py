@@ -69,7 +69,7 @@ def test_config_build_rejects_bad_ids_and_groups():
 def test_children_share_the_static_lane_data():
     config = make_config([(2, (2, 1), 4), (3, (), 7), (1, (3,), 2)], groups=3)
     assert state_key(config) is config.contents
-    for move in legal_moves(config, DMAT):
+    for move in oracles.all_moves(config, DMAT):
         child = apply_move(config, move)
         assert child.points is config.points
         assert child.capacities is config.capacities
@@ -91,22 +91,32 @@ def test_state_blocking_sums_lanes():
     assert config.blocking_total == 2
 
 
+def _every_pair(config):
+    """(source, target mask) of each non-empty lane index, the mask naming
+    every other lane with room."""
+    room = sum(1 << idx for idx, (loads, capacity)
+               in enumerate(zip(config.contents, config.capacities)) if len(loads) < capacity)
+    return [(idx, room & ~(1 << idx)) for idx, loads in enumerate(config.contents) if loads]
+
+
 def test_legal_moves_frozen():
     single = make_config([(2, (1,), 0), (2, (), 1)], groups=1)
-    assert len(legal_moves(single, DMAT)) == 1
+    assert len(legal_moves(single, DMAT, _every_pair(single))) == 1
 
     three_open = make_config([(2, (1,), 0), (2, (3,), 1), (2, (5,), 2)], groups=5)
-    assert len(legal_moves(three_open, DMAT)) == 6
+    assert len(legal_moves(three_open, DMAT, _every_pair(three_open))) == 6
 
     # lane 1 is full, lane 3 is empty: only 1->2, 1->3, 2->3 remain
     config = make_config([(2, (1, 2), 0), (2, (3,), 1), (2, (), 2)], groups=3)
-    moves = legal_moves(config, DMAT)
+    moves = legal_moves(config, DMAT, _every_pair(config))
     assert [(m.from_lane, m.to_lane) for m in moves] == [(1, 2), (1, 3), (2, 3)]
+    assert moves == oracles.all_moves(config, DMAT)
 
 
 def test_legal_moves_positions_and_order():
     config = make_config([(3, (4, 2), 0), (3, (1,), 5), (2, (), 9)], groups=4)
-    moves = legal_moves(config, DMAT)
+    moves = legal_moves(config, DMAT, _every_pair(config))
+    assert moves == oracles.all_moves(config, DMAT)
     pairs = [(m.from_lane, m.to_lane) for m in moves]
     assert pairs == sorted(pairs)
     first = moves[0]
@@ -117,7 +127,7 @@ def test_legal_moves_positions_and_order():
 def test_apply_move_frozen():
     config = make_config([(2, (2, 5), 0), (2, (), 1)], groups=5)
     assert config.blocking_total == 1
-    move = legal_moves(config, DMAT)[0]
+    move = oracles.all_moves(config, DMAT)[0]
     after = apply_move(config, move)
     assert after.contents == ((2,), (5,))
     assert after.blocking_total == 0
@@ -175,9 +185,9 @@ def test_state_key_distinguishes_lanes():
 def test_apply_then_inverse_restores_key():
     config = make_config([(3, (3, 1), 0), (3, (2,), 1)], groups=3)
     key = state_key(config)
-    fwd = next(m for m in legal_moves(config, DMAT) if (m.from_lane, m.to_lane) == (1, 2))
+    fwd = next(m for m in oracles.all_moves(config, DMAT) if (m.from_lane, m.to_lane) == (1, 2))
     mid = apply_move(config, fwd)
-    back = next(m for m in legal_moves(mid, DMAT) if (m.from_lane, m.to_lane) == (2, 1))
+    back = next(m for m in oracles.all_moves(mid, DMAT) if (m.from_lane, m.to_lane) == (2, 1))
     assert state_key(apply_move(mid, back)) == key
 
 
@@ -190,7 +200,7 @@ def test_random_walk_conserves_census_and_no_holes(lanes_contents, picks):
     config = make_config(lanes, groups=4)
     census = _census(config)
     for pick in picks:
-        moves = legal_moves(config, DMAT)
+        moves = oracles.all_moves(config, DMAT)
         if not moves:
             break
         config = apply_move(config, moves[pick % len(moves)])
@@ -226,27 +236,20 @@ _CONFIGS = st.lists(
 
 @given(_CONFIGS)
 def test_legal_moves_equal_every_pair_by_hand(lane_specs):
+    """Given every (source, lanes with room) pair, the moves are the
+    oracle's, which it lists from the move rule."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    n = len(config.contents)
-    fill = [len(loads) for loads in config.contents]
-    everything = [
-        Move(src + 1, dst + 1, fill[src], fill[dst] + 1,
-             DMAT.between(config.points[src], config.points[dst]))
-        for src in range(n)
-        for dst in range(n)
-        if src != dst and fill[src] and fill[dst] < config.capacities[dst]
-    ]
-    assert legal_moves(config, DMAT) == everything
+    assert legal_moves(config, DMAT, _every_pair(config)) == oracles.all_moves(config, DMAT)
 
 
 @given(_CONFIGS, st.randoms(use_true_random=False))
 def test_legal_moves_narrowed_to_targets(lane_specs, rng):
-    """With ``targets`` the moves are those of the named (source, target)
-    pairs, equal to the all-pairs moves and in the pairs' order."""
+    """The moves are those of the named (source, target) pairs, equal to
+    the oracle's and in the pairs' order."""
     lanes = [(max(cap, len(c)), tuple(c), ap) for cap, c, ap in lane_specs]
     config = make_config(lanes, groups=4)
-    everything = legal_moves(config, DMAT)
+    everything = oracles.all_moves(config, DMAT)
     sources = sorted({m.from_lane - 1 for m in everything}, key=lambda _: rng.random())
     targets = []
     for src in sources:
